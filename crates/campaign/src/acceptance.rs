@@ -9,6 +9,8 @@
 //! the *same* base task sets, and the [`Memo`] layer computes each base set
 //! once per process.
 
+use std::num::NonZeroUsize;
+
 use fnpr_sched::{
     edf_schedulable_with_delay, fp_schedulable_with_delay, inflate_wcets, DelayMethod, TaskSet,
 };
@@ -16,9 +18,8 @@ use fnpr_synth::{random_taskset, with_npr_and_curves, Policy, TaskSetParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::backend::Executor;
 use crate::error::CampaignError;
-use crate::exec::stream_seed;
+use crate::exec::{parallel_map, stream_seed};
 use crate::memo::{Memo, ScenarioHasher};
 use crate::report::AcceptancePoint;
 use crate::spec::{method_tag, policy_label, policy_tag, AcceptanceParams};
@@ -51,9 +52,9 @@ impl Default for AcceptanceEngine {
     }
 }
 
-/// Runs the full grid on `executor`. Point order (and therefore report
-/// order) is policies-major, utilizations-minor, matching the original
-/// binary's sweep.
+/// Runs the full grid on `threads` workers. Point order (and therefore
+/// report order) is policies-major, utilizations-minor, matching the
+/// original binary's sweep.
 ///
 /// # Errors
 ///
@@ -61,44 +62,23 @@ impl Default for AcceptanceEngine {
 pub fn run(
     params: &AcceptanceParams,
     campaign_seed: u64,
-    executor: &Executor,
+    threads: NonZeroUsize,
     engine: &AcceptanceEngine,
     store: Option<&ResultStore>,
 ) -> Result<Vec<AcceptancePoint>, CampaignError> {
     let grid = grid(params);
-    executor.run(grid.len(), &|i| {
+    parallel_map(grid.len(), threads, |i| {
         compute_grid_point(params, campaign_seed, grid[i], engine, store)
     })
 }
 
-/// The grid in report order, shard index = position. Both the coordinator
-/// and worker subprocesses rebuild this from the same validated params, so
-/// shard indices mean the same coordinates everywhere.
+/// The grid in report order, shard index = position.
 fn grid(params: &AcceptanceParams) -> Vec<(Policy, f64)> {
     params
         .policies
         .iter()
         .flat_map(|&p| params.utilizations.iter().map(move |&u| (p, u)))
         .collect()
-}
-
-/// Computes one shard by index — the worker-subprocess entry point
-/// ([`crate::backend::run_worker`]).
-pub(crate) fn compute_shard(
-    params: &AcceptanceParams,
-    campaign_seed: u64,
-    shard: usize,
-    engine: &AcceptanceEngine,
-    store: Option<&ResultStore>,
-) -> Result<AcceptancePoint, CampaignError> {
-    let grid = grid(params);
-    let &coords = grid.get(shard).ok_or_else(|| {
-        CampaignError::Spec(format!(
-            "shard {shard} out of range (acceptance grid has {} points)",
-            grid.len()
-        ))
-    })?;
-    compute_grid_point(params, campaign_seed, coords, engine, store)
 }
 
 /// One grid point through the store's counted read-through path.
@@ -316,10 +296,9 @@ fn pessimism_gap(tasks: &TaskSet) -> Option<f64> {
 mod tests {
     use super::*;
     use crate::spec::{CampaignSpec, Workload};
-    use std::num::NonZeroUsize;
 
-    fn local(threads: usize) -> Executor {
-        Executor::local(NonZeroUsize::new(threads).unwrap())
+    fn threads(n: usize) -> NonZeroUsize {
+        NonZeroUsize::new(n).unwrap()
     }
 
     fn small_params() -> AcceptanceParams {
@@ -343,7 +322,7 @@ utilizations = { values = [0.5] }
     fn points_cover_the_grid_in_order() {
         let params = small_params();
         let engine = AcceptanceEngine::new();
-        let points = run(&params, 7, &local(2), &engine, None).unwrap();
+        let points = run(&params, 7, threads(2), &engine, None).unwrap();
         assert_eq!(points.len(), 2);
         assert_eq!(points[0].policy, "fp");
         assert_eq!(points[1].policy, "edf");
@@ -358,7 +337,7 @@ utilizations = { values = [0.5] }
     fn policies_share_base_task_sets_via_memo() {
         let params = small_params();
         let engine = AcceptanceEngine::new();
-        let _ = run(&params, 7, &local(1), &engine, None).unwrap();
+        let _ = run(&params, 7, threads(1), &engine, None).unwrap();
         let stats = engine.taskset_memo.stats();
         assert!(
             stats.hits > 0,
@@ -372,7 +351,7 @@ utilizations = { values = [0.5] }
     fn dominance_holds_on_the_small_grid() {
         let params = small_params();
         let engine = AcceptanceEngine::new();
-        let points = run(&params, 7, &local(2), &engine, None).unwrap();
+        let points = run(&params, 7, threads(2), &engine, None).unwrap();
         for p in &points {
             // accepted = [none, eq4, alg1, capped]
             assert!(p.accepted[1] <= p.accepted[2], "Eq.4 beat Algorithm 1");

@@ -2,18 +2,13 @@
 //!
 //! ```text
 //! fnpr-campaign run <spec.toml|spec.json> [--threads N] [--csv PATH] [--json PATH]
-//!                   [--backend local|process] [--workers N]
-//!                   [--timeout-secs F] [--max-retries N] [--resume]
-//!                   [--store PATH] [--ledger PATH] [--quiet]
+//!                   [--resume] [--store PATH] [--ledger PATH] [--quiet]
 //! fnpr-campaign grid <spec>          # show the expanded scenario grid
 //! fnpr-campaign history <LEDGER>     # trend tables over the run ledger
 //! fnpr-campaign store stats <PATH>   # inspect a result store
 //! fnpr-campaign store gc <PATH>      # compact a result store
 //! fnpr-campaign example-spec         # print a template TOML spec
 //! ```
-//!
-//! There is also a hidden `worker` subcommand: the process backend's
-//! subprocess entry point (job JSON on stdin, result frames on stdout).
 //!
 //! Exit codes: 0 on success, 1 on usage/spec errors, 2 when the run
 //! completed but the paper's dominance/soundness claims were violated —
@@ -23,17 +18,11 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use fnpr_campaign::store::{GcPolicy, ResultStore};
-use fnpr_campaign::{
-    history, run_campaign_with_options, BackendChoice, CampaignSpec, ExecOptions, Workload,
-};
+use fnpr_campaign::{history, run_campaign_with_store, CampaignSpec, Workload};
 
 struct RunArgs {
     spec: PathBuf,
     threads: Option<usize>,
-    backend: Option<BackendChoice>,
-    workers: Option<usize>,
-    timeout_secs: Option<f64>,
-    max_retries: Option<usize>,
     resume: bool,
     csv: Option<String>,
     json: Option<String>,
@@ -74,8 +63,6 @@ fn main() -> ExitCode {
             },
             _ => usage_error("`store` needs `stats <PATH>` or `gc <PATH>`"),
         },
-        // Hidden: the process backend's subprocess entry point.
-        Some("worker") => cmd_worker(),
         Some("example-spec") => {
             print!("{}", EXAMPLE_SPEC);
             ExitCode::SUCCESS
@@ -91,10 +78,6 @@ fn main() -> ExitCode {
 fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
     let mut spec = None;
     let mut threads = None;
-    let mut backend = None;
-    let mut workers = None;
-    let mut timeout_secs = None;
-    let mut max_retries = None;
     let mut resume = false;
     let mut csv = None;
     let mut json = None;
@@ -116,40 +99,6 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
                 }
                 threads = Some(n);
             }
-            "--backend" => {
-                let v = it.next().ok_or("--backend needs a value")?;
-                backend =
-                    Some(BackendChoice::parse(v).ok_or_else(|| {
-                        format!("--backend must be `local` or `process`, not {v:?}")
-                    })?);
-            }
-            "--workers" => {
-                let v = it.next().ok_or("--workers needs a value")?;
-                let n = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("bad worker count {v:?}"))?;
-                if n == 0 {
-                    return Err("--workers must be >= 1".into());
-                }
-                workers = Some(n);
-            }
-            "--timeout-secs" => {
-                let v = it.next().ok_or("--timeout-secs needs a value")?;
-                let secs = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("bad timeout {v:?} (seconds)"))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err("--timeout-secs must be a positive number of seconds".into());
-                }
-                timeout_secs = Some(secs);
-            }
-            "--max-retries" => {
-                let v = it.next().ok_or("--max-retries needs a value")?;
-                max_retries = Some(
-                    v.parse::<usize>()
-                        .map_err(|_| format!("bad retry count {v:?}"))?,
-                );
-            }
             "--resume" => resume = true,
             "--csv" => csv = Some(it.next().ok_or("--csv needs a path")?.clone()),
             "--json" => json = Some(it.next().ok_or("--json needs a path")?.clone()),
@@ -167,10 +116,6 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
     Ok(RunArgs {
         spec: spec.ok_or("`run` needs a spec path")?,
         threads,
-        backend,
-        workers,
-        timeout_secs,
-        max_retries,
         resume,
         csv,
         json,
@@ -281,16 +226,9 @@ fn cmd_run(args: &RunArgs) -> ExitCode {
         },
         None => None,
     };
-    // Crash-safe resume: the writable open above already swept dead jobs'
-    // orphaned deltas into the canonical store; surface what it found.
+    // Crash-safe resume: the writable open above collected a dead run's
+    // in-progress marker; surface it.
     if let Some(store) = &store {
-        let sweep = store.orphan_sweep();
-        if sweep.swept_dirs > 0 || sweep.merged > 0 {
-            eprintln!(
-                "resume: merged {} record(s) from {} orphaned delta dir(s) ({} bytes reclaimed)",
-                sweep.merged, sweep.swept_dirs, sweep.bytes
-            );
-        }
         if let Some(marker) = store.interrupted_run() {
             eprintln!("resume: previous run was interrupted ({marker}); continuing from the store");
         } else if args.resume && !args.quiet {
@@ -298,14 +236,7 @@ fn cmd_run(args: &RunArgs) -> ExitCode {
         }
     }
     let started = std::time::Instant::now();
-    let options = ExecOptions {
-        threads: args.threads,
-        backend: args.backend,
-        workers: args.workers,
-        timeout_secs: args.timeout_secs,
-        max_retries: args.max_retries,
-    };
-    let outcome = match run_campaign_with_options(&campaign, &options, store.as_ref()) {
+    let outcome = match run_campaign_with_store(&campaign, args.threads, store.as_ref()) {
         Ok(outcome) => outcome,
         Err(e) => {
             eprintln!("fnpr-campaign: {e}");
@@ -361,7 +292,7 @@ fn cmd_run(args: &RunArgs) -> ExitCode {
     if !args.quiet {
         let s = &report.summary;
         eprintln!(
-            "campaign {:?} (scenario {}): {} shards, {} instances in {:.2?} on {} {} workers",
+            "campaign {:?} (scenario {}): {} shards, {} instances in {:.2?} on {} threads",
             report.name,
             report.scenario,
             report.acceptance.len()
@@ -371,7 +302,6 @@ fn cmd_run(args: &RunArgs) -> ExitCode {
             s.instances,
             started.elapsed(),
             outcome.threads,
-            outcome.backend,
         );
         eprintln!(
             "memo: {} hits / {} misses; pessimism mean {:.3}x max {:.3}x; \
@@ -626,9 +556,9 @@ fn parse_gc_policy(args: &[String]) -> Result<GcPolicy, String> {
     Ok(policy)
 }
 
-/// `store stats`: open the store **read-only** (validating every line —
-/// a legacy single-file store is served in place, never migrated) and
-/// report per-shard file sizes and record counts plus live entry totals.
+/// `store stats`: open the store **read-only** (validating every line)
+/// and report per-shard file sizes and record counts plus live entry
+/// totals.
 fn cmd_store_stats(path: &Path) -> ExitCode {
     // Counters on (load-time invalid/stale lines register in the obs
     // registry too); never any stderr chatter from this subcommand.
@@ -649,28 +579,17 @@ fn cmd_store_stats(path: &Path) -> ExitCode {
     let files = store.shard_files();
     let size: u64 = files.iter().map(|f| f.bytes).sum();
     println!("store: {}", path.display());
-    println!(
-        "layout: {}",
-        if store.is_sharded() {
-            "sharded directory (one log per table)"
-        } else {
-            "legacy single file (next writable open migrates it)"
-        }
-    );
     println!("file size: {size} bytes");
     println!(
         "analysis fingerprint: {:016x}",
         fnpr_campaign::store::analysis_fingerprint()
     );
     for f in &files {
-        let name = f
-            .path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| f.path.display().to_string());
         println!(
             "  shard {:<24} {:>10} bytes {:>8} records",
-            name, f.bytes, f.records
+            f.table.file_name(),
+            f.bytes,
+            f.records
         );
     }
     let mut total = 0usize;
@@ -684,13 +603,6 @@ fn cmd_store_stats(path: &Path) -> ExitCode {
         "skipped at load: {} invalid, {} stale (reclaim with `store gc`)",
         stats.invalid_entries, stats.stale_entries
     );
-    let (orphan_dirs, orphan_bytes) = store.orphaned_deltas();
-    if orphan_dirs > 0 {
-        println!(
-            "orphaned deltas: {orphan_dirs} job dir(s), {orphan_bytes} bytes \
-             (a writable open — any run, or `store gc` — merges dead jobs' deltas and reaps them)"
-        );
-    }
     ExitCode::SUCCESS
 }
 
@@ -714,21 +626,6 @@ fn cmd_store_gc(path: &Path, policy: &GcPolicy) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // The writable open swept dead jobs' orphaned deltas (merge + reap);
-    // report that alongside the compaction itself.
-    let sweep = store.orphan_sweep();
-    if sweep.swept_dirs > 0 || sweep.merged > 0 {
-        println!(
-            "orphan sweep: merged {} record(s) from {} dead job dir(s), reclaimed {} bytes",
-            sweep.merged, sweep.swept_dirs, sweep.bytes
-        );
-    }
-    if sweep.live_skipped > 0 {
-        println!(
-            "orphan sweep: left {} job dir(s) owned by live processes",
-            sweep.live_skipped
-        );
-    }
     let stats = store.stats();
     match store.gc_with(*policy) {
         Ok(report) => {
@@ -755,28 +652,6 @@ fn cmd_store_gc(path: &Path, policy: &GcPolicy) -> ExitCode {
     }
 }
 
-/// The hidden `worker` subcommand: read one job (JSON) from stdin, stream
-/// result frames to stdout. Spawned only by the process backend; errors
-/// land on stderr (inherited from the coordinator) and the coordinator
-/// recomputes the undelivered shards.
-fn cmd_worker() -> ExitCode {
-    use std::io::Read;
-    let mut job = String::new();
-    if let Err(e) = std::io::stdin().read_to_string(&mut job) {
-        eprintln!("fnpr-campaign worker: reading job from stdin: {e}");
-        return ExitCode::FAILURE;
-    }
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    match fnpr_campaign::run_worker(&job, &mut out) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("fnpr-campaign worker: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn usage_error(msg: &str) -> ExitCode {
     eprintln!("fnpr-campaign: {msg}");
     eprint!("{}", USAGE);
@@ -786,9 +661,7 @@ fn usage_error(msg: &str) -> ExitCode {
 const USAGE: &str = "\
 usage:
   fnpr-campaign run <spec.toml|spec.json> [--threads N] [--csv PATH] [--json PATH]
-                    [--backend local|process] [--workers N]
-                    [--timeout-secs F] [--max-retries N] [--resume]
-                    [--store PATH] [--metrics PATH] [--trace-out PATH]
+                    [--resume] [--store PATH] [--metrics PATH] [--trace-out PATH]
                     [--ledger PATH] [--quiet]
   fnpr-campaign grid <spec>
   fnpr-campaign history <LEDGER> [--check] [--max-regression PCT] [--html PATH]
@@ -796,21 +669,15 @@ usage:
   fnpr-campaign store gc <PATH> [--max-age-days F] [--max-bytes N]
   fnpr-campaign example-spec
 
-execution (aggregates are byte-identical on every backend):
-  --backend local    in-process worker threads (the default)
-  --backend process  worker subprocesses of this binary; the store is
-                     delta-shipped (workers write private shards, the
-                     coordinator merges them after the run)
-  --workers N        worker-process count (default: the thread count)
-
-fault tolerance (process backend; recovery never changes the aggregates):
-  --timeout-secs F   watchdog: kill a worker that produces no frame for F
-                     seconds and reclaim its unfinished shards
-  --max-retries N    redispatch rounds for reclaimed shards before the
-                     coordinator computes them locally (default 1)
-  --resume           resume an interrupted campaign from its store: dead
-                     jobs' orphaned deltas are merged in, persisted points
-                     restore instead of recomputing (requires a store)
+execution (aggregates are byte-identical at any thread count):
+  --threads N        worker threads (default: the spec's `threads`, else
+                     all cores)
+  --store PATH       persist finished points in a result store (overrides
+                     the spec's [store] table)
+  --resume           resume an interrupted campaign from its store:
+                     persisted points restore instead of recomputing
+                     (requires a store; FNPR_FAULT=kill_after=N aborts a
+                     run after N shards, for crash-resume drills)
 
 store gc retention (on top of the always-on structural compaction):
   --max-age-days F   evict live entries older than F days
@@ -861,38 +728,10 @@ json = "campaign.json"         # omit to skip JSON
 # Optional: persist finished points content-addressed on disk, so re-runs
 # and grid extensions only compute new points (aggregates stay
 # byte-identical). CLI `--store PATH` overrides; inspect with
-# `fnpr-campaign store stats|gc <PATH>`.
+# `fnpr-campaign store stats|gc <PATH>`. A killed run resumes from the
+# store with `fnpr-campaign run <spec> --resume`.
 # [store]
 # path = "campaign.fnprstore"
-
-# Optional: run shards in worker subprocesses instead of in-process
-# threads. Placement cannot change results (every RNG stream is a pure
-# function of seed + grid coordinates), so this table — like [output],
-# [store] and [telemetry] — is not part of the scenario hash. CLI
-# `--backend` / `--workers` override.
-# [executor]
-# backend = "process"          # or "local" (the default)
-# workers = 4                  # default: the resolved thread count
-# timeout_secs = 30.0          # watchdog: kill a worker silent this long
-# max_retries = 1              # redispatch rounds before local fallback
-
-# Optional: deterministic fault injection (testing/chaos-CI only). Inert
-# unless the FNPR_FAULT environment variable arms it (FNPR_FAULT=1 uses
-# this table; FNPR_FAULT="seed=7,crash=0.5" overrides it inline).
-# Injection sites are pure functions of (seed, worker, shard), so a
-# failure schedule replays byte-for-byte — and recovery is exercised
-# end-to-end while aggregates stay byte-identical to a clean run. Like
-# [executor], this table is not part of the scenario hash.
-# [fault]
-# seed = 7                     # failure-schedule seed
-# crash = 0.2                  # P(worker exits before computing a shard)
-# stall = 0.1                  # P(worker sleeps stall_ms before a shard)
-# stall_ms = 60000
-# corrupt = 0.1                # P(result frame corrupted in flight)
-# truncate = 0.1               # P(result frame truncated mid-line)
-# torn_delta = 0.5             # P(worker delta store loses its tail)
-# kill_after = 100             # abort the coordinator after N shards
-#                              # (crash-resume drills; then run --resume)
 
 # Optional: observability (write-only side channel; never changes results).
 # CLI `--metrics` / `--trace-out` / `--ledger` override the paths; `--quiet`

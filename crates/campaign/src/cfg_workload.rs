@@ -23,6 +23,7 @@
 //!   `(program structural hash, cache geometry)`, so the `Qi` axis (and any
 //!   duplicated geometry points) reuses derived curves.
 
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 use fnpr_cache::CacheConfig;
@@ -33,9 +34,8 @@ use fnpr_synth::{random_program, ProgramGenParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::backend::Executor;
 use crate::error::CampaignError;
-use crate::exec::stream_key128;
+use crate::exec::{parallel_map, stream_key128};
 use crate::memo::{Memo, ScenarioHasher};
 use crate::report::CfgPoint;
 use crate::spec::CfgParams;
@@ -162,7 +162,7 @@ pub fn grid_points(params: &CfgParams) -> Vec<GridPoint> {
     grid
 }
 
-/// Runs the full grid on the given executor, in [`grid_points`] order.
+/// Runs the full grid on `threads` workers, in [`grid_points`] order.
 ///
 /// # Errors
 ///
@@ -170,38 +170,14 @@ pub fn grid_points(params: &CfgParams) -> Vec<GridPoint> {
 pub fn run(
     params: &CfgParams,
     campaign_seed: u64,
-    executor: &Executor,
+    threads: NonZeroUsize,
     engine: &CfgEngine,
     store: Option<&ResultStore>,
 ) -> Result<Vec<CfgPoint>, CampaignError> {
     let grid = grid_points(params);
-    executor.run(grid.len(), &|i| {
+    parallel_map(grid.len(), threads, |i| {
         compute_grid_point(params, campaign_seed, grid[i], engine, store)
     })
-}
-
-/// Computes one shard by its flat [`grid_points`] index — the
-/// worker-process entry point, addressing the identical grid a local run
-/// builds.
-///
-/// # Errors
-///
-/// Rejects out-of-range shards; otherwise propagates the point's failure.
-pub(crate) fn compute_shard(
-    params: &CfgParams,
-    campaign_seed: u64,
-    shard: usize,
-    engine: &CfgEngine,
-    store: Option<&ResultStore>,
-) -> Result<CfgPoint, CampaignError> {
-    let grid = grid_points(params);
-    let point = *grid.get(shard).ok_or_else(|| {
-        CampaignError::Spec(format!(
-            "shard {shard} out of range (cfg grid has {} points)",
-            grid.len()
-        ))
-    })?;
-    compute_grid_point(params, campaign_seed, point, engine, store)
 }
 
 fn compute_grid_point(
@@ -546,10 +522,9 @@ fn curve_key(artifacts: &ProgramArtifacts, cache: &CacheConfig) -> u128 {
 mod tests {
     use super::*;
     use crate::spec::{CampaignSpec, Workload};
-    use std::num::NonZeroUsize;
 
-    fn local(threads: usize) -> Executor {
-        Executor::local(NonZeroUsize::new(threads).unwrap())
+    fn threads(n: usize) -> NonZeroUsize {
+        NonZeroUsize::new(n).unwrap()
     }
 
     fn small_params() -> CfgParams {
@@ -579,7 +554,7 @@ reload_cost = [10.0]
     fn points_cover_the_grid_in_order() {
         let params = small_params();
         let engine = CfgEngine::new();
-        let points = run(&params, 7, &local(2), &engine, None).unwrap();
+        let points = run(&params, 7, threads(2), &engine, None).unwrap();
         // 1 shape x 2 set counts x 2 q scales.
         assert_eq!(points.len(), 4);
         assert_eq!(points[0].sets, 16);
@@ -599,7 +574,7 @@ reload_cost = [10.0]
     fn real_structure_produces_nonzero_curves_and_dominance_holds() {
         let params = small_params();
         let engine = CfgEngine::new();
-        let points = run(&params, 11, &local(4), &engine, None).unwrap();
+        let points = run(&params, 11, threads(4), &engine, None).unwrap();
         assert!(
             points.iter().any(|p| p.curve_max_mean > 0.0),
             "no program produced CRPD — the pipeline is not being exercised"
@@ -617,7 +592,7 @@ reload_cost = [10.0]
     fn geometry_and_q_axes_share_programs_and_curves_via_memo() {
         let params = small_params();
         let engine = CfgEngine::new();
-        let _ = run(&params, 7, &local(1), &engine, None).unwrap();
+        let _ = run(&params, 7, threads(1), &engine, None).unwrap();
         let programs = engine.program_memo.stats();
         // 4 grid points share one shape: 4 programs generated once, hit 3x.
         assert_eq!(programs.misses, 4);
@@ -644,7 +619,7 @@ reload_cost = [10.0]
         // only removes *data* accesses, so just assert the run completes
         // and the bounds stay ordered.
         let engine = CfgEngine::new();
-        let points = run(&params, 3, &local(2), &engine, None).unwrap();
+        let points = run(&params, 3, threads(2), &engine, None).unwrap();
         for p in &points {
             assert_eq!(p.programs, 4);
             assert_eq!(p.dominance_violations, 0);

@@ -9,10 +9,12 @@
 //! wall-clock changes.
 
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use fnpr_obs::ProgressMeter;
+
+use crate::error::CampaignError;
 
 /// Resolves the worker-thread count: explicit request, else all cores.
 #[must_use]
@@ -61,10 +63,8 @@ fn point_histogram() -> Option<fnpr_obs::Histogram> {
 }
 
 /// Builds the live meter for a map over `count` shards, if telemetry, the
-/// progress display and a label are all present. Shared with the process
-/// backend ([`crate::backend`]), whose coordinator ticks it per received
-/// shard frame.
-pub(crate) fn build_meter(count: usize) -> Option<ProgressMeter> {
+/// progress display and a label are all present.
+fn build_meter(count: usize) -> Option<ProgressMeter> {
     if !fnpr_obs::enabled() || !fnpr_obs::progress_enabled() {
         return None;
     }
@@ -161,9 +161,9 @@ where
                 if let Some(meter) = &meter {
                     meter.tick();
                 }
-                // Crash-resume drills: an armed `kill_after` aborts the
-                // coordinator here, mid-campaign, with shards persisted.
-                crate::fault::kill_switch_tick();
+                // Crash-resume drills: an armed kill switch aborts the
+                // process here, mid-campaign, with shards persisted.
+                kill_switch_tick();
             });
         }
     });
@@ -181,6 +181,83 @@ where
         }
     }
     Ok(out)
+}
+
+// ---------------------------------------------------------------------
+// Kill switch (crash-resume drills)
+// ---------------------------------------------------------------------
+
+/// The environment variable arming the kill switch: `kill_after=N` aborts
+/// the process once `N` shards have retired; unset, empty, `0` or `off`
+/// leaves it disarmed.
+pub const FAULT_ENV: &str = "FNPR_FAULT";
+
+/// Disarmed sentinel for [`KILL_AFTER`].
+const KILL_DISARMED: u64 = u64::MAX;
+/// Retired-shard threshold at which the process aborts.
+static KILL_AFTER: AtomicU64 = AtomicU64::new(KILL_DISARMED);
+/// Retired shards since the switch was last armed.
+static KILL_RETIRED: AtomicU64 = AtomicU64::new(0);
+
+/// Parses a [`FAULT_ENV`] value (`None` = unset) into the kill-switch
+/// threshold.
+///
+/// # Errors
+///
+/// [`CampaignError::Spec`] on anything but a disarming value or
+/// `kill_after=N`.
+fn parse_kill_switch(value: Option<&str>) -> Result<Option<u64>, CampaignError> {
+    let value = match value.map(str::trim) {
+        None | Some("" | "0" | "off") => return Ok(None),
+        Some(value) => value,
+    };
+    let after = value
+        .split_once('=')
+        .filter(|(key, _)| key.trim() == "kill_after")
+        .and_then(|(_, n)| n.trim().parse().ok());
+    after.map(Some).ok_or_else(|| {
+        CampaignError::Spec(format!(
+            "{FAULT_ENV}: expected `kill_after=N` (the only key), got {value:?}"
+        ))
+    })
+}
+
+/// The kill-switch threshold [`FAULT_ENV`] requests for this process.
+///
+/// # Errors
+///
+/// As [`parse_kill_switch`].
+pub(crate) fn kill_after_from_env() -> Result<Option<u64>, CampaignError> {
+    // fnpr-lint: allow(env_read, "crash-resume drill switch; aborting never changes a persisted result")
+    let value = std::env::var(FAULT_ENV).ok();
+    parse_kill_switch(value.as_deref())
+}
+
+/// Arms (or, with `None`, disarms) the kill switch: [`parallel_map`]
+/// aborts the process once `after` shards have retired. Process-global —
+/// intended for one CLI run at a time (the crash-resume drill), not for
+/// concurrent in-process campaigns.
+pub(crate) fn arm_kill_switch(after: Option<u64>) {
+    KILL_RETIRED.store(0, Ordering::SeqCst);
+    KILL_AFTER.store(after.unwrap_or(KILL_DISARMED), Ordering::SeqCst);
+}
+
+/// Counts one retired shard against the kill switch; aborts the process
+/// (no destructors — the SIGKILL analogue) at the armed threshold. One
+/// relaxed load when disarmed.
+fn kill_switch_tick() {
+    let limit = KILL_AFTER.load(Ordering::Relaxed);
+    if limit == KILL_DISARMED {
+        return;
+    }
+    let retired = KILL_RETIRED.fetch_add(1, Ordering::SeqCst) + 1;
+    if retired >= limit {
+        eprintln!(
+            "fnpr-campaign: fault: aborting coordinator after {retired} retired shards \
+             (kill_after = {limit})"
+        );
+        std::process::abort();
+    }
 }
 
 /// Splits `seed` material and shard coordinates into an independent RNG
@@ -219,11 +296,42 @@ mod tests {
 
     #[test]
     fn first_error_wins() {
+        // Shard 3 is always claimed before any later failing shard, and a
+        // claimed shard always fills its slot: the lowest error is
+        // reported deterministically.
         let threads = NonZeroUsize::new(4).unwrap();
         let err =
             parallel_map::<(), usize, _>(50, threads, |i| if i % 7 == 3 { Err(i) } else { Ok(()) })
                 .unwrap_err();
-        assert_eq!(err % 7, 3);
+        assert_eq!(err, 3);
+    }
+
+    #[test]
+    fn kill_switch_is_inert_below_threshold_and_when_disarmed() {
+        arm_kill_switch(None);
+        kill_switch_tick(); // must not abort
+        arm_kill_switch(Some(1_000_000));
+        kill_switch_tick(); // still far below the threshold
+        arm_kill_switch(None);
+    }
+
+    #[test]
+    fn kill_switch_env_accepts_only_kill_after() {
+        for off in [None, Some(""), Some(" "), Some("0"), Some("off")] {
+            assert_eq!(parse_kill_switch(off).unwrap(), None, "{off:?}");
+        }
+        assert_eq!(parse_kill_switch(Some("kill_after=4")).unwrap(), Some(4));
+        for bad in [
+            "1",
+            "on",
+            "crash=0.5",
+            "kill_after",
+            "kill_after=x",
+            "a=1,kill_after=4",
+        ] {
+            let err = parse_kill_switch(Some(bad)).unwrap_err().to_string();
+            assert!(err.contains("kill_after"), "{bad:?}: {err}");
+        }
     }
 
     #[test]

@@ -50,11 +50,9 @@
 #![warn(clippy::all)]
 
 pub mod acceptance;
-pub mod backend;
 pub mod cfg_workload;
 pub mod error;
 pub mod exec;
-pub mod fault;
 pub mod history;
 pub mod memo;
 pub mod multicore;
@@ -63,14 +61,12 @@ pub mod soundness;
 pub mod spec;
 pub mod store;
 
-pub use backend::{run_worker, Executor, ExecutorBackend, WorkerStats, WORKER_EXE_ENV};
 pub use error::CampaignError;
-pub use fault::{FaultPlan, FaultSpec, FAULT_ENV};
 pub use history::{HistoryOptions, ScenarioTrend};
 pub use memo::MemoStats;
 pub use report::{CampaignReport, StoreStats, Summary};
 pub use spec::{Campaign, CampaignSpec, Workload, WorkloadKind};
-pub use store::{GcPolicy, GcReport, MergeReport, OrphanSweep, ResultStore};
+pub use store::{GcPolicy, GcReport, ResultStore};
 
 #[cfg(test)]
 pub(crate) mod testutil {
@@ -103,54 +99,10 @@ pub struct CampaignOutcome {
     pub memo: MemoStats,
     /// Result-store counters, when a store was attached (not part of the
     /// deterministic surface: a warm run restores what a cold run
-    /// computes, with byte-identical aggregates either way). Under the
-    /// process backend this folds in every worker's counters.
+    /// computes, with byte-identical aggregates either way).
     pub store: Option<StoreStats>,
-    /// Worker threads (local backend) or worker processes actually used.
+    /// Worker threads the run resolved to.
     pub threads: usize,
-    /// Which executor backend ran the shards (`"local"` / `"process"`) —
-    /// informational, like the counters: backend choice cannot change the
-    /// report.
-    pub backend: &'static str,
-}
-
-/// Execution overrides from the CLI, winning over the spec's `threads` key
-/// and `[executor]` table. `Default` means "whatever the spec says".
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExecOptions {
-    /// Worker-thread count (local backend), overriding `threads`.
-    pub threads: Option<usize>,
-    /// Backend selection, overriding `[executor] backend`.
-    pub backend: Option<BackendChoice>,
-    /// Worker-process count, overriding `[executor] workers`.
-    pub workers: Option<usize>,
-    /// Watchdog inactivity timeout in seconds (process backend),
-    /// overriding `[executor] timeout_secs`.
-    pub timeout_secs: Option<f64>,
-    /// Redispatch rounds for reclaimed shards (process backend),
-    /// overriding `[executor] max_retries`.
-    pub max_retries: Option<usize>,
-}
-
-/// A parsed backend selector (`[executor] backend` / CLI `--backend`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendChoice {
-    /// In-process threads ([`backend::LocalThreads`]).
-    Local,
-    /// Worker subprocesses ([`backend::ProcessPool`]).
-    Process,
-}
-
-impl BackendChoice {
-    /// Parses `"local"` / `"process"`; `None` otherwise.
-    #[must_use]
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "local" => Some(BackendChoice::Local),
-            "process" => Some(BackendChoice::Process),
-            _ => None,
-        }
-    }
 }
 
 /// Builds the run-ledger record for a finished campaign run — the
@@ -197,8 +149,9 @@ pub fn ledger_record(
         points_computed: store.points_computed,
         bounds_restored: store.bounds_restored,
         bounds_computed: store.bounds_computed,
-        recovered_shards: fnpr_obs::counter("campaign.backend.shards.fallback").value()
-            + fnpr_obs::counter("campaign.supervise.reclaimed").value(),
+        // The engine has no recovery path; the field keeps the ledger at
+        // schema v2.
+        recovered_shards: 0,
         p50_us: timing.p50,
         p90_us: timing.p90,
         p99_us: timing.p99,
@@ -233,136 +186,25 @@ pub fn run_campaign(
 /// [`run_campaign`] against an explicitly provided result store (`None`
 /// disables persistence regardless of the spec).
 ///
+/// Shards run on a scoped thread pool ([`exec::parallel_map`]); when
+/// `FNPR_FAULT=kill_after=N` is set ([`exec::FAULT_ENV`]), the process
+/// aborts after `N` retired shards, leaving the store's in-progress
+/// marker behind for a `--resume` drill.
+///
 /// # Errors
 ///
-/// Propagates the first shard failure.
+/// Propagates the first shard failure, and a malformed `FNPR_FAULT`.
 pub fn run_campaign_with_store(
     campaign: &Campaign,
     threads_override: Option<usize>,
     store: Option<&ResultStore>,
 ) -> Result<CampaignOutcome, CampaignError> {
-    run_campaign_with_options(
-        campaign,
-        &ExecOptions {
-            threads: threads_override,
-            ..ExecOptions::default()
-        },
-        store,
-    )
-}
-
-/// Builds the executor a run will use: CLI overrides win over the spec's
-/// `[executor]` table, and the process backend is wired with the
-/// re-serialized source spec plus (when a store is attached) the canonical
-/// store path and a run-private delta root under it.
-fn build_executor(
-    campaign: &Campaign,
-    options: &ExecOptions,
-    store: Option<&ResultStore>,
-    fault: Option<FaultPlan>,
-) -> (Executor, Option<std::path::PathBuf>) {
-    let choice = options
-        .backend
-        .or_else(|| {
-            campaign
-                .executor
-                .backend
-                .as_deref()
-                .and_then(BackendChoice::parse)
-        })
-        .unwrap_or(BackendChoice::Local);
-    let threads = exec::resolve_threads(options.threads.or(campaign.threads));
-    match choice {
-        BackendChoice::Local => (Executor::local(threads), None),
-        BackendChoice::Process => {
-            let workers = options
-                .workers
-                .or(campaign.executor.workers)
-                .and_then(std::num::NonZeroUsize::new)
-                .unwrap_or(threads);
-            let spec_json = serde_json::to_string(&campaign.source);
-            let (canonical, delta_root) = match store {
-                Some(s) => {
-                    let root = s
-                        .path()
-                        .join(".deltas")
-                        .join(format!("job-{}", std::process::id()));
-                    (Some(s.path().to_path_buf()), Some(root))
-                }
-                None => (None, None),
-            };
-            let timeout = options
-                .timeout_secs
-                .or(campaign.executor.timeout_secs)
-                .map(std::time::Duration::from_secs_f64);
-            let max_retries = options
-                .max_retries
-                .or(campaign.executor.max_retries)
-                .unwrap_or(1);
-            let pool = backend::ProcessPool::new(workers, spec_json, canonical, delta_root.clone())
-                .with_supervision(timeout, max_retries)
-                .with_fallback_threads(threads)
-                .with_fault(fault);
-            (Executor::process(pool), delta_root)
-        }
-    }
-}
-
-/// Merges every worker's private delta directory under `delta_root` into
-/// the canonical store (sorted, so merge order — and therefore which
-/// duplicate wins — is deterministic), then removes the delta tree.
-fn merge_worker_deltas(store: &ResultStore, delta_root: &std::path::Path) -> std::io::Result<()> {
-    let mut dirs: Vec<std::path::PathBuf> = match std::fs::read_dir(delta_root) {
-        Ok(entries) => entries
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| p.is_dir())
-            .collect(),
-        // No directory at all: no worker got far enough to write one.
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(e),
-    };
-    dirs.sort();
-    for dir in dirs {
-        store.merge_delta(&dir)?;
-    }
-    std::fs::remove_dir_all(delta_root)?;
-    // Drop the shared `.deltas` parent too when this was the last job in
-    // it; a concurrent job's directory keeps it alive (remove_dir refuses
-    // non-empty directories), which is exactly right.
-    if let Some(parent) = delta_root.parent() {
-        let _ = std::fs::remove_dir(parent);
-    }
-    Ok(())
-}
-
-/// [`run_campaign`] with full execution options and an explicit store.
-///
-/// Under the process backend the run is coordinated here: shards stripe
-/// across worker subprocesses, workers write store entries to private
-/// delta directories, and after the run the deltas are merged into the
-/// canonical store and the workers' counters folded into the outcome.
-///
-/// # Errors
-///
-/// Propagates the first shard failure, and I/O errors merging worker
-/// deltas.
-pub fn run_campaign_with_options(
-    campaign: &Campaign,
-    options: &ExecOptions,
-    store: Option<&ResultStore>,
-) -> Result<CampaignOutcome, CampaignError> {
-    // Fault injection: armed only when the spec carries a `[fault]` table
-    // AND the FNPR_FAULT environment opts in (so a committed spec cannot
-    // sabotage production runs by itself).
-    let fault_plan = fault::active_plan(campaign.fault.as_ref())?;
-    fault::arm_kill_switch(fault_plan.as_ref().and_then(|p| p.kill_after));
-    let (executor, delta_root) = build_executor(campaign, options, store, fault_plan);
+    let threads = exec::resolve_threads(threads_override.or(campaign.threads));
+    exec::arm_kill_switch(exec::kill_after_from_env()?);
     let scenario = format!("{:016x}", campaign.scenario_hash());
     let _run_span = fnpr_obs::span("campaign.run", "campaign");
     // Crash-safety marker: a run that dies before `end_run` leaves the
-    // marker behind, and the next writable open reports the interruption
-    // and sweeps this job's orphaned deltas into the canonical store.
+    // marker behind, and the next writable open reports the interruption.
     if let Some(store) = store {
         store.begin_run(&campaign.name);
     }
@@ -371,91 +213,40 @@ pub fn run_campaign_with_options(
         "campaign.point.micros.{}",
         campaign.workload_kind().key()
     )));
-    let (methods, acceptance_points, soundness_shards, multicore_points, cfg_points, memo) =
-        match &campaign.workload {
-            Workload::Acceptance(params) => {
-                let engine = acceptance::AcceptanceEngine::new();
-                let points = acceptance::run(params, campaign.seed, &executor, &engine, store)?;
-                let methods: Vec<String> = params
-                    .methods
-                    .iter()
-                    .map(|&m| spec::method_label(m).to_string())
-                    .collect();
-                (
-                    methods,
-                    points,
-                    Vec::new(),
-                    Vec::new(),
-                    Vec::new(),
-                    engine.taskset_memo.stats(),
-                )
-            }
-            Workload::Soundness(params) => {
-                let engine = soundness::SoundnessEngine::new();
-                let shards = soundness::run(params, campaign.seed, &executor, &engine, store)?;
-                (
-                    Vec::new(),
-                    Vec::new(),
-                    shards,
-                    Vec::new(),
-                    Vec::new(),
-                    engine.bounds_memo.stats(),
-                )
-            }
-            Workload::Multicore(params) => {
-                let engine = multicore::MulticoreEngine::new();
-                let points = multicore::run(params, campaign.seed, &executor, &engine, store)?;
-                let methods: Vec<String> = params
-                    .methods
-                    .iter()
-                    .map(|&m| spec::method_label(m).to_string())
-                    .collect();
-                (
-                    methods,
-                    Vec::new(),
-                    Vec::new(),
-                    points,
-                    Vec::new(),
-                    engine.taskset_memo.stats(),
-                )
-            }
-            Workload::Cfg(params) => {
-                let engine = cfg_workload::CfgEngine::new();
-                let points = cfg_workload::run(params, campaign.seed, &executor, &engine, store)?;
-                (
-                    Vec::new(),
-                    Vec::new(),
-                    Vec::new(),
-                    Vec::new(),
-                    points,
-                    engine.program_memo.stats() + engine.curve_memo.stats(),
-                )
-            }
-        };
+    let seed = campaign.seed;
+    let (mut acceptance_points, mut soundness_shards, mut multicore_points, mut cfg_points) =
+        Default::default();
+    let (methods, memo) = match &campaign.workload {
+        Workload::Acceptance(params) => {
+            let engine = acceptance::AcceptanceEngine::new();
+            acceptance_points = acceptance::run(params, seed, threads, &engine, store)?;
+            (method_labels(&params.methods), engine.taskset_memo.stats())
+        }
+        Workload::Soundness(params) => {
+            let engine = soundness::SoundnessEngine::new();
+            soundness_shards = soundness::run(params, seed, threads, &engine, store)?;
+            (Vec::new(), engine.bounds_memo.stats())
+        }
+        Workload::Multicore(params) => {
+            let engine = multicore::MulticoreEngine::new();
+            multicore_points = multicore::run(params, seed, threads, &engine, store)?;
+            (method_labels(&params.methods), engine.taskset_memo.stats())
+        }
+        Workload::Cfg(params) => {
+            let engine = cfg_workload::CfgEngine::new();
+            cfg_points = cfg_workload::run(params, seed, threads, &engine, store)?;
+            (
+                Vec::new(),
+                engine.program_memo.stats() + engine.curve_memo.stats(),
+            )
+        }
+    };
     exec::set_progress_label(None);
     exec::set_point_histogram(None);
-    // Process backend: land every worker's private delta in the canonical
-    // store (append + dedup by key), then fold the workers' counters into
-    // the run's — a warm re-run must see every point the fleet computed.
-    if let (Some(store), Some(delta_root)) = (store, &delta_root) {
-        merge_worker_deltas(store, delta_root)?;
-    }
     if let Some(store) = store {
         store.end_run();
     }
-    fault::arm_kill_switch(None);
-    let absorbed = executor.absorbed();
-    let memo = memo + absorbed.memo_stats();
-    let store_totals = store.map(|s| {
-        let mut totals = s.stats();
-        let worker = absorbed.store_stats();
-        totals.points_restored += worker.points_restored;
-        totals.points_computed += worker.points_computed;
-        totals.bounds_restored += worker.bounds_restored;
-        totals.bounds_computed += worker.bounds_computed;
-        totals.write_errors += worker.write_errors;
-        totals
-    });
+    exec::arm_kill_switch(None);
     let summary = report::summarize(
         &acceptance_points,
         &soundness_shards,
@@ -467,7 +258,7 @@ pub fn run_campaign_with_options(
         report: CampaignReport {
             name: campaign.name.clone(),
             workload: campaign.workload_kind(),
-            seed: campaign.seed,
+            seed,
             scenario,
             methods,
             acceptance: acceptance_points,
@@ -477,8 +268,15 @@ pub fn run_campaign_with_options(
             summary,
         },
         memo,
-        store: store_totals,
-        threads: executor.parallelism(),
-        backend: executor.name(),
+        store: store.map(ResultStore::stats),
+        threads: threads.get(),
     })
+}
+
+/// The report's method column labels.
+fn method_labels(methods: &[fnpr_sched::DelayMethod]) -> Vec<String> {
+    methods
+        .iter()
+        .map(|&m| spec::method_label(m).to_string())
+        .collect()
 }

@@ -10,6 +10,8 @@
 //! (m, utilization) analyses the same sets — and the [`Memo`] layer
 //! generates each exactly once per process.
 
+use std::num::NonZeroUsize;
+
 use fnpr_multicore::{
     global_schedulable_with_delay, partition_taskset, partitioned_schedulable_with_delay,
 };
@@ -25,9 +27,8 @@ use fnpr_synth::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::backend::Executor;
 use crate::error::CampaignError;
-use crate::exec::stream_seed;
+use crate::exec::{parallel_map, stream_seed};
 use crate::memo::{Memo, ScenarioHasher};
 use crate::report::MulticorePoint;
 use crate::spec::{
@@ -73,7 +74,7 @@ struct Point {
     utilization: f64,
 }
 
-/// Runs the full grid on the given executor. Point order (and therefore
+/// Runs the full grid on `threads` workers. Point order (and therefore
 /// report order) is cores-major, then policies, allocations, utilizations.
 ///
 /// # Errors
@@ -82,18 +83,18 @@ struct Point {
 pub fn run(
     params: &MulticoreParams,
     campaign_seed: u64,
-    executor: &Executor,
+    threads: NonZeroUsize,
     engine: &MulticoreEngine,
     store: Option<&ResultStore>,
 ) -> Result<Vec<MulticorePoint>, CampaignError> {
     let grid = grid(params);
-    executor.run(grid.len(), &|i| {
+    parallel_map(grid.len(), threads, |i| {
         compute_grid_point(params, campaign_seed, grid[i], engine, store)
     })
 }
 
 /// The flat shard list: cores-major, then policies, allocations,
-/// utilizations — the shared coordinate system of every backend.
+/// utilizations.
 fn grid(params: &MulticoreParams) -> Vec<Point> {
     let mut grid = Vec::new();
     for &m in &params.cores {
@@ -111,29 +112,6 @@ fn grid(params: &MulticoreParams) -> Vec<Point> {
         }
     }
     grid
-}
-
-/// Computes one shard by its flat grid index — the worker-process entry
-/// point, addressing the identical grid a local run builds.
-///
-/// # Errors
-///
-/// Rejects out-of-range shards; otherwise propagates the point's failure.
-pub(crate) fn compute_shard(
-    params: &MulticoreParams,
-    campaign_seed: u64,
-    shard: usize,
-    engine: &MulticoreEngine,
-    store: Option<&ResultStore>,
-) -> Result<MulticorePoint, CampaignError> {
-    let grid = grid(params);
-    let point = *grid.get(shard).ok_or_else(|| {
-        CampaignError::Spec(format!(
-            "shard {shard} out of range (multicore grid has {} points)",
-            grid.len()
-        ))
-    })?;
-    compute_grid_point(params, campaign_seed, point, engine, store)
 }
 
 fn compute_grid_point(
@@ -500,10 +478,9 @@ fn taskset_key(
 mod tests {
     use super::*;
     use crate::spec::{CampaignSpec, Workload};
-    use std::num::NonZeroUsize;
 
-    fn local(threads: usize) -> Executor {
-        Executor::local(NonZeroUsize::new(threads).unwrap())
+    fn threads(n: usize) -> NonZeroUsize {
+        NonZeroUsize::new(n).unwrap()
     }
 
     fn small_params() -> MulticoreParams {
@@ -530,7 +507,7 @@ sim_per_point = 2
     fn points_cover_the_grid_in_order() {
         let params = small_params();
         let engine = MulticoreEngine::new();
-        let points = run(&params, 7, &local(2), &engine, None).unwrap();
+        let points = run(&params, 7, threads(2), &engine, None).unwrap();
         // 1 core count x 2 policies x 4 allocations x 1 utilization.
         assert_eq!(points.len(), 8);
         assert_eq!(points[0].policy, "fp");
@@ -550,7 +527,7 @@ sim_per_point = 2
     fn simulator_never_beats_the_bound_and_counts_migrations() {
         let params = small_params();
         let engine = MulticoreEngine::new();
-        let points = run(&params, 11, &local(4), &engine, None).unwrap();
+        let points = run(&params, 11, threads(4), &engine, None).unwrap();
         let mut checks = 0;
         for p in &points {
             assert_eq!(p.sim_violations, 0, "Theorem 1 violated on {p:?}");
@@ -569,7 +546,7 @@ sim_per_point = 2
     fn grid_rows_share_base_task_sets_via_memo() {
         let params = small_params();
         let engine = MulticoreEngine::new();
-        let _ = run(&params, 7, &local(1), &engine, None).unwrap();
+        let _ = run(&params, 7, threads(1), &engine, None).unwrap();
         let stats = engine.taskset_memo.stats();
         assert!(
             stats.hits > 0,
@@ -583,7 +560,7 @@ sim_per_point = 2
     fn dominance_holds_on_the_small_grid() {
         let params = small_params();
         let engine = MulticoreEngine::new();
-        let points = run(&params, 7, &local(2), &engine, None).unwrap();
+        let points = run(&params, 7, threads(2), &engine, None).unwrap();
         for p in &points {
             // accepted = [none, eq4, alg1, capped].
             assert!(p.accepted[1] <= p.accepted[2], "Eq.4 beat Algorithm 1");

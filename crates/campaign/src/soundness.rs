@@ -7,15 +7,16 @@
 //! than panicking mid-sweep, so a single bad trial cannot hide how many
 //! others also failed.
 
+use std::num::NonZeroUsize;
+
 use fnpr_core::{algorithm1, eq4_bound_for_curve, exact_worst_case, naive_bound, DelayCurve};
 use fnpr_sim::{check_against_algorithm1, simulate, Scenario, SimConfig};
 use fnpr_synth::random_step_curve;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::backend::Executor;
 use crate::error::CampaignError;
-use crate::exec::stream_seed;
+use crate::exec::{parallel_map, stream_seed};
 use crate::memo::{Memo, ScenarioHasher};
 use crate::report::{SoundnessRow, SoundnessShard};
 use crate::spec::SoundnessParams;
@@ -68,21 +69,19 @@ impl Default for SoundnessEngine {
 pub fn run(
     params: &SoundnessParams,
     campaign_seed: u64,
-    executor: &Executor,
+    threads: NonZeroUsize,
     engine: &SoundnessEngine,
     store: Option<&ResultStore>,
 ) -> Result<Vec<SoundnessShard>, CampaignError> {
     let shard_count = params.trials.div_ceil(params.trials_per_shard);
-    executor.run(shard_count, &|shard| {
+    parallel_map(shard_count, threads, |shard| {
         compute_shard(params, campaign_seed, shard, engine, store)
     })
 }
 
 /// Computes one shard by index through the store's counted read-through
-/// path — also the worker-subprocess entry point
-/// ([`crate::backend::run_worker`]); the shard range is pure index math,
-/// so coordinator and workers agree on it by construction.
-pub(crate) fn compute_shard(
+/// path; the shard's trial range is pure index math.
+fn compute_shard(
     params: &SoundnessParams,
     campaign_seed: u64,
     shard: usize,
@@ -295,10 +294,9 @@ fn compute_bounds(
 mod tests {
     use super::*;
     use crate::spec::{CampaignSpec, Workload, WorkloadKind};
-    use std::num::NonZeroUsize;
 
-    fn local(threads: usize) -> Executor {
-        Executor::local(NonZeroUsize::new(threads).unwrap())
+    fn threads(n: usize) -> NonZeroUsize {
+        NonZeroUsize::new(n).unwrap()
     }
 
     fn small_params(trials: usize, simulate: bool) -> SoundnessParams {
@@ -321,7 +319,7 @@ mod tests {
     fn ordering_and_rows_over_a_small_sweep() {
         let params = small_params(24, true);
         let engine = SoundnessEngine::new();
-        let shards = run(&params, 2012, &local(4), &engine, None).unwrap();
+        let shards = run(&params, 2012, threads(4), &engine, None).unwrap();
         assert_eq!(shards.len(), 24);
         let mut naive_unsound = 0;
         for shard in &shards {
@@ -401,10 +399,10 @@ mod tests {
     fn trial_results_independent_of_shard_size() {
         let engine_a = SoundnessEngine::new();
         let mut params = small_params(10, false);
-        let a = run(&params, 5, &local(1), &engine_a, None).unwrap();
+        let a = run(&params, 5, threads(1), &engine_a, None).unwrap();
         params.trials_per_shard = 5;
         let engine_b = SoundnessEngine::new();
-        let b = run(&params, 5, &local(3), &engine_b, None).unwrap();
+        let b = run(&params, 5, threads(3), &engine_b, None).unwrap();
         let rows_a: Vec<_> = a.iter().flat_map(|s| s.rows.clone()).collect();
         let rows_b: Vec<_> = b.iter().flat_map(|s| s.rows.clone()).collect();
         assert_eq!(rows_a, rows_b);

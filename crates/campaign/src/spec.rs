@@ -11,7 +11,6 @@ use fnpr_synth::{Policy, ProgramGenParams, TaskSetParams};
 use serde::{Deserialize, Serialize};
 
 use crate::error::CampaignError;
-use crate::fault::{FaultPlan, FaultSpec};
 use crate::memo::ScenarioHasher;
 
 /// Which experiment family a campaign runs.
@@ -105,11 +104,6 @@ pub struct CampaignSpec {
     pub store: Option<StoreSpec>,
     /// Observability settings ([`TelemetrySpec`]).
     pub telemetry: Option<TelemetrySpec>,
-    /// Executor backend selection ([`ExecutorSpec`]).
-    pub executor: Option<ExecutorSpec>,
-    /// Deterministic fault-injection schedule ([`FaultSpec`]); inert
-    /// unless the `FNPR_FAULT` environment variable arms it.
-    pub fault: Option<FaultSpec>,
 }
 
 /// A one-dimensional sweep axis: either an explicit `values` list or an
@@ -350,31 +344,6 @@ pub struct TelemetrySpec {
     pub progress: Option<bool>,
 }
 
-/// How campaign shards execute: the in-process thread pool (the default)
-/// or a pool of worker subprocesses re-invoking the current binary
-/// ([`crate::backend`]). Because every shard's RNG stream is a pure
-/// function of the campaign seed and its grid coordinates, backend choice
-/// (and worker count) cannot change any aggregate — so, like `[output]`,
-/// `[store]` and `[telemetry]`, this table is **not** part of
-/// [`Campaign::scenario_hash`]. The CLI's `--backend`/`--workers` flags
-/// override both fields.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct ExecutorSpec {
-    /// `"local"` (in-process threads, the default) or `"process"`
-    /// (worker subprocesses with delta stores).
-    pub backend: Option<String>,
-    /// Worker-process count for the process backend (default: the
-    /// resolved thread count).
-    pub workers: Option<usize>,
-    /// Watchdog inactivity timeout in seconds: a worker that ships no
-    /// frame for this long is killed and its unfinished shards are
-    /// redispatched. Absent: no watchdog (a hung worker hangs the run).
-    pub timeout_secs: Option<f64>,
-    /// Redispatch rounds for shards reclaimed from dead workers before
-    /// the coordinator computes them locally (default 1).
-    pub max_retries: Option<usize>,
-}
-
 /// A validated campaign: defaults applied, grids expanded, invariants
 /// checked. This is what [`crate::run_campaign`] executes.
 #[derive(Debug, Clone)]
@@ -396,19 +365,6 @@ pub struct Campaign {
     /// Observability settings (raw; the CLI applies them). Excluded from
     /// [`Campaign::scenario_hash`] like the outputs and the store path.
     pub telemetry: TelemetrySpec,
-    /// Executor backend selection (raw; the runner applies defaults).
-    /// Excluded from [`Campaign::scenario_hash`] — where shards run
-    /// cannot change what they compute.
-    pub executor: ExecutorSpec,
-    /// Fault-injection schedule, when the spec carries a `[fault]` table.
-    /// Excluded from [`Campaign::scenario_hash`]: every recovery path
-    /// recomputes the same pure functions, so an injected failure
-    /// schedule cannot change what a campaign computes.
-    pub fault: Option<FaultSpec>,
-    /// The raw spec this campaign validated from: the process backend
-    /// re-serializes it as the worker job payload, so workers re-validate
-    /// the *identical* scenario.
-    pub source: CampaignSpec,
 }
 
 /// Validated workload parameters.
@@ -607,29 +563,6 @@ impl CampaignSpec {
         if let Some(0) = self.threads {
             return Err(CampaignError::Spec("`threads` must be >= 1".into()));
         }
-        let executor = self.executor.clone().unwrap_or_default();
-        if let Some(backend) = executor.backend.as_deref() {
-            if backend != "local" && backend != "process" {
-                return Err(CampaignError::Spec(format!(
-                    "`backend` must be \"local\" or \"process\", not \"{backend}\""
-                )));
-            }
-        }
-        if let Some(0) = executor.workers {
-            return Err(CampaignError::Spec("`workers` must be >= 1".into()));
-        }
-        if let Some(timeout) = executor.timeout_secs {
-            if !timeout.is_finite() || timeout <= 0.0 {
-                return Err(CampaignError::Spec(
-                    "`timeout_secs` must be a positive number of seconds".into(),
-                ));
-            }
-        }
-        if let Some(fault) = &self.fault {
-            // Validate the schedule now (fail fast on a bad table) even
-            // though injection only happens under FNPR_FAULT arming.
-            FaultPlan::from_spec(fault)?;
-        }
         let store_path = match &self.store {
             None => None,
             Some(store) => match &store.path {
@@ -651,9 +584,6 @@ impl CampaignSpec {
             output: self.output.clone().unwrap_or_default(),
             store_path,
             telemetry: self.telemetry.clone().unwrap_or_default(),
-            executor,
-            fault: self.fault.clone(),
-            source: self.clone(),
         })
     }
 
@@ -1753,145 +1683,13 @@ accesses_per_block = [0, 2]
     }
 
     #[test]
-    fn executor_spec_round_trips_and_validates() {
-        let spec = CampaignSpec::parse(
-            "workload = \"soundness\"\n[soundness]\ntrials = 3\n\
-             [executor]\nbackend = \"process\"\nworkers = 3\n",
-        )
-        .unwrap();
-        let campaign = spec.validate().unwrap();
-        assert_eq!(campaign.executor.backend.as_deref(), Some("process"));
-        assert_eq!(campaign.executor.workers, Some(3));
-        // Absent table: everything defaulted (local threads).
-        let spec =
-            CampaignSpec::parse("workload = \"soundness\"\n[soundness]\ntrials = 3\n").unwrap();
-        let campaign = spec.validate().unwrap();
-        assert_eq!(campaign.executor.backend, None);
-        assert_eq!(campaign.executor.workers, None);
-        // Unknown backends and zero workers are spec errors.
-        let err = CampaignSpec::parse(
-            "workload = \"soundness\"\n[soundness]\ntrials = 3\n[executor]\nbackend = \"mpi\"\n",
-        )
-        .unwrap()
-        .validate()
-        .unwrap_err();
-        assert!(err.to_string().contains("backend"), "bad message: {err}");
-        let err = CampaignSpec::parse(
-            "workload = \"soundness\"\n[soundness]\ntrials = 3\n[executor]\nworkers = 0\n",
-        )
-        .unwrap()
-        .validate()
-        .unwrap_err();
-        assert!(err.to_string().contains("workers"), "bad message: {err}");
-    }
-
-    #[test]
-    fn executor_stays_out_of_the_scenario_hash() {
-        // Placement cannot change results: every shard's streams are pure
-        // functions of (seed, coords), so local and process runs of the
-        // same spec must report the same scenario id.
-        let base = CampaignSpec {
-            seed: Some(5),
-            ..CampaignSpec::default()
-        };
-        let mut with_executor = base.clone();
-        with_executor.executor = Some(ExecutorSpec {
-            backend: Some("process".into()),
-            workers: Some(4),
-            timeout_secs: Some(30.0),
-            max_retries: Some(2),
-        });
-        assert_eq!(
-            base.validate().unwrap().scenario_hash(),
-            with_executor.validate().unwrap().scenario_hash()
-        );
-    }
-
-    #[test]
-    fn supervision_knobs_parse_and_validate() {
-        let spec = CampaignSpec::parse(
-            "workload = \"soundness\"\n[soundness]\ntrials = 3\n\
-             [executor]\nbackend = \"process\"\ntimeout_secs = 2.5\nmax_retries = 3\n",
-        )
-        .unwrap();
-        let campaign = spec.validate().unwrap();
-        assert_eq!(campaign.executor.timeout_secs, Some(2.5));
-        assert_eq!(campaign.executor.max_retries, Some(3));
-        for bad in ["0.0", "-1.0", "nan", "inf"] {
-            let err = CampaignSpec::parse(&format!(
-                "workload = \"soundness\"\n[soundness]\ntrials = 3\n\
-                 [executor]\ntimeout_secs = {bad}\n"
-            ))
-            .unwrap()
-            .validate()
-            .unwrap_err();
-            assert!(
-                err.to_string().contains("timeout_secs"),
-                "bad message for timeout_secs = {bad}: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn fault_table_parses_validates_and_round_trips() {
-        let spec = CampaignSpec::parse(
-            "workload = \"soundness\"\n[soundness]\ntrials = 3\n\
-             [fault]\nseed = 7\ncrash = 0.25\nstall = 1.0\nstall_ms = 50\nkill_after = 4\n",
-        )
-        .unwrap();
-        let campaign = spec.validate().unwrap();
-        let fault = campaign.fault.as_ref().expect("fault table lost");
-        assert_eq!(fault.seed, Some(7));
-        assert_eq!(fault.crash, Some(0.25));
-        assert_eq!(fault.stall_ms, Some(50));
-        assert_eq!(fault.kill_after, Some(4));
-        // The table survives the worker-job JSON round trip.
-        let reparsed = CampaignSpec::parse(&serde_json::to_string(&spec)).unwrap();
-        assert_eq!(
-            reparsed.validate().unwrap().fault.as_ref().unwrap().crash,
-            Some(0.25)
-        );
-        // Probabilities outside [0, 1] are spec errors.
-        let err = CampaignSpec::parse(
-            "workload = \"soundness\"\n[soundness]\ntrials = 3\n[fault]\ncrash = 1.5\n",
-        )
-        .unwrap()
-        .validate()
-        .unwrap_err();
-        assert!(err.to_string().contains("crash"), "bad message: {err}");
-    }
-
-    #[test]
-    fn fault_table_stays_out_of_the_scenario_hash() {
-        // Every recovery path recomputes the same pure functions, so an
-        // injected failure schedule cannot change what a campaign
-        // computes — faulted and clean runs share a scenario id.
-        let base = CampaignSpec {
-            seed: Some(5),
-            ..CampaignSpec::default()
-        };
-        let mut with_fault = base.clone();
-        with_fault.fault = Some(crate::fault::FaultSpec {
-            seed: Some(9),
-            crash: Some(0.5),
-            stall: Some(0.5),
-            ..crate::fault::FaultSpec::default()
-        });
-        assert_eq!(
-            base.validate().unwrap().scenario_hash(),
-            with_fault.validate().unwrap().scenario_hash()
-        );
-    }
-
-    #[test]
     fn spec_json_round_trip_preserves_the_scenario() {
-        // The process backend ships the source spec to workers as JSON:
-        // serialize → parse → validate must land on the same scenario.
+        // A spec serialized to JSON (the other accepted spec syntax) must
+        // validate to the same scenario: serialize → parse → validate.
         let spec = CampaignSpec::parse(
             "name = \"wire\"\nseed = 99\nworkload = \"multicore\"\n\
              [multicore]\nsets_per_point = 5\ncores = [2]\ntasks_per_core = 2\n\
-             utilizations = { values = [0.4] }\n\
-             [executor]\nbackend = \"process\"\nworkers = 2\n",
+             utilizations = { values = [0.4] }\n",
         )
         .unwrap();
         let json = serde_json::to_string(&spec);
@@ -1900,7 +1698,6 @@ accesses_per_block = [0, 2]
         let b = reparsed.validate().unwrap();
         assert_eq!(a.scenario_hash(), b.scenario_hash());
         assert_eq!(a.name, b.name);
-        assert_eq!(b.executor.backend.as_deref(), Some("process"));
     }
 
     #[test]

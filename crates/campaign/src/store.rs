@@ -11,11 +11,10 @@
 //!
 //! The store is a **directory** holding one append-only text log per
 //! [`StoreTable`] (point tables plus the shared `(curve, Q)` bounds table),
-//! so million-entry sweeps load per-table and concurrent writer *processes*
-//! never contend on one file. A legacy single-file store (every table
-//! multiplexed into one log) is migrated to the sharded layout transparently
-//! on the first writable open; [`ResultStore::open_read_only`] reads either
-//! layout without side effects.
+//! so million-entry sweeps load per-table. [`ResultStore::open_read_only`]
+//! reads it without side effects. A path that exists but is not a
+//! directory (such as a pre-sharding single-file store) is refused, never
+//! read or rewritten.
 //!
 //! Each record is a single line:
 //!
@@ -23,9 +22,9 @@
 //! FNPR2 <tag:8hex> <key:32hex> <fingerprint:16hex> <stamp> <len> <sum:16hex> <payload>
 //! ```
 //!
-//! * `FNPR2` — the record **format version**; `FNPR1` (the stampless
-//!   predecessor) still parses with `stamp = 0`, unknown versions are
-//!   ignored;
+//! * `FNPR2` — the record **format version**; lines of any other version
+//!   (including the stampless `FNPR1` predecessor) are invalid and
+//!   recompute;
 //! * `tag` — the [`StoreTable`] the entry belongs to (notably the
 //!   `(curve, Q)` bounds table is *shared* between the `[cfg]` and
 //!   soundness workloads);
@@ -37,17 +36,6 @@
 //! * `len`/`sum` — payload byte length and checksum, so truncated tails and
 //!   corrupted bytes are detected line-locally;
 //! * `payload` — the result as compact JSON (single line by construction).
-//!
-//! # Worker deltas
-//!
-//! Multi-process sweeps give each worker a [`ResultStore::open_delta`]
-//! view: the canonical store is read (read-only) to seed the index, and
-//! every write lands in the worker's **private delta directory** — same
-//! per-table layout, no cross-process contention. The coordinator then
-//! [`ResultStore::merge_delta`]s each worker's directory into the canonical
-//! store: records are appended and deduplicated by their 128-bit key
-//! (first losslessly-encoded record wins; torn delta tails and corrupt
-//! lines are skipped, never fatal).
 //!
 //! # Correctness contract
 //!
@@ -75,13 +63,8 @@ use crate::memo::ScenarioHasher;
 use crate::report::StoreStats;
 
 /// Magic token carrying the on-disk record format version. Bump on any
-/// record-layout change; old lines then read as invalid (or, as with
-/// [`LEGACY_FORMAT`], keep a dedicated parse arm) and recompute.
+/// record-layout change; old lines then read as invalid and recompute.
 pub const STORE_FORMAT: &str = "FNPR2";
-
-/// The stampless PR-5 record format, still parsed (with `stamp = 0`) so
-/// existing stores keep restoring without a rewrite.
-pub const LEGACY_FORMAT: &str = "FNPR1";
 
 /// Version of the *result schemas* this crate writes (the point/bounds
 /// payload shapes). Folded into [`analysis_fingerprint`]; bump when a
@@ -252,34 +235,16 @@ const INDEX_SHARDS: usize = 16;
 /// marker left by a dead process means the previous run was interrupted.
 const INPROGRESS_FILE: &str = "campaign.inprogress";
 
-/// Directory under the store root holding per-job worker delta trees
-/// (`.deltas/job-<pid>/worker-<w>`).
-const DELTAS_DIR: &str = ".deltas";
-
-/// How this store handle touches disk.
-enum StoreMode {
-    /// The canonical sharded directory: reads and appends in place.
-    Sharded,
-    /// Index only — no append handles, no healing, no migration. Serves
-    /// `store stats` on either layout (including a legacy single file)
-    /// without side effects.
-    ReadOnly,
-    /// A worker's view: index seeded from the canonical store, appends
-    /// into a private delta directory for the coordinator to merge.
-    Delta { delta_dir: PathBuf },
-}
-
 /// The persistent, content-addressed result store: an in-memory index over
 /// per-table append-only log files. Shared by reference across worker
 /// threads; the index is sharded so lookups on distinct keys do not contend
-/// (each table's append file is necessarily a single writer per process —
-/// cross-process writers use delta directories instead).
+/// (each table's append file is a single writer per process).
 pub struct ResultStore {
     path: PathBuf,
-    mode: StoreMode,
     fingerprint: u64,
     entries: Vec<Mutex<HashMap<(u32, u128), String>>>,
-    /// Append handles in [`StoreTable::ALL`] order; `None` when read-only.
+    /// Append handles in [`StoreTable::ALL`] order; `None` when read-only
+    /// (index only: no append handles, no healing).
     files: Option<Vec<Mutex<File>>>,
     // Counters (informational; never part of deterministic aggregates).
     points_restored: AtomicU64,
@@ -290,9 +255,9 @@ pub struct ResultStore {
     stale_entries: AtomicU64,
     write_errors: AtomicU64,
     warned_write: AtomicBool,
-    /// What the opening orphan sweep found (writable sharded opens only;
-    /// default-empty for read-only and delta handles).
-    orphan_sweep: OrphanSweep,
+    /// Content of a dead run's `campaign.inprogress` marker, found (and
+    /// cleared) by a writable open.
+    interrupted: Option<String>,
 }
 
 impl fmt::Debug for ResultStore {
@@ -315,17 +280,15 @@ struct LoadCounts {
 impl ResultStore {
     /// Opens (creating if absent) the store at `path` under the current
     /// build's [`analysis_fingerprint`]. `path` is the store *directory*
-    /// (one log file per table); a legacy single-file store at `path` is
-    /// migrated to the sharded layout first (the original is preserved as
-    /// `<path>.legacy` until the migration completes). Existing content is
-    /// indexed; truncated, corrupt, unknown-version or wrong-fingerprint
-    /// lines are counted and skipped — they can only cause recomputation,
-    /// never wrong data.
+    /// (one log file per table). Existing content is indexed; truncated,
+    /// corrupt, unknown-version or wrong-fingerprint lines are counted and
+    /// skipped — they can only cause recomputation, never wrong data.
     ///
     /// # Errors
     ///
     /// Real I/O failures only (unreadable existing files, uncreatable
-    /// directory); corrupt *content* is not an error.
+    /// directory), and a `path` that exists but is not a directory;
+    /// corrupt *content* is not an error.
     pub fn open(path: &Path) -> std::io::Result<Self> {
         Self::open_with_fingerprint(path, analysis_fingerprint())
     }
@@ -337,7 +300,7 @@ impl ResultStore {
     ///
     /// As [`Self::open`].
     pub fn open_with_fingerprint(path: &Path, fingerprint: u64) -> std::io::Result<Self> {
-        migrate_legacy_if_needed(path)?;
+        require_store_dir(path)?;
         std::fs::create_dir_all(path)?;
         let mut entries: Vec<HashMap<(u32, u128), String>> =
             (0..INDEX_SHARDS).map(|_| HashMap::new()).collect();
@@ -360,30 +323,22 @@ impl ResultStore {
             files.push(Mutex::new(file));
         }
         counts.publish();
-        let mut store = Self::assemble(
-            path,
-            StoreMode::Sharded,
-            fingerprint,
-            entries,
-            Some(files),
-            &counts,
-        );
-        // Crash-safe resume: fold in whatever dead jobs left behind
-        // (worker deltas that were never merged, an in-progress marker
-        // from a killed coordinator) before anyone reads the index.
-        store.orphan_sweep = store.sweep_orphans();
+        let mut store = Self::assemble(path, fingerprint, entries, Some(files), &counts);
+        // Crash-safe resume: report an in-progress marker left by a
+        // killed run.
+        store.interrupted = take_dead_marker(path);
         Ok(store)
     }
 
-    /// Opens the store at `path` for reading only — **no** migration, no
-    /// tail healing, no append handles; a legacy single-file store is read
-    /// in place. This is what `store stats` uses so inspecting a store
-    /// never mutates it. [`Self::put`] on a read-only store counts a write
-    /// error and drops the value.
+    /// Opens the store at `path` for reading only — no tail healing, no
+    /// append handles. This is what `store stats` uses so inspecting a
+    /// store never mutates it. [`Self::put`] on a read-only store counts a
+    /// write error and drops the value.
     ///
     /// # Errors
     ///
-    /// Real I/O failures reading existing files.
+    /// Real I/O failures reading existing files, and a `path` that exists
+    /// but is not a directory.
     pub fn open_read_only(path: &Path) -> std::io::Result<Self> {
         Self::open_read_only_with_fingerprint(path, analysis_fingerprint())
     }
@@ -394,82 +349,24 @@ impl ResultStore {
     ///
     /// As [`Self::open_read_only`].
     pub fn open_read_only_with_fingerprint(path: &Path, fingerprint: u64) -> std::io::Result<Self> {
+        require_store_dir(path)?;
         let mut entries: Vec<HashMap<(u32, u128), String>> =
             (0..INDEX_SHARDS).map(|_| HashMap::new()).collect();
         let mut counts = LoadCounts::default();
-        load_store_tree(path, fingerprint, &mut entries, &mut counts)?;
-        counts.publish();
-        Ok(Self::assemble(
-            path,
-            StoreMode::ReadOnly,
-            fingerprint,
-            entries,
-            None,
-            &counts,
-        ))
-    }
-
-    /// Opens a worker's **delta view**: the canonical store at `canonical`
-    /// (either layout) seeds the index read-only, and every write appends
-    /// into `delta_dir` — same per-table layout, private to this worker, so
-    /// concurrent worker processes never contend on the canonical files.
-    /// The coordinator folds the delta back with [`Self::merge_delta`].
-    ///
-    /// # Errors
-    ///
-    /// Real I/O failures reading the canonical store or creating the delta
-    /// directory.
-    pub fn open_delta(canonical: &Path, delta_dir: &Path) -> std::io::Result<Self> {
-        Self::open_delta_with_fingerprint(canonical, delta_dir, analysis_fingerprint())
-    }
-
-    /// [`Self::open_delta`] with an explicit fingerprint.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::open_delta`].
-    pub fn open_delta_with_fingerprint(
-        canonical: &Path,
-        delta_dir: &Path,
-        fingerprint: u64,
-    ) -> std::io::Result<Self> {
-        let mut entries: Vec<HashMap<(u32, u128), String>> =
-            (0..INDEX_SHARDS).map(|_| HashMap::new()).collect();
-        let mut counts = LoadCounts::default();
-        load_store_tree(canonical, fingerprint, &mut entries, &mut counts)?;
-        std::fs::create_dir_all(delta_dir)?;
-        let mut files = Vec::with_capacity(StoreTable::ALL.len());
         for table in StoreTable::ALL {
-            let file_path = delta_dir.join(table.file_name());
-            // Delta entries written after the canonical load supersede it
-            // in the index, mirroring the within-process upgrade semantics.
-            let unterminated = load_log_file(&file_path, fingerprint, &mut entries, &mut counts)?;
-            let mut file = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&file_path)?;
-            if unterminated {
-                file.write_all(b"\n")?;
-                counts.healed += 1;
-            }
-            files.push(Mutex::new(file));
+            load_log_file(
+                &path.join(table.file_name()),
+                fingerprint,
+                &mut entries,
+                &mut counts,
+            )?;
         }
         counts.publish();
-        Ok(Self::assemble(
-            canonical,
-            StoreMode::Delta {
-                delta_dir: delta_dir.to_path_buf(),
-            },
-            fingerprint,
-            entries,
-            Some(files),
-            &counts,
-        ))
+        Ok(Self::assemble(path, fingerprint, entries, None, &counts))
     }
 
     fn assemble(
         path: &Path,
-        mode: StoreMode,
         fingerprint: u64,
         entries: Vec<HashMap<(u32, u128), String>>,
         files: Option<Vec<Mutex<File>>>,
@@ -477,7 +374,6 @@ impl ResultStore {
     ) -> Self {
         Self {
             path: path.to_path_buf(),
-            mode,
             fingerprint,
             entries: entries.into_iter().map(Mutex::new).collect(),
             files,
@@ -489,41 +385,22 @@ impl ResultStore {
             stale_entries: AtomicU64::new(counts.stale),
             write_errors: AtomicU64::new(0),
             warned_write: AtomicBool::new(false),
-            orphan_sweep: OrphanSweep::default(),
+            interrupted: None,
         }
     }
 
-    /// The canonical store path (the directory, or the legacy file for a
-    /// read-only legacy open).
+    /// The store directory.
     #[must_use]
     pub fn path(&self) -> &Path {
         &self.path
     }
 
-    /// `true` when this handle reads the sharded directory layout (as
-    /// opposed to a legacy single file opened read-only).
-    #[must_use]
-    pub fn is_sharded(&self) -> bool {
-        !self.path.is_file()
-    }
-
-    /// Where appends from this handle land: the delta directory for a
-    /// worker view, the store directory otherwise, `None` when read-only.
-    #[must_use]
-    pub fn write_dir(&self) -> Option<PathBuf> {
-        match &self.mode {
-            StoreMode::Sharded => Some(self.path.clone()),
-            StoreMode::ReadOnly => None,
-            StoreMode::Delta { delta_dir } => Some(delta_dir.clone()),
-        }
-    }
-
     /// Marks a run as in progress: writes the `campaign.inprogress`
     /// marker (pid, start stamp, campaign name) into the store directory.
-    /// Best-effort and sharded-mode only — a store that cannot take the
-    /// marker still runs, it just cannot report interruptions later.
+    /// Best-effort and writable handles only — a store that cannot take
+    /// the marker still runs, it just cannot report interruptions later.
     pub fn begin_run(&self, name: &str) {
-        if !matches!(self.mode, StoreMode::Sharded) {
+        if self.files.is_none() {
             return;
         }
         let content = format!(
@@ -538,7 +415,7 @@ impl ResultStore {
     /// Removes the in-progress marker written by [`Self::begin_run`] —
     /// only when it is ours, so a concurrent job's marker survives.
     pub fn end_run(&self) {
-        if !matches!(self.mode, StoreMode::Sharded) {
+        if self.files.is_none() {
             return;
         }
         let marker = self.path.join(INPROGRESS_FILE);
@@ -549,103 +426,11 @@ impl ResultStore {
         }
     }
 
-    /// What the opening orphan sweep merged and reaped (empty for
-    /// read-only and delta handles, which never sweep).
-    #[must_use]
-    pub fn orphan_sweep(&self) -> &OrphanSweep {
-        &self.orphan_sweep
-    }
-
     /// The `campaign.inprogress` marker content of an interrupted
-    /// (dead-pid) previous run, observed and cleared by the opening
-    /// sweep.
+    /// (dead-pid) previous run, observed and cleared by a writable open.
     #[must_use]
     pub fn interrupted_run(&self) -> Option<&str> {
-        self.orphan_sweep.interrupted.as_deref()
-    }
-
-    /// Read-only inventory of `.deltas/job-*` trees still present under
-    /// the store: `(directories, total bytes)`. `store stats` reports
-    /// this instead of silently ignoring orphans; a writable open sweeps
-    /// the dead ones, so anything still here after that belongs to a
-    /// live job.
-    #[must_use]
-    pub fn orphaned_deltas(&self) -> (u64, u64) {
-        let mut dirs = 0;
-        let mut bytes = 0;
-        if let Ok(entries) = std::fs::read_dir(self.path.join(DELTAS_DIR)) {
-            for entry in entries.filter_map(Result::ok) {
-                let path = entry.path();
-                if path.is_dir() {
-                    dirs += 1;
-                    bytes += dir_bytes(&path);
-                }
-            }
-        }
-        (dirs, bytes)
-    }
-
-    /// Merges then reaps every `.deltas/job-<pid>` tree whose owning
-    /// process is dead, and collects (then clears) an in-progress marker
-    /// left by a dead coordinator. Delta liveness is conservative: our
-    /// own pid, any pid with a `/proc` entry, and any job directory
-    /// whose pid cannot be parsed or verified is treated as live and
-    /// left alone. A marker that cannot be parsed is cleared (nothing
-    /// live can reclaim it).
-    fn sweep_orphans(&self) -> OrphanSweep {
-        let mut sweep = OrphanSweep::default();
-        let deltas = self.path.join(DELTAS_DIR);
-        if let Ok(entries) = std::fs::read_dir(&deltas) {
-            let mut jobs: Vec<PathBuf> = entries
-                .filter_map(Result::ok)
-                .map(|e| e.path())
-                .filter(|p| p.is_dir())
-                .collect();
-            jobs.sort();
-            for job in jobs {
-                match job_pid(&job) {
-                    Some(pid) if !pid_is_live(pid) => {
-                        sweep.bytes += dir_bytes(&job);
-                        let mut workers: Vec<PathBuf> = std::fs::read_dir(&job)
-                            .into_iter()
-                            .flatten()
-                            .filter_map(Result::ok)
-                            .map(|e| e.path())
-                            .filter(|p| p.is_dir())
-                            .collect();
-                        workers.sort();
-                        for worker in workers {
-                            // Merge is idempotent and torn-tail tolerant:
-                            // a half-written delta line counts as invalid
-                            // and the point recomputes, never corrupts.
-                            if let Ok(report) = self.merge_delta(&worker) {
-                                sweep.merged += report.merged;
-                            }
-                        }
-                        if std::fs::remove_dir_all(&job).is_ok() {
-                            sweep.swept_dirs += 1;
-                        }
-                    }
-                    _ => sweep.live_skipped += 1,
-                }
-            }
-            let _ = std::fs::remove_dir(&deltas);
-        }
-        let marker = self.path.join(INPROGRESS_FILE);
-        if let Ok(content) = std::fs::read_to_string(&marker) {
-            let content = content.trim().to_string();
-            match marker_pid(&content) {
-                Some(pid) if pid_is_live(pid) => {}
-                _ => {
-                    let _ = std::fs::remove_file(&marker);
-                    fnpr_obs::counter!("campaign.store.resume.interrupted").incr();
-                    sweep.interrupted = Some(content);
-                }
-            }
-        }
-        fnpr_obs::counter!("campaign.store.orphans.swept").add(sweep.swept_dirs);
-        fnpr_obs::counter!("campaign.store.orphans.merged").add(sweep.merged);
-        sweep
+        self.interrupted.as_deref()
     }
 
     /// Fetches and decodes an entry; `None` on absence *or* undecodable
@@ -810,115 +595,20 @@ impl ResultStore {
         StoreTable::ALL.into_iter().zip(counts).collect()
     }
 
-    /// Per-shard file inventory for `store stats`: each table's file path,
-    /// on-disk size and live record count. A legacy single-file store
-    /// (read-only open) reports one row with `table = None` covering the
-    /// whole file.
+    /// Per-shard file inventory for `store stats`: each table's on-disk
+    /// size and live record count.
     #[must_use]
     pub fn shard_files(&self) -> Vec<ShardFileInfo> {
-        if self.path.is_file() {
-            return vec![ShardFileInfo {
-                table: None,
-                path: self.path.clone(),
-                bytes: std::fs::metadata(&self.path).map(|m| m.len()).unwrap_or(0),
-                records: self.table_counts().into_iter().map(|(_, n)| n).sum(),
-            }];
-        }
         self.table_counts()
             .into_iter()
-            .map(|(table, records)| {
-                let path = self.path.join(table.file_name());
-                ShardFileInfo {
-                    table: Some(table),
-                    path: path.clone(),
-                    bytes: std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0),
-                    records,
-                }
+            .map(|(table, records)| ShardFileInfo {
+                table,
+                bytes: std::fs::metadata(self.path.join(table.file_name()))
+                    .map(|m| m.len())
+                    .unwrap_or(0),
+                records,
             })
             .collect()
-    }
-
-    /// Merges one worker's delta directory into this (writable, sharded)
-    /// store: every valid, current-fingerprint delta record whose key is
-    /// **not** already present is appended and indexed; duplicate keys keep
-    /// the first losslessly-encoded record (the canonical entry, or the
-    /// earliest merged delta line); torn tails, corrupt lines and stale
-    /// fingerprints are counted and skipped. Merging the same delta twice
-    /// is a no-op (everything dedupes), so re-merges after a coordinator
-    /// crash are safe.
-    ///
-    /// # Errors
-    ///
-    /// Real I/O failures reading delta files or appending to the store;
-    /// also if this handle is read-only.
-    pub fn merge_delta(&self, delta_dir: &Path) -> std::io::Result<MergeReport> {
-        let Some(files) = &self.files else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::PermissionDenied,
-                "cannot merge into a read-only store",
-            ));
-        };
-        let mut report = MergeReport::default();
-        for table in StoreTable::ALL {
-            let delta_path = delta_dir.join(table.file_name());
-            let bytes = match std::fs::read(&delta_path) {
-                Ok(bytes) => bytes,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                Err(e) => return Err(e),
-            };
-            let text = String::from_utf8_lossy(&bytes);
-            // A torn final line (no trailing newline) parses as invalid
-            // below — merge heals around it rather than rejecting the
-            // whole delta.
-            for line in text.lines() {
-                if line.is_empty() {
-                    continue;
-                }
-                match parse_record(line, self.fingerprint) {
-                    ParsedLine::Valid {
-                        tag,
-                        key,
-                        stamp,
-                        payload,
-                    } => {
-                        if StoreTable::from_tag(tag) != Some(table) {
-                            // A record filed under the wrong table file
-                            // still merges into its own table; count it so
-                            // misplaced writers are visible.
-                            report.misfiled += 1;
-                        }
-                        // First losslessly-encoded record wins: hold the
-                        // file lock across the presence check, append and
-                        // index insert (same invariant as `put`).
-                        let target = StoreTable::from_tag(tag).map_or(table, |t| t);
-                        let mut file = files[target.index()].lock().expect("store file poisoned");
-                        let shard = &self.entries[index_shard(key)];
-                        let present = shard
-                            .lock()
-                            .expect("store index poisoned")
-                            .contains_key(&(tag, key));
-                        if present {
-                            report.duplicate += 1;
-                            continue;
-                        }
-                        let line = format_record(tag, key, self.fingerprint, stamp, &payload);
-                        file.write_all(line.as_bytes())?;
-                        shard
-                            .lock()
-                            .expect("store index poisoned")
-                            .insert((tag, key), payload);
-                        report.merged += 1;
-                    }
-                    ParsedLine::Stale => report.stale += 1,
-                    ParsedLine::Invalid => report.invalid += 1,
-                }
-            }
-        }
-        fnpr_obs::counter!("campaign.store.shard.delta.merged").add(report.merged);
-        fnpr_obs::counter!("campaign.store.shard.delta.duplicate").add(report.duplicate);
-        fnpr_obs::counter!("campaign.store.shard.delta.invalid").add(report.invalid);
-        fnpr_obs::counter!("campaign.store.shard.delta.stale").add(report.stale);
-        Ok(report)
     }
 
     /// [`Self::gc_with`] under the default (structural-only) policy.
@@ -933,10 +623,9 @@ impl ResultStore {
     /// Rewrites every table file keeping exactly the live entries:
     /// duplicates (superseded appends), invalid, stale and unknown-version
     /// lines are dropped, then the retention `policy` evicts live entries
-    /// **oldest-first** (by write stamp; `FNPR1`-era records carry stamp 0
-    /// and evict first). Each rewrite goes through a sibling temp file +
-    /// rename, so a crash mid-gc leaves either the old or the new file,
-    /// never a torn one. Returns what was scanned, kept, dropped, evicted
+    /// **oldest-first** (by write stamp). Each rewrite goes through a
+    /// sibling temp file + rename, so a crash mid-gc leaves either the old
+    /// or the new file, never a torn one. Returns what was scanned, kept, dropped, evicted
     /// and reclaimed.
     ///
     /// # Errors
@@ -964,7 +653,7 @@ impl ResultStore {
         // from disk (not the index) because stamps only live in the files.
         let mut live: BTreeMap<(u32, u128), (u64, String)> = BTreeMap::new();
         for table in StoreTable::ALL {
-            let file_path = self.table_file_path(table);
+            let file_path = self.path.join(table.file_name());
             let bytes = match std::fs::read(&file_path) {
                 Ok(bytes) => bytes,
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
@@ -1034,8 +723,8 @@ impl ResultStore {
         }
         let mut bytes_after = 0u64;
         for (i, table) in StoreTable::ALL.into_iter().enumerate() {
-            let file_path = self.table_file_path(table);
-            let tmp = path_with_suffix(&file_path, ".gc-tmp");
+            let file_path = self.path.join(table.file_name());
+            let tmp = self.path.join(format!("{}.gc-tmp", table.file_name()));
             std::fs::write(&tmp, &per_table[i])?;
             std::fs::rename(&tmp, &file_path)?;
             bytes_after += per_table[i].len() as u64;
@@ -1068,14 +757,6 @@ impl ResultStore {
         fnpr_obs::counter!("campaign.store.gc.bytes_reclaimed").add(report.bytes_reclaimed());
         Ok(report)
     }
-
-    /// Where `table`'s log file lives for this handle's write view.
-    fn table_file_path(&self, table: StoreTable) -> PathBuf {
-        match &self.mode {
-            StoreMode::Delta { delta_dir } => delta_dir.join(table.file_name()),
-            _ => self.path.join(table.file_name()),
-        }
-    }
 }
 
 impl LoadCounts {
@@ -1089,15 +770,13 @@ impl LoadCounts {
 /// One row of [`ResultStore::shard_files`].
 #[derive(Debug, Clone)]
 pub struct ShardFileInfo {
-    /// The table this file holds; `None` for a legacy single-file store
-    /// (every table multiplexed together).
-    pub table: Option<StoreTable>,
-    /// The file's path.
-    pub path: PathBuf,
+    /// The table this file holds (its file is `table.file_name()` under
+    /// the store directory).
+    pub table: StoreTable,
     /// On-disk size in bytes (0 if the file does not exist yet).
     pub bytes: u64,
     /// Live (valid, current-fingerprint) records indexed from this file's
-    /// table(s).
+    /// table.
     pub records: usize,
 }
 
@@ -1112,31 +791,34 @@ pub struct GcPolicy {
     pub max_bytes: Option<u64>,
 }
 
-/// What a writable open's orphan sweep merged and reaped (see
-/// [`ResultStore::orphan_sweep`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct OrphanSweep {
-    /// Dead `.deltas/job-<pid>` trees removed after merging.
-    pub swept_dirs: u64,
-    /// Records merged into the canonical store from dead jobs' deltas.
-    pub merged: u64,
-    /// Bytes the swept trees occupied before removal.
-    pub bytes: u64,
-    /// Job trees left alone because their owning process looks alive.
-    pub live_skipped: u64,
-    /// Content of a dead run's `campaign.inprogress` marker, when one was
-    /// found (and cleared): the previous run was interrupted and this
-    /// open is effectively a resume.
-    pub interrupted: Option<String>,
+/// Refuses a `path` that exists but is not a directory — notably a
+/// pre-sharding single-file store, which is left byte-for-byte untouched.
+fn require_store_dir(path: &Path) -> std::io::Result<()> {
+    if path.exists() && !path.is_dir() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!(
+                "{} is not a result-store directory (single-file stores are not read)",
+                path.display()
+            ),
+        ));
+    }
+    Ok(())
 }
 
-/// The pid embedded in a `.deltas/job-<pid>` directory name.
-fn job_pid(path: &Path) -> Option<u32> {
-    path.file_name()?
-        .to_str()?
-        .strip_prefix("job-")?
-        .parse()
-        .ok()
+/// Collects (then clears) the in-progress marker of a dead run under
+/// `dir`. A live pid's marker is left alone; one that cannot be parsed is
+/// cleared too (nothing live can reclaim it).
+fn take_dead_marker(dir: &Path) -> Option<String> {
+    let marker = dir.join(INPROGRESS_FILE);
+    let content = std::fs::read_to_string(&marker).ok()?;
+    let content = content.trim().to_string();
+    if marker_pid(&content).is_some_and(pid_is_live) {
+        return None;
+    }
+    let _ = std::fs::remove_file(&marker);
+    fnpr_obs::counter!("campaign.store.resume.interrupted").incr();
+    Some(content)
 }
 
 /// The pid embedded in a `pid=<pid> …` in-progress marker line.
@@ -1151,8 +833,7 @@ fn marker_pid(content: &str) -> Option<u32> {
 
 /// Conservative liveness: our own pid is live, a pid with a `/proc`
 /// entry is live, and on systems without `/proc` everything is live
-/// (sweeping can only be wrong in one direction — never reap a running
-/// job's deltas).
+/// (never report a running job as interrupted).
 fn pid_is_live(pid: u32) -> bool {
     if pid == std::process::id() {
         return true;
@@ -1162,52 +843,6 @@ fn pid_is_live(pid: u32) -> bool {
         return true;
     }
     proc_root.join(pid.to_string()).exists()
-}
-
-/// Recursive byte total of a directory tree (best-effort; unreadable
-/// entries count zero).
-fn dir_bytes(path: &Path) -> u64 {
-    let mut total = 0;
-    if let Ok(entries) = std::fs::read_dir(path) {
-        for entry in entries.filter_map(Result::ok) {
-            let child = entry.path();
-            if child.is_dir() {
-                total += dir_bytes(&child);
-            } else if let Ok(meta) = entry.metadata() {
-                total += meta.len();
-            }
-        }
-    }
-    total
-}
-
-/// What one [`ResultStore::merge_delta`] pass did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MergeReport {
-    /// Records appended to the canonical store.
-    pub merged: u64,
-    /// Records skipped because their key was already present (in the
-    /// canonical store or an earlier delta line).
-    pub duplicate: u64,
-    /// Unparseable lines skipped (torn tails, corruption, unknown
-    /// versions).
-    pub invalid: u64,
-    /// Well-formed lines from another analysis fingerprint, skipped.
-    pub stale: u64,
-    /// Valid records found in the wrong table's delta file (merged into
-    /// their own table regardless).
-    pub misfiled: u64,
-}
-
-impl MergeReport {
-    /// The one-line human summary.
-    #[must_use]
-    pub fn summary(&self) -> String {
-        format!(
-            "merged {} records ({} duplicate, {} invalid, {} stale skipped)",
-            self.merged, self.duplicate, self.invalid, self.stale
-        )
-    }
 }
 
 /// What one [`ResultStore::gc_with`] pass scanned, kept and reclaimed.
@@ -1288,130 +923,21 @@ fn load_log_file(
     Ok(unterminated)
 }
 
-/// Loads a store at `path` in either layout — a sharded directory or a
-/// legacy single file — without mutating anything.
-fn load_store_tree(
-    path: &Path,
-    fingerprint: u64,
-    entries: &mut [HashMap<(u32, u128), String>],
-    counts: &mut LoadCounts,
-) -> std::io::Result<()> {
-    if path.is_file() {
-        load_log_file(path, fingerprint, entries, counts)?;
-        return Ok(());
-    }
-    if path.is_dir() {
-        for table in StoreTable::ALL {
-            load_log_file(&path.join(table.file_name()), fingerprint, entries, counts)?;
-        }
-    }
-    Ok(())
-}
-
-/// Migrates a legacy single-file store at `path` into the sharded
-/// directory layout, in place. Crash-safe by ordering:
-///
-/// 1. the sharded files are written into `<path>.migrate-tmp`;
-/// 2. the legacy file is renamed to `<path>.legacy`;
-/// 3. the temp directory is renamed to `path`;
-/// 4. the `.legacy` backup is removed.
-///
-/// A crash between (2) and (3) is recovered on the next open by renaming
-/// the backup back; a crash between (3) and (4) just leaves a stray backup
-/// that the next open deletes. Parseable records of **any** fingerprint
-/// are carried over (stale entries remain gc-able, exactly as they were in
-/// the legacy file); unparseable lines are dropped and counted. `FNPR1`
-/// records are re-stamped with the migration time (their age was never
-/// recorded).
-fn migrate_legacy_if_needed(path: &Path) -> std::io::Result<()> {
-    let backup = path_with_suffix(path, ".legacy");
-    if backup.is_file() && !path.exists() {
-        // Crashed between steps (2) and (3): restore and redo.
-        std::fs::rename(&backup, path)?;
-    }
-    if path.is_dir() {
-        if backup.is_file() {
-            // Crashed between steps (3) and (4): migration completed.
-            std::fs::remove_file(&backup)?;
-        }
-        return Ok(());
-    }
-    if !path.is_file() {
-        return Ok(()); // Fresh store: nothing to migrate.
-    }
-    let bytes = std::fs::read(path)?;
-    let text = String::from_utf8_lossy(&bytes);
-    let now = fnpr_obs::ledger::unix_now();
-    let mut per_table: Vec<String> = vec![String::new(); StoreTable::ALL.len()];
-    let mut migrated = 0u64;
-    let mut dropped = 0u64;
-    for line in text.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        // Carry over any well-formed record regardless of fingerprint:
-        // parse against an impossible fingerprint and accept `Stale` by
-        // re-parsing the actual fields.
-        match parse_any_fingerprint(line) {
-            Some((tag, key, fp, stamp, payload)) => {
-                let idx = StoreTable::from_tag(tag).map_or(0, StoreTable::index);
-                let stamp = if stamp == 0 { now } else { stamp };
-                per_table[idx].push_str(&format_record(tag, key, fp, stamp, &payload));
-                migrated += 1;
-            }
-            None => dropped += 1,
-        }
-    }
-    let tmp = path_with_suffix(path, ".migrate-tmp");
-    if tmp.exists() {
-        std::fs::remove_dir_all(&tmp)?;
-    }
-    std::fs::create_dir_all(&tmp)?;
-    for (i, table) in StoreTable::ALL.into_iter().enumerate() {
-        std::fs::write(tmp.join(table.file_name()), &per_table[i])?;
-    }
-    std::fs::rename(path, &backup)?;
-    std::fs::rename(&tmp, path)?;
-    std::fs::remove_file(&backup)?;
-    fnpr_obs::counter!("campaign.store.shard.migrated").add(migrated);
-    fnpr_obs::counter!("campaign.store.shard.migrate_dropped").add(dropped);
-    Ok(())
-}
-
-/// `path` with `suffix` appended to its final component (not an extension
-/// swap: `store.log` + `.legacy` = `store.log.legacy`, so sibling stores
-/// `store.log` / `store.db` can never collide on one backup name).
-fn path_with_suffix(path: &Path, suffix: &str) -> PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(suffix);
-    PathBuf::from(os)
-}
-
 /// Formats one record line (trailing newline included).
 fn format_record(tag: u32, key: u128, fingerprint: u64, stamp: u64, payload: &str) -> String {
     format!(
         "{STORE_FORMAT} {tag:08x} {key:032x} {fingerprint:016x} {stamp} {len} {sum:016x} {payload}\n",
         len = payload.len(),
-        sum = checksum_v2(tag, key, fingerprint, stamp, payload),
+        sum = checksum(tag, key, fingerprint, stamp, payload),
     )
 }
 
-/// `FNPR1` record checksum over every content-bearing field — table tag,
-/// key, fingerprint and payload text — so a bit flip anywhere in the line
-/// (not just the payload) fails validation and counts as invalid, rather
-/// than indexing a well-formed payload under a corrupted key or
+/// Record checksum over every content-bearing field — table tag, key,
+/// fingerprint, write stamp and payload text — so a bit flip anywhere in
+/// the line (not just the payload) fails validation and counts as invalid,
+/// rather than indexing a well-formed payload under a corrupted key or
 /// misclassifying its analysis version.
-fn checksum(tag: u32, key: u128, fingerprint: u64, payload: &str) -> u64 {
-    ScenarioHasher::new(TAG_CHECKSUM)
-        .word(u64::from(tag))
-        .word128(key)
-        .word(fingerprint)
-        .str(payload)
-        .finish()
-}
-
-/// `FNPR2` record checksum: the [`checksum`] fields plus the write stamp.
-fn checksum_v2(tag: u32, key: u128, fingerprint: u64, stamp: u64, payload: &str) -> u64 {
+fn checksum(tag: u32, key: u128, fingerprint: u64, stamp: u64, payload: &str) -> u64 {
     ScenarioHasher::new(TAG_CHECKSUM)
         .word(u64::from(tag))
         .word128(key)
@@ -1430,8 +956,7 @@ fn index_shard(key: u128) -> usize {
 /// unknown format token, bad hex, wrong payload length (truncation), wrong
 /// checksum (corruption), unknown table tag — is [`ParsedLine::Invalid`];
 /// a well-formed line from another analysis version is
-/// [`ParsedLine::Stale`]. Both `FNPR2` (stamped) and legacy `FNPR1`
-/// (stamp 0) records parse.
+/// [`ParsedLine::Stale`].
 fn parse_record(line: &str, fingerprint: u64) -> ParsedLine {
     match parse_any_fingerprint(line) {
         Some((tag, key, fp, stamp, payload)) => {
@@ -1454,71 +979,36 @@ fn parse_record(line: &str, fingerprint: u64) -> ParsedLine {
 /// checksum validation only. `None` = invalid line.
 #[allow(clippy::type_complexity)]
 fn parse_any_fingerprint(line: &str) -> Option<(u32, u128, u64, u64, String)> {
-    let (magic, rest) = line.split_once(' ')?;
-    let v2 = match magic {
-        m if m == STORE_FORMAT => true,
-        m if m == LEGACY_FORMAT => false,
-        _ => return None,
+    let rest = line.strip_prefix(STORE_FORMAT)?.strip_prefix(' ')?;
+    let mut parts = rest.splitn(7, ' ');
+    let (Some(tag), Some(key), Some(fp), Some(stamp), Some(len), Some(sum), Some(payload)) = (
+        parts.next(),
+        parts.next(),
+        parts.next(),
+        parts.next(),
+        parts.next(),
+        parts.next(),
+        parts.next(),
+    ) else {
+        return None;
     };
-    if v2 {
-        let mut parts = rest.splitn(7, ' ');
-        let (Some(tag), Some(key), Some(fp), Some(stamp), Some(len), Some(sum), Some(payload)) = (
-            parts.next(),
-            parts.next(),
-            parts.next(),
-            parts.next(),
-            parts.next(),
-            parts.next(),
-            parts.next(),
-        ) else {
-            return None;
-        };
-        let (Ok(tag), Ok(key), Ok(fp), Ok(stamp), Ok(len), Ok(sum)) = (
-            u32::from_str_radix(tag, 16),
-            u128::from_str_radix(key, 16),
-            u64::from_str_radix(fp, 16),
-            stamp.parse::<u64>(),
-            len.parse::<usize>(),
-            u64::from_str_radix(sum, 16),
-        ) else {
-            return None;
-        };
-        if StoreTable::from_tag(tag).is_none()
-            || payload.len() != len
-            || checksum_v2(tag, key, fp, stamp, payload) != sum
-        {
-            return None;
-        }
-        Some((tag, key, fp, stamp, payload.to_string()))
-    } else {
-        let mut parts = rest.splitn(6, ' ');
-        let (Some(tag), Some(key), Some(fp), Some(len), Some(sum), Some(payload)) = (
-            parts.next(),
-            parts.next(),
-            parts.next(),
-            parts.next(),
-            parts.next(),
-            parts.next(),
-        ) else {
-            return None;
-        };
-        let (Ok(tag), Ok(key), Ok(fp), Ok(len), Ok(sum)) = (
-            u32::from_str_radix(tag, 16),
-            u128::from_str_radix(key, 16),
-            u64::from_str_radix(fp, 16),
-            len.parse::<usize>(),
-            u64::from_str_radix(sum, 16),
-        ) else {
-            return None;
-        };
-        if StoreTable::from_tag(tag).is_none()
-            || payload.len() != len
-            || checksum(tag, key, fp, payload) != sum
-        {
-            return None;
-        }
-        Some((tag, key, fp, 0, payload.to_string()))
+    let (Ok(tag), Ok(key), Ok(fp), Ok(stamp), Ok(len), Ok(sum)) = (
+        u32::from_str_radix(tag, 16),
+        u128::from_str_radix(key, 16),
+        u64::from_str_radix(fp, 16),
+        stamp.parse::<u64>(),
+        len.parse::<usize>(),
+        u64::from_str_radix(sum, 16),
+    ) else {
+        return None;
+    };
+    if StoreTable::from_tag(tag).is_none()
+        || payload.len() != len
+        || checksum(tag, key, fp, stamp, payload) != sum
+    {
+        return None;
     }
+    Some((tag, key, fp, stamp, payload.to_string()))
 }
 
 #[cfg(test)]
@@ -1548,7 +1038,6 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.invalid_entries, 0);
         assert_eq!(stats.stale_entries, 0);
-        assert!(store.is_sharded());
         assert!(path.is_dir(), "a fresh store is a directory");
     }
 
@@ -1616,8 +1105,9 @@ mod tests {
             let store = ResultStore::open(&path).unwrap();
             store.put(StoreTable::Bounds, 1, &1.0f64);
         }
-        // Prepend binary garbage, append an unknown-version line and a
-        // checksum-corrupted copy of a valid line.
+        // Prepend binary garbage, append an unknown-version line, a
+        // checksum-corrupted copy of a valid line, and a well-formed record
+        // of the retired stampless `FNPR1` format.
         let tbl = bounds_file(&path);
         let mut bytes = vec![0xFFu8, 0xFE, 0x00, b'\n'];
         let original = std::fs::read(&tbl).unwrap();
@@ -1625,11 +1115,50 @@ mod tests {
         bytes.extend_from_slice(b"FNPR9 00000000 0 0 1 0 x\n");
         let valid_line = String::from_utf8(original).unwrap();
         bytes.extend_from_slice(valid_line.replace("1.0", "9.0").as_bytes());
+        let (tag, fp, payload) = (StoreTable::Bounds.tag(), analysis_fingerprint(), "4.25");
+        let v1_sum = ScenarioHasher::new(TAG_CHECKSUM)
+            .word(u64::from(tag))
+            .word128(77)
+            .word(fp)
+            .str(payload)
+            .finish();
+        let v1 = format!(
+            "FNPR1 {tag:08x} {key:032x} {fp:016x} {len} {v1_sum:016x} {payload}\n",
+            key = 77u128,
+            len = payload.len(),
+        );
+        bytes.extend_from_slice(v1.as_bytes());
         std::fs::write(&tbl, bytes).unwrap();
         let store = ResultStore::open(&path).unwrap();
         // The corrupted duplicate must NOT supersede the valid entry.
         assert_eq!(store.get::<f64>(StoreTable::Bounds, 1), Some(1.0));
-        assert_eq!(store.stats().invalid_entries, 3);
+        assert_eq!(store.stats().invalid_entries, 4);
+        // The FNPR1 record is never served: its point recomputes.
+        assert_eq!(store.get::<f64>(StoreTable::Bounds, 77), None);
+        let v: Result<f64, ()> = store.get_or_compute(StoreTable::Bounds, 77, || Ok(5.0));
+        assert_eq!(v, Ok(5.0));
+        assert_eq!(store.stats().bounds_computed, 1);
+    }
+
+    #[test]
+    fn regular_file_paths_are_refused_untouched() {
+        // A single file where the store directory should be (such as a
+        // pre-sharding store) is an error for both opens, never read,
+        // migrated or healed.
+        let path = temp_store_path("single_file.log");
+        let line = format_record(
+            StoreTable::Bounds.tag(),
+            4,
+            analysis_fingerprint(),
+            9,
+            "4.5",
+        );
+        let content = format!("{line}torn tail");
+        std::fs::write(&path, &content).unwrap();
+        assert!(ResultStore::open(&path).is_err());
+        assert!(ResultStore::open_read_only(&path).is_err());
+        assert!(path.is_file());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), content);
     }
 
     #[test]
@@ -1661,33 +1190,6 @@ mod tests {
             );
             assert_eq!(store.stats().invalid_entries, 1, "field {field}");
         }
-    }
-
-    #[test]
-    fn legacy_fnpr1_records_still_parse() {
-        // A PR-5-era (stampless FNPR1) record must keep restoring, with
-        // stamp 0, until gc or migration rewrites it.
-        let path = temp_store_path("v1.log");
-        let store = ResultStore::open(&path).unwrap();
-        drop(store);
-        let tag = StoreTable::Bounds.tag();
-        let fp = analysis_fingerprint();
-        let payload = "4.25";
-        let v1 = format!(
-            "{LEGACY_FORMAT} {tag:08x} {key:032x} {fp:016x} {len} {sum:016x} {payload}\n",
-            key = 77u128,
-            len = payload.len(),
-            sum = checksum(tag, 77, fp, payload),
-        );
-        std::fs::OpenOptions::new()
-            .append(true)
-            .open(bounds_file(&path))
-            .unwrap()
-            .write_all(v1.as_bytes())
-            .unwrap();
-        let store = ResultStore::open(&path).unwrap();
-        assert_eq!(store.get::<f64>(StoreTable::Bounds, 77), Some(4.25));
-        assert_eq!(store.stats().invalid_entries, 0);
     }
 
     #[test]
@@ -1798,7 +1300,7 @@ mod tests {
             now.saturating_sub(3 * 86_400),
             "2.0",
         );
-        append_stamped(&path, StoreTable::CfgPoints, 3, 0, "3.0"); // FNPR1-era: oldest.
+        append_stamped(&path, StoreTable::CfgPoints, 3, 0, "3.0"); // Stamp 0: oldest.
         let store = ResultStore::open(&path).unwrap();
         let report = store
             .gc_with(GcPolicy {
@@ -1865,96 +1367,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_single_file_migrates_transparently() {
-        // Build a sharded store, flatten it into a legacy single file
-        // (the legacy format is the same record lines, all tables in one
-        // log), and open that file: it must migrate to a directory and
-        // serve everything.
-        let dir = crate::testutil::scratch_dir("store_migrate");
-        let donor = dir.join("donor");
-        {
-            let store = ResultStore::open(&donor).unwrap();
-            store.put(StoreTable::Bounds, 1, &1.5f64);
-            store.put(StoreTable::AcceptancePoints, 2, &2.5f64);
-            store.put(StoreTable::CfgPoints, 3, &3.5f64);
-        }
-        let legacy = dir.join("store.log");
-        let mut flat = Vec::new();
-        for table in StoreTable::ALL {
-            if let Ok(bytes) = std::fs::read(donor.join(table.file_name())) {
-                flat.extend_from_slice(&bytes);
-            }
-        }
-        std::fs::write(&legacy, &flat).unwrap();
-        assert!(legacy.is_file());
-
-        let store = ResultStore::open(&legacy).unwrap();
-        assert!(legacy.is_dir(), "migration replaced the file with a dir");
-        assert!(
-            !path_with_suffix(&legacy, ".legacy").exists(),
-            "backup cleaned up"
-        );
-        assert_eq!(store.get::<f64>(StoreTable::Bounds, 1), Some(1.5));
-        assert_eq!(store.get::<f64>(StoreTable::AcceptancePoints, 2), Some(2.5));
-        assert_eq!(store.get::<f64>(StoreTable::CfgPoints, 3), Some(3.5));
-        // Migration is one-shot: a re-open is a plain sharded open.
-        drop(store);
-        let again = ResultStore::open(&legacy).unwrap();
-        assert_eq!(again.get::<f64>(StoreTable::CfgPoints, 3), Some(3.5));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn interrupted_migration_recovers_from_the_backup() {
-        // Simulate a crash between backup-rename and dir-rename: only
-        // `<path>.legacy` exists. The next open must restore and migrate.
-        let dir = crate::testutil::scratch_dir("store_migrate_crash");
-        let donor = dir.join("donor");
-        {
-            let store = ResultStore::open(&donor).unwrap();
-            store.put(StoreTable::Bounds, 9, &9.5f64);
-        }
-        let legacy = dir.join("store.log");
-        let backup = path_with_suffix(&legacy, ".legacy");
-        std::fs::copy(donor.join(StoreTable::Bounds.file_name()), &backup).unwrap();
-        assert!(!legacy.exists());
-        let store = ResultStore::open(&legacy).unwrap();
-        assert!(legacy.is_dir());
-        assert!(!backup.exists());
-        assert_eq!(store.get::<f64>(StoreTable::Bounds, 9), Some(9.5));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn read_only_open_serves_legacy_files_without_migrating() {
-        let dir = crate::testutil::scratch_dir("store_ro");
-        let donor = dir.join("donor");
-        {
-            let store = ResultStore::open(&donor).unwrap();
-            store.put(StoreTable::Bounds, 4, &4.5f64);
-        }
-        let legacy = dir.join("legacy.log");
-        std::fs::copy(donor.join(StoreTable::Bounds.file_name()), &legacy).unwrap();
-        let before = std::fs::read(&legacy).unwrap();
-        let store = ResultStore::open_read_only(&legacy).unwrap();
-        assert_eq!(store.get::<f64>(StoreTable::Bounds, 4), Some(4.5));
-        assert!(!store.is_sharded());
-        // No migration, no healing, no writes: the file is untouched.
-        assert!(legacy.is_file());
-        assert_eq!(std::fs::read(&legacy).unwrap(), before);
-        // Writes are refused (counted), and the inventory is one row.
-        store.put(StoreTable::Bounds, 5, &5.5f64);
-        assert_eq!(store.stats().write_errors, 1);
-        assert_eq!(std::fs::read(&legacy).unwrap(), before);
-        let files = store.shard_files();
-        assert_eq!(files.len(), 1);
-        assert_eq!(files[0].table, None);
-        assert_eq!(files[0].records, 1);
-        assert_eq!(files[0].bytes, before.len() as u64);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn shard_files_reports_per_table_sizes_and_counts() {
         let path = temp_store_path("inventory.log");
         let store = ResultStore::open(&path).unwrap();
@@ -1965,7 +1377,7 @@ mod tests {
         assert_eq!(files.len(), StoreTable::ALL.len());
         let by_table: HashMap<_, _> = files
             .iter()
-            .map(|f| (f.table.unwrap(), (f.records, f.bytes)))
+            .map(|f| (f.table, (f.records, f.bytes)))
             .collect();
         assert_eq!(by_table[&StoreTable::Bounds].0, 2);
         assert_eq!(by_table[&StoreTable::MulticorePoints].0, 1);
@@ -1974,115 +1386,6 @@ mod tests {
             by_table[&StoreTable::Bounds].1,
             std::fs::metadata(bounds_file(&path)).unwrap().len()
         );
-    }
-
-    #[test]
-    fn delta_store_reads_canonical_and_writes_privately() {
-        let dir = crate::testutil::scratch_dir("store_delta");
-        let canonical_path = dir.join("canonical");
-        {
-            let canonical = ResultStore::open(&canonical_path).unwrap();
-            canonical.put(StoreTable::Bounds, 1, &1.0f64);
-        }
-        let delta_dir = dir.join("delta-0");
-        let worker = ResultStore::open_delta(&canonical_path, &delta_dir).unwrap();
-        // Canonical entries are served read-through...
-        assert_eq!(worker.get::<f64>(StoreTable::Bounds, 1), Some(1.0));
-        // ...and writes land in the delta directory only.
-        worker.put(StoreTable::Bounds, 2, &2.0f64);
-        assert_eq!(worker.get::<f64>(StoreTable::Bounds, 2), Some(2.0));
-        let canonical_bounds = std::fs::read_to_string(bounds_file(&canonical_path)).unwrap();
-        assert_eq!(canonical_bounds.lines().count(), 1, "canonical untouched");
-        let delta_bounds = std::fs::read_to_string(bounds_file(&delta_dir)).unwrap();
-        assert_eq!(delta_bounds.lines().count(), 1);
-
-        // Merge folds the delta in; a second merge dedupes everything.
-        let canonical = ResultStore::open(&canonical_path).unwrap();
-        let report = canonical.merge_delta(&delta_dir).unwrap();
-        assert_eq!((report.merged, report.duplicate), (1, 0));
-        assert_eq!(canonical.get::<f64>(StoreTable::Bounds, 2), Some(2.0));
-        let again = canonical.merge_delta(&delta_dir).unwrap();
-        assert_eq!((again.merged, again.duplicate), (0, 1));
-        // And the merged entry persists across reopen.
-        drop(canonical);
-        let reopened = ResultStore::open(&canonical_path).unwrap();
-        assert_eq!(reopened.get::<f64>(StoreTable::Bounds, 2), Some(2.0));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn merge_dedups_by_key_keeping_the_first_lossless_record() {
-        let dir = crate::testutil::scratch_dir("store_merge_dedup");
-        let canonical_path = dir.join("canonical");
-        drop(ResultStore::open(&canonical_path).unwrap());
-        // Worker A wrote 7 → 1.0 first; worker B raced and wrote 7 → 9.0
-        // (cannot happen for deterministic points, but merge must still be
-        // well-defined): the first merged record wins, deterministically.
-        let delta_a = dir.join("delta-a");
-        let delta_b = dir.join("delta-b");
-        for d in [&delta_a, &delta_b] {
-            std::fs::create_dir_all(d).unwrap();
-        }
-        append_stamped(&delta_a, StoreTable::Bounds, 7, 100, "1.0");
-        append_stamped(&delta_b, StoreTable::Bounds, 7, 100, "9.0");
-        // A corrupt (not losslessly decodable) record for key 8 in delta A
-        // must lose to the valid one in delta B.
-        let broken = format_record(
-            StoreTable::Bounds.tag(),
-            8,
-            analysis_fingerprint(),
-            5,
-            "2.0",
-        )
-        .replace("2.0", "6.6");
-        std::fs::OpenOptions::new()
-            .append(true)
-            .open(bounds_file(&delta_a))
-            .unwrap()
-            .write_all(broken.as_bytes())
-            .unwrap();
-        append_stamped(&delta_b, StoreTable::Bounds, 8, 100, "8.0");
-
-        let canonical = ResultStore::open(&canonical_path).unwrap();
-        let a = canonical.merge_delta(&delta_a).unwrap();
-        assert_eq!((a.merged, a.invalid), (1, 1));
-        let b = canonical.merge_delta(&delta_b).unwrap();
-        assert_eq!((b.merged, b.duplicate), (1, 1));
-        assert_eq!(canonical.get::<f64>(StoreTable::Bounds, 7), Some(1.0));
-        assert_eq!(canonical.get::<f64>(StoreTable::Bounds, 8), Some(8.0));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn merge_heals_around_torn_delta_tails() {
-        // A worker killed mid-append leaves an unterminated final line;
-        // the merge must take every complete record and skip the wreck —
-        // same framing tolerance as the FNPR1 corruption fixtures.
-        let dir = crate::testutil::scratch_dir("store_merge_torn");
-        let canonical_path = dir.join("canonical");
-        drop(ResultStore::open(&canonical_path).unwrap());
-        let delta = dir.join("delta-torn");
-        std::fs::create_dir_all(&delta).unwrap();
-        append_stamped(&delta, StoreTable::Bounds, 1, 50, "1.0");
-        append_stamped(&delta, StoreTable::Bounds, 2, 50, "2.0");
-        let tbl = bounds_file(&delta);
-        let bytes = std::fs::read(&tbl).unwrap();
-        std::fs::write(&tbl, &bytes[..bytes.len() - 4]).unwrap();
-
-        let canonical = ResultStore::open(&canonical_path).unwrap();
-        let report = canonical.merge_delta(&delta).unwrap();
-        assert_eq!((report.merged, report.invalid), (1, 1));
-        assert_eq!(canonical.get::<f64>(StoreTable::Bounds, 1), Some(1.0));
-        assert_eq!(canonical.get::<f64>(StoreTable::Bounds, 2), None);
-        // Stale (wrong-fingerprint) delta records are skipped too.
-        let stale_delta = dir.join("delta-stale");
-        std::fs::create_dir_all(&stale_delta).unwrap();
-        let line = format_record(StoreTable::Bounds.tag(), 3, 0xdead, 50, "3.0");
-        std::fs::write(bounds_file(&stale_delta), line).unwrap();
-        let report = canonical.merge_delta(&stale_delta).unwrap();
-        assert_eq!((report.merged, report.stale), (0, 1));
-        assert_eq!(canonical.get::<f64>(StoreTable::Bounds, 3), None);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2117,65 +1420,8 @@ mod tests {
     }
 
     /// A pid no live process can hold (kernels cap pids far below this),
-    /// so `job-<DEAD_PID>` trees and `pid=<DEAD_PID>` markers always look
-    /// dead to the liveness check.
+    /// so `pid=<DEAD_PID>` markers always look dead to the liveness check.
     const DEAD_PID: u32 = 99_999_999;
-
-    #[test]
-    fn dead_job_deltas_merge_and_reap_on_open() {
-        let path = temp_store_path("orphans.log");
-        ResultStore::open(&path).unwrap();
-        // A worker delta tree from a job whose coordinator died before
-        // merging.
-        let worker_dir = path
-            .join(DELTAS_DIR)
-            .join(format!("job-{DEAD_PID}"))
-            .join("worker-0");
-        {
-            let delta = ResultStore::open_delta(&path, &worker_dir).unwrap();
-            delta.put(StoreTable::Bounds, 5, &2.5f64);
-            delta.put(StoreTable::CfgPoints, 6, &3.5f64);
-        }
-        let store = ResultStore::open(&path).unwrap();
-        let sweep = store.orphan_sweep();
-        assert_eq!(sweep.swept_dirs, 1);
-        assert_eq!(sweep.merged, 2);
-        assert!(sweep.bytes > 0);
-        assert_eq!(sweep.live_skipped, 0);
-        assert!(
-            !path.join(DELTAS_DIR).exists(),
-            "swept job dirs (and the empty .deltas parent) are removed"
-        );
-        // The orphaned results are restored, not recomputed.
-        assert_eq!(store.get::<f64>(StoreTable::Bounds, 5), Some(2.5));
-        assert_eq!(store.get::<f64>(StoreTable::CfgPoints, 6), Some(3.5));
-        assert_eq!(store.orphaned_deltas(), (0, 0));
-        // Idempotent: a third open has nothing left to sweep.
-        let again = ResultStore::open(&path).unwrap();
-        assert_eq!(*again.orphan_sweep(), OrphanSweep::default());
-    }
-
-    #[test]
-    fn live_job_deltas_are_left_alone() {
-        let path = temp_store_path("live_orphans.log");
-        ResultStore::open(&path).unwrap();
-        let job_dir = path
-            .join(DELTAS_DIR)
-            .join(format!("job-{}", std::process::id()));
-        {
-            let delta = ResultStore::open_delta(&path, &job_dir.join("worker-0")).unwrap();
-            delta.put(StoreTable::Bounds, 9, &1.0f64);
-        }
-        let store = ResultStore::open(&path).unwrap();
-        let sweep = store.orphan_sweep();
-        assert_eq!((sweep.swept_dirs, sweep.merged), (0, 0));
-        assert_eq!(sweep.live_skipped, 1);
-        assert!(job_dir.is_dir(), "a live job's deltas must survive");
-        assert_eq!(store.get::<f64>(StoreTable::Bounds, 9), None);
-        let (dirs, bytes) = store.orphaned_deltas();
-        assert_eq!(dirs, 1);
-        assert!(bytes > 0);
-    }
 
     #[test]
     fn dead_marker_reports_interrupted_and_clears() {
@@ -2209,25 +1455,5 @@ mod tests {
         std::fs::write(&marker, format!("pid={DEAD_PID} started=1 name=x\n")).unwrap();
         store.end_run();
         assert!(marker.exists());
-    }
-
-    #[test]
-    fn read_only_open_reports_orphans_without_touching() {
-        let path = temp_store_path("ro_orphans.log");
-        ResultStore::open(&path).unwrap();
-        let job_dir = path.join(DELTAS_DIR).join(format!("job-{DEAD_PID}"));
-        {
-            let delta = ResultStore::open_delta(&path, &job_dir.join("worker-0")).unwrap();
-            delta.put(StoreTable::Bounds, 3, &4.0f64);
-        }
-        let store = ResultStore::open_read_only(&path).unwrap();
-        assert_eq!(*store.orphan_sweep(), OrphanSweep::default());
-        let (dirs, bytes) = store.orphaned_deltas();
-        assert_eq!(dirs, 1);
-        assert!(bytes > 0);
-        assert!(
-            job_dir.is_dir(),
-            "a read-only open reports orphans but never sweeps them"
-        );
     }
 }

@@ -7,11 +7,8 @@
 
 use std::collections::BTreeMap;
 
-use fnpr_campaign::store::{ResultStore, StoreTable};
-use fnpr_campaign::{
-    run_campaign, run_campaign_with_options, run_campaign_with_store, BackendChoice, CampaignSpec,
-    ExecOptions, WorkloadKind, WORKER_EXE_ENV,
-};
+use fnpr_campaign::store::ResultStore;
+use fnpr_campaign::{run_campaign, run_campaign_with_store, CampaignSpec, WorkloadKind};
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -32,21 +29,6 @@ fn assert_thread_invariant(spec: &CampaignSpec) {
             "aggregates changed between 1 and {threads} threads"
         );
     }
-}
-
-/// Runs the spec through real worker subprocesses (the process backend).
-fn render_process(spec: &CampaignSpec, workers: usize) -> (String, String) {
-    std::env::set_var(WORKER_EXE_ENV, env!("CARGO_BIN_EXE_fnpr-campaign"));
-    let campaign = spec.validate().expect("generated specs are valid");
-    let options = ExecOptions {
-        threads: Some(2),
-        backend: Some(BackendChoice::Process),
-        workers: Some(workers),
-        ..ExecOptions::default()
-    };
-    let outcome = run_campaign_with_options(&campaign, &options, None).expect("campaign runs");
-    assert_eq!(outcome.backend, "process");
-    (outcome.report.to_csv(), outcome.report.to_json())
 }
 
 fn arb_acceptance_spec() -> impl Strategy<Value = CampaignSpec> {
@@ -341,39 +323,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The executor layer's headline guarantee: per-shard RNG streams are
-    /// pure functions of `(seed, coords)`, so aggregates are byte-identical
-    /// not just at any thread count but under any **placement** — in-process
-    /// local threads at 1/2/8 and real worker subprocesses at 1/2/4 workers
-    /// all render the same CSV and JSON bytes.
+    /// A cold run with no store and a warm run over the sharded directory
+    /// it populated produce identical bytes — and the warm run computes
+    /// nothing.
     #[test]
-    fn aggregates_survive_any_backend_and_placement(spec in arb_soundness_spec()) {
-        let baseline = render(&spec, 1);
-        for threads in [2usize, 8] {
-            prop_assert_eq!(
-                &render(&spec, threads),
-                &baseline,
-                "local backend drifted at {} threads",
-                threads
-            );
-        }
-        for workers in [1usize, 2, 4] {
-            prop_assert_eq!(
-                &render_process(&spec, workers),
-                &baseline,
-                "process backend drifted at {} workers",
-                workers
-            );
-        }
-    }
-
-    /// Store layouts are interchangeable: a cold run with no store, a warm
-    /// run over the sharded directory it populated, and a warm run over a
-    /// **legacy single-file** store rebuilt from those shards (exercising
-    /// the read-through migration) all produce identical bytes — and both
-    /// warm runs compute nothing.
-    #[test]
-    fn warm_sharded_and_migrated_legacy_stores_match_cold(
+    fn warm_sharded_store_matches_cold(
         seed in 0u64..1000,
         sets in 2usize..4,
         u in 0.35f64..0.75,
@@ -399,31 +353,6 @@ proptest! {
             "warm sharded aggregates drifted"
         );
         prop_assert_eq!(warm.store.as_ref().unwrap().points_computed, 0);
-
-        // Flatten the shards into a legacy-style single file; opening it
-        // migrates in place and must serve every record.
-        let legacy = dir.join("legacy.log");
-        let mut flat = Vec::new();
-        for table in StoreTable::ALL {
-            if let Ok(bytes) = std::fs::read(sharded.join(table.file_name())) {
-                flat.extend_from_slice(&bytes);
-            }
-        }
-        std::fs::write(&legacy, &flat).unwrap();
-        let migrated = run_campaign_with_store(
-            &campaign,
-            Some(2),
-            Some(&ResultStore::open(&legacy).unwrap()),
-        )
-        .unwrap();
-        prop_assert_eq!(
-            &(migrated.report.to_csv(), migrated.report.to_json()),
-            &reference,
-            "migrated legacy aggregates drifted"
-        );
-        let stats = migrated.store.unwrap();
-        prop_assert_eq!(stats.points_computed, 0, "migration lost records");
-        prop_assert!(legacy.is_dir(), "legacy file was not migrated to shards");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

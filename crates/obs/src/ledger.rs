@@ -91,9 +91,10 @@ pub struct RunRecord {
     pub bounds_restored: u64,
     /// Shared `(curve, Q)` bounds computed fresh.
     pub bounds_computed: u64,
-    /// Shards that reached the aggregate through a recovery path
-    /// (redispatch after a worker death or timeout, plus coordinator
-    /// fallback compute). Zero for a healthy run.
+    /// Shards that reached the aggregate through a recovery path. The
+    /// campaign engine runs every shard on one thread pool with no
+    /// recovery path, so it always writes 0; the field keeps the schema
+    /// at v2.
     pub recovered_shards: u64,
     /// Estimated median per-point wall time, microseconds.
     pub p50_us: f64,
