@@ -2,7 +2,7 @@
 //! against the retained per-call reference path, on the workloads the
 //! campaign engines actually run — a many-segment synthetic curve and a
 //! CFG-derived curve, near-divergent `Q` choices (many windows), a dense
-//! `Q` grid, the lazy scale/cap view against eager materialization, the
+//! `Q` grid, the lazy scale view against eager materialization, the
 //! heap-based `from_windows` sweep and the allocation-free Eq. 4 fast
 //! path.
 //!
@@ -12,9 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fnpr_cache::CacheConfig;
-use fnpr_core::{
-    algorithm1, algorithm1_scaled_capped, eq4_bound_with_limit, reference, DelayCurve,
-};
+use fnpr_core::{algorithm1, algorithm1_scaled, eq4_bound_with_limit, reference, DelayCurve};
 use fnpr_pipeline::{analyze_task, program_access_map};
 use fnpr_synth::{random_program, ProgramGenParams};
 use rand::rngs::StdRng;
@@ -148,26 +146,16 @@ fn bench_bound_kernel(c: &mut Criterion) {
     );
 
     // The sensitivity-bisection probe: lazy view vs materialize-then-run.
-    let (factor, cap) = (0.85, SPIKE * 0.8);
+    let factor = 0.85;
     group.throughput(Throughput::Elements(1));
     group.bench_function("scaled_lazy_view", |b| {
         b.iter(|| {
-            algorithm1_scaled_capped(
-                black_box(&synthetic),
-                black_box(SYNTH_Q),
-                black_box(factor),
-                black_box(cap),
-            )
-            .unwrap()
+            algorithm1_scaled(black_box(&synthetic), black_box(SYNTH_Q), black_box(factor)).unwrap()
         })
     });
     group.bench_function("scaled_materialized", |b| {
         b.iter(|| {
-            let scaled = black_box(&synthetic)
-                .scaled(black_box(factor))
-                .unwrap()
-                .clamped(black_box(cap))
-                .unwrap();
+            let scaled = black_box(&synthetic).scaled(black_box(factor)).unwrap();
             algorithm1(&scaled, black_box(SYNTH_Q)).unwrap()
         })
     });
@@ -186,8 +174,8 @@ fn bench_bound_kernel(c: &mut Criterion) {
         |b, ws| b.iter(|| DelayCurve::from_windows(ws.iter().copied(), SYNTH_C).unwrap()),
     );
 
-    // The Eq. 4 fixpoint fast path (streams steps into a no-op sink; no
-    // trace allocation). max_delay just under q makes the fixpoint crawl.
+    // The allocation-free Eq. 4 fixpoint. max_delay just under q makes it
+    // crawl.
     group.bench_function("eq4_no_trace", |b| {
         b.iter(|| {
             eq4_bound_with_limit(

@@ -230,81 +230,56 @@ pub fn algorithm1_from(
     )
 }
 
-/// Runs Algorithm 1 over the *lazy view* `min(fi(t) · factor, cap)` of the
-/// curve — bit-identical to `algorithm1(&curve.scaled(factor)?.clamped(cap)?, q)`
-/// without materializing (clone + revalidate) the derived curve.
+/// Runs Algorithm 1 over the *lazy view* `fi(t) · factor` of the curve —
+/// bit-identical to `algorithm1(&curve.scaled(factor)?, q)` without
+/// materializing (clone + revalidate) the scaled curve.
 ///
 /// This is the probe primitive behind sensitivity bisection
-/// (`fnpr-sched::delay_tolerance`) and capped inflation sweeps: a bisection
-/// step costs O(segments + windows), not O(segments) allocation per task
-/// per probe. Pass `cap = f64::INFINITY` for a pure scale (equivalent to
-/// dropping the `clamped` stage).
+/// (`fnpr-sched::delay_tolerance`): a bisection step costs
+/// O(segments + windows), not O(segments) allocation per task per probe.
+/// To cap the curve's values instead, run [`algorithm1`] on
+/// [`DelayCurve::clamped`].
 ///
 /// # Errors
 ///
 /// As [`algorithm1`], plus [`AnalysisError::InvalidDelay`] when `factor` is
-/// negative or not finite, `cap` is negative or NaN, or the scaled maximum
-/// overflows (the cases where materializing would fail validation).
+/// negative or not finite, or the scaled maximum overflows (the cases where
+/// materializing would fail validation).
 ///
 /// # Examples
 ///
 /// ```
-/// use fnpr_core::{algorithm1, algorithm1_scaled_capped, DelayCurve};
+/// use fnpr_core::{algorithm1, algorithm1_scaled, DelayCurve};
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let fi = DelayCurve::from_breakpoints([(0.0, 4.0), (30.0, 1.0)], 90.0)?;
-/// let lazy = algorithm1_scaled_capped(&fi, 9.0, 0.5, 1.5)?;
-/// let eager = algorithm1(&fi.scaled(0.5)?.clamped(1.5)?, 9.0)?;
+/// let lazy = algorithm1_scaled(&fi, 9.0, 0.5)?;
+/// let eager = algorithm1(&fi.scaled(0.5)?, 9.0)?;
 /// assert_eq!(lazy, eager);
 /// # Ok(())
 /// # }
 /// ```
-pub fn algorithm1_scaled_capped(
-    curve: &DelayCurve,
-    q: f64,
-    factor: f64,
-    cap: f64,
-) -> Result<BoundOutcome, AnalysisError> {
-    let view = validated_view(curve, factor, cap)?;
-    run_from(curve, view, q, q, DEFAULT_MAX_WINDOWS, |_| {})
-}
-
-/// [`algorithm1_scaled_capped`] without a cap: Algorithm 1 over
-/// `fi(t) · factor`, bit-identical to `algorithm1(&curve.scaled(factor)?, q)`.
-///
-/// # Errors
-///
-/// As [`algorithm1_scaled_capped`].
 pub fn algorithm1_scaled(
     curve: &DelayCurve,
     q: f64,
     factor: f64,
 ) -> Result<BoundOutcome, AnalysisError> {
-    algorithm1_scaled_capped(curve, q, factor, f64::INFINITY)
+    algorithm1_sink_scaled(curve, q, factor, |_| {})
 }
 
-/// Validates a `(factor, cap)` pair against the same invariants the eager
-/// `scaled`/`clamped` constructors enforce, sharing the check across the
-/// scaled entry points (including [`crate::algorithm1_capped_scaled`] and
-/// the Eq. 4 view).
-pub(crate) fn validated_view(
-    curve: &DelayCurve,
-    factor: f64,
-    cap: f64,
-) -> Result<CurveView, AnalysisError> {
+/// Validates a scale factor against the same invariants the eager
+/// [`DelayCurve::scaled`] constructor enforces, shared by
+/// [`algorithm1_scaled`] and [`crate::algorithm1_capped_scaled`].
+fn validated_view(curve: &DelayCurve, factor: f64) -> Result<CurveView, AnalysisError> {
     if !(factor.is_finite() && factor >= 0.0) {
         return Err(AnalysisError::InvalidDelay { delay: factor });
     }
-    if cap.is_nan() || cap < 0.0 {
-        return Err(AnalysisError::InvalidDelay { delay: cap });
-    }
     // The largest scaled value overflowing is exactly the case where the
-    // eager `scaled()` constructor would reject the curve (before any cap
-    // is applied).
+    // eager `scaled()` constructor would reject the curve.
     let peak = curve.max_value() * factor;
     if !peak.is_finite() {
         return Err(AnalysisError::InvalidDelay { delay: peak });
     }
-    Ok(CurveView { factor, cap })
+    Ok(CurveView { factor })
 }
 
 /// Streams the windows of [`algorithm1_scaled`] into `sink` without
@@ -321,7 +296,7 @@ pub(crate) fn algorithm1_sink_scaled(
     factor: f64,
     sink: impl FnMut(WindowRecord),
 ) -> Result<BoundOutcome, AnalysisError> {
-    let view = validated_view(curve, factor, f64::INFINITY)?;
+    let view = validated_view(curve, factor)?;
     run_from(curve, view, q, q, DEFAULT_MAX_WINDOWS, sink)
 }
 
@@ -339,26 +314,15 @@ pub fn algorithm1_trace(
     curve: &DelayCurve,
     q: f64,
 ) -> Result<(BoundOutcome, Vec<WindowRecord>), AnalysisError> {
-    algorithm1_trace_scaled(curve, q, 1.0)
-}
-
-/// [`algorithm1_trace`] over the lazy view `fi(t) · factor` — the traced
-/// counterpart of [`algorithm1_scaled`], used by the capped-inflation probe
-/// path ([`crate::algorithm1_capped_scaled`]).
-///
-/// # Errors
-///
-/// As [`algorithm1_scaled`].
-pub fn algorithm1_trace_scaled(
-    curve: &DelayCurve,
-    q: f64,
-    factor: f64,
-) -> Result<(BoundOutcome, Vec<WindowRecord>), AnalysisError> {
-    let view = validated_view(curve, factor, f64::INFINITY)?;
     let mut records = Vec::new();
-    let outcome = run_from(curve, view, q, q, DEFAULT_MAX_WINDOWS, |record| {
-        records.push(record);
-    })?;
+    let outcome = run_from(
+        curve,
+        CurveView::IDENTITY,
+        q,
+        q,
+        DEFAULT_MAX_WINDOWS,
+        |record| records.push(record),
+    )?;
     Ok((outcome, records))
 }
 

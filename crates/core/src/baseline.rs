@@ -17,27 +17,12 @@
 //! Figure 5 plots, identical for every benchmark function because it only
 //! looks at `C`, `Q` and `max fi`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::algorithm1::{BoundOutcome, DelayBound};
 use crate::curve::DelayCurve;
 use crate::error::AnalysisError;
 
 /// Default iteration cap for the Eq. 4 fixpoint.
 pub const DEFAULT_MAX_ITERATIONS: usize = 1_000_000;
-
-/// Intermediate state of one Eq. 4 iteration, kept for auditability.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Eq4Step {
-    /// Iteration index `k`.
-    pub index: usize,
-    /// `C′(k−1)` the iteration started from.
-    pub previous: f64,
-    /// Number of preemptions charged, `⌈C′(k−1)/Q⌉`.
-    pub preemptions: u64,
-    /// `C′(k)` produced by this iteration.
-    pub inflated: f64,
-}
 
 /// Computes the Eq. 4 state-of-the-art bound from raw parameters.
 ///
@@ -85,68 +70,6 @@ pub fn eq4_bound_with_limit(
     max_delay: f64,
     limit: usize,
 ) -> Result<BoundOutcome, AnalysisError> {
-    // The no-trace path is allocation-free: steps stream into a no-op sink.
-    eq4_iterate(wcet, q, max_delay, limit, |_| {})
-}
-
-/// Runs Eq. 4 keeping every iteration step.
-///
-/// # Errors
-///
-/// As [`eq4_bound`].
-pub fn eq4_trace(
-    wcet: f64,
-    q: f64,
-    max_delay: f64,
-) -> Result<(BoundOutcome, Vec<Eq4Step>), AnalysisError> {
-    let mut steps = Vec::new();
-    let outcome = eq4_iterate(wcet, q, max_delay, DEFAULT_MAX_ITERATIONS, |step| {
-        steps.push(step);
-    })?;
-    Ok((outcome, steps))
-}
-
-/// Convenience wrapper taking the maximum straight from a [`DelayCurve`],
-/// mirroring how the paper instantiates the baseline in Section VI.
-///
-/// # Errors
-///
-/// As [`eq4_bound`].
-pub fn eq4_bound_for_curve(curve: &DelayCurve, q: f64) -> Result<BoundOutcome, AnalysisError> {
-    eq4_bound(curve.domain_end(), q, curve.max_value())
-}
-
-/// [`eq4_bound_for_curve`] over the lazy view `min(fi(t) · factor, cap)` —
-/// bit-identical to
-/// `eq4_bound_for_curve(&curve.scaled(factor)?.clamped(cap)?, q)` without
-/// materializing the derived curve (Eq. 4 only reads the curve's maximum,
-/// and `max min(v·factor, cap) = min(max(v)·factor, cap)` for the
-/// non-negative, order-preserving view). Pass `cap = f64::INFINITY` for a
-/// pure scale.
-///
-/// # Errors
-///
-/// As [`eq4_bound`], plus [`AnalysisError::InvalidDelay`] on a malformed
-/// `factor`/`cap` (as [`crate::algorithm1_scaled_capped`]).
-pub fn eq4_bound_for_curve_scaled_capped(
-    curve: &DelayCurve,
-    q: f64,
-    factor: f64,
-    cap: f64,
-) -> Result<BoundOutcome, AnalysisError> {
-    let view = crate::algorithm1::validated_view(curve, factor, cap)?;
-    eq4_bound(curve.domain_end(), q, view.apply(curve.max_value()))
-}
-
-/// Shared fixpoint driver with a step sink (the fast path streams into a
-/// no-op closure, so it neither allocates nor records).
-fn eq4_iterate<S: FnMut(Eq4Step)>(
-    wcet: f64,
-    q: f64,
-    max_delay: f64,
-    limit: usize,
-    mut sink: S,
-) -> Result<BoundOutcome, AnalysisError> {
     if !(q.is_finite() && q > 0.0) {
         return Err(AnalysisError::InvalidQ { q });
     }
@@ -183,12 +106,6 @@ fn eq4_iterate<S: FnMut(Eq4Step)>(
     for index in 0..limit {
         let preemptions = preemption_count(current, q);
         let next = wcet + preemptions as f64 * max_delay;
-        sink(Eq4Step {
-            index,
-            previous: current,
-            preemptions,
-            inflated: next,
-        });
         if next == current {
             note_eq4_run(index + 1);
             return Ok(BoundOutcome::Converged(DelayBound {
@@ -203,6 +120,16 @@ fn eq4_iterate<S: FnMut(Eq4Step)>(
     fnpr_obs::counter!("core.eq4.limit_exceeded").incr();
     note_eq4_run(limit);
     Err(AnalysisError::IterationLimit { limit })
+}
+
+/// Convenience wrapper taking the maximum straight from a [`DelayCurve`],
+/// mirroring how the paper instantiates the baseline in Section VI.
+///
+/// # Errors
+///
+/// As [`eq4_bound`].
+pub fn eq4_bound_for_curve(curve: &DelayCurve, q: f64) -> Result<BoundOutcome, AnalysisError> {
+    eq4_bound(curve.domain_end(), q, curve.max_value())
 }
 
 /// Telemetry flush for one Eq. 4 fixpoint run: a single counter update
@@ -234,12 +161,9 @@ mod tests {
     fn hand_computed_fixpoint() {
         // C=10, Q=4, d=2: C'(1)=10+3*2=16, C'(2)=10+4*2=18, C'(3)=10+ceil(18/4)*2
         // = 10+5*2=20, C'(4)=10+5*2=20 fixpoint.
-        let (outcome, steps) = eq4_trace(10.0, 4.0, 2.0).unwrap();
-        let bound = outcome.expect_converged();
+        let bound = eq4_bound(10.0, 4.0, 2.0).unwrap().expect_converged();
         assert_eq!(bound.total_delay, 10.0);
         assert_eq!(bound.windows, 5);
-        assert!(steps.len() >= 3);
-        assert_eq!(steps.last().unwrap().inflated, 20.0);
     }
 
     #[test]

@@ -254,7 +254,7 @@ mod tests {
         // sorted charges descending and summed the first `cap`. The bounded
         // min-heap must reproduce that total to the bit, including the
         // charged-window count, across caps straddling the window count.
-        use crate::algorithm1::algorithm1_trace_scaled;
+        use crate::algorithm1::algorithm1_trace;
         let curves = [
             DelayCurve::from_breakpoints([(0.0, 4.0), (20.0, 1.0), (55.0, 3.5)], 100.0).unwrap(),
             DelayCurve::from_breakpoints([(0.0, 0.0), (40.0, 9.0), (50.0, 0.0)], 100.0).unwrap(),
@@ -263,7 +263,8 @@ mod tests {
         for curve in &curves {
             for q in [7.0, 10.0, 19.5] {
                 for factor in [1.0, 0.35, 1.6] {
-                    let (outcome, trace) = algorithm1_trace_scaled(curve, q, factor).unwrap();
+                    let scaled = curve.scaled(factor).unwrap();
+                    let (outcome, trace) = algorithm1_trace(&scaled, q).unwrap();
                     for cap in [0usize, 1, 2, 3, 7, 1000] {
                         let capped = algorithm1_capped_scaled(curve, q, cap, factor).unwrap();
                         match outcome.clone() {

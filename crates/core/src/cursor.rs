@@ -24,11 +24,10 @@
 //! costs **O(segments + windows)** and performs no per-window allocation.
 //!
 //! The cursor evaluates the curve through a [`CurveView`] — an on-the-fly
-//! `value ↦ min(value · factor, cap)` transform — so sensitivity bisection
-//! and capped inflation can probe scaled curves without materializing
-//! (clone + revalidate) a fresh [`DelayCurve`] per probe. The identity view
-//! (`factor = 1`, `cap = ∞`) is bit-exact: `v · 1.0` and `min(v, ∞)`
-//! return `v` unchanged for every finite `v ≥ 0`.
+//! `value ↦ value · factor` transform — so sensitivity bisection can probe
+//! scaled curves without materializing (clone + revalidate) a fresh
+//! [`DelayCurve`] per probe. The identity view (`factor = 1`) is bit-exact:
+//! `v · 1.0` returns `v` unchanged for every finite `v ≥ 0`.
 //!
 //! Bit-identity with the per-call reference path (kept as
 //! [`reference`](crate::reference)) is property-tested in
@@ -38,31 +37,26 @@ use std::collections::VecDeque;
 
 use crate::curve::DelayCurve;
 
-/// A lazy value transform applied while scanning: `v ↦ min(v · factor, cap)`.
+/// A lazy value transform applied while scanning: `v ↦ v · factor`.
 ///
-/// Equivalent to materializing `curve.scaled(factor)?.clamped(cap)?` — the
-/// merged-segment representation the eager constructors produce is pointwise
-/// identical, and the kernels only ever read pointwise values — without the
+/// Equivalent to materializing `curve.scaled(factor)?` — the merged-segment
+/// representation the eager constructor produces is pointwise identical,
+/// and the kernels only ever read pointwise values — without the
 /// O(segments) allocation and re-validation per probe.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct CurveView {
     /// Non-negative, finite scale factor.
     pub factor: f64,
-    /// Upper clamp on the scaled value; `f64::INFINITY` disables the cap.
-    pub cap: f64,
 }
 
 impl CurveView {
     /// The identity view: reads the curve's values unchanged (bit-exact).
-    pub const IDENTITY: CurveView = CurveView {
-        factor: 1.0,
-        cap: f64::INFINITY,
-    };
+    pub const IDENTITY: CurveView = CurveView { factor: 1.0 };
 
     /// Applies the view to one raw segment value.
     #[inline]
     pub fn apply(self, value: f64) -> f64 {
-        (value * self.factor).min(self.cap)
+        value * self.factor
     }
 }
 
@@ -293,9 +287,9 @@ mod tests {
     #[test]
     fn view_matches_materialized_curve() {
         let f = curve(&[(0.0, 2.0), (10.0, 8.0), (30.0, 1.0)], 60.0);
-        let (factor, cap) = (0.75, 4.5);
-        let materialized = f.scaled(factor).unwrap().clamped(cap).unwrap();
-        let mut lazy = CurveCursor::new(&f, CurveView { factor, cap });
+        let factor = 0.75;
+        let materialized = f.scaled(factor).unwrap();
+        let mut lazy = CurveCursor::new(&f, CurveView { factor });
         let mut eager = CurveCursor::new(&materialized, CurveView::IDENTITY);
         for progress in [5.0, 9.0, 13.0, 29.0, 31.0, 55.0] {
             let a = lazy.window(progress, 6.0);

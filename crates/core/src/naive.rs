@@ -147,11 +147,8 @@ pub fn naive_bound_with_limit(
         }
     }
     chain.reverse();
-    // Drop worthless trailing zero-value points for a tidy result (they do
-    // not change the total).
-    let points: Vec<(f64, f64)> = chain;
     Ok(NaiveBound {
-        points,
+        points: chain,
         total_delay: total,
         q,
     })

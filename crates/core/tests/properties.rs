@@ -11,9 +11,9 @@
 //! * the right link is the paper's dominance claim over the state of the art.
 
 use fnpr_core::{
-    algorithm1, algorithm1_from, algorithm1_scaled_capped, algorithm1_trace, algorithm1_with_limit,
-    eq4_bound_for_curve, eq4_bound_for_curve_scaled_capped, exact_worst_case, naive_bound,
-    reference, BoundOutcome, DelayCurve,
+    algorithm1, algorithm1_capped_scaled, algorithm1_from, algorithm1_scaled, algorithm1_trace,
+    algorithm1_with_limit, eq4_bound_for_curve, exact_worst_case, naive_bound, reference,
+    BoundOutcome, DelayCurve,
 };
 use proptest::prelude::*;
 
@@ -345,32 +345,15 @@ proptest! {
         assert_bit_identical(&fused, &per_call);
     }
 
-    /// The lazy scale-and-cap view equals the eager materialization
-    /// (`scaled` then `clamped`) exactly — Algorithm 1 and Eq. 4 alike.
+    /// The lazy scale view equals the eager materialization (`scaled`)
+    /// exactly, on convergent and divergent parameterisations alike.
     #[test]
     fn lazy_view_matches_materialized_curve(
         curve in arb_curve(),
-        q in 0.5f64..30.0,
+        q in 0.5f64..40.0,
         factor in 0.0f64..3.0,
-        cap in 0.0f64..15.0,
     ) {
-        let materialized = curve.scaled(factor).unwrap().clamped(cap).unwrap();
-        let lazy = algorithm1_scaled_capped(&curve, q, factor, cap).unwrap();
-        let eager = algorithm1(&materialized, q).unwrap();
-        assert_bit_identical(&lazy, &eager);
-        let lazy4 = eq4_bound_for_curve_scaled_capped(&curve, q, factor, cap).unwrap();
-        let eager4 = eq4_bound_for_curve(&materialized, q).unwrap();
-        assert_bit_identical(&lazy4, &eager4);
-    }
-
-    /// An uncapped lazy scale equals materialized `scaled` alone.
-    #[test]
-    fn lazy_scale_without_cap_matches_scaled_curve(
-        (curve, q) in arb_convergent_case(),
-        factor in 0.0f64..1.0,
-    ) {
-        // factor <= 1 keeps the scaled max below q: convergent on both paths.
-        let lazy = algorithm1_scaled_capped(&curve, q, factor, f64::INFINITY).unwrap();
+        let lazy = algorithm1_scaled(&curve, q, factor).unwrap();
         let eager = algorithm1(&curve.scaled(factor).unwrap(), q).unwrap();
         assert_bit_identical(&lazy, &eager);
     }
@@ -387,8 +370,8 @@ proptest! {
         factor in 0.0f64..2.0,
         cap in 0usize..40,
     ) {
-        let capped = fnpr_core::algorithm1_capped_scaled(&curve, q, cap, factor).unwrap();
-        let (outcome, trace) = fnpr_core::algorithm1_trace_scaled(&curve, q, factor).unwrap();
+        let capped = algorithm1_capped_scaled(&curve, q, cap, factor).unwrap();
+        let (outcome, trace) = algorithm1_trace(&curve.scaled(factor).unwrap(), q).unwrap();
         match outcome {
             BoundOutcome::Divergent { .. } => prop_assert_eq!(capped, None),
             BoundOutcome::Converged(bound) => {

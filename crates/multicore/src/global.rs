@@ -27,10 +27,7 @@
 //! carries over to the multiprocessor setting — property-tested in the
 //! crate's test suite.
 
-use fnpr_sched::{
-    inflated_taskset_scaled, inflated_taskset_with_caps_scaled, preemption_caps_edf, DelayMethod,
-    SchedError, Task, TaskSet,
-};
+use fnpr_sched::{inflated_taskset, preemption_caps_edf, DelayMethod, SchedError, Task, TaskSet};
 use fnpr_synth::Policy;
 
 /// Time-comparison tolerance mirroring the uniprocessor tests.
@@ -176,37 +173,8 @@ pub fn global_schedulable_with_delay(
     policy: Policy,
     method: DelayMethod,
 ) -> Result<bool, SchedError> {
-    global_schedulable_with_delay_scaled(tasks, m, policy, method, 1.0)
-}
-
-/// [`global_schedulable_with_delay`] with every delay curve scaled by
-/// `factor` on the fly (fnpr-sched's lazy view inflation) — the
-/// multiprocessor sensitivity probe, decision-identical to materializing
-/// `scale_delay_curves` first without the per-probe curve allocation.
-///
-/// # Errors
-///
-/// As [`global_schedulable_with_delay`], plus an error for a malformed
-/// `factor`.
-///
-/// # Panics
-///
-/// Panics if `m == 0`.
-pub fn global_schedulable_with_delay_scaled(
-    tasks: &TaskSet,
-    m: usize,
-    policy: Policy,
-    method: DelayMethod,
-    factor: f64,
-) -> Result<bool, SchedError> {
     assert!(m >= 1, "need at least one core");
-    let inflated = match method {
-        DelayMethod::Algorithm1Capped => {
-            inflated_taskset_with_caps_scaled(tasks, method, &preemption_caps_edf(tasks), factor)?
-        }
-        _ => inflated_taskset_scaled(tasks, method, factor)?,
-    };
-    let Some(inflated) = inflated else {
+    let Some(inflated) = inflated_taskset(tasks, method, preemption_caps_edf)? else {
         return Ok(false);
     };
     Ok(match policy {

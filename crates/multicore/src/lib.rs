@@ -58,9 +58,7 @@ mod partition;
 
 pub use global::{
     global_edf_bcl, global_edf_density, global_fp_bcl, global_schedulable_with_delay,
-    global_schedulable_with_delay_scaled,
 };
 pub use partition::{
-    partition_taskset, partition_with, partitioned_schedulable_with_delay,
-    partitioned_schedulable_with_delay_scaled, Heuristic, Partition,
+    partition_taskset, partition_with, partitioned_schedulable_with_delay, Heuristic, Partition,
 };

@@ -10,7 +10,7 @@
 //! index order, so fixed-priority analyses see a valid priority order.
 
 use fnpr_sched::{
-    edf_schedulable_with_delay_scaled, edf_schedulable_with_npr, fp_schedulable_with_delay_scaled,
+    edf_schedulable_with_delay, edf_schedulable_with_npr, fp_schedulable_with_delay,
     rta_floating_npr, DelayMethod, SchedError, Task, TaskSet,
 };
 use fnpr_synth::Policy;
@@ -203,32 +203,13 @@ pub fn partitioned_schedulable_with_delay(
     policy: Policy,
     method: DelayMethod,
 ) -> Result<bool, SchedError> {
-    partitioned_schedulable_with_delay_scaled(tasks, partition, policy, method, 1.0)
-}
-
-/// [`partitioned_schedulable_with_delay`] with every delay curve scaled by
-/// `factor` on the fly (fnpr-sched's lazy view inflation) — the per-core
-/// sensitivity probe, decision-identical to materializing
-/// `scale_delay_curves` first without the per-probe curve allocation.
-///
-/// # Errors
-///
-/// As [`partitioned_schedulable_with_delay`], plus an error for a
-/// malformed `factor`.
-pub fn partitioned_schedulable_with_delay_scaled(
-    tasks: &TaskSet,
-    partition: &Partition,
-    policy: Policy,
-    method: DelayMethod,
-    factor: f64,
-) -> Result<bool, SchedError> {
     for core in 0..partition.cores {
         let Some(subset) = partition.core_taskset(tasks, core) else {
             continue; // empty core
         };
         let ok = match policy {
-            Policy::FixedPriority => fp_schedulable_with_delay_scaled(&subset, method, factor)?,
-            Policy::Edf => edf_schedulable_with_delay_scaled(&subset, method, factor)?,
+            Policy::FixedPriority => fp_schedulable_with_delay(&subset, method)?,
+            Policy::Edf => edf_schedulable_with_delay(&subset, method)?,
         };
         if !ok {
             return Ok(false);

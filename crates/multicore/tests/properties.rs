@@ -8,10 +8,10 @@
 
 use fnpr_core::DelayCurve;
 use fnpr_multicore::{
-    global_schedulable_with_delay, global_schedulable_with_delay_scaled, partition_taskset,
-    partitioned_schedulable_with_delay, partitioned_schedulable_with_delay_scaled, Heuristic,
+    global_edf_density, global_schedulable_with_delay, partition_taskset,
+    partitioned_schedulable_with_delay, Heuristic,
 };
-use fnpr_sched::{scale_delay_curves, DelayMethod, Task, TaskSet};
+use fnpr_sched::{inflated_taskset, preemption_caps, DelayMethod, Task, TaskSet};
 use fnpr_sim::{check_multicore_against_algorithm1, simulate_multicore, MultiSimConfig, Scenario};
 use fnpr_synth::{random_taskset_multicore, with_npr_and_curves_global, Policy, TaskSetParams};
 use proptest::prelude::*;
@@ -84,40 +84,6 @@ fn partitioned_and_global_agree_on_the_feasible_fixture() {
 }
 
 #[test]
-fn scaled_multicore_probes_match_materialized_scaling() {
-    let tasks = feasible_fixture();
-    for policy in [Policy::FixedPriority, Policy::Edf] {
-        let partition = partition_taskset(&tasks, 2, Heuristic::WorstFit, policy)
-            .unwrap()
-            .expect("worst fit fits the fixture");
-        for method in [
-            DelayMethod::Eq4,
-            DelayMethod::Algorithm1,
-            DelayMethod::Algorithm1Capped,
-        ] {
-            for factor in [0.0, 0.5, 1.0, 4.0, 20.0] {
-                let materialized = scale_delay_curves(&tasks, factor).unwrap();
-                assert_eq!(
-                    global_schedulable_with_delay_scaled(&tasks, 2, policy, method, factor)
-                        .unwrap(),
-                    global_schedulable_with_delay(&materialized, 2, policy, method).unwrap(),
-                    "global {policy:?}/{method:?} @ {factor}"
-                );
-                assert_eq!(
-                    partitioned_schedulable_with_delay_scaled(
-                        &tasks, &partition, policy, method, factor
-                    )
-                    .unwrap(),
-                    partitioned_schedulable_with_delay(&materialized, &partition, policy, method)
-                        .unwrap(),
-                    "partitioned {policy:?}/{method:?} @ {factor}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn feasible_fixture_simulates_cleanly_on_two_cores() {
     let tasks = feasible_fixture();
     let mut rng = StdRng::seed_from_u64(2012);
@@ -165,6 +131,28 @@ fn overloaded_set_is_rejected_by_both_roads() {
 }
 
 /// Equips a random multicore base set with global-style regions and curves.
+#[test]
+fn global_capped_charges_every_other_task() {
+    // τ0 pays 3.5 per window. The fixed-priority cap rule leaves it
+    // uninflated (nothing above it); the every-other-task rule the global
+    // tests use charges it twice (⌊20/20⌋ + 1 releases of τ1). One core's
+    // density bound fits 10 + 9 but not 17 + 9.
+    let task = |c: f64, delay: f64| {
+        Task::new(c, 20.0)
+            .unwrap()
+            .with_q(4.0)
+            .unwrap()
+            .with_delay_curve(DelayCurve::constant(delay, c).unwrap())
+    };
+    let tasks = TaskSet::new(vec![task(10.0, 3.5), task(9.0, 0.0)]).unwrap();
+    let method = DelayMethod::Algorithm1Capped;
+    let fp_capped = inflated_taskset(&tasks, method, preemption_caps)
+        .unwrap()
+        .expect("converges");
+    assert!(global_edf_density(&fp_capped, 1));
+    assert!(!global_schedulable_with_delay(&tasks, 1, Policy::Edf, method).unwrap());
+}
+
 fn random_equipped(seed: u64, m: usize, u_per_core: f64) -> Option<TaskSet> {
     let mut rng = StdRng::seed_from_u64(seed);
     let params = TaskSetParams {

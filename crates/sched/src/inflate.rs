@@ -8,7 +8,7 @@
 //! accepted under Eq. 4 inflation is also accepted under Algorithm 1
 //! inflation — the acceptance-ratio experiment quantifies the gap.
 
-use fnpr_core::{algorithm1_capped_scaled, algorithm1_scaled, eq4_bound_for_curve_scaled_capped};
+use fnpr_core::{algorithm1_capped_scaled, algorithm1_scaled, eq4_bound};
 use serde::{Deserialize, Serialize};
 
 use crate::edf::edf_schedulable_with_npr;
@@ -64,10 +64,15 @@ pub enum DelayMethod {
     Eq4,
     /// The paper's Algorithm 1 (progression-aware windows).
     Algorithm1,
-    /// Algorithm 1 with the per-task preemption cap derived from the
-    /// higher-priority arrival bound (the paper's future-work item (ii),
-    /// implemented as [`fnpr_core::algorithm1_capped`]). Requires tasks in
-    /// fixed-priority order.
+    /// Algorithm 1 charging only each task's largest window charges, up to
+    /// the number of releases that can preempt one of its jobs (the paper's
+    /// future-work item (ii), implemented as
+    /// [`fnpr_core::algorithm1_capped`]). The fixed-priority paths
+    /// ([`inflate_wcets`], [`fp_schedulable_with_delay`]) count
+    /// higher-priority releases ([`preemption_caps`]) and so require tasks
+    /// in fixed-priority order; the EDF and global paths count every other
+    /// task's releases ([`preemption_caps_edf`]), where order does not
+    /// matter.
     Algorithm1Capped,
 }
 
@@ -106,7 +111,8 @@ impl Inflation {
     }
 }
 
-/// Computes the inflated WCETs of every task under the chosen method.
+/// Computes the inflated WCETs of every task under the chosen method, with
+/// [`DelayMethod::Algorithm1Capped`] capped by [`preemption_caps`].
 ///
 /// Every task needs a `Qi` and (for the delay-aware methods) a delay curve;
 /// the curve's own domain is used as the execution profile and the
@@ -136,77 +142,30 @@ impl Inflation {
 /// # }
 /// ```
 pub fn inflate_wcets(tasks: &TaskSet, method: DelayMethod) -> Result<Inflation, SchedError> {
-    inflate_wcets_scaled(tasks, method, 1.0)
+    inflate(tasks, method, preemption_caps, 1.0)
 }
 
-/// [`inflate_wcets`] with every task's delay curve read through the lazy
-/// scale view `fi(t) · factor` — bit-identical to scaling the curves first
-/// ([`crate::scale_delay_curves`]) and inflating the result, without
-/// materializing a scaled [`fnpr_core::DelayCurve`] per task. This is what
-/// makes each [`crate::delay_tolerance`] bisection probe
-/// O(segments + windows) instead of O(segments) allocation per task.
-///
-/// # Errors
-///
-/// As [`inflate_wcets`], plus an error for a negative or non-finite
-/// `factor`.
-pub fn inflate_wcets_scaled(
+/// The single inflation driver: every task's bound is evaluated through
+/// the fused fnpr-core kernel over the lazy scale view `fi(t) · factor`
+/// (`factor = 1.0` is the bit-exact identity; only the
+/// [`crate::delay_tolerance`] probe passes another). The cap rule `caps` is
+/// evaluated only for [`DelayMethod::Algorithm1Capped`].
+fn inflate(
     tasks: &TaskSet,
     method: DelayMethod,
+    caps: fn(&TaskSet) -> Vec<usize>,
     factor: f64,
 ) -> Result<Inflation, SchedError> {
     let caps = match method {
-        DelayMethod::Algorithm1Capped => Some(preemption_caps(tasks)),
-        _ => None,
+        DelayMethod::Algorithm1Capped => caps(tasks),
+        _ => Vec::new(),
     };
-    inflate_with(tasks, method, caps, factor)
-}
-
-/// [`inflate_wcets`] with caller-supplied preemption caps (e.g.
-/// [`preemption_caps_edf`] for EDF systems). Caps are only consulted for
-/// [`DelayMethod::Algorithm1Capped`].
-///
-/// # Errors
-///
-/// As [`inflate_wcets`], plus a length check on `caps`.
-pub fn inflate_wcets_with_caps(
-    tasks: &TaskSet,
-    method: DelayMethod,
-    caps: &[usize],
-) -> Result<Inflation, SchedError> {
-    inflate_wcets_with_caps_scaled(tasks, method, caps, 1.0)
-}
-
-/// [`inflate_wcets_with_caps`] under the lazy scale view (see
-/// [`inflate_wcets_scaled`]).
-///
-/// # Errors
-///
-/// As [`inflate_wcets_with_caps`].
-pub fn inflate_wcets_with_caps_scaled(
-    tasks: &TaskSet,
-    method: DelayMethod,
-    caps: &[usize],
-    factor: f64,
-) -> Result<Inflation, SchedError> {
-    if caps.len() != tasks.len() {
+    if matches!(method, DelayMethod::Algorithm1Capped) && caps.len() != tasks.len() {
         return Err(SchedError::InvalidTask {
             what: "caps length",
             value: caps.len() as f64,
         });
     }
-    inflate_with(tasks, method, Some(caps.to_vec()), factor)
-}
-
-/// The single inflation driver: every method evaluates its bound through
-/// the fused fnpr-core kernel under a lazy scale view (`factor = 1.0` is
-/// the bit-exact identity, so the unscaled entry points share this path).
-fn inflate_with(
-    tasks: &TaskSet,
-    method: DelayMethod,
-    caps: Option<Vec<usize>>,
-    factor: f64,
-) -> Result<Inflation, SchedError> {
     let mut wcets = Vec::with_capacity(tasks.len());
     for (index, task) in tasks.iter().enumerate() {
         if matches!(method, DelayMethod::None) {
@@ -219,13 +178,14 @@ fn inflate_with(
             .ok_or(SchedError::MissingCurve { index })?;
         let total = match method {
             DelayMethod::None => unreachable!("handled above"),
+            // Eq. 4 reads only the curve maximum, and scaling a
+            // non-negative curve scales its maximum.
             DelayMethod::Eq4 => {
-                eq4_bound_for_curve_scaled_capped(curve, q, factor, f64::INFINITY)?.total_delay()
+                eq4_bound(curve.domain_end(), q, curve.max_value() * factor)?.total_delay()
             }
             DelayMethod::Algorithm1 => algorithm1_scaled(curve, q, factor)?.total_delay(),
             DelayMethod::Algorithm1Capped => {
-                let cap = caps.as_ref().expect("computed above")[index];
-                algorithm1_capped_scaled(curve, q, cap, factor)?.map(|b| b.total_delay)
+                algorithm1_capped_scaled(curve, q, caps[index], factor)?.map(|b| b.total_delay)
             }
         };
         wcets.push(total.map(|delay| task.wcet() + delay));
@@ -233,77 +193,43 @@ fn inflate_with(
     Ok(Inflation { wcets, method })
 }
 
-/// The Eq. 5-inflated copy of the task set under fixed-priority preemption
-/// caps: `C′i = Ci + delay bound`, or `None` when any task's bound diverges
-/// (the set is unschedulable under that method).
+/// `tasks` with the inflated WCETs, or `None` when any bound diverged.
+fn with_inflated_wcets(
+    tasks: &TaskSet,
+    inflation: &Inflation,
+) -> Result<Option<TaskSet>, SchedError> {
+    match inflation.finite_wcets() {
+        Some(wcets) => tasks.with_wcets(&wcets).map(Some),
+        None => Ok(None),
+    }
+}
+
+/// The Eq. 5-inflated copy of the task set: `C′i = Ci + delay bound`, or
+/// `None` when any task's bound diverges (the set is unschedulable under
+/// that method). `caps` is the preemption-cap rule for
+/// [`DelayMethod::Algorithm1Capped`] — [`preemption_caps`] under fixed
+/// priority, [`preemption_caps_edf`] under EDF or global scheduling — and is
+/// not evaluated for the other methods.
 ///
-/// This is the reusable half of [`fp_schedulable_with_delay`]: multicore
-/// analyses inflate once and then run their own (per-core or global) test
-/// on the result.
+/// This is the reusable half of [`fp_schedulable_with_delay`] and
+/// [`edf_schedulable_with_delay`]: multicore analyses inflate once and then
+/// run their own (per-core or global) test on the result.
 ///
 /// # Errors
 ///
-/// As [`inflate_wcets`].
+/// As [`inflate_wcets`], plus [`SchedError::InvalidTask`] when `caps`
+/// returns a cap count other than the task count.
 pub fn inflated_taskset(
     tasks: &TaskSet,
     method: DelayMethod,
+    caps: fn(&TaskSet) -> Vec<usize>,
 ) -> Result<Option<TaskSet>, SchedError> {
-    inflated_taskset_scaled(tasks, method, 1.0)
-}
-
-/// [`inflated_taskset`] under the lazy scale view (see
-/// [`inflate_wcets_scaled`]).
-///
-/// # Errors
-///
-/// As [`inflated_taskset`].
-pub fn inflated_taskset_scaled(
-    tasks: &TaskSet,
-    method: DelayMethod,
-    factor: f64,
-) -> Result<Option<TaskSet>, SchedError> {
-    let inflation = inflate_wcets_scaled(tasks, method, factor)?;
-    match inflation.finite_wcets() {
-        Some(wcets) => tasks.with_wcets(&wcets).map(Some),
-        None => Ok(None),
-    }
-}
-
-/// [`inflated_taskset`] with caller-supplied preemption caps (only
-/// consulted for [`DelayMethod::Algorithm1Capped`]).
-///
-/// # Errors
-///
-/// As [`inflate_wcets_with_caps`].
-pub fn inflated_taskset_with_caps(
-    tasks: &TaskSet,
-    method: DelayMethod,
-    caps: &[usize],
-) -> Result<Option<TaskSet>, SchedError> {
-    inflated_taskset_with_caps_scaled(tasks, method, caps, 1.0)
-}
-
-/// [`inflated_taskset_with_caps`] under the lazy scale view (see
-/// [`inflate_wcets_scaled`]).
-///
-/// # Errors
-///
-/// As [`inflated_taskset_with_caps`].
-pub fn inflated_taskset_with_caps_scaled(
-    tasks: &TaskSet,
-    method: DelayMethod,
-    caps: &[usize],
-    factor: f64,
-) -> Result<Option<TaskSet>, SchedError> {
-    let inflation = inflate_wcets_with_caps_scaled(tasks, method, caps, factor)?;
-    match inflation.finite_wcets() {
-        Some(wcets) => tasks.with_wcets(&wcets).map(Some),
-        None => Ok(None),
-    }
+    with_inflated_wcets(tasks, &inflate(tasks, method, caps, 1.0)?)
 }
 
 /// Fixed-priority floating-NPR schedulability with delay-inflated WCETs
-/// (tasks in priority order).
+/// (tasks in priority order; [`DelayMethod::Algorithm1Capped`] uses
+/// [`preemption_caps`]).
 ///
 /// Returns `false` when any inflation diverges.
 ///
@@ -311,33 +237,19 @@ pub fn inflated_taskset_with_caps_scaled(
 ///
 /// As [`inflate_wcets`] and the underlying RTA.
 pub fn fp_schedulable_with_delay(tasks: &TaskSet, method: DelayMethod) -> Result<bool, SchedError> {
-    fp_schedulable_with_delay_scaled(tasks, method, 1.0)
-}
-
-/// [`fp_schedulable_with_delay`] with every delay curve scaled by `factor`
-/// on the fly — the sensitivity-bisection probe
-/// ([`crate::delay_tolerance`]), decision-identical to materializing
-/// [`crate::scale_delay_curves`] first.
-///
-/// # Errors
-///
-/// As [`fp_schedulable_with_delay`].
-pub fn fp_schedulable_with_delay_scaled(
-    tasks: &TaskSet,
-    method: DelayMethod,
-    factor: f64,
-) -> Result<bool, SchedError> {
-    let Some(inflated) = inflated_taskset_scaled(tasks, method, factor)? else {
+    let Some(inflated) = inflated_taskset(tasks, method, preemption_caps)? else {
         return Ok(false);
     };
     Ok(rta_floating_npr(&inflated)?.schedulable())
 }
 
-/// The full RTA behind [`fp_schedulable_with_delay_scaled`], optionally
-/// **warm-started** from a previous probe's response times — the
-/// [`crate::delay_tolerance`] bisection primitive. `None` when any
-/// inflation diverges (the set is unschedulable under the method before the
-/// RTA even runs).
+/// The full fixed-priority RTA with every delay curve scaled by `factor`
+/// on the fly, optionally **warm-started** from a previous probe's
+/// response times — the [`crate::delay_tolerance`] bisection primitive,
+/// decision-identical to materializing [`crate::scale_delay_curves`] and
+/// running [`fp_schedulable_with_delay`]. `None` when any inflation
+/// diverges (the set is unschedulable under the method before the RTA even
+/// runs).
 ///
 /// `warm` carries per-task response times from a probe at a *smaller or
 /// equal* scale factor; inflated WCETs grow with the factor, so those times
@@ -348,14 +260,16 @@ pub fn fp_schedulable_with_delay_scaled(
 ///
 /// # Errors
 ///
-/// As [`fp_schedulable_with_delay_scaled`], plus validation of `warm`.
-pub fn fp_rta_with_delay_scaled(
+/// As [`fp_schedulable_with_delay`], plus an error for a negative or
+/// non-finite `factor` and validation of `warm`.
+pub(crate) fn fp_rta_with_delay_scaled(
     tasks: &TaskSet,
     method: DelayMethod,
     factor: f64,
     warm: Option<&[f64]>,
 ) -> Result<Option<RtaResult>, SchedError> {
-    let Some(inflated) = inflated_taskset_scaled(tasks, method, factor)? else {
+    let inflation = inflate(tasks, method, preemption_caps, factor)?;
+    let Some(inflated) = with_inflated_wcets(tasks, &inflation)? else {
         return Ok(None);
     };
     // Blocking terms depend only on the `Qi`s, which inflation leaves
@@ -368,7 +282,10 @@ pub fn fp_rta_with_delay_scaled(
     Ok(Some(rta))
 }
 
-/// EDF floating-NPR schedulability with delay-inflated WCETs.
+/// EDF floating-NPR schedulability with delay-inflated WCETs
+/// ([`DelayMethod::Algorithm1Capped`] uses [`preemption_caps_edf`]: under
+/// EDF every other task's releases can preempt, not just the
+/// higher-indexed ones).
 ///
 /// Returns `false` when any inflation diverges.
 ///
@@ -379,29 +296,7 @@ pub fn edf_schedulable_with_delay(
     tasks: &TaskSet,
     method: DelayMethod,
 ) -> Result<bool, SchedError> {
-    edf_schedulable_with_delay_scaled(tasks, method, 1.0)
-}
-
-/// [`edf_schedulable_with_delay`] under the lazy scale view (see
-/// [`fp_schedulable_with_delay_scaled`]).
-///
-/// # Errors
-///
-/// As [`edf_schedulable_with_delay`].
-pub fn edf_schedulable_with_delay_scaled(
-    tasks: &TaskSet,
-    method: DelayMethod,
-    factor: f64,
-) -> Result<bool, SchedError> {
-    // Under EDF the preemption cap counts every other task's releases, not
-    // just the higher-indexed ones.
-    let inflated = match method {
-        DelayMethod::Algorithm1Capped => {
-            inflated_taskset_with_caps_scaled(tasks, method, &preemption_caps_edf(tasks), factor)?
-        }
-        _ => inflated_taskset_scaled(tasks, method, factor)?,
-    };
-    let Some(inflated) = inflated else {
+    let Some(inflated) = inflated_taskset(tasks, method, preemption_caps_edf)? else {
         return Ok(false);
     };
     edf_schedulable_with_npr(&inflated)
@@ -536,8 +431,31 @@ mod tests {
         if plain {
             assert!(capped, "EDF capped must accept whatever plain accepts");
         }
-        // And the explicit-caps API validates lengths.
-        assert!(inflate_wcets_with_caps(&ts, DelayMethod::Algorithm1Capped, &[1]).is_err());
+        // And a cap rule must return one cap per task.
+        assert!(inflated_taskset(&ts, DelayMethod::Algorithm1Capped, |_| vec![1]).is_err());
+    }
+
+    #[test]
+    fn edf_capped_charges_every_other_task() {
+        // τ0 pays 3.5 per window. The fixed-priority rule leaves it
+        // uninflated (nothing above it: cap 0); under EDF τ1's releases
+        // preempt it too (cap ⌊20/20⌋ + 1 = 2), so it pays 2 × 3.5. τ1's
+        // curve is flat zero, so it is never inflated.
+        let ts = TaskSet::new(vec![
+            curved_task(10.0, 20.0, 4.0, 3.5),
+            curved_task(9.0, 20.0, 4.0, 0.0),
+        ])
+        .unwrap();
+        assert_eq!(preemption_caps(&ts)[0], 0);
+        assert_eq!(preemption_caps_edf(&ts)[0], 2);
+        let method = DelayMethod::Algorithm1Capped;
+        let fp_capped = inflated_taskset(&ts, method, preemption_caps)
+            .unwrap()
+            .expect("converges");
+        assert_eq!(fp_capped.task(0).wcet(), 10.0);
+        // Demand at t = 20: 10 + 9 fits; 17 + 9 does not.
+        assert!(edf_schedulable_with_npr(&fp_capped).unwrap());
+        assert!(!edf_schedulable_with_delay(&ts, method).unwrap());
     }
 
     #[test]
@@ -582,35 +500,31 @@ mod tests {
             curved_task(10.0, 120.0, 4.0, 2.5),
         ])
         .unwrap();
+        let rules: [fn(&TaskSet) -> Vec<usize>; 2] = [preemption_caps, preemption_caps_edf];
         for method in [
             DelayMethod::Eq4,
             DelayMethod::Algorithm1,
             DelayMethod::Algorithm1Capped,
         ] {
             for factor in [0.0, 0.25, 1.0, 1.7] {
-                let lazy = inflate_wcets_scaled(&ts, method, factor).unwrap();
-                let eager =
-                    inflate_wcets(&scale_delay_curves(&ts, factor).unwrap(), method).unwrap();
-                assert_eq!(lazy.wcets, eager.wcets, "{method:?} @ {factor}");
+                let materialized = scale_delay_curves(&ts, factor).unwrap();
+                for caps in rules {
+                    let lazy = inflate(&ts, method, caps, factor).unwrap();
+                    let eager = inflate(&materialized, method, caps, 1.0).unwrap();
+                    assert_eq!(lazy.wcets, eager.wcets, "{method:?} @ {factor}");
+                }
                 assert_eq!(
-                    fp_schedulable_with_delay_scaled(&ts, method, factor).unwrap(),
-                    fp_schedulable_with_delay(&scale_delay_curves(&ts, factor).unwrap(), method)
+                    fp_rta_with_delay_scaled(&ts, method, factor, None)
                         .unwrap()
-                );
-                assert_eq!(
-                    edf_schedulable_with_delay_scaled(&ts, method, factor).unwrap(),
-                    edf_schedulable_with_delay(&scale_delay_curves(&ts, factor).unwrap(), method)
-                        .unwrap()
+                        .is_some_and(|rta| rta.schedulable()),
+                    fp_schedulable_with_delay(&materialized, method).unwrap()
                 );
             }
         }
-        // Factor 1.0 is the identity: bit-identical to the unscaled path.
-        let plain = inflate_wcets(&ts, DelayMethod::Algorithm1).unwrap();
-        let unit = inflate_wcets_scaled(&ts, DelayMethod::Algorithm1, 1.0).unwrap();
-        assert_eq!(plain, unit);
         // Malformed factors are rejected.
-        assert!(inflate_wcets_scaled(&ts, DelayMethod::Algorithm1, -1.0).is_err());
-        assert!(inflate_wcets_scaled(&ts, DelayMethod::Algorithm1, f64::NAN).is_err());
+        let caps = preemption_caps;
+        assert!(inflate(&ts, DelayMethod::Algorithm1, caps, -1.0).is_err());
+        assert!(inflate(&ts, DelayMethod::Algorithm1, caps, f64::NAN).is_err());
     }
 
     #[test]

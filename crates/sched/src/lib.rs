@@ -13,8 +13,10 @@
 //!   processor-demand tests;
 //! * [`max_npr_lengths_edf`] / [`max_npr_lengths_fp`] — the `Qi`
 //!   determination the paper cites;
-//! * [`inflate_wcets`] and friends — Eq. 5 inflation via Algorithm 1 or the
-//!   Eq. 4 baseline, closing the loop from delay curves to accept/reject.
+//! * [`inflate_wcets`], [`inflated_taskset`], [`fp_schedulable_with_delay`]
+//!   and [`edf_schedulable_with_delay`] — Eq. 5 inflation via Algorithm 1
+//!   or the Eq. 4 baseline, closing the loop from delay curves to
+//!   accept/reject.
 //!
 //! # Example: the full loop
 //!
@@ -69,11 +71,8 @@ pub use edf::{
 };
 pub use error::SchedError;
 pub use inflate::{
-    edf_schedulable_with_delay, edf_schedulable_with_delay_scaled, fp_schedulable_with_delay,
-    fp_schedulable_with_delay_scaled, inflate_wcets, inflate_wcets_scaled, inflate_wcets_with_caps,
-    inflate_wcets_with_caps_scaled, inflated_taskset, inflated_taskset_scaled,
-    inflated_taskset_with_caps, inflated_taskset_with_caps_scaled, preemption_caps,
-    preemption_caps_edf, DelayMethod, Inflation,
+    edf_schedulable_with_delay, fp_schedulable_with_delay, inflate_wcets, inflated_taskset,
+    preemption_caps, preemption_caps_edf, DelayMethod, Inflation,
 };
 pub use npr::{blocking_tolerances_fp, max_npr_lengths_edf, max_npr_lengths_fp, NprBounds};
 pub use priority::{audsley_floating_npr, Assignment};

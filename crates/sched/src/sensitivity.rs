@@ -243,16 +243,17 @@ mod tests {
     /// branch sequence are the same) for every method.
     #[test]
     fn warm_started_bisection_matches_the_cold_path() {
-        use crate::inflate::fp_schedulable_with_delay_scaled;
-
         fn cold_tolerance(
             tasks: &TaskSet,
             method: DelayMethod,
             upper: f64,
             precision: f64,
         ) -> DelayTolerance {
-            let accepts =
-                |scale: f64| fp_schedulable_with_delay_scaled(tasks, method, scale).unwrap();
+            let accepts = |scale: f64| {
+                fp_rta_with_delay_scaled(tasks, method, scale, None)
+                    .unwrap()
+                    .is_some_and(|rta| rta.schedulable())
+            };
             if !accepts(0.0) {
                 return DelayTolerance {
                     max_scale: 0.0,
