@@ -163,6 +163,8 @@ pub fn grid_points(params: &CfgParams) -> Vec<GridPoint> {
 }
 
 /// Runs the full grid on `threads` workers, in [`grid_points`] order.
+/// Each thread claims the `Qi` points of one (shape, geometry) as a run,
+/// so that geometry's curves are derived by one thread, once.
 ///
 /// # Errors
 ///
@@ -175,7 +177,8 @@ pub fn run(
     store: Option<&ResultStore>,
 ) -> Result<Vec<CfgPoint>, CampaignError> {
     let grid = grid_points(params);
-    parallel_map(grid.len(), threads, |i| {
+    let run = NonZeroUsize::new(params.q_scales.len()).unwrap_or(NonZeroUsize::MIN);
+    parallel_map(grid.len(), threads, run, |i| {
         compute_grid_point(params, campaign_seed, grid[i], engine, store)
     })
 }
@@ -607,6 +610,19 @@ reload_cost = [10.0]
         let bounds = engine.bound_memo.stats();
         assert_eq!(bounds.misses + bounds.hits, 16);
         assert!(bounds.misses >= 8, "distinct q_scales cannot collide");
+    }
+
+    #[test]
+    fn curve_misses_do_not_depend_on_threads() {
+        // Each (shape, geometry) run is claimed whole, so no two threads
+        // derive the same curve. Program misses are not pinned: two runs
+        // of one shape may still build its programs at the same time.
+        let params = small_params();
+        for n in [1, 2, 8] {
+            let engine = CfgEngine::new();
+            let _ = run(&params, 7, threads(n), &engine, None).unwrap();
+            assert_eq!(engine.curve_memo.stats().misses, 8, "{n} threads");
+        }
     }
 
     #[test]

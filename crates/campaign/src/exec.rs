@@ -7,6 +7,14 @@
 //! thread), and results land in a slot vector indexed by shard. The
 //! aggregate output is therefore bit-identical at every thread count; only
 //! wall-clock changes.
+//!
+//! Shards are claimed in *runs* of consecutive indices, one run per cursor
+//! step, and the claiming thread computes its run in order. A workload
+//! whose adjacent shards share memoized work (the `[cfg]` Q points of one
+//! program shape and cache geometry share their delay curves) passes that
+//! group's size as the run length, so one thread derives the shared values
+//! while the others claim other groups, instead of two threads racing to
+//! compute the same memo entry.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -88,8 +96,11 @@ fn build_meter(count: usize) -> Option<ProgressMeter> {
 }
 
 /// Runs `work(i)` for every `i in 0..count` on `threads` workers and
-/// returns the results in index order. `work` failures abort the map at the
-/// first error (already-claimed shards still finish).
+/// returns the results in index order. Each cursor step claims a run of
+/// `run` consecutive shards (the last run may be shorter), which the
+/// claiming thread computes in index order. `work` failures abort the map
+/// at the first error (already-claimed runs still finish, each up to its
+/// own first failing shard).
 ///
 /// # Errors
 ///
@@ -98,13 +109,19 @@ fn build_meter(count: usize) -> Option<ProgressMeter> {
 /// # Panics
 ///
 /// Propagates panics from `work` (the scope re-raises them on join).
-pub fn parallel_map<T, E, F>(count: usize, threads: NonZeroUsize, work: F) -> Result<Vec<T>, E>
+pub fn parallel_map<T, E, F>(
+    count: usize,
+    threads: NonZeroUsize,
+    run: NonZeroUsize,
+    work: F,
+) -> Result<Vec<T>, E>
 where
     T: Send,
     E: Send,
     F: Fn(usize) -> Result<T, E> + Sync,
 {
-    let threads = threads.get().min(count.max(1));
+    let run = run.get();
+    let threads = threads.get().min(count.div_ceil(run).max(1));
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<Result<T, E>>>> = (0..count).map(|_| Mutex::new(None)).collect();
     let failed = AtomicUsize::new(usize::MAX);
@@ -127,43 +144,49 @@ where
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
-                // Check the failure flag BEFORE claiming: once a shard is
-                // claimed it must run to completion and fill its slot, or
-                // the collection loop below could find a hole beneath the
-                // lowest error.
+                // Check the failure flag BEFORE each claim, never inside a
+                // run: a claimed run must fill its slots in order up to its
+                // own first error, or the collection loop below could find
+                // a hole beneath the lowest error.
                 if failed.load(Ordering::Relaxed) != usize::MAX {
                     return;
                 }
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= count {
+                let first = cursor.fetch_add(run, Ordering::Relaxed);
+                if first >= count {
                     return;
                 }
-                claimed.incr();
-                // fnpr-lint: allow(wall_clock, "feeds the write-only shard-latency histogram, never a result")
-                let started = fnpr_obs::enabled().then(std::time::Instant::now);
-                let result = {
-                    let _span = fnpr_obs::span_shard("campaign.shard", "campaign", i as u64);
-                    work(i)
-                };
-                if let Some(started) = started {
-                    let micros = started.elapsed().as_micros() as u64;
-                    shard_micros.record(micros);
-                    if let Some(h) = point_micros {
-                        h.record(micros);
+                for (i, slot) in slots.iter().enumerate().skip(first).take(run) {
+                    claimed.incr();
+                    // fnpr-lint: allow(wall_clock, "feeds the write-only shard-latency histogram, never a result")
+                    let started = fnpr_obs::enabled().then(std::time::Instant::now);
+                    let result = {
+                        let _span = fnpr_obs::span_shard("campaign.shard", "campaign", i as u64);
+                        work(i)
+                    };
+                    if let Some(started) = started {
+                        let micros = started.elapsed().as_micros() as u64;
+                        shard_micros.record(micros);
+                        if let Some(h) = point_micros {
+                            h.record(micros);
+                        }
+                    }
+                    let stop = result.is_err();
+                    if stop {
+                        failed.fetch_min(i, Ordering::Relaxed);
+                    }
+                    *slot.lock().expect("result slot poisoned") = Some(result);
+                    retired.incr();
+                    done.incr();
+                    if let Some(meter) = &meter {
+                        meter.tick();
+                    }
+                    // Crash-resume drills: an armed kill switch aborts the
+                    // process here, mid-campaign, with shards persisted.
+                    kill_switch_tick();
+                    if stop {
+                        break;
                     }
                 }
-                if result.is_err() {
-                    failed.fetch_min(i, Ordering::Relaxed);
-                }
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
-                retired.incr();
-                done.incr();
-                if let Some(meter) = &meter {
-                    meter.tick();
-                }
-                // Crash-resume drills: an armed kill switch aborts the
-                // process here, mid-campaign, with shards persisted.
-                kill_switch_tick();
             });
         }
     });
@@ -173,10 +196,13 @@ where
         match slot.into_inner().expect("result slot poisoned") {
             Some(Ok(v)) => out.push(v),
             Some(Err(e)) => return Err(e),
-            // Every claimed shard fills its slot (the abort check precedes
-            // the claim), and the cursor hands indices out sequentially, so
-            // unfilled slots sit strictly above every filled one — the loop
-            // returns at the lowest Err before reaching any hole.
+            // A hole lies in a run that was never claimed or after the
+            // failing shard its run stopped at. The cursor hands runs out
+            // in index order, so an unclaimed run sits above every claimed
+            // one, the lowest error's included; and a claimed run stops
+            // only at its own error (the abort check precedes each claim).
+            // Either way the hole sits above an error, so the loop returns
+            // at the lowest Err before reaching any hole.
             None => unreachable!("shard {i} unprocessed without a failure"),
         }
     }
@@ -285,12 +311,20 @@ pub fn stream_key128(tag: u64, campaign_seed: u64, words: &[u64]) -> u128 {
 mod tests {
     use super::*;
 
+    fn nz(n: usize) -> NonZeroUsize {
+        NonZeroUsize::new(n).unwrap()
+    }
+
     #[test]
     fn maps_in_order_at_any_thread_count() {
-        for threads in [1usize, 2, 8] {
-            let threads = NonZeroUsize::new(threads).unwrap();
-            let out: Vec<usize> = parallel_map(100, threads, |i| Ok::<_, ()>(i * i)).unwrap();
-            assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
+        // Run lengths include one that does not divide the count and one
+        // longer than the whole map.
+        for run in [1usize, 3, 7, 150] {
+            for threads in [1usize, 2, 8] {
+                let out: Vec<usize> =
+                    parallel_map(100, nz(threads), nz(run), |i| Ok::<_, ()>(i * i)).unwrap();
+                assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
+            }
         }
     }
 
@@ -298,12 +332,20 @@ mod tests {
     fn first_error_wins() {
         // Shard 3 is always claimed before any later failing shard, and a
         // claimed shard always fills its slot: the lowest error is
-        // reported deterministically.
-        let threads = NonZeroUsize::new(4).unwrap();
-        let err =
-            parallel_map::<(), usize, _>(50, threads, |i| if i % 7 == 3 { Err(i) } else { Ok(()) })
-                .unwrap_err();
-        assert_eq!(err, 3);
+        // reported deterministically. With runs of 4, shard 3 fails after
+        // three successes in its run, and later runs fail too (shard 10
+        // mid-run in 8..12).
+        for run in [1usize, 4] {
+            let err = parallel_map::<(), usize, _>(50, nz(4), nz(run), |i| {
+                if i % 7 == 3 {
+                    Err(i)
+                } else {
+                    Ok(())
+                }
+            })
+            .unwrap_err();
+            assert_eq!(err, 3, "run {run}");
+        }
     }
 
     #[test]
@@ -336,9 +378,10 @@ mod tests {
 
     #[test]
     fn empty_map_is_fine() {
-        let threads = NonZeroUsize::new(2).unwrap();
-        let out: Vec<u8> = parallel_map(0, threads, |_| Ok::<_, ()>(0)).unwrap();
-        assert!(out.is_empty());
+        for run in [1usize, 5] {
+            let out: Vec<u8> = parallel_map(0, nz(2), nz(run), |_| Ok::<_, ()>(0)).unwrap();
+            assert!(out.is_empty());
+        }
     }
 
     #[test]

@@ -88,7 +88,7 @@ pub fn run(
     store: Option<&ResultStore>,
 ) -> Result<Vec<MulticorePoint>, CampaignError> {
     let grid = grid(params);
-    parallel_map(grid.len(), threads, |i| {
+    parallel_map(grid.len(), threads, NonZeroUsize::MIN, |i| {
         compute_grid_point(params, campaign_seed, grid[i], engine, store)
     })
 }

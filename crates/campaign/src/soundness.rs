@@ -74,7 +74,7 @@ pub fn run(
     store: Option<&ResultStore>,
 ) -> Result<Vec<SoundnessShard>, CampaignError> {
     let shard_count = params.trials.div_ceil(params.trials_per_shard);
-    parallel_map(shard_count, threads, |shard| {
+    parallel_map(shard_count, threads, NonZeroUsize::MIN, |shard| {
         compute_shard(params, campaign_seed, shard, engine, store)
     })
 }

@@ -115,8 +115,20 @@ deadline_factor = [1.0, 1.0]
 }
 
 fn arb_cfg_spec() -> impl Strategy<Value = CampaignSpec> {
-    (0u64..1000, 2usize..5, 1usize..4, 0u64..17, 0.2f64..0.9).prop_map(
-        |(seed, programs, depth, footprint, q)| {
+    (
+        0u64..1000,               // seed
+        2usize..5,                // programs per point
+        1usize..4,                // depth
+        0u64..17,                 // footprint
+        (0.2f64..0.4, 1usize..4), // q_scales: first value, count
+    )
+        .prop_map(|(seed, programs, depth, footprint, (q, q_count))| {
+            // 1-3 distinct q_scales, so the executor claims runs longer
+            // than one shard (one run per shape and geometry).
+            let qs = (0..q_count)
+                .map(|k| format!("{:.4}", q + 0.25 * k as f64))
+                .collect::<Vec<_>>()
+                .join(", ");
             CampaignSpec::parse(&format!(
                 r#"
 name = "prop-cfg"
@@ -128,7 +140,7 @@ programs_per_point = {programs}
 depths = [{depth}]
 loop_iterations = [3]
 footprints = [{footprint}]
-q_scales = {{ values = [{q:.4}] }}
+q_scales = {{ values = [{qs}] }}
 sets = [16, 64]
 associativity = [1]
 line_bytes = [16]
@@ -136,8 +148,7 @@ reload_cost = [10.0]
 "#
             ))
             .expect("template parses")
-        },
-    )
+        })
 }
 
 /// Builds the acceptance spec used by the store-extension property.
