@@ -17,8 +17,7 @@ use fnpr_multicore::{
 };
 use fnpr_sched::{Task, TaskSet};
 use fnpr_sim::{
-    check_multicore_against_algorithm1, simulate_multicore, MultiSimConfig, PreemptionMode,
-    PriorityPolicy, Scenario,
+    check_against_algorithm1, simulate, PreemptionMode, PriorityPolicy, Scenario, SimConfig,
 };
 use fnpr_synth::{
     random_taskset_multicore, with_npr_and_curves, with_npr_and_curves_global, Policy,
@@ -426,21 +425,21 @@ fn simulate_instance(
         let max_period = tasks.iter().map(Task::period).fold(0.0f64, f64::max);
         let horizon = max_period * params.sim_horizon_factor;
         let scenario = Scenario::sporadic(tasks, 0.5, horizon, &mut rng);
-        let config = MultiSimConfig {
+        let config = SimConfig {
             cores,
             policy,
             mode: PreemptionMode::FloatingNpr,
             horizon: f64::INFINITY,
             collect_trace: false,
         };
-        let result = simulate_multicore(&scenario, &config);
+        let result = simulate(&scenario, &config);
         out.sim_jobs += result.jobs.len();
         out.sim_migrations += result.total_migrations();
         for (i, task) in tasks.iter().enumerate() {
             let (Some(q), Some(curve)) = (task.q(), task.delay_curve()) else {
                 continue;
             };
-            let check = check_multicore_against_algorithm1(&result, i, curve, q)
+            let check = check_against_algorithm1(&result, i, curve, q)
                 .map_err(|e| CampaignError::Analysis(format!("sim check: {e:?}")))?;
             out.sim_checks += 1;
             if !check.holds {

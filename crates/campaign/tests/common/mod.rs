@@ -14,6 +14,9 @@ pub fn scratch_dir(label: &str) -> PathBuf {
         std::process::id(),
         N.fetch_add(1, Ordering::Relaxed)
     ));
+    // A directory an earlier process with the same pid left behind would
+    // otherwise hand its store to this test.
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }

@@ -12,7 +12,7 @@ use fnpr_multicore::{
     partitioned_schedulable_with_delay, Heuristic,
 };
 use fnpr_sched::{inflated_taskset, preemption_caps, DelayMethod, Task, TaskSet};
-use fnpr_sim::{check_multicore_against_algorithm1, simulate_multicore, MultiSimConfig, Scenario};
+use fnpr_sim::{check_against_algorithm1, simulate, PriorityPolicy, Scenario, SimConfig};
 use fnpr_synth::{random_taskset_multicore, with_npr_and_curves_global, Policy, TaskSetParams};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -88,18 +88,25 @@ fn feasible_fixture_simulates_cleanly_on_two_cores() {
     let tasks = feasible_fixture();
     let mut rng = StdRng::seed_from_u64(2012);
     let scenario = Scenario::sporadic(&tasks, 0.4, 400.0, &mut rng);
+    let fp = SimConfig {
+        cores: 2,
+        ..SimConfig::floating_npr_fp(1e9)
+    };
     for config in [
-        MultiSimConfig::floating_npr_fp(2, 1e9),
-        MultiSimConfig::floating_npr_edf(2, 1e9),
+        fp,
+        SimConfig {
+            policy: PriorityPolicy::Edf,
+            ..fp
+        },
     ] {
-        let result = simulate_multicore(&scenario, &config);
+        let result = simulate(&scenario, &config);
         assert!(
             result.all_deadlines_met(),
             "the analytically accepted fixture missed a deadline in simulation"
         );
         // Theorem 1 per job: observed cumulative delay within the bound.
         for (i, task) in tasks.iter().enumerate() {
-            let check = check_multicore_against_algorithm1(
+            let check = check_against_algorithm1(
                 &result,
                 i,
                 task.delay_curve().unwrap(),

@@ -29,6 +29,10 @@ pub(crate) struct JobState {
     pub start: Option<f64>,
     /// Completion time.
     pub completion: Option<f64>,
+    /// Core the job last ran on.
+    pub last_core: Option<usize>,
+    /// Times the job resumed on a different core than it last ran on.
+    pub migrations: u32,
 }
 
 impl JobState {
@@ -45,6 +49,8 @@ impl JobState {
             preemptions: 0,
             start: None,
             completion: None,
+            last_core: None,
+            migrations: 0,
         }
     }
 
@@ -74,9 +80,7 @@ impl JobState {
         self.completion = Some(at);
     }
 
-    /// Snapshot for the result set. Migrations are a multicore concept; the
-    /// unicore engine leaves them 0 and [`crate::simulate_multicore`] fills
-    /// them in from its per-core bookkeeping.
+    /// Snapshot for the result set.
     pub(crate) fn record(&self) -> JobRecord {
         JobRecord {
             id: self.id,
@@ -88,7 +92,7 @@ impl JobState {
             completion: self.completion,
             preemptions: self.preemptions,
             cumulative_delay: self.cumulative_delay,
-            migrations: 0,
+            migrations: self.migrations,
         }
     }
 }
@@ -114,8 +118,8 @@ pub struct JobRecord {
     pub preemptions: u32,
     /// Total preemption delay charged.
     pub cumulative_delay: f64,
-    /// Times the job resumed on a different core than it last ran on
-    /// (always 0 on the unicore engine).
+    /// Times the job resumed on a different core than it last ran on (0
+    /// when `cores = 1`).
     pub migrations: u32,
 }
 

@@ -1,14 +1,13 @@
 //! # fnpr-sim — discrete-event scheduler simulator
 //!
-//! An executable model of the paper's system: a unicore processor running
-//! sporadic jobs under fixed-priority or EDF scheduling, with fully
-//! preemptive, non-preemptive or **floating non-preemptive region**
-//! preemption handling, and preemption delays drawn from each task's
-//! `fi(t)` at the *actual progress point* of each preemption. The
-//! [`simulate_multicore`] engine extends the model to `m` identical cores
-//! under global dispatching, with per-core floating-NPR state and
-//! migration accounting (and reproduces the unicore engine exactly at
-//! `m = 1`).
+//! An executable model of the paper's system: sporadic jobs under
+//! fixed-priority or EDF scheduling, with fully preemptive, non-preemptive
+//! or **floating non-preemptive region** preemption handling, and
+//! preemption delays drawn from each task's `fi(t)` at the *actual
+//! progress point* of each preemption. One event loop, [`simulate`], runs
+//! the paper's unicore processor at [`SimConfig::cores`] = 1 and extends
+//! the model to `m` identical cores under global dispatching, with
+//! per-core floating-NPR state and migration accounting.
 //!
 //! Its purpose is validation and demonstration:
 //!
@@ -48,7 +47,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-mod engine;
 mod job;
 mod metrics;
 mod multi;
@@ -58,17 +56,17 @@ mod scenario;
 mod trace;
 mod validate;
 
-pub use engine::{simulate, SimResult};
 pub use job::JobRecord;
-pub use metrics::{
-    per_task_metrics, per_task_metrics_jobs, run_metrics, run_metrics_jobs, RunMetrics, TaskMetrics,
-};
-pub use multi::{simulate_multicore, MultiSimConfig, MultiSimResult, MultiTraceEvent};
+pub use metrics::{per_task_metrics, run_metrics, RunMetrics, TaskMetrics};
+pub use multi::{simulate, SimResult};
 pub use policy::{PreemptionMode, PriorityPolicy, SimConfig};
 pub use render::render_timeline;
 pub use scenario::{AdversaryPlan, Scenario, SimTask};
 pub use trace::TraceEvent;
-pub use validate::{
-    check_against_algorithm1, check_jobs_against_algorithm1, check_multicore_against_algorithm1,
-    BoundCheck,
-};
+pub use validate::{check_against_algorithm1, BoundCheck};
+
+// Former m-core names, kept for existing callers.
+pub use multi::simulate as simulate_multicore;
+pub use validate::check_against_algorithm1 as check_multicore_against_algorithm1;
+/// [`SimConfig`] under its former m-core name.
+pub type MultiSimConfig = SimConfig;

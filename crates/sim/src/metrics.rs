@@ -2,8 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::engine::SimResult;
-use crate::job::JobRecord;
+use crate::multi::SimResult;
 
 /// Aggregates for one task across a run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -18,7 +17,7 @@ pub struct TaskMetrics {
     pub misses: usize,
     /// Total preemptions across all jobs.
     pub preemptions: u64,
-    /// Total migrations across all jobs (0 on unicore runs).
+    /// Total migrations across all jobs (0 when `cores = 1`).
     pub migrations: u64,
     /// Total preemption delay charged.
     pub total_delay: f64,
@@ -31,13 +30,6 @@ pub struct TaskMetrics {
 /// Computes per-task metrics for every task index present in the result.
 #[must_use]
 pub fn per_task_metrics(result: &SimResult, task_count: usize) -> Vec<TaskMetrics> {
-    per_task_metrics_jobs(&result.jobs, task_count)
-}
-
-/// [`per_task_metrics`] over a raw job slice (shared by the unicore and
-/// multicore result types).
-#[must_use]
-pub fn per_task_metrics_jobs(jobs: &[JobRecord], task_count: usize) -> Vec<TaskMetrics> {
     (0..task_count)
         .map(|task| {
             let mut m = TaskMetrics {
@@ -51,7 +43,7 @@ pub fn per_task_metrics_jobs(jobs: &[JobRecord], task_count: usize) -> Vec<TaskM
                 max_job_delay: 0.0,
                 max_response: None,
             };
-            for job in jobs.iter().filter(|j| j.task == task) {
+            for job in result.of_task(task) {
                 m.jobs += 1;
                 m.preemptions += u64::from(job.preemptions);
                 m.migrations += u64::from(job.migrations);
@@ -80,7 +72,7 @@ pub struct RunMetrics {
     pub jobs: usize,
     /// Total preemptions.
     pub preemptions: u64,
-    /// Total migrations (0 on unicore runs).
+    /// Total migrations (0 when `cores = 1`).
     pub migrations: u64,
     /// Total preemption delay.
     pub total_delay: f64,
@@ -91,21 +83,14 @@ pub struct RunMetrics {
 /// Computes the whole-run summary.
 #[must_use]
 pub fn run_metrics(result: &SimResult) -> RunMetrics {
-    run_metrics_jobs(&result.jobs)
-}
-
-/// [`run_metrics`] over a raw job slice (shared by the unicore and
-/// multicore result types).
-#[must_use]
-pub fn run_metrics_jobs(jobs: &[JobRecord]) -> RunMetrics {
     let mut m = RunMetrics {
-        jobs: jobs.len(),
+        jobs: result.jobs.len(),
         preemptions: 0,
         migrations: 0,
         total_delay: 0.0,
         misses: 0,
     };
-    for job in jobs {
+    for job in &result.jobs {
         m.preemptions += u64::from(job.preemptions);
         m.migrations += u64::from(job.migrations);
         m.total_delay += job.cumulative_delay;
@@ -119,7 +104,7 @@ pub fn run_metrics_jobs(jobs: &[JobRecord]) -> RunMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::simulate;
+    use crate::multi::simulate;
     use crate::policy::SimConfig;
     use crate::scenario::{Scenario, SimTask};
     use fnpr_core::DelayCurve;

@@ -1,10 +1,15 @@
-//! The discrete-event **multicore** scheduler: `m` identical cores under
-//! global fixed-priority or global EDF dispatching, with the same three
-//! preemption modes as the unicore engine.
+//! The discrete-event scheduler: `m` identical cores under global
+//! fixed-priority or global EDF dispatching, fully preemptive,
+//! non-preemptive or with floating non-preemptive regions. One core is the
+//! paper's unicore model.
 //!
-//! Semantics (extending the unicore engine's, which this reproduces exactly
-//! at `cores = 1`):
+//! Semantics (the paper's Section III, extended to `m` cores):
 //!
+//! * a job's *execution clock* advances only while it holds a core;
+//!   outstanding preemption delay is serviced before useful progress
+//!   resumes;
+//! * a preemption of job `J` at progress `p` charges `fJ(p)` extra execution
+//!   (added to `J`'s outstanding delay at the preemption instant);
 //! * the dispatcher keeps the `m` highest-eligibility ready jobs running;
 //!   an idle core always takes the best ready job (migrating it if it last
 //!   ran elsewhere — migrations are counted per job and traced);
@@ -13,164 +18,46 @@
 //!   outranks the lowest-eligibility running job that job is preempted;
 //!   under [`PreemptionMode::FloatingNpr`], every ready job outranking a
 //!   running job has a preemption scheduled — an already-active region
-//!   covers one waiter (best first; further waiters are collated, exactly
-//!   like the unicore engine), and each uncovered waiter arms a region of
-//!   the running task's `Q` on the lowest-eligibility region-free core it
-//!   outranks;
-//! * at region expiry the core's job is preempted only if some ready job
-//!   outranks it; the freed core is then refilled by the dispatcher (with
-//!   the globally best ready job, which may differ from the waiter that
-//!   armed the region);
+//!   covers one waiter (best first; further waiters are collated into the
+//!   active regions), and each uncovered waiter arms a region of the
+//!   running task's `Q` on the lowest-eligibility region-free core it
+//!   outranks (a task without a `Q` is preempted at once instead);
+//! * a region lives `Q` of its job's execution clock (equivalently wall
+//!   clock, since the job runs throughout) and dies if the job completes
+//!   first; at expiry the core's job is preempted only if some ready job
+//!   outranks it, and the freed core goes to the globally best ready job
+//!   (which may differ from the waiter that armed the region);
 //! * event ordering within one instant: completions, then releases, then
-//!   region expiries — the unicore contract.
+//!   region expiries. A release coinciding with a dispatch is seen by the
+//!   dispatcher (the worst-case "release at the exact start" of the paper
+//!   is approached by releases strictly inside the running interval).
 //!
 //! Because a region only arms while its job runs, lives `Q` of that job's
 //! execution clock, and dies at preemption or completion, every job's
 //! delay progression satisfies the same spacing as on one core — so the
-//! paper's Theorem 1 bound applies per job unchanged, and
-//! [`crate::check_multicore_against_algorithm1`] validates it empirically.
+//! paper's Theorem 1 bound applies per job at any core count, and
+//! [`crate::check_against_algorithm1`] validates it empirically.
 
 use serde::{Deserialize, Serialize};
 
 use crate::job::{JobRecord, JobState};
-use crate::policy::{PreemptionMode, PriorityPolicy};
+use crate::policy::{PreemptionMode, PriorityPolicy, SimConfig};
 use crate::scenario::Scenario;
+use crate::trace::TraceEvent;
 
 /// Hard cap on processed events (defensive against degenerate scenarios).
 const MAX_EVENTS: usize = 50_000_000;
 
-/// Configuration of a multicore run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MultiSimConfig {
-    /// Number of identical cores (`m >= 1`).
-    pub cores: usize,
-    /// Priority ordering.
-    pub policy: PriorityPolicy,
-    /// Preemption handling.
-    pub mode: PreemptionMode,
-    /// Simulation horizon: releases beyond it are ignored.
-    pub horizon: f64,
-    /// Record a full event trace (costs memory on long runs).
-    pub collect_trace: bool,
-}
-
-impl MultiSimConfig {
-    /// Global floating-NPR fixed-priority configuration on `m` cores.
-    #[must_use]
-    pub fn floating_npr_fp(cores: usize, horizon: f64) -> Self {
-        Self {
-            cores,
-            policy: PriorityPolicy::FixedPriority,
-            mode: PreemptionMode::FloatingNpr,
-            horizon,
-            collect_trace: false,
-        }
-    }
-
-    /// Global floating-NPR EDF configuration on `m` cores.
-    #[must_use]
-    pub fn floating_npr_edf(cores: usize, horizon: f64) -> Self {
-        Self {
-            cores,
-            policy: PriorityPolicy::Edf,
-            mode: PreemptionMode::FloatingNpr,
-            horizon,
-            collect_trace: false,
-        }
-    }
-
-    /// Enables trace collection, builder-style.
-    #[must_use]
-    pub fn with_trace(mut self) -> Self {
-        self.collect_trace = true;
-        self
-    }
-}
-
-/// One event of a multicore trace (core-annotated variants of the unicore
-/// [`crate::TraceEvent`], plus explicit migration marking on dispatch).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum MultiTraceEvent {
-    /// A job entered the ready queue.
-    Released {
-        /// Event time.
-        at: f64,
-        /// Job id.
-        job: usize,
-        /// Owning task.
-        task: usize,
-    },
-    /// A job took a core.
-    Dispatched {
-        /// Event time.
-        at: f64,
-        /// Job id.
-        job: usize,
-        /// Owning task.
-        task: usize,
-        /// Core the job now runs on.
-        core: usize,
-        /// `true` when the job last ran on a different core.
-        migrated: bool,
-    },
-    /// A release armed a floating non-preemptive region.
-    NprStarted {
-        /// Event time.
-        at: f64,
-        /// Job holding the region.
-        job: usize,
-        /// Core the region protects.
-        core: usize,
-        /// Expiry time.
-        until: f64,
-    },
-    /// A region expired (its core may or may not lose its job).
-    NprExpired {
-        /// Event time.
-        at: f64,
-        /// Core whose region expired.
-        core: usize,
-    },
-    /// A job lost its core and was charged its preemption delay.
-    Preempted {
-        /// Event time.
-        at: f64,
-        /// Job id.
-        job: usize,
-        /// Owning task.
-        task: usize,
-        /// Core the job lost.
-        core: usize,
-        /// Execution progress at preemption.
-        progress: f64,
-        /// Delay charged (`fJ(progress)`).
-        delay: f64,
-    },
-    /// A job completed.
-    Completed {
-        /// Event time.
-        at: f64,
-        /// Job id.
-        job: usize,
-        /// Owning task.
-        task: usize,
-        /// Core the job completed on.
-        core: usize,
-    },
-}
-
-/// Result of one multicore run.
+/// Result of one simulation run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MultiSimResult {
-    /// One record per job, in release order (migration counts filled in).
+pub struct SimResult {
+    /// One record per job, in release order.
     pub jobs: Vec<JobRecord>,
-    /// Event trace (empty unless [`MultiSimConfig::collect_trace`]).
-    pub trace: Vec<MultiTraceEvent>,
-    /// Number of cores simulated.
-    pub cores: usize,
+    /// Event trace (empty unless [`SimConfig::collect_trace`] was set).
+    pub trace: Vec<TraceEvent>,
 }
 
-impl MultiSimResult {
+impl SimResult {
     /// Records of one task's jobs.
     pub fn of_task(&self, task: usize) -> impl Iterator<Item = &JobRecord> {
         self.jobs.iter().filter(move |j| j.task == task)
@@ -199,138 +86,161 @@ impl MultiSimResult {
 /// range, a release time is not finite, or the event cap is exceeded (all
 /// indicate malformed generated input rather than recoverable conditions).
 #[must_use]
-pub fn simulate_multicore(scenario: &Scenario, config: &MultiSimConfig) -> MultiSimResult {
+pub fn simulate(scenario: &Scenario, config: &SimConfig) -> SimResult {
     assert!(config.cores >= 1, "need at least one core");
+    let mut jobs: Vec<JobState> = Vec::with_capacity(scenario.releases.len());
     for &(task, at) in &scenario.releases {
         assert!(task < scenario.tasks.len(), "release for unknown task");
         assert!(at.is_finite() && at >= 0.0, "bad release time {at}");
-    }
-    let mut jobs: Vec<JobState> = Vec::with_capacity(scenario.releases.len());
-    for &(task, at) in &scenario.releases {
         if at < config.horizon {
-            let spec = &scenario.tasks[task];
-            jobs.push(JobState::new(jobs.len(), task, at, spec));
+            jobs.push(JobState::new(jobs.len(), task, at, &scenario.tasks[task]));
         }
     }
-    jobs.sort_by(|a, b| a.release.total_cmp(&b.release));
-    for (k, job) in jobs.iter_mut().enumerate() {
-        job.id = k;
+    // Release order (already sorted by scenario contract; enforce anyway).
+    if !jobs.is_sorted_by(|a, b| a.release.total_cmp(&b.release).is_le()) {
+        jobs.sort_by(|a, b| a.release.total_cmp(&b.release));
+        for (k, job) in jobs.iter_mut().enumerate() {
+            job.id = k;
+        }
     }
-    let job_count = jobs.len();
 
-    let mut engine = MultiEngine {
-        scenario,
-        config,
-        jobs,
-        last_core: vec![None; job_count],
-        migrations: vec![0; job_count],
-        ready: Vec::new(),
-        running: vec![None; config.cores],
-        npr_expiry: vec![None; config.cores],
-        next_release: 0,
-        now: 0.0,
-        trace: Vec::new(),
-        events: 0,
+    // One loop for every core count. A single core lives in an inline
+    // array, so the compiler sees the core count and drops the per-core
+    // loops: the unicore model runs as fast as a loop written for it.
+    let (jobs, trace) = if config.cores == 1 {
+        Engine::new(scenario, config, jobs, [Core::IDLE]).run()
+    } else {
+        Engine::new(scenario, config, jobs, vec![Core::IDLE; config.cores]).run()
     };
-    engine.run();
-    let MultiEngine {
-        jobs,
-        migrations,
+    SimResult {
+        jobs: jobs.iter().map(JobState::record).collect(),
         trace,
-        ..
-    } = engine;
-    let jobs = jobs
-        .iter()
-        .zip(&migrations)
-        .map(|(j, &m)| {
-            let mut record = j.record();
-            record.migrations = m;
-            record
-        })
-        .collect();
-    MultiSimResult {
-        jobs,
-        trace,
-        cores: config.cores,
     }
 }
 
-struct MultiEngine<'a> {
+/// One core's state.
+#[derive(Clone, Copy)]
+struct Core {
+    /// The running job.
+    job: Option<usize>,
+    /// Expiry of the running job's floating region, while one is active.
+    npr_expiry: Option<f64>,
+    /// When the running job completes, as computed for the current event.
+    completion: f64,
+}
+
+impl Core {
+    const IDLE: Self = Self {
+        job: None,
+        npr_expiry: None,
+        completion: f64::INFINITY,
+    };
+}
+
+struct Engine<'a, C> {
     scenario: &'a Scenario,
-    config: &'a MultiSimConfig,
+    config: &'a SimConfig,
     jobs: Vec<JobState>,
-    last_core: Vec<Option<usize>>,
-    migrations: Vec<u32>,
+    /// Released jobs without a core, in increasing eligibility: the best
+    /// job is last.
     ready: Vec<usize>,
-    running: Vec<Option<usize>>,
-    npr_expiry: Vec<Option<f64>>,
+    /// One entry per core: `[Core; 1]` or `Vec<Core>`.
+    cores: C,
     next_release: usize, // index into jobs (release-sorted)
     now: f64,
-    trace: Vec<MultiTraceEvent>,
-    events: usize,
+    trace: Vec<TraceEvent>,
 }
 
-impl MultiEngine<'_> {
-    fn run(&mut self) {
-        loop {
-            self.events += 1;
-            assert!(self.events < MAX_EVENTS, "event cap exceeded");
-            self.ingest_releases();
-            self.fill_idle_cores();
-            self.enforce_preemptive();
-            self.arm_regions();
-            if self.running.iter().all(Option::is_none) {
-                if self.next_release < self.jobs.len() {
-                    self.now = self.jobs[self.next_release].release;
-                    continue;
+impl<'a, C: AsRef<[Core]> + AsMut<[Core]>> Engine<'a, C> {
+    fn new(scenario: &'a Scenario, config: &'a SimConfig, jobs: Vec<JobState>, cores: C) -> Self {
+        Self {
+            scenario,
+            config,
+            jobs,
+            ready: Vec::new(),
+            cores,
+            next_release: 0,
+            now: 0.0,
+            trace: Vec::new(),
+        }
+    }
+
+    /// Runs to the drained end and returns the jobs and the trace.
+    fn run(mut self) -> (Vec<JobState>, Vec<TraceEvent>) {
+        self.ingest_releases();
+        for _ in 1..MAX_EVENTS {
+            if !self.ready.is_empty() {
+                self.fill_idle_cores();
+                match self.config.mode {
+                    PreemptionMode::Preemptive => self.enforce_preemptive(),
+                    PreemptionMode::FloatingNpr => self.arm_regions(),
+                    PreemptionMode::NonPreemptive => {}
                 }
-                return; // drained
             }
-            // Candidate event times, all >= now.
-            let completion_times: Vec<Option<f64>> = self
-                .running
-                .iter()
-                .map(|r| r.map(|job| self.now + self.jobs[job].remaining()))
-                .collect();
-            let next_completion = completion_times
-                .iter()
-                .flatten()
-                .fold(f64::INFINITY, |a, &b| a.min(b));
+            // Candidate event times, all >= now and never NaN (plain
+            // comparisons keep the minimum off `f64::min`'s NaN path).
+            let now = self.now;
+            let mut busy = false;
+            let mut next_completion = f64::INFINITY;
+            let mut next_expiry = f64::INFINITY;
+            for core in self.cores.as_mut() {
+                if let Some(job) = core.job {
+                    busy = true;
+                    core.completion = now + self.jobs[job].remaining();
+                    if core.completion < next_completion {
+                        next_completion = core.completion;
+                    }
+                }
+                if let Some(expiry) = core.npr_expiry {
+                    if expiry < next_expiry {
+                        next_expiry = expiry;
+                    }
+                }
+            }
             let release_t = self
                 .jobs
                 .get(self.next_release)
-                .map(|j| j.release)
-                .unwrap_or(f64::INFINITY);
-            let expiry_t = self
-                .npr_expiry
-                .iter()
-                .flatten()
-                .fold(f64::INFINITY, |a, &b| a.min(b));
-            let t = next_completion.min(release_t).min(expiry_t);
-            debug_assert!(t.is_finite() && t >= self.now, "no next event");
-            for core in 0..self.config.cores {
-                if let Some(job) = self.running[core] {
-                    self.jobs[job].advance(t - self.now);
+                .map_or(f64::INFINITY, |j| j.release);
+            if !busy {
+                if release_t == f64::INFINITY {
+                    return (self.jobs, self.trace); // drained
+                }
+                self.now = release_t;
+                self.ingest_releases();
+                continue;
+            }
+            let mut t = next_completion;
+            if release_t < t {
+                t = release_t;
+            }
+            if next_expiry < t {
+                t = next_expiry;
+            }
+            debug_assert!(t.is_finite() && t >= now, "no next event");
+            for core in self.cores.as_ref() {
+                if let Some(job) = core.job {
+                    self.jobs[job].advance(t - now);
                 }
             }
             self.now = t;
-            // Completions first (exact comparison: same f64 values as the
-            // minimum candidates above).
-            for (core, completion) in completion_times.iter().enumerate() {
-                if completion.is_some_and(|c| c <= t) {
+            // Completions first (exact comparison: the same f64 values as
+            // the minimum candidates above), then releases, then expiries.
+            for core in 0..self.cores.as_ref().len() {
+                let state = self.cores.as_ref()[core];
+                if state.job.is_some() && state.completion <= t {
                     self.complete(core);
                 }
             }
-            // Then releases at t, then expiries.
             self.ingest_releases();
-            for core in 0..self.config.cores {
-                if self.npr_expiry[core].is_some_and(|e| e <= self.now) {
-                    self.npr_expiry[core] = None;
-                    self.trace(MultiTraceEvent::NprExpired { at: self.now, core });
+            for core in 0..self.cores.as_ref().len() {
+                if self.cores.as_ref()[core].npr_expiry.is_some_and(|e| e <= t) {
+                    self.cores.as_mut()[core].npr_expiry = None;
+                    self.trace(TraceEvent::NprExpired { at: t, core });
                     self.preempt_if_outranked(core);
                 }
             }
         }
+        panic!("event cap exceeded");
     }
 
     /// Moves all jobs released at or before `now` into the ready queue.
@@ -343,35 +253,23 @@ impl MultiEngine<'_> {
     /// core going to a higher-priority *waiter* instead of the release
     /// that looked absorbed.
     fn ingest_releases(&mut self) {
-        while self.next_release < self.jobs.len()
-            && self.jobs[self.next_release].release <= self.now
-        {
+        while let Some(job) = self.jobs.get(self.next_release) {
+            if job.release > self.now {
+                return;
+            }
+            let (at, task) = (job.release, job.task);
             let id = self.next_release;
             self.next_release += 1;
-            self.ready.push(id);
-            self.trace(MultiTraceEvent::Released {
-                at: self.jobs[id].release,
-                job: id,
-                task: self.jobs[id].task,
-            });
+            self.trace(TraceEvent::Released { at, job: id, task });
+            self.make_ready(id);
         }
     }
 
-    /// Fully-preemptive dispatching as an invariant: while any ready job
-    /// outranks the lowest-eligibility running job, that job is preempted
-    /// and the freed core refilled with the best ready job.
+    /// Fully-preemptive dispatching as an invariant: while the best ready
+    /// job outranks the lowest-eligibility running job, that job is
+    /// preempted and the freed core refilled with the best ready job.
     fn enforce_preemptive(&mut self) {
-        if self.config.mode != PreemptionMode::Preemptive {
-            return;
-        }
-        loop {
-            let Some(&best) = self
-                .ready
-                .iter()
-                .reduce(|a, b| if self.outranks(*b, *a) { b } else { a })
-            else {
-                return;
-            };
+        while let Some(&best) = self.ready.last() {
             let Some(core) = self.victim_core(best, false) else {
                 return;
             };
@@ -386,42 +284,43 @@ impl MultiEngine<'_> {
     /// the then-best waiter; one region covers one waiter, best first) or
     /// a region armed now on the lowest-eligibility region-free core it
     /// outranks. Waiters beyond the available victims are collated into
-    /// the active regions, matching the unicore engine's collation rule.
-    /// A victim task without a `Q` is preempted immediately (the unicore
-    /// "no region length: behave preemptively" rule).
+    /// the active regions. A victim task without a `Q` is preempted
+    /// immediately ("no region length: behave preemptively").
     fn arm_regions(&mut self) {
-        if self.config.mode != PreemptionMode::FloatingNpr {
-            return;
-        }
         'restart: loop {
-            let mut waiting = self.ready.clone();
-            waiting.sort_by(|&a, &b| {
-                if self.outranks(a, b) {
-                    std::cmp::Ordering::Less
-                } else {
-                    std::cmp::Ordering::Greater
+            let (mut covered, mut free) = (0, 0);
+            for core in self.cores.as_ref() {
+                if core.npr_expiry.is_some() {
+                    covered += 1;
+                } else if core.job.is_some() {
+                    free += 1;
                 }
-            });
-            let mut covered = self.npr_expiry.iter().flatten().count();
-            for &job in &waiting {
-                if covered > 0 {
-                    covered -= 1;
-                    continue;
+            }
+            // Waiters best first; the first `covered` are served by the
+            // active regions, and only region-free running cores can take
+            // a new one.
+            for rank in (0..self.ready.len()).rev().skip(covered) {
+                if free == 0 {
+                    return;
                 }
                 // No region-free outranked core: every lower-ranked waiter
                 // outranks a subset of what this one does, so stop.
-                let Some(core) = self.victim_core(job, true) else {
+                let Some(core) = self.victim_core(self.ready[rank], true) else {
                     return;
                 };
-                let victim = self.running[core].expect("victim runs");
+                let Some(victim) = self.cores.as_ref()[core].job else {
+                    return;
+                };
                 match self.scenario.tasks[self.jobs[victim].task].q {
                     Some(q) => {
-                        self.npr_expiry[core] = Some(self.now + q);
-                        self.trace(MultiTraceEvent::NprStarted {
+                        let until = self.now + q;
+                        self.cores.as_mut()[core].npr_expiry = Some(until);
+                        free -= 1;
+                        self.trace(TraceEvent::NprStarted {
                             at: self.now,
                             job: victim,
                             core,
-                            until: self.now + q,
+                            until,
                         });
                     }
                     None => {
@@ -439,94 +338,97 @@ impl MultiEngine<'_> {
     /// outranks; with `region_free` set, cores with an active region are
     /// excluded (their preemption is already scheduled).
     fn victim_core(&self, id: usize, region_free: bool) -> Option<usize> {
-        let mut victim: Option<usize> = None;
-        for core in 0..self.config.cores {
-            if region_free && self.npr_expiry[core].is_some() {
+        let mut victim: Option<(usize, usize)> = None; // (core, job)
+        for (core, state) in self.cores.as_ref().iter().enumerate() {
+            if region_free && state.npr_expiry.is_some() {
                 continue;
             }
-            let Some(running) = self.running[core] else {
+            let Some(running) = state.job else {
                 continue;
             };
-            if !self.outranks(id, running) {
-                continue;
+            if self.outranks(id, running)
+                && victim.is_none_or(|(_, lowest)| self.outranks(lowest, running))
+            {
+                victim = Some((core, running));
             }
-            victim = match victim {
-                Some(current) if self.outranks(running, self.running[current].expect("runs")) => {
-                    Some(current)
-                }
-                _ => Some(core),
-            };
         }
-        victim
+        victim.map(|(core, _)| core)
     }
 
-    /// Job `a` strictly outranks job `b` (same total order as the unicore
-    /// engine: policy key, then task index, then release order).
+    /// Job `a` strictly outranks job `b` (total order; ties broken by task
+    /// index, then release order, so same-task jobs run FIFO even after the
+    /// ready queue has been shuffled by preemptions).
     fn outranks(&self, a: usize, b: usize) -> bool {
-        let ja = &self.jobs[a];
-        let jb = &self.jobs[b];
-        let key = |j: &JobState| match self.config.policy {
-            PriorityPolicy::FixedPriority => (0.0, j.task, j.id),
-            PriorityPolicy::Edf => (j.abs_deadline, j.task, j.id),
-        };
-        key(ja) < key(jb)
-    }
-
-    fn pop_highest_ready(&mut self) -> Option<usize> {
-        if self.ready.is_empty() {
-            return None;
-        }
-        let mut best = 0;
-        for k in 1..self.ready.len() {
-            if self.outranks(self.ready[k], self.ready[best]) {
-                best = k;
+        let (ja, jb) = (&self.jobs[a], &self.jobs[b]);
+        match self.config.policy {
+            PriorityPolicy::FixedPriority => (ja.task, ja.id) < (jb.task, jb.id),
+            PriorityPolicy::Edf => {
+                (ja.abs_deadline, ja.task, ja.id) < (jb.abs_deadline, jb.task, jb.id)
             }
         }
-        Some(self.ready.swap_remove(best))
+    }
+
+    /// Queues `job` behind every ready job that outranks it.
+    fn make_ready(&mut self, job: usize) {
+        let mut at = self.ready.len();
+        self.ready.push(job);
+        while at > 0 && self.outranks(self.ready[at - 1], job) {
+            self.ready[at] = self.ready[at - 1];
+            at -= 1;
+        }
+        self.ready[at] = job;
     }
 
     /// Dispatches the best ready jobs onto idle cores, preferring each
     /// job's previous core (counting a migration when it lands elsewhere).
     fn fill_idle_cores(&mut self) {
-        while self.running.iter().any(Option::is_none) {
-            let Some(job) = self.pop_highest_ready() else {
+        while let Some(idle) = self.cores.as_ref().iter().position(|c| c.job.is_none()) {
+            let Some(job) = self.ready.pop() else {
                 return;
             };
-            let core = match self.last_core[job] {
-                Some(c) if self.running[c].is_none() => c,
-                _ => self
-                    .running
-                    .iter()
-                    .position(Option::is_none)
-                    .expect("idle core exists"),
+            let last_core = self.jobs[job].last_core;
+            let core = match last_core {
+                Some(c) if self.cores.as_ref()[c].job.is_none() => c,
+                _ => idle,
             };
-            let migrated = self.last_core[job].is_some_and(|c| c != core);
+            let migrated = last_core.is_some_and(|c| c != core);
+            let state = &mut self.jobs[job];
             if migrated {
-                self.migrations[job] += 1;
+                state.migrations += 1;
                 fnpr_obs::counter!("sim.migrations").incr();
             }
             fnpr_obs::counter!("sim.dispatches").incr();
-            self.last_core[job] = Some(core);
-            self.running[core] = Some(job);
-            debug_assert!(self.npr_expiry[core].is_none(), "stale region");
-            if self.jobs[job].start.is_none() {
-                self.jobs[job].start = Some(self.now);
-            }
-            self.trace(MultiTraceEvent::Dispatched {
+            state.last_core = Some(core);
+            state.start.get_or_insert(self.now);
+            let task = state.task;
+            debug_assert!(
+                self.cores.as_ref()[core].npr_expiry.is_none(),
+                "stale region"
+            );
+            self.cores.as_mut()[core].job = Some(job);
+            self.trace(TraceEvent::Dispatched {
                 at: self.now,
                 job,
-                task: self.jobs[job].task,
+                task,
                 core,
                 migrated,
             });
         }
     }
 
+    /// Takes `core`'s job off it; a region dies with its job.
+    fn vacate(&mut self, core: usize) -> Option<usize> {
+        let state = &mut self.cores.as_mut()[core];
+        state.npr_expiry = None;
+        state.job.take()
+    }
+
     fn complete(&mut self, core: usize) {
-        let job = self.running[core].take().expect("completion without job");
+        let Some(job) = self.vacate(core) else {
+            return;
+        };
         self.jobs[job].finish(self.now);
-        self.npr_expiry[core] = None; // a region dies with its job
-        self.trace(MultiTraceEvent::Completed {
+        self.trace(TraceEvent::Completed {
             at: self.now,
             job,
             task: self.jobs[job].task,
@@ -536,14 +438,14 @@ impl MultiEngine<'_> {
 
     /// Preempts `core`'s job if some ready job outranks it.
     fn preempt_if_outranked(&mut self, core: usize) {
-        let Some(running) = self.running[core] else {
+        let Some(running) = self.cores.as_ref()[core].job else {
             return;
         };
-        let outranked = self
+        if self
             .ready
-            .iter()
-            .any(|&candidate| self.outranks(candidate, running));
-        if outranked {
+            .last()
+            .is_some_and(|&best| self.outranks(best, running))
+        {
             self.preempt(core);
         }
     }
@@ -551,7 +453,9 @@ impl MultiEngine<'_> {
     /// Charges the preemption delay and returns `core`'s job to the ready
     /// queue.
     fn preempt(&mut self, core: usize) {
-        let job = self.running[core].take().expect("preempt without job");
+        let Some(job) = self.vacate(core) else {
+            return;
+        };
         let task = self.jobs[job].task;
         let progress = self.jobs[job].progress;
         let delay = self.scenario.tasks[task]
@@ -560,7 +464,7 @@ impl MultiEngine<'_> {
             .map_or(0.0, |curve| curve.value_at(progress));
         self.jobs[job].charge_preemption(delay);
         fnpr_obs::counter!("sim.preemptions").incr();
-        self.trace(MultiTraceEvent::Preempted {
+        self.trace(TraceEvent::Preempted {
             at: self.now,
             job,
             task,
@@ -568,11 +472,10 @@ impl MultiEngine<'_> {
             progress,
             delay,
         });
-        self.ready.push(job);
-        self.npr_expiry[core] = None;
+        self.make_ready(job);
     }
 
-    fn trace(&mut self, event: MultiTraceEvent) {
+    fn trace(&mut self, event: TraceEvent) {
         if self.config.collect_trace {
             self.trace.push(event);
         }
@@ -582,8 +485,6 @@ impl MultiEngine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::simulate;
-    use crate::policy::SimConfig;
     use crate::scenario::SimTask;
     use fnpr_core::DelayCurve;
 
@@ -596,8 +497,11 @@ mod tests {
         }
     }
 
-    fn fnpr(cores: usize) -> MultiSimConfig {
-        MultiSimConfig::floating_npr_fp(cores, 1_000.0).with_trace()
+    fn fnpr(cores: usize) -> SimConfig {
+        SimConfig {
+            cores,
+            ..SimConfig::floating_npr_fp(1_000.0).with_trace()
+        }
     }
 
     #[test]
@@ -606,7 +510,7 @@ mod tests {
             tasks: vec![task(10.0, None, None), task(10.0, None, None)],
             releases: vec![(0, 0.0), (1, 0.0)],
         };
-        let r = simulate_multicore(&s, &fnpr(2));
+        let r = simulate(&s, &fnpr(2));
         assert_eq!(r.jobs.len(), 2);
         for job in &r.jobs {
             assert_eq!(job.completion, Some(10.0));
@@ -624,7 +528,7 @@ mod tests {
             tasks: vec![task(1.0, None, None), task(10.0, Some(4.0), Some(curve))],
             releases: vec![(1, 0.0), (0, 3.0)],
         };
-        let r = simulate_multicore(&s, &fnpr(2));
+        let r = simulate(&s, &fnpr(2));
         let victim = &r.jobs[0];
         assert_eq!(victim.preemptions, 0);
         assert_eq!(victim.completion, Some(10.0));
@@ -633,7 +537,7 @@ mod tests {
         assert!(!r
             .trace
             .iter()
-            .any(|e| matches!(e, MultiTraceEvent::NprStarted { .. })));
+            .any(|e| matches!(e, TraceEvent::NprStarted { .. })));
     }
 
     #[test]
@@ -650,7 +554,7 @@ mod tests {
             ],
             releases: vec![(1, 0.0), (2, 0.0), (0, 3.0)],
         };
-        let r = simulate_multicore(&s, &fnpr(2));
+        let r = simulate(&s, &fnpr(2));
         let victim = r.of_task(2).next().unwrap();
         assert_eq!(victim.preemptions, 1);
         assert_eq!(victim.cumulative_delay, 2.0);
@@ -663,7 +567,7 @@ mod tests {
         assert!(r
             .trace
             .iter()
-            .any(|e| matches!(e, MultiTraceEvent::NprStarted { until, .. } if *until == 7.0)));
+            .any(|e| matches!(e, TraceEvent::NprStarted { until, .. } if *until == 7.0)));
     }
 
     #[test]
@@ -680,7 +584,7 @@ mod tests {
             ],
             releases: vec![(2, 0.0), (0, 3.0), (1, 3.0)],
         };
-        let r = simulate_multicore(&s, &fnpr(2));
+        let r = simulate(&s, &fnpr(2));
         // H1 takes the idle core at 3; the region for H2 runs 3..4; H2
         // preempts L at 4 and completes at 5.
         assert_eq!(r.of_task(0).next().unwrap().completion, Some(13.0));
@@ -693,7 +597,7 @@ mod tests {
         assert!(r
             .trace
             .iter()
-            .any(|e| matches!(e, MultiTraceEvent::NprStarted { until, .. } if *until == 4.0)));
+            .any(|e| matches!(e, TraceEvent::NprStarted { until, .. } if *until == 4.0)));
     }
 
     #[test]
@@ -713,13 +617,13 @@ mod tests {
             ],
             releases: vec![(2, 0.0), (3, 0.0), (0, 5.0), (1, 6.0)],
         };
-        let r = simulate_multicore(&s, &fnpr(2));
+        let r = simulate(&s, &fnpr(2));
         // Exactly one region was armed (at 5, until 7).
         let regions: Vec<f64> = r
             .trace
             .iter()
             .filter_map(|e| match e {
-                MultiTraceEvent::NprStarted { until, .. } => Some(*until),
+                TraceEvent::NprStarted { until, .. } => Some(*until),
                 _ => None,
             })
             .collect();
@@ -751,14 +655,14 @@ mod tests {
             ],
             releases: vec![(2, 0.0), (3, 0.0), (0, 1.0), (1, 1.0)],
         };
-        let config = MultiSimConfig {
+        let config = SimConfig {
             cores: 2,
             policy: PriorityPolicy::FixedPriority,
             mode: PreemptionMode::Preemptive,
             horizon: 1_000.0,
             collect_trace: true,
         };
-        let r = simulate_multicore(&s, &config);
+        let r = simulate(&s, &config);
         let of = |t: usize| r.of_task(t).next().unwrap();
         assert_eq!(of(0).completion, Some(3.0));
         assert_eq!(of(1).completion, Some(4.0));
@@ -772,52 +676,10 @@ mod tests {
         assert_eq!(
             r.trace
                 .iter()
-                .filter(|e| matches!(e, MultiTraceEvent::Dispatched { migrated: true, .. }))
+                .filter(|e| matches!(e, TraceEvent::Dispatched { migrated: true, .. }))
                 .count(),
             2
         );
-    }
-
-    #[test]
-    fn single_core_matches_unicore_engine() {
-        // A scenario exercising regions, collation and same-task FIFO: the
-        // m = 1 engine must reproduce the unicore engine job for job.
-        let curve = DelayCurve::constant(2.0, 20.0).unwrap();
-        let s = Scenario {
-            tasks: vec![task(1.0, None, None), task(20.0, Some(4.0), Some(curve))],
-            releases: vec![(1, 0.0), (0, 3.0), (0, 5.0), (0, 9.5), (1, 26.0)],
-        };
-        for policy in [PriorityPolicy::FixedPriority, PriorityPolicy::Edf] {
-            for mode in [
-                PreemptionMode::Preemptive,
-                PreemptionMode::NonPreemptive,
-                PreemptionMode::FloatingNpr,
-            ] {
-                let uni = simulate(
-                    &s,
-                    &SimConfig {
-                        policy,
-                        mode,
-                        horizon: 1_000.0,
-                        collect_trace: false,
-                    },
-                );
-                let multi = simulate_multicore(
-                    &s,
-                    &MultiSimConfig {
-                        cores: 1,
-                        policy,
-                        mode,
-                        horizon: 1_000.0,
-                        collect_trace: false,
-                    },
-                );
-                assert_eq!(
-                    uni.jobs, multi.jobs,
-                    "divergence at policy {policy:?}, mode {mode:?}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -833,8 +695,12 @@ mod tests {
             tasks: vec![a, b, c],
             releases: vec![(0, 0.0), (1, 0.0), (2, 0.0)],
         };
-        let config = MultiSimConfig::floating_npr_edf(2, 1_000.0);
-        let r = simulate_multicore(&s, &config);
+        let config = SimConfig {
+            cores: 2,
+            policy: PriorityPolicy::Edf,
+            ..SimConfig::floating_npr_fp(1_000.0)
+        };
+        let r = simulate(&s, &config);
         let done = |t: usize| r.of_task(t).next().unwrap().completion.unwrap();
         assert_eq!(done(1), 4.0);
         assert_eq!(done(2), 4.0);
@@ -848,10 +714,9 @@ mod tests {
             tasks: vec![task(5.0, None, None)],
             releases: vec![(0, 0.0), (0, 7.0)],
         };
-        let r = simulate_multicore(&s, &fnpr(8));
+        let r = simulate(&s, &fnpr(8));
         assert_eq!(r.jobs.len(), 2);
         assert!(r.jobs.iter().all(|j| j.completion.is_some()));
-        assert_eq!(r.cores, 8);
     }
 
     #[test]
@@ -860,7 +725,7 @@ mod tests {
             tasks: vec![task(1.0, None, None)],
             releases: vec![(0, 0.0), (0, 5.0), (0, 2000.0)],
         };
-        let r = simulate_multicore(&s, &fnpr(2));
+        let r = simulate(&s, &fnpr(2));
         assert_eq!(r.jobs.len(), 2);
     }
 
@@ -871,6 +736,6 @@ mod tests {
             tasks: vec![task(1.0, None, None)],
             releases: vec![(0, 0.0)],
         };
-        let _ = simulate_multicore(&s, &fnpr(0));
+        let _ = simulate(&s, &fnpr(0));
     }
 }

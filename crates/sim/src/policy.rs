@@ -31,6 +31,9 @@ pub enum PreemptionMode {
 /// Full simulator configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
+    /// Number of identical cores (`m >= 1`) under global dispatching; the
+    /// constructors set 1, the paper's unicore model.
+    pub cores: usize,
     /// Priority ordering.
     pub policy: PriorityPolicy,
     /// Preemption handling.
@@ -47,6 +50,7 @@ impl SimConfig {
     #[must_use]
     pub fn floating_npr_fp(horizon: f64) -> Self {
         Self {
+            cores: 1,
             policy: PriorityPolicy::FixedPriority,
             mode: PreemptionMode::FloatingNpr,
             horizon,
@@ -58,6 +62,7 @@ impl SimConfig {
     #[must_use]
     pub fn preemptive_fp(horizon: f64) -> Self {
         Self {
+            cores: 1,
             policy: PriorityPolicy::FixedPriority,
             mode: PreemptionMode::Preemptive,
             horizon,
@@ -80,6 +85,7 @@ mod tests {
     #[test]
     fn constructors_set_fields() {
         let c = SimConfig::floating_npr_fp(100.0);
+        assert_eq!(c.cores, 1);
         assert_eq!(c.mode, PreemptionMode::FloatingNpr);
         assert_eq!(c.policy, PriorityPolicy::FixedPriority);
         assert_eq!(c.horizon, 100.0);

@@ -1,7 +1,7 @@
 //! ASCII rendering of simulation traces — one lane per task, useful for
 //! demos, debugging and the Figure 2 harness.
 
-use crate::engine::SimResult;
+use crate::multi::SimResult;
 use crate::trace::TraceEvent;
 
 /// Renders the trace as one text lane per task.
@@ -26,9 +26,9 @@ pub fn render_timeline(result: &SimResult, tasks: usize, until: f64, width: usiz
     }
     let column = |t: f64| -> usize { (((t / until) * width as f64) as usize).min(width - 1) };
     let mut lanes: Vec<Vec<char>> = vec![vec!['.'; width]; tasks];
-    // Running intervals: from each Dispatched to the next event that stops
-    // that job (Preempted or Completed).
-    let mut running: Option<(usize, f64)> = None; // (task, since)
+    // Running intervals, per core: from each Dispatched to the next event
+    // that stops that core's job (Preempted or Completed).
+    let mut running: Vec<Option<(usize, f64)>> = Vec::new(); // (task, since)
     let mark_run = |lanes: &mut Vec<Vec<char>>, task: usize, from: f64, to: f64| {
         if task >= lanes.len() {
             return;
@@ -41,34 +41,24 @@ pub fn render_timeline(result: &SimResult, tasks: usize, until: f64, width: usiz
         }
     };
     for event in &result.trace {
-        match *event {
-            TraceEvent::Dispatched { at, task, .. } => {
-                if let Some((t, since)) = running.take() {
-                    mark_run(&mut lanes, t, since, at);
-                }
-                running = Some((task, at));
-            }
-            TraceEvent::Preempted { at, task, .. } => {
-                if let Some((t, since)) = running.take() {
-                    mark_run(&mut lanes, t, since, at);
-                }
-                if task < lanes.len() {
-                    let c = column(at);
-                    lanes[task][c] = '!';
-                }
-            }
-            TraceEvent::Completed { at, task, .. } => {
-                if let Some((t, since)) = running.take() {
-                    mark_run(&mut lanes, t, since, at);
-                }
-                if task < lanes.len() {
-                    let c = column(at);
-                    lanes[task][c] = '|';
-                }
-            }
+        let (at, task, core, symbol) = match *event {
+            TraceEvent::Dispatched { at, task, core, .. } => (at, task, core, None),
+            TraceEvent::Preempted { at, task, core, .. } => (at, task, core, Some('!')),
+            TraceEvent::Completed { at, task, core, .. } => (at, task, core, Some('|')),
             TraceEvent::Released { .. }
             | TraceEvent::NprStarted { .. }
-            | TraceEvent::NprExpired { .. } => {}
+            | TraceEvent::NprExpired { .. } => continue,
+        };
+        if running.len() <= core {
+            running.resize(core + 1, None);
+        }
+        if let Some((t, since)) = running[core].take() {
+            mark_run(&mut lanes, t, since, at);
+        }
+        match symbol {
+            None => running[core] = Some((task, at)),
+            Some(symbol) if task < lanes.len() => lanes[task][column(at)] = symbol,
+            Some(_) => {}
         }
     }
     let mut out = String::new();
@@ -88,7 +78,7 @@ pub fn render_timeline(result: &SimResult, tasks: usize, until: f64, width: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::simulate;
+    use crate::multi::simulate;
     use crate::policy::{PreemptionMode, SimConfig};
     use crate::scenario::{Scenario, SimTask};
     use fnpr_core::DelayCurve;
@@ -113,6 +103,7 @@ mod tests {
             releases: vec![(1, 0.0), (0, 3.0)],
         };
         let config = SimConfig {
+            cores: 1,
             policy: crate::policy::PriorityPolicy::FixedPriority,
             mode: PreemptionMode::FloatingNpr,
             horizon: 100.0,

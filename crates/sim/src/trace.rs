@@ -3,6 +3,10 @@
 use serde::{Deserialize, Serialize};
 
 /// One scheduler event (recorded when tracing is enabled).
+///
+/// Within one instant, events follow the engine's processing order:
+/// completions, then every release of that instant, then region expiries,
+/// then the dispatches, regions and preemptions these trigger.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum TraceEvent {
     /// A job arrived in the ready queue.
@@ -14,7 +18,7 @@ pub enum TraceEvent {
         /// Owning task.
         task: usize,
     },
-    /// A job got the processor.
+    /// A job got a core.
     Dispatched {
         /// Event time.
         at: f64,
@@ -22,13 +26,19 @@ pub enum TraceEvent {
         job: usize,
         /// Owning task.
         task: usize,
+        /// Core the job now runs on.
+        core: usize,
+        /// `true` when the job last ran on a different core.
+        migrated: bool,
     },
-    /// A floating non-preemptive region opened for the running job.
+    /// A floating non-preemptive region opened for a running job.
     NprStarted {
         /// Event time (the triggering release).
         at: f64,
         /// The protected (running) job.
         job: usize,
+        /// Core the region protects.
+        core: usize,
         /// When the region expires.
         until: f64,
     },
@@ -36,8 +46,10 @@ pub enum TraceEvent {
     NprExpired {
         /// Event time.
         at: f64,
+        /// Core whose region expired.
+        core: usize,
     },
-    /// The running job was preempted and charged a delay.
+    /// A running job was preempted and charged a delay.
     Preempted {
         /// Event time.
         at: f64,
@@ -45,6 +57,8 @@ pub enum TraceEvent {
         job: usize,
         /// Owning task.
         task: usize,
+        /// Core the job lost.
+        core: usize,
         /// Progress at the preemption (the `t` of `fi(t)`).
         progress: f64,
         /// The charged delay.
@@ -58,6 +72,8 @@ pub enum TraceEvent {
         job: usize,
         /// Owning task.
         task: usize,
+        /// Core the job completed on.
+        core: usize,
     },
 }
 
@@ -69,7 +85,7 @@ impl TraceEvent {
             TraceEvent::Released { at, .. }
             | TraceEvent::Dispatched { at, .. }
             | TraceEvent::NprStarted { at, .. }
-            | TraceEvent::NprExpired { at }
+            | TraceEvent::NprExpired { at, .. }
             | TraceEvent::Preempted { at, .. }
             | TraceEvent::Completed { at, .. } => at,
         }
@@ -88,11 +104,12 @@ mod tests {
                 job: 0,
                 task: 0,
             },
-            TraceEvent::NprExpired { at: 2.5 },
+            TraceEvent::NprExpired { at: 2.5, core: 0 },
             TraceEvent::Completed {
                 at: 9.0,
                 job: 0,
                 task: 0,
+                core: 0,
             },
         ];
         let times: Vec<f64> = events.iter().map(TraceEvent::at).collect();

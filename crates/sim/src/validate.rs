@@ -4,9 +4,7 @@
 use fnpr_core::{algorithm1, AnalysisError, BoundOutcome, DelayCurve};
 use serde::{Deserialize, Serialize};
 
-use crate::engine::SimResult;
-use crate::job::JobRecord;
-use crate::multi::MultiSimResult;
+use crate::multi::SimResult;
 
 /// Outcome of checking one task's simulated delays against a bound.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -21,7 +19,10 @@ pub struct BoundCheck {
 }
 
 /// Checks Theorem 1 empirically: every simulated job of `task` must pay at
-/// most the Algorithm 1 bound for its curve and region length.
+/// most the Algorithm 1 bound for its curve and region length. The per-job
+/// bound holds at any core count, because the engine preserves the
+/// floating-NPR progression (a job is only preempted at the expiry of a
+/// region armed at least `Q` of its own execution earlier).
 ///
 /// # Errors
 ///
@@ -32,41 +33,9 @@ pub fn check_against_algorithm1(
     curve: &DelayCurve,
     q: f64,
 ) -> Result<BoundCheck, AnalysisError> {
-    check_jobs_against_algorithm1(&result.jobs, task, curve, q)
-}
-
-/// [`check_against_algorithm1`] for multicore runs: the per-job bound is
-/// unchanged, because the m-core engine preserves the floating-NPR
-/// progression (a job is only preempted at the expiry of a region armed at
-/// least `Q` of its own execution earlier).
-///
-/// # Errors
-///
-/// Propagates [`AnalysisError`] from the bound computation.
-pub fn check_multicore_against_algorithm1(
-    result: &MultiSimResult,
-    task: usize,
-    curve: &DelayCurve,
-    q: f64,
-) -> Result<BoundCheck, AnalysisError> {
-    check_jobs_against_algorithm1(&result.jobs, task, curve, q)
-}
-
-/// The shared core of the Theorem 1 check over a raw job slice.
-///
-/// # Errors
-///
-/// Propagates [`AnalysisError`] from the bound computation.
-pub fn check_jobs_against_algorithm1(
-    jobs: &[JobRecord],
-    task: usize,
-    curve: &DelayCurve,
-    q: f64,
-) -> Result<BoundCheck, AnalysisError> {
     let outcome = algorithm1(curve, q)?;
-    let observed_max = jobs
-        .iter()
-        .filter(|j| j.task == task)
+    let observed_max = result
+        .of_task(task)
         .map(|j| j.cumulative_delay)
         .fold(0.0f64, f64::max);
     let (bound, holds) = match outcome {
@@ -83,7 +52,7 @@ pub fn check_jobs_against_algorithm1(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::simulate;
+    use crate::multi::simulate;
     use crate::policy::SimConfig;
     use crate::scenario::Scenario;
     use fnpr_core::exact_worst_case;

@@ -260,6 +260,7 @@ proptest! {
             curve.domain_end(), q, &curve, 0.5, 1.0, 10.0, horizon, &mut rng,
         );
         let np_config = SimConfig {
+            cores: 1,
             policy: PriorityPolicy::FixedPriority,
             mode: PreemptionMode::NonPreemptive,
             horizon,
@@ -292,6 +293,7 @@ proptest! {
             releases: vec![(0, 0.0), (1, 0.0)],
         };
         let config = SimConfig {
+            cores: 1,
             policy: PriorityPolicy::Edf,
             mode: PreemptionMode::Preemptive,
             horizon: 1000.0,
