@@ -17,8 +17,9 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use fnpr_campaign::spec::{allocation_label, policy_label};
 use fnpr_campaign::store::{GcPolicy, ResultStore};
-use fnpr_campaign::{history, run_campaign_with_store, CampaignSpec, Workload};
+use fnpr_campaign::{history, run_campaign_with_store, CampaignSpec, GridWorkload, Workload};
 
 struct RunArgs {
     spec: PathBuf,
@@ -383,23 +384,21 @@ fn cmd_grid(path: &Path) -> ExitCode {
     println!("campaign: {}", campaign.name);
     println!("seed: {}", campaign.seed);
     println!("scenario: {:016x}", campaign.scenario_hash());
+    // Each workload's own grid expansion, so the printed order can never
+    // drift from the CSV row order.
     match &campaign.workload {
         Workload::Acceptance(a) => {
+            let grid = a.grid();
             println!(
                 "workload: acceptance ({} policies x {} utilizations x {} sets = {} set analyses, {} methods each)",
                 a.policies.len(),
                 a.utilizations.len(),
                 a.sets_per_point,
-                a.policies.len() * a.utilizations.len() * a.sets_per_point,
+                grid.len() * a.sets_per_point,
                 a.methods.len(),
             );
-            for &p in &a.policies {
-                for &u in &a.utilizations {
-                    println!(
-                        "  point: policy={} utilization={u:.4}",
-                        fnpr_campaign::spec::policy_label(p)
-                    );
-                }
+            for (p, u) in grid {
+                println!("  point: policy={} utilization={u:.4}", policy_label(p));
             }
         }
         Workload::Soundness(s) => {
@@ -412,15 +411,14 @@ fn cmd_grid(path: &Path) -> ExitCode {
             let shapes = c.depths.len() * c.loop_iterations.len() * c.footprints.len();
             let geometries =
                 c.sets.len() * c.associativity.len() * c.line_bytes.len() * c.reload_costs.len();
+            let grid = c.grid();
             println!(
                 "workload: cfg ({shapes} shapes x {geometries} geometries x {} q scales x {} programs = {} pipeline analyses)",
                 c.q_scales.len(),
                 c.programs_per_point,
-                shapes * geometries * c.q_scales.len() * c.programs_per_point,
+                grid.len() * c.programs_per_point,
             );
-            // The run's own grid expansion, so the printed order can never
-            // drift from the CSV row order.
-            for p in fnpr_campaign::cfg_workload::grid_points(c) {
+            for p in grid {
                 println!(
                     "  point: shape=d{}_l{}_f{} cache={}x{}x{}B brt={} q_scale={:.4}",
                     p.depth,
@@ -435,6 +433,7 @@ fn cmd_grid(path: &Path) -> ExitCode {
             }
         }
         Workload::Multicore(m) => {
+            let grid = m.grid();
             println!(
                 "workload: multicore ({} core counts x {} policies x {} allocations x {} utilizations x {} sets = {} set analyses, {} methods each, simulate={})",
                 m.cores.len(),
@@ -442,26 +441,16 @@ fn cmd_grid(path: &Path) -> ExitCode {
                 m.allocations.len(),
                 m.utilizations.len(),
                 m.sets_per_point,
-                m.cores.len()
-                    * m.policies.len()
-                    * m.allocations.len()
-                    * m.utilizations.len()
-                    * m.sets_per_point,
+                grid.len() * m.sets_per_point,
                 m.methods.len(),
                 m.simulate,
             );
-            for &cores in &m.cores {
-                for &p in &m.policies {
-                    for &a in &m.allocations {
-                        for &u in &m.utilizations {
-                            println!(
-                                "  point: m={cores} policy={} allocation={} utilization={u:.4}",
-                                fnpr_campaign::spec::policy_label(p),
-                                fnpr_campaign::spec::allocation_label(a),
-                            );
-                        }
-                    }
-                }
+            for (cores, p, a, u) in grid {
+                println!(
+                    "  point: m={cores} policy={} allocation={} utilization={u:.4}",
+                    policy_label(p),
+                    allocation_label(a),
+                );
             }
         }
     }

@@ -23,7 +23,6 @@
 //!   `(program structural hash, cache geometry)`, so the `Qi` axis (and any
 //!   duplicated geometry points) reuses derived curves.
 
-use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 use fnpr_cache::CacheConfig;
@@ -35,11 +34,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::error::CampaignError;
-use crate::exec::{parallel_map, stream_key128};
-use crate::memo::{Memo, ScenarioHasher};
-use crate::report::CfgPoint;
+use crate::exec::stream_key128;
+use crate::memo::{Memo, MemoStats, ScenarioHasher};
+use crate::report::{CfgPoint, Summary};
 use crate::spec::CfgParams;
 use crate::store::{bounds_key, BoundsEntry, ResultStore, StoreTable};
+use crate::GridWorkload;
 
 /// Domain tags for RNG stream / memo key derivation.
 const TAG_PROGRAM: u64 = 0x4347_5047; // "CGPG"
@@ -66,7 +66,7 @@ pub struct ProgramArtifacts {
 /// analysis.
 pub type BoundTotals = Result<(Option<f64>, Option<f64>), String>;
 
-/// Shared state across shards of one `run` call.
+/// The memo tables one `[cfg]` run shares across its points.
 pub struct CfgEngine {
     /// Programs keyed by their generation stream key.
     pub program_memo: Memo<Option<Arc<ProgramArtifacts>>>,
@@ -86,10 +86,8 @@ pub struct CfgEngine {
     pub bound_memo: Memo<BoundTotals>,
 }
 
-impl CfgEngine {
-    /// A fresh engine with empty memo tables.
-    #[must_use]
-    pub fn new() -> Self {
+impl Default for CfgEngine {
+    fn default() -> Self {
         Self {
             program_memo: Memo::named("program"),
             curve_memo: Memo::named("curve"),
@@ -98,13 +96,7 @@ impl CfgEngine {
     }
 }
 
-impl Default for CfgEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// One grid point's coordinates, in the exact order `run` visits them.
+/// One grid point's coordinates.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridPoint {
     /// Program nesting depth.
@@ -125,32 +117,41 @@ pub struct GridPoint {
     pub q_scale: f64,
 }
 
-/// The expanded grid in run (and therefore report/CSV) order: shape-major
-/// (depth, loop bound, footprint), then geometry (sets, associativity,
-/// line size, reload cost), then `Qi` — so consecutive rows share
-/// programs, then curves. The CLI's `grid` subcommand prints exactly this
-/// expansion.
-#[must_use]
-pub fn grid_points(params: &CfgParams) -> Vec<GridPoint> {
-    let mut grid = Vec::new();
-    for &depth in &params.depths {
-        for &loop_iterations in &params.loop_iterations {
-            for &footprint in &params.footprints {
-                for &sets in &params.sets {
-                    for &associativity in &params.associativity {
-                        for &line_bytes in &params.line_bytes {
-                            for &reload_cost in &params.reload_costs {
-                                for &q_scale in &params.q_scales {
-                                    grid.push(GridPoint {
-                                        depth,
-                                        loop_iterations,
-                                        footprint,
-                                        sets,
-                                        associativity,
-                                        line_bytes,
-                                        reload_cost,
-                                        q_scale,
-                                    });
+/// The grid runs in report (CSV) order: shape-major (depth, loop bound,
+/// footprint), then geometry (sets, associativity, line size, reload
+/// cost), then `Qi`, so consecutive rows share programs, then curves. Each
+/// thread claims the `Qi` points of one (shape, geometry) as a run, so
+/// that geometry's curves are derived by one thread, once. The point key
+/// holds the generation template (including the user `tag`, which
+/// prefixes the stored shape strings) and the full point coordinates.
+impl GridWorkload for CfgParams {
+    type Point = GridPoint;
+    type Output = CfgPoint;
+    type Memos = CfgEngine;
+    const TABLE: StoreTable = StoreTable::CfgPoints;
+    const KEY_TAG: u64 = TAG_POINT;
+
+    fn grid(&self) -> Vec<GridPoint> {
+        let mut grid = Vec::new();
+        for &depth in &self.depths {
+            for &loop_iterations in &self.loop_iterations {
+                for &footprint in &self.footprints {
+                    for &sets in &self.sets {
+                        for &associativity in &self.associativity {
+                            for &line_bytes in &self.line_bytes {
+                                for &reload_cost in &self.reload_costs {
+                                    for &q_scale in &self.q_scales {
+                                        grid.push(GridPoint {
+                                            depth,
+                                            loop_iterations,
+                                            footprint,
+                                            sets,
+                                            associativity,
+                                            line_bytes,
+                                            reload_cost,
+                                            q_scale,
+                                        });
+                                    }
                                 }
                             }
                         }
@@ -158,196 +159,181 @@ pub fn grid_points(params: &CfgParams) -> Vec<GridPoint> {
                 }
             }
         }
-    }
-    grid
-}
-
-/// Runs the full grid on `threads` workers, in [`grid_points`] order.
-/// Each thread claims the `Qi` points of one (shape, geometry) as a run,
-/// so that geometry's curves are derived by one thread, once.
-///
-/// # Errors
-///
-/// Propagates the first shard failure.
-pub fn run(
-    params: &CfgParams,
-    campaign_seed: u64,
-    threads: NonZeroUsize,
-    engine: &CfgEngine,
-    store: Option<&ResultStore>,
-) -> Result<Vec<CfgPoint>, CampaignError> {
-    let grid = grid_points(params);
-    let run = NonZeroUsize::new(params.q_scales.len()).unwrap_or(NonZeroUsize::MIN);
-    parallel_map(grid.len(), threads, run, |i| {
-        compute_grid_point(params, campaign_seed, grid[i], engine, store)
-    })
-}
-
-fn compute_grid_point(
-    params: &CfgParams,
-    campaign_seed: u64,
-    point: GridPoint,
-    engine: &CfgEngine,
-    store: Option<&ResultStore>,
-) -> Result<CfgPoint, CampaignError> {
-    let compute = || run_point(params, campaign_seed, point, engine, store);
-    match store {
-        Some(s) => s.get_or_compute(
-            StoreTable::CfgPoints,
-            point_key(params, campaign_seed, point),
-            compute,
-        ),
-        None => compute(),
-    }
-}
-
-/// Content address of one finished grid point: campaign seed, the
-/// generation template (including the user `tag`, which prefixes the
-/// stored shape strings), and the full point coordinates — never the axis
-/// lists, so grid extensions restore shared points.
-fn point_key(params: &CfgParams, campaign_seed: u64, point: GridPoint) -> u128 {
-    ScenarioHasher::new(TAG_POINT)
-        .word(campaign_seed)
-        .word(params.programs_per_point as u64)
-        .str(&params.tag)
-        .word(params.program.max_sequence as u64)
-        .f64(params.program.cost_range.0)
-        .f64(params.program.cost_range.1)
-        .f64(params.program.branch_probability)
-        .f64(params.program.loop_probability)
-        .word(params.program.block_bytes)
-        .word(params.program.accesses_per_block.0 as u64)
-        .word(params.program.accesses_per_block.1 as u64)
-        .word(point.depth as u64)
-        .word(point.loop_iterations)
-        .word(point.footprint)
-        .word(point.sets as u64)
-        .word(point.associativity as u64)
-        .word(point.line_bytes)
-        .f64(point.reload_cost)
-        .f64(point.q_scale)
-        .finish128()
-}
-
-fn run_point(
-    params: &CfgParams,
-    campaign_seed: u64,
-    point: GridPoint,
-    engine: &CfgEngine,
-    store: Option<&ResultStore>,
-) -> Result<CfgPoint, CampaignError> {
-    let tag = if params.tag.is_empty() {
-        String::new()
-    } else {
-        format!("{}:", params.tag)
-    };
-    let mut out = CfgPoint {
-        shape: format!(
-            "{tag}d{}_l{}_f{}",
-            point.depth, point.loop_iterations, point.footprint
-        ),
-        depth: point.depth,
-        loop_iterations: point.loop_iterations,
-        footprint: point.footprint,
-        sets: point.sets,
-        associativity: point.associativity,
-        line_bytes: point.line_bytes,
-        reload_cost: point.reload_cost,
-        q_scale: point.q_scale,
-        programs: 0,
-        blocks_mean: 0.0,
-        wcet_mean: 0.0,
-        curve_max_mean: 0.0,
-        alg1_converged: 0,
-        eq4_converged: 0,
-        delay_mean: 0.0,
-        pessimism_mean: 0.0,
-        pessimism_max: 0.0,
-        pessimism_count: 0,
-        dominance_violations: 0,
-    };
-    let gen_params = ProgramGenParams {
-        max_depth: point.depth,
-        max_loop_iterations: point.loop_iterations,
-        footprint_lines: point.footprint,
-        ..params.program
-    };
-    let cache = CacheConfig::new(
-        point.sets,
-        point.associativity,
-        point.line_bytes,
-        point.reload_cost,
-    )
-    .map_err(|e| CampaignError::Analysis(format!("cache geometry: {e}")))?;
-
-    let mut blocks_sum = 0usize;
-    let mut wcet_sum = 0.0;
-    let mut curve_max_sum = 0.0;
-    let mut delay_sum = 0.0;
-    let mut gap_sum = 0.0;
-
-    for instance in 0..params.programs_per_point {
-        let program_key = program_key(campaign_seed, &gen_params, instance);
-        let artifacts = engine
-            .program_memo
-            // The generation seed is the key's low word — exactly the
-            // pre-widening 64-bit stream seed, so generated programs (and
-            // every aggregate) are unchanged by the 128-bit keys.
-            .get_or_insert_with(program_key, || {
-                build_program(program_key as u64, &gen_params)
-            })
-            .ok_or_else(|| {
-                CampaignError::Analysis(format!(
-                    "program generation failed (shape {}, instance {instance})",
-                    out.shape
-                ))
-            })?;
-        let analysis = engine
-            .curve_memo
-            .get_or_insert_with(curve_key(&artifacts, &cache), || {
-                let accesses = program_access_map(&artifacts.compiled, &cache);
-                artifacts
-                    .prepared
-                    .analyze(&accesses, &cache)
-                    .ok()
-                    .map(Arc::new)
-            })
-            .ok_or_else(|| {
-                CampaignError::Analysis(format!(
-                    "pipeline failed (shape {}, instance {instance})",
-                    out.shape
-                ))
-            })?;
-
-        out.programs += 1;
-        blocks_sum += artifacts.compiled.cfg.len();
-        wcet_sum += analysis.timing.wcet;
-        curve_max_sum += analysis.curve.max_value();
-
-        let q = point.q_scale * analysis.timing.wcet;
-        let key = bounds_key(&analysis.curve, q);
-        let (alg1, eq4) = engine
-            .bound_memo
-            .get_or_insert_with(key, || compute_point_bounds(&analysis.curve, q, store, key))
-            .map_err(|e| {
-                CampaignError::Analysis(format!("{e} (shape {}, instance {instance})", out.shape))
-            })?;
-        accumulate_bounds(alg1, eq4, &mut out, &mut delay_sum, &mut gap_sum);
+        grid
     }
 
-    if out.programs > 0 {
-        let n = out.programs as f64;
-        out.blocks_mean = blocks_sum as f64 / n;
-        out.wcet_mean = wcet_sum / n;
-        out.curve_max_mean = curve_max_sum / n;
+    fn run_length(&self) -> usize {
+        self.q_scales.len()
     }
-    if out.alg1_converged > 0 {
-        out.delay_mean = delay_sum / out.alg1_converged as f64;
+
+    fn template(&self, h: ScenarioHasher) -> ScenarioHasher {
+        h.word(self.programs_per_point as u64)
+            .str(&self.tag)
+            .word(self.program.max_sequence as u64)
+            .f64(self.program.cost_range.0)
+            .f64(self.program.cost_range.1)
+            .f64(self.program.branch_probability)
+            .f64(self.program.loop_probability)
+            .word(self.program.block_bytes)
+            .word(self.program.accesses_per_block.0 as u64)
+            .word(self.program.accesses_per_block.1 as u64)
     }
-    if out.pessimism_count > 0 {
-        out.pessimism_mean = gap_sum / out.pessimism_count as f64;
+
+    fn point_key(&self, point: GridPoint, h: ScenarioHasher) -> ScenarioHasher {
+        h.word(point.depth as u64)
+            .word(point.loop_iterations)
+            .word(point.footprint)
+            .word(point.sets as u64)
+            .word(point.associativity as u64)
+            .word(point.line_bytes)
+            .f64(point.reload_cost)
+            .f64(point.q_scale)
     }
-    Ok(out)
+
+    fn compute(
+        &self,
+        seed: u64,
+        point: GridPoint,
+        engine: &CfgEngine,
+        store: Option<&ResultStore>,
+    ) -> Result<CfgPoint, CampaignError> {
+        let tag = if self.tag.is_empty() {
+            String::new()
+        } else {
+            format!("{}:", self.tag)
+        };
+        let mut out = CfgPoint {
+            shape: format!(
+                "{tag}d{}_l{}_f{}",
+                point.depth, point.loop_iterations, point.footprint
+            ),
+            depth: point.depth,
+            loop_iterations: point.loop_iterations,
+            footprint: point.footprint,
+            sets: point.sets,
+            associativity: point.associativity,
+            line_bytes: point.line_bytes,
+            reload_cost: point.reload_cost,
+            q_scale: point.q_scale,
+            programs: 0,
+            blocks_mean: 0.0,
+            wcet_mean: 0.0,
+            curve_max_mean: 0.0,
+            alg1_converged: 0,
+            eq4_converged: 0,
+            delay_mean: 0.0,
+            pessimism_mean: 0.0,
+            pessimism_max: 0.0,
+            pessimism_count: 0,
+            dominance_violations: 0,
+        };
+        let gen_params = ProgramGenParams {
+            max_depth: point.depth,
+            max_loop_iterations: point.loop_iterations,
+            footprint_lines: point.footprint,
+            ..self.program
+        };
+        let cache = CacheConfig::new(
+            point.sets,
+            point.associativity,
+            point.line_bytes,
+            point.reload_cost,
+        )
+        .map_err(|e| CampaignError::Analysis(format!("cache geometry: {e}")))?;
+
+        let mut blocks_sum = 0usize;
+        let mut wcet_sum = 0.0;
+        let mut curve_max_sum = 0.0;
+        let mut delay_sum = 0.0;
+        let mut gap_sum = 0.0;
+
+        for instance in 0..self.programs_per_point {
+            let program_key = program_key(seed, &gen_params, instance);
+            let artifacts = engine
+                .program_memo
+                // The generation seed is the key's low word — exactly the
+                // pre-widening 64-bit stream seed, so generated programs (and
+                // every aggregate) are unchanged by the 128-bit keys.
+                .get_or_insert_with(program_key, || {
+                    build_program(program_key as u64, &gen_params)
+                })
+                .ok_or_else(|| {
+                    CampaignError::Analysis(format!(
+                        "program generation failed (shape {}, instance {instance})",
+                        out.shape
+                    ))
+                })?;
+            let analysis = engine
+                .curve_memo
+                .get_or_insert_with(curve_key(&artifacts, &cache), || {
+                    let accesses = program_access_map(&artifacts.compiled, &cache);
+                    artifacts
+                        .prepared
+                        .analyze(&accesses, &cache)
+                        .ok()
+                        .map(Arc::new)
+                })
+                .ok_or_else(|| {
+                    CampaignError::Analysis(format!(
+                        "pipeline failed (shape {}, instance {instance})",
+                        out.shape
+                    ))
+                })?;
+
+            out.programs += 1;
+            blocks_sum += artifacts.compiled.cfg.len();
+            wcet_sum += analysis.timing.wcet;
+            curve_max_sum += analysis.curve.max_value();
+
+            let q = point.q_scale * analysis.timing.wcet;
+            let key = bounds_key(&analysis.curve, q);
+            let (alg1, eq4) = engine
+                .bound_memo
+                .get_or_insert_with(key, || compute_point_bounds(&analysis.curve, q, store, key))
+                .map_err(|e| {
+                    CampaignError::Analysis(format!(
+                        "{e} (shape {}, instance {instance})",
+                        out.shape
+                    ))
+                })?;
+            accumulate_bounds(alg1, eq4, &mut out, &mut delay_sum, &mut gap_sum);
+        }
+
+        if out.programs > 0 {
+            let n = out.programs as f64;
+            out.blocks_mean = blocks_sum as f64 / n;
+            out.wcet_mean = wcet_sum / n;
+            out.curve_max_mean = curve_max_sum / n;
+        }
+        if out.alg1_converged > 0 {
+            out.delay_mean = delay_sum / out.alg1_converged as f64;
+        }
+        if out.pessimism_count > 0 {
+            out.pessimism_mean = gap_sum / out.pessimism_count as f64;
+        }
+        Ok(out)
+    }
+
+    fn memo_stats(engine: &CfgEngine) -> MemoStats {
+        engine.program_memo.stats() + engine.curve_memo.stats()
+    }
+
+    fn fold(&self, points: &[CfgPoint], summary: &mut Summary) {
+        let mut gap_sum = 0.0;
+        let mut gap_weight = 0usize;
+        for p in points {
+            summary.instances += p.programs;
+            summary.dominance_violations += p.dominance_violations;
+            if p.pessimism_count > 0 {
+                gap_sum += p.pessimism_mean * p.pessimism_count as f64;
+                gap_weight += p.pessimism_count;
+            }
+            summary.pessimism_max = summary.pessimism_max.max(p.pessimism_max);
+        }
+        if gap_weight > 0 {
+            summary.pessimism_mean = gap_sum / gap_weight as f64;
+        }
+    }
 }
 
 /// Computes — or restores from the **shared** `(curve, Q)` store table —
@@ -468,15 +454,9 @@ fn program_key(campaign_seed: u64, params: &ProgramGenParams, instance: usize) -
 }
 
 /// Structural hash of a compiled program: blocks (intervals), edges, loop
-/// bounds, layout granularity and data accesses. Two structurally identical
-/// programs hash equally regardless of how they were generated. The
-/// 64-bit value is the low word of [`program_hash128`].
-#[must_use]
-pub fn program_hash(compiled: &CompiledProgram) -> u64 {
-    program_hash128(compiled) as u64
-}
-
-/// The 128-bit program hash keying the curve memo (see [`program_hash`]).
+/// bounds, layout granularity and data accesses — the program half of the
+/// curve memo key. Two structurally identical programs hash equally
+/// regardless of how they were generated.
 #[must_use]
 pub fn program_hash128(compiled: &CompiledProgram) -> u128 {
     let mut h = ScenarioHasher::new(0x4347_5348); // "CGSH"
@@ -525,6 +505,7 @@ fn curve_key(artifacts: &ProgramArtifacts, cache: &CacheConfig) -> u128 {
 mod tests {
     use super::*;
     use crate::spec::{CampaignSpec, Workload};
+    use std::num::NonZeroUsize;
 
     fn threads(n: usize) -> NonZeroUsize {
         NonZeroUsize::new(n).unwrap()
@@ -556,8 +537,9 @@ reload_cost = [10.0]
     #[test]
     fn points_cover_the_grid_in_order() {
         let params = small_params();
-        let engine = CfgEngine::new();
-        let points = run(&params, 7, threads(2), &engine, None).unwrap();
+        let engine = CfgEngine::default();
+        let points =
+            crate::run_grid(&params, 7, threads(2), &engine, None, &Default::default()).unwrap();
         // 1 shape x 2 set counts x 2 q scales.
         assert_eq!(points.len(), 4);
         assert_eq!(points[0].sets, 16);
@@ -576,8 +558,9 @@ reload_cost = [10.0]
     #[test]
     fn real_structure_produces_nonzero_curves_and_dominance_holds() {
         let params = small_params();
-        let engine = CfgEngine::new();
-        let points = run(&params, 11, threads(4), &engine, None).unwrap();
+        let engine = CfgEngine::default();
+        let points =
+            crate::run_grid(&params, 11, threads(4), &engine, None, &Default::default()).unwrap();
         assert!(
             points.iter().any(|p| p.curve_max_mean > 0.0),
             "no program produced CRPD — the pipeline is not being exercised"
@@ -594,8 +577,9 @@ reload_cost = [10.0]
     #[test]
     fn geometry_and_q_axes_share_programs_and_curves_via_memo() {
         let params = small_params();
-        let engine = CfgEngine::new();
-        let _ = run(&params, 7, threads(1), &engine, None).unwrap();
+        let engine = CfgEngine::default();
+        let _ =
+            crate::run_grid(&params, 7, threads(1), &engine, None, &Default::default()).unwrap();
         let programs = engine.program_memo.stats();
         // 4 grid points share one shape: 4 programs generated once, hit 3x.
         assert_eq!(programs.misses, 4);
@@ -619,8 +603,9 @@ reload_cost = [10.0]
         // of one shape may still build its programs at the same time.
         let params = small_params();
         for n in [1, 2, 8] {
-            let engine = CfgEngine::new();
-            let _ = run(&params, 7, threads(n), &engine, None).unwrap();
+            let engine = CfgEngine::default();
+            let _ = crate::run_grid(&params, 7, threads(n), &engine, None, &Default::default())
+                .unwrap();
             assert_eq!(engine.curve_memo.stats().misses, 8, "{n} threads");
         }
     }
@@ -634,8 +619,9 @@ reload_cost = [10.0]
         // across blocks... they still can within the layout; footprint 0
         // only removes *data* accesses, so just assert the run completes
         // and the bounds stay ordered.
-        let engine = CfgEngine::new();
-        let points = run(&params, 3, threads(2), &engine, None).unwrap();
+        let engine = CfgEngine::default();
+        let points =
+            crate::run_grid(&params, 3, threads(2), &engine, None, &Default::default()).unwrap();
         for p in &points {
             assert_eq!(p.programs, 4);
             assert_eq!(p.dominance_violations, 0);
@@ -648,7 +634,7 @@ reload_cost = [10.0]
         let a = random_program(&mut StdRng::seed_from_u64(1), &params).unwrap();
         let a2 = random_program(&mut StdRng::seed_from_u64(1), &params).unwrap();
         let b = random_program(&mut StdRng::seed_from_u64(2), &params).unwrap();
-        assert_eq!(program_hash(&a.compiled), program_hash(&a2.compiled));
-        assert_ne!(program_hash(&a.compiled), program_hash(&b.compiled));
+        assert_eq!(program_hash128(&a.compiled), program_hash128(&a2.compiled));
+        assert_ne!(program_hash128(&a.compiled), program_hash128(&b.compiled));
     }
 }

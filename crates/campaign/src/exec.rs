@@ -15,6 +15,10 @@
 //! group's size as the run length, so one thread derives the shared values
 //! while the others claim other groups, instead of two threads racing to
 //! compute the same memo entry.
+//!
+//! The campaign runner starts one map per run and hands it its progress
+//! label, per-point histogram and kill-switch threshold
+//! (`MapSettings`); nothing here is process-global.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -32,56 +36,32 @@ pub fn resolve_threads(requested: Option<usize>) -> NonZeroUsize {
         .unwrap_or_else(|| std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN))
 }
 
-/// The label the next [`parallel_map`] uses for its live progress line
-/// (typically the campaign name). `None` — the default — disables the
-/// meter entirely; the campaign runner installs the label around a run and
-/// clears it afterwards.
-static PROGRESS_LABEL: Mutex<Option<String>> = Mutex::new(None);
-
-/// Installs (or clears) the progress-line label for subsequent
-/// [`parallel_map`] calls on this process.
-pub fn set_progress_label(label: Option<String>) {
-    *PROGRESS_LABEL.lock().expect("progress label poisoned") = label;
-}
-
-/// The histogram name the next [`parallel_map`] records per-shard wall
-/// times into (e.g. `campaign.point.micros.acceptance`), on top of the
-/// always-on `campaign.shard.micros` roll-up. The campaign runner installs
-/// the workload-specific name around a run and clears it afterwards.
-static POINT_HISTOGRAM: Mutex<Option<String>> = Mutex::new(None);
-
-/// Installs (or clears) the per-point timing histogram for subsequent
-/// [`parallel_map`] calls on this process.
-pub fn set_point_histogram(name: Option<String>) {
-    *POINT_HISTOGRAM.lock().expect("point histogram poisoned") = name;
-}
-
-/// Resolves the installed per-point histogram handle, if telemetry is on
-/// and a name is installed.
-fn point_histogram() -> Option<fnpr_obs::Histogram> {
-    if !fnpr_obs::enabled() {
-        return None;
-    }
-    let name = POINT_HISTOGRAM
-        .lock()
-        .expect("point histogram poisoned")
-        .clone()?;
-    // fnpr-lint: metric(histogram, "campaign.point.micros.{}")
-    Some(fnpr_obs::histogram(&name))
+/// What one campaign run hands its map besides the work: how the map
+/// reports, and when a crash-resume drill kills it. The default is a
+/// silent, disarmed map.
+#[derive(Default)]
+pub(crate) struct MapSettings {
+    /// Live progress-line label (the campaign name); `None` disables the
+    /// meter.
+    pub label: Option<String>,
+    /// The workload's per-point wall-time histogram
+    /// (`campaign.point.micros.<workload>`), recorded on top of the
+    /// always-on `campaign.shard.micros` roll-up; `None` while telemetry
+    /// is off.
+    pub point_micros: Option<fnpr_obs::Histogram>,
+    /// Kill-switch threshold ([`FAULT_ENV`]): the process aborts once this
+    /// many shards have retired.
+    pub kill_after: Option<u64>,
 }
 
 /// Builds the live meter for a map over `count` shards, if telemetry, the
 /// progress display and a label are all present.
-fn build_meter(count: usize) -> Option<ProgressMeter> {
+fn build_meter(count: usize, label: Option<&str>) -> Option<ProgressMeter> {
     if !fnpr_obs::enabled() || !fnpr_obs::progress_enabled() {
         return None;
     }
-    let label = PROGRESS_LABEL
-        .lock()
-        .expect("progress label poisoned")
-        .clone()?;
     Some(
-        ProgressMeter::new(label, count as u64)
+        ProgressMeter::new(label?, count as u64)
             .with_ratio(
                 "memo",
                 fnpr_obs::counter("campaign.memo.hit"),
@@ -100,7 +80,8 @@ fn build_meter(count: usize) -> Option<ProgressMeter> {
 /// `run` consecutive shards (the last run may be shorter), which the
 /// claiming thread computes in index order. `work` failures abort the map
 /// at the first error (already-claimed runs still finish, each up to its
-/// own first failing shard).
+/// own first failing shard). `settings` only observe the map, or abort
+/// the process; they never change a result.
 ///
 /// # Errors
 ///
@@ -109,10 +90,11 @@ fn build_meter(count: usize) -> Option<ProgressMeter> {
 /// # Panics
 ///
 /// Propagates panics from `work` (the scope re-raises them on join).
-pub fn parallel_map<T, E, F>(
+pub(crate) fn parallel_map<T, E, F>(
     count: usize,
     threads: NonZeroUsize,
     run: NonZeroUsize,
+    settings: &MapSettings,
     work: F,
 ) -> Result<Vec<T>, E>
 where
@@ -134,12 +116,12 @@ where
     let done = fnpr_obs::counter!("campaign.points.done");
     // Wall-time distributions: every shard into the cross-workload
     // roll-up (straggler shards show up as the max/p99 gap), plus the
-    // workload-specific histogram when the runner installed one. Timing
-    // is taken only while telemetry is enabled, so the disabled cost
-    // stays one relaxed load.
+    // workload-specific histogram when the runner passed one. Timing is
+    // taken only while telemetry is enabled, so the disabled cost stays
+    // one relaxed load.
     let shard_micros = fnpr_obs::histogram!("campaign.shard.micros");
-    let point_micros = point_histogram();
-    let meter = build_meter(count);
+    let meter = build_meter(count, settings.label.as_deref());
+    let kill_switch = KillSwitch::new(settings.kill_after);
 
     std::thread::scope(|scope| {
         for _ in 0..threads {
@@ -166,7 +148,7 @@ where
                     if let Some(started) = started {
                         let micros = started.elapsed().as_micros() as u64;
                         shard_micros.record(micros);
-                        if let Some(h) = point_micros {
+                        if let Some(h) = settings.point_micros {
                             h.record(micros);
                         }
                     }
@@ -182,7 +164,7 @@ where
                     }
                     // Crash-resume drills: an armed kill switch aborts the
                     // process here, mid-campaign, with shards persisted.
-                    kill_switch_tick();
+                    kill_switch.tick();
                     if stop {
                         break;
                     }
@@ -218,13 +200,6 @@ where
 /// leaves it disarmed.
 pub const FAULT_ENV: &str = "FNPR_FAULT";
 
-/// Disarmed sentinel for [`KILL_AFTER`].
-const KILL_DISARMED: u64 = u64::MAX;
-/// Retired-shard threshold at which the process aborts.
-static KILL_AFTER: AtomicU64 = AtomicU64::new(KILL_DISARMED);
-/// Retired shards since the switch was last armed.
-static KILL_RETIRED: AtomicU64 = AtomicU64::new(0);
-
 /// Parses a [`FAULT_ENV`] value (`None` = unset) into the kill-switch
 /// threshold.
 ///
@@ -259,30 +234,35 @@ pub(crate) fn kill_after_from_env() -> Result<Option<u64>, CampaignError> {
     parse_kill_switch(value.as_deref())
 }
 
-/// Arms (or, with `None`, disarms) the kill switch: [`parallel_map`]
-/// aborts the process once `after` shards have retired. Process-global —
-/// intended for one CLI run at a time (the crash-resume drill), not for
-/// concurrent in-process campaigns.
-pub(crate) fn arm_kill_switch(after: Option<u64>) {
-    KILL_RETIRED.store(0, Ordering::SeqCst);
-    KILL_AFTER.store(after.unwrap_or(KILL_DISARMED), Ordering::SeqCst);
+/// The kill switch of one map: aborts the process (no destructors — the
+/// SIGKILL analogue) once `after` shards have retired. Disarmed, a tick
+/// costs one branch.
+struct KillSwitch {
+    after: Option<u64>,
+    retired: AtomicU64,
 }
 
-/// Counts one retired shard against the kill switch; aborts the process
-/// (no destructors — the SIGKILL analogue) at the armed threshold. One
-/// relaxed load when disarmed.
-fn kill_switch_tick() {
-    let limit = KILL_AFTER.load(Ordering::Relaxed);
-    if limit == KILL_DISARMED {
-        return;
+impl KillSwitch {
+    fn new(after: Option<u64>) -> Self {
+        Self {
+            after,
+            retired: AtomicU64::new(0),
+        }
     }
-    let retired = KILL_RETIRED.fetch_add(1, Ordering::SeqCst) + 1;
-    if retired >= limit {
-        eprintln!(
-            "fnpr-campaign: fault: aborting coordinator after {retired} retired shards \
-             (kill_after = {limit})"
-        );
-        std::process::abort();
+
+    /// Counts one retired shard; aborts the process at the threshold.
+    fn tick(&self) {
+        let Some(limit) = self.after else {
+            return;
+        };
+        let retired = self.retired.fetch_add(1, Ordering::SeqCst) + 1;
+        if retired >= limit {
+            eprintln!(
+                "fnpr-campaign: fault: aborting coordinator after {retired} retired shards \
+                 (kill_after = {limit})"
+            );
+            std::process::abort();
+        }
     }
 }
 
@@ -322,7 +302,10 @@ mod tests {
         for run in [1usize, 3, 7, 150] {
             for threads in [1usize, 2, 8] {
                 let out: Vec<usize> =
-                    parallel_map(100, nz(threads), nz(run), |i| Ok::<_, ()>(i * i)).unwrap();
+                    parallel_map(100, nz(threads), nz(run), &MapSettings::default(), |i| {
+                        Ok::<_, ()>(i * i)
+                    })
+                    .unwrap();
                 assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
             }
         }
@@ -336,25 +319,23 @@ mod tests {
         // three successes in its run, and later runs fail too (shard 10
         // mid-run in 8..12).
         for run in [1usize, 4] {
-            let err = parallel_map::<(), usize, _>(50, nz(4), nz(run), |i| {
-                if i % 7 == 3 {
-                    Err(i)
-                } else {
-                    Ok(())
-                }
-            })
-            .unwrap_err();
+            let err =
+                parallel_map::<(), usize, _>(50, nz(4), nz(run), &MapSettings::default(), |i| {
+                    if i % 7 == 3 {
+                        Err(i)
+                    } else {
+                        Ok(())
+                    }
+                })
+                .unwrap_err();
             assert_eq!(err, 3, "run {run}");
         }
     }
 
     #[test]
     fn kill_switch_is_inert_below_threshold_and_when_disarmed() {
-        arm_kill_switch(None);
-        kill_switch_tick(); // must not abort
-        arm_kill_switch(Some(1_000_000));
-        kill_switch_tick(); // still far below the threshold
-        arm_kill_switch(None);
+        KillSwitch::new(None).tick(); // must not abort
+        KillSwitch::new(Some(1_000_000)).tick(); // still far below the threshold
     }
 
     #[test]
@@ -379,7 +360,10 @@ mod tests {
     #[test]
     fn empty_map_is_fine() {
         for run in [1usize, 5] {
-            let out: Vec<u8> = parallel_map(0, nz(2), nz(run), |_| Ok::<_, ()>(0)).unwrap();
+            let out: Vec<u8> = parallel_map(0, nz(2), nz(run), &MapSettings::default(), |_| {
+                Ok::<_, ()>(0)
+            })
+            .unwrap();
             assert!(out.is_empty());
         }
     }

@@ -10,6 +10,10 @@
 //!   of the workload (acceptance, soundness, multicore, or the
 //!   CFG-pipeline workload of [`cfg_workload`]), its parameter grid, and
 //!   the outputs;
+//! * **Workloads** ([`GridWorkload`]) — each workload's validated
+//!   parameters define its grid and how one point is keyed, computed and
+//!   folded into the summary; one runner gives all four the memo tables,
+//!   the store read-through and the executor map;
 //! * **Sharded execution** ([`exec`]) — grid shards are claimed by worker
 //!   threads from an atomic cursor, but every shard's RNG streams are pure
 //!   functions of the campaign seed and grid coordinates, so the same spec
@@ -61,12 +65,80 @@ pub mod soundness;
 pub mod spec;
 pub mod store;
 
+use std::num::NonZeroUsize;
+
+use serde::{Deserialize, Serialize};
+
 pub use error::CampaignError;
 pub use history::{HistoryOptions, ScenarioTrend};
 pub use memo::MemoStats;
 pub use report::{CampaignReport, StoreStats, Summary};
 pub use spec::{Campaign, CampaignSpec, Workload, WorkloadKind};
 pub use store::{GcPolicy, GcReport, ResultStore};
+
+use memo::ScenarioHasher;
+use store::StoreTable;
+
+/// One campaign workload, implemented directly on its validated
+/// parameters (`spec::*Params`): its grid in report order, and how one
+/// point of it is keyed, computed and folded into the summary. This is
+/// the one place a workload is defined; [`run_campaign_with_store`] runs
+/// every workload through one runner, which owns the memo tables, the
+/// result store's read-through and the executor map.
+pub trait GridWorkload: Sync {
+    /// One grid point's coordinates.
+    type Point: Copy + Send + Sync;
+    /// One finished point (for soundness, one shard of trials): a report
+    /// entry, persisted in [`Self::TABLE`].
+    type Output: Serialize + Deserialize + PartialEq + Send;
+    /// The memo tables every point of one run shares.
+    type Memos: Default + Sync;
+    /// The store table finished points persist in.
+    const TABLE: StoreTable;
+    /// The domain tag of the point key.
+    const KEY_TAG: u64;
+
+    /// The grid in report order; a point's shard index is its position.
+    fn grid(&self) -> Vec<Self::Point>;
+
+    /// How many consecutive points one thread claims at a time. Points
+    /// that share memoized work are claimed together, so one thread
+    /// derives the shared values once.
+    fn run_length(&self) -> usize {
+        1
+    }
+
+    /// Hashes the non-axis parameters, which every point's result depends
+    /// on. [`Campaign::scenario_hash`] and every point key both start with
+    /// this.
+    fn template(&self, h: ScenarioHasher) -> ScenarioHasher;
+
+    /// Appends one point's own words to its key, after the domain tag, the
+    /// campaign seed and [`Self::template`]. The key holds the point's
+    /// coordinates but never the axis lists, so a grid extension restores
+    /// the points it shares with an earlier run.
+    fn point_key(&self, point: Self::Point, h: ScenarioHasher) -> ScenarioHasher;
+
+    /// Computes one point from the campaign seed and its coordinates.
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError::Analysis`] when an analysis fails on the generated
+    /// inputs.
+    fn compute(
+        &self,
+        seed: u64,
+        point: Self::Point,
+        memos: &Self::Memos,
+        store: Option<&ResultStore>,
+    ) -> Result<Self::Output, CampaignError>;
+
+    /// The memo hit/miss counters a run reports.
+    fn memo_stats(memos: &Self::Memos) -> MemoStats;
+
+    /// Folds the finished points, in report order, into the summary.
+    fn fold(&self, outputs: &[Self::Output], summary: &mut Summary);
+}
 
 #[cfg(test)]
 pub(crate) mod testutil {
@@ -186,7 +258,7 @@ pub fn run_campaign(
 /// [`run_campaign`] against an explicitly provided result store (`None`
 /// disables persistence regardless of the spec).
 ///
-/// Shards run on a scoped thread pool ([`exec::parallel_map`]); when
+/// Shards run on a scoped thread pool (see [`exec`]); when
 /// `FNPR_FAULT=kill_after=N` is set ([`exec::FAULT_ENV`]), the process
 /// aborts after `N` retired shards, leaving the store's in-progress
 /// marker behind for a `--resume` drill.
@@ -200,7 +272,7 @@ pub fn run_campaign_with_store(
     store: Option<&ResultStore>,
 ) -> Result<CampaignOutcome, CampaignError> {
     let threads = exec::resolve_threads(threads_override.or(campaign.threads));
-    exec::arm_kill_switch(exec::kill_after_from_env()?);
+    let kill_after = exec::kill_after_from_env()?;
     let scenario = format!("{:016x}", campaign.scenario_hash());
     let _run_span = fnpr_obs::span("campaign.run", "campaign");
     // Crash-safety marker: a run that dies before `end_run` leaves the
@@ -208,52 +280,34 @@ pub fn run_campaign_with_store(
     if let Some(store) = store {
         store.begin_run(&campaign.name);
     }
-    exec::set_progress_label(Some(campaign.name.clone()));
-    exec::set_point_histogram(Some(format!(
-        "campaign.point.micros.{}",
-        campaign.workload_kind().key()
-    )));
-    let seed = campaign.seed;
-    let (mut acceptance_points, mut soundness_shards, mut multicore_points, mut cfg_points) =
-        Default::default();
-    let (methods, memo) = match &campaign.workload {
-        Workload::Acceptance(params) => {
-            let engine = acceptance::AcceptanceEngine::new();
-            acceptance_points = acceptance::run(params, seed, threads, &engine, store)?;
-            (method_labels(&params.methods), engine.taskset_memo.stats())
-        }
-        Workload::Soundness(params) => {
-            let engine = soundness::SoundnessEngine::new();
-            soundness_shards = soundness::run(params, seed, threads, &engine, store)?;
-            (Vec::new(), engine.bounds_memo.stats())
-        }
-        Workload::Multicore(params) => {
-            let engine = multicore::MulticoreEngine::new();
-            multicore_points = multicore::run(params, seed, threads, &engine, store)?;
-            (method_labels(&params.methods), engine.taskset_memo.stats())
-        }
-        Workload::Cfg(params) => {
-            let engine = cfg_workload::CfgEngine::new();
-            cfg_points = cfg_workload::run(params, seed, threads, &engine, store)?;
-            (
-                Vec::new(),
-                engine.program_memo.stats() + engine.curve_memo.stats(),
-            )
-        }
+    let histogram = format!("campaign.point.micros.{}", campaign.workload_kind().key());
+    let settings = exec::MapSettings {
+        label: Some(campaign.name.clone()),
+        // fnpr-lint: metric(histogram, "campaign.point.micros.{}")
+        point_micros: fnpr_obs::enabled().then(|| fnpr_obs::histogram(&histogram)),
+        kill_after,
     };
-    exec::set_progress_label(None);
-    exec::set_point_histogram(None);
+    let seed = campaign.seed;
+    let (mut acceptance, mut soundness, mut multicore, mut cfg) = Default::default();
+    let (summary, memo) = match &campaign.workload {
+        Workload::Acceptance(p) => {
+            run_workload(p, seed, threads, store, &settings, &mut acceptance)
+        }
+        Workload::Soundness(p) => run_workload(p, seed, threads, store, &settings, &mut soundness),
+        Workload::Multicore(p) => run_workload(p, seed, threads, store, &settings, &mut multicore),
+        Workload::Cfg(p) => run_workload(p, seed, threads, store, &settings, &mut cfg),
+    }?;
     if let Some(store) = store {
         store.end_run();
     }
-    exec::arm_kill_switch(None);
-    let summary = report::summarize(
-        &acceptance_points,
-        &soundness_shards,
-        &multicore_points,
-        &cfg_points,
-        &methods,
-    );
+    let methods = match &campaign.workload {
+        Workload::Acceptance(spec::AcceptanceParams { methods, .. })
+        | Workload::Multicore(spec::MulticoreParams { methods, .. }) => methods
+            .iter()
+            .map(|&m| spec::method_label(m).to_string())
+            .collect(),
+        Workload::Soundness(_) | Workload::Cfg(_) => Vec::new(),
+    };
     Ok(CampaignOutcome {
         report: CampaignReport {
             name: campaign.name.clone(),
@@ -261,10 +315,10 @@ pub fn run_campaign_with_store(
             seed,
             scenario,
             methods,
-            acceptance: acceptance_points,
-            soundness: soundness_shards,
-            multicore: multicore_points,
-            cfg: cfg_points,
+            acceptance,
+            soundness,
+            multicore,
+            cfg,
             summary,
         },
         memo,
@@ -273,10 +327,44 @@ pub fn run_campaign_with_store(
     })
 }
 
-/// The report's method column labels.
-fn method_labels(methods: &[fnpr_sched::DelayMethod]) -> Vec<String> {
-    methods
-        .iter()
-        .map(|&m| spec::method_label(m).to_string())
-        .collect()
+/// Runs one workload with fresh memo tables: its points land in
+/// `outputs`, and their summary and the memo counters come back.
+fn run_workload<W: GridWorkload>(
+    params: &W,
+    seed: u64,
+    threads: NonZeroUsize,
+    store: Option<&ResultStore>,
+    settings: &exec::MapSettings,
+    outputs: &mut Vec<W::Output>,
+) -> Result<(Summary, MemoStats), CampaignError> {
+    let memos = W::Memos::default();
+    *outputs = run_grid(params, seed, threads, &memos, store, settings)?;
+    Ok((report::summarize(params, outputs), W::memo_stats(&memos)))
+}
+
+/// Runs `params`' grid on the executor, with `memos` shared by every
+/// point. With a store attached, each point goes through its read-through:
+/// a stored point is restored, a computed one is persisted. Returns the
+/// points in report order.
+pub(crate) fn run_grid<W: GridWorkload>(
+    params: &W,
+    seed: u64,
+    threads: NonZeroUsize,
+    memos: &W::Memos,
+    store: Option<&ResultStore>,
+    settings: &exec::MapSettings,
+) -> Result<Vec<W::Output>, CampaignError> {
+    let grid = params.grid();
+    let run = NonZeroUsize::new(params.run_length()).unwrap_or(NonZeroUsize::MIN);
+    exec::parallel_map(grid.len(), threads, run, settings, |i| {
+        let compute = || params.compute(seed, grid[i], memos, store);
+        let Some(store) = store else {
+            return compute();
+        };
+        let key = params.point_key(
+            grid[i],
+            params.template(ScenarioHasher::new(W::KEY_TAG).word(seed)),
+        );
+        store.get_or_compute(W::TABLE, key.finish128(), compute)
+    })
 }

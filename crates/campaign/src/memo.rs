@@ -156,24 +156,19 @@ impl std::ops::Add for MemoStats {
 /// two copies would silently split the memo key spaces).
 pub use fnpr_core::StructuralHasher as ScenarioHasher;
 
-/// Hashes a delay curve structurally (all breakpoints and values).
-///
-/// Since the hash moved into `fnpr-core` this is a thin alias for
-/// [`fnpr_core::DelayCurve::structural_hash`], which is computed **once**
-/// at curve construction and cached — memo lookups no longer re-hash every
-/// segment on every grid point. The value (and its mixing scheme) is
-/// unchanged, so memo keys stay comparable within a process either way.
-#[must_use]
-pub fn curve_hash(curve: &fnpr_core::DelayCurve) -> u64 {
-    curve.structural_hash()
-}
-
-/// The 128-bit curve hash ([`fnpr_core::DelayCurve::structural_hash128`],
-/// cached at construction like the 64-bit value): what memo and store keys
-/// use. Its low word is exactly [`curve_hash`].
-#[must_use]
-pub fn curve_hash128(curve: &fnpr_core::DelayCurve) -> u128 {
-    curve.structural_hash128()
+/// Feeds a list preceded by its length, each item through `item`. Every
+/// variable-length hash section is length-prefixed: without it,
+/// `cores = [2, 11]` + `policies = [edf]` would alias `cores = [2]` +
+/// `policies = [fp, edf]` (user-chosen values can collide with the tag
+/// alphabets).
+pub(crate) fn hash_list<T: Copy>(
+    h: ScenarioHasher,
+    items: &[T],
+    item: impl Fn(ScenarioHasher, T) -> ScenarioHasher,
+) -> ScenarioHasher {
+    items
+        .iter()
+        .fold(h.word(items.len() as u64), |h, &x| item(h, x))
 }
 
 #[cfg(test)]
@@ -235,9 +230,9 @@ mod tests {
     #[test]
     fn curve_hash128_low_word_is_curve_hash() {
         let curve = DelayCurve::from_breakpoints([(0.0, 8.0), (40.0, 1.0)], 100.0).unwrap();
-        assert_eq!(curve_hash128(&curve) as u64, curve_hash(&curve));
+        assert_eq!(curve.structural_hash128() as u64, curve.structural_hash());
         // The high word actually distinguishes (not zero-padded).
-        assert_ne!(curve_hash128(&curve) >> 64, 0);
+        assert_ne!(curve.structural_hash128() >> 64, 0);
     }
 
     #[test]
@@ -289,13 +284,13 @@ mod tests {
         let a = DelayCurve::from_breakpoints([(0.0, 8.0), (40.0, 1.0)], 100.0).unwrap();
         let b = DelayCurve::from_breakpoints([(0.0, 8.0), (40.0, 2.0)], 100.0).unwrap();
         let a2 = DelayCurve::from_breakpoints([(0.0, 8.0), (40.0, 1.0)], 100.0).unwrap();
-        assert_ne!(curve_hash(&a), curve_hash(&b));
-        assert_eq!(curve_hash(&a), curve_hash(&a2));
+        assert_ne!(a.structural_hash(), b.structural_hash());
+        assert_eq!(a.structural_hash(), a2.structural_hash());
     }
 
     #[test]
     fn cached_curve_hash_matches_the_legacy_segment_walk() {
-        // `curve_hash` used to re-hash every segment per call via
+        // The campaign used to re-hash every segment per call via
         // ScenarioHasher; the cached fnpr-core hash must produce the exact
         // same value so memo keys stay stable across the refactor.
         let curves = [
@@ -309,7 +304,7 @@ mod tests {
                 h = h.f64(seg.start).f64(seg.end).f64(seg.value);
             }
             let legacy = h.f64(curve.domain_end()).finish();
-            assert_eq!(curve_hash(curve), legacy);
+            assert_eq!(curve.structural_hash(), legacy);
         }
     }
 }

@@ -10,8 +10,6 @@
 //! (m, utilization) analyses the same sets — and the [`Memo`] layer
 //! generates each exactly once per process.
 
-use std::num::NonZeroUsize;
-
 use fnpr_multicore::{
     global_schedulable_with_delay, partition_taskset, partitioned_schedulable_with_delay,
 };
@@ -26,14 +24,17 @@ use fnpr_synth::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::acceptance::AcceptanceEngine;
 use crate::error::CampaignError;
-use crate::exec::{parallel_map, stream_seed};
-use crate::memo::{Memo, ScenarioHasher};
-use crate::report::MulticorePoint;
+use crate::exec::stream_seed;
+use crate::memo::{hash_list, MemoStats, ScenarioHasher};
+use crate::report::{acceptance_ratios, chain_violations, MulticorePoint, Summary};
 use crate::spec::{
-    allocation_label, allocation_tag, method_tag, policy_tag, Allocation, MulticoreParams,
+    allocation_label, allocation_tag, method_tag, policy_label, policy_tag, Allocation,
+    MulticoreParams,
 };
 use crate::store::{ResultStore, StoreTable};
+use crate::GridWorkload;
 
 /// Domain tags for RNG stream / memo key derivation.
 const TAG_TASKSET: u64 = 0x4d43_5453; // "MCTS"
@@ -41,217 +42,152 @@ const TAG_EQUIP: u64 = 0x4d43_4551; // "MCEQ"
 const TAG_SIM: u64 = 0x4d43_5349; // "MCSI"
 const TAG_POINT: u64 = 0x4d43_5054; // "MCPT"
 
-/// Shared state across shards of one `run` call.
-pub struct MulticoreEngine {
-    /// Base task sets keyed by their full generation coordinates (policy-
-    /// and allocation-free, so the whole grid row shares them).
-    pub taskset_memo: Memo<Option<TaskSet>>,
-}
+/// The memo tables one multicore run shares across its points: the same
+/// base task-set table as an acceptance run, keyed under this workload's
+/// own domain tag.
+pub type MulticoreEngine = AcceptanceEngine;
 
-impl MulticoreEngine {
-    /// A fresh engine with empty memo tables.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            taskset_memo: Memo::named("taskset"),
-        }
-    }
-}
+/// One grid point's coordinates: core count, policy, allocation and
+/// per-core utilization.
+type Point = (usize, Policy, Allocation, f64);
 
-impl Default for MulticoreEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Point order (and therefore report order) is cores-major, then
+/// policies, allocations, utilizations. The point key keeps the `methods`
+/// list, which shapes the accepted/ratio vectors.
+impl GridWorkload for MulticoreParams {
+    type Point = Point;
+    type Output = MulticorePoint;
+    type Memos = MulticoreEngine;
+    const TABLE: StoreTable = StoreTable::MulticorePoints;
+    const KEY_TAG: u64 = TAG_POINT;
 
-/// One grid point's coordinates.
-#[derive(Clone, Copy)]
-struct Point {
-    m: usize,
-    policy: Policy,
-    allocation: Allocation,
-    utilization: f64,
-}
-
-/// Runs the full grid on `threads` workers. Point order (and therefore
-/// report order) is cores-major, then policies, allocations, utilizations.
-///
-/// # Errors
-///
-/// Propagates the first shard failure.
-pub fn run(
-    params: &MulticoreParams,
-    campaign_seed: u64,
-    threads: NonZeroUsize,
-    engine: &MulticoreEngine,
-    store: Option<&ResultStore>,
-) -> Result<Vec<MulticorePoint>, CampaignError> {
-    let grid = grid(params);
-    parallel_map(grid.len(), threads, NonZeroUsize::MIN, |i| {
-        compute_grid_point(params, campaign_seed, grid[i], engine, store)
-    })
-}
-
-/// The flat shard list: cores-major, then policies, allocations,
-/// utilizations.
-fn grid(params: &MulticoreParams) -> Vec<Point> {
-    let mut grid = Vec::new();
-    for &m in &params.cores {
-        for &policy in &params.policies {
-            for &allocation in &params.allocations {
-                for &utilization in &params.utilizations {
-                    grid.push(Point {
-                        m,
-                        policy,
-                        allocation,
-                        utilization,
-                    });
+    fn grid(&self) -> Vec<Point> {
+        let mut grid = Vec::new();
+        for &m in &self.cores {
+            for &policy in &self.policies {
+                for &allocation in &self.allocations {
+                    for &utilization in &self.utilizations {
+                        grid.push((m, policy, allocation, utilization));
+                    }
                 }
             }
         }
+        grid
     }
-    grid
-}
 
-fn compute_grid_point(
-    params: &MulticoreParams,
-    campaign_seed: u64,
-    point: Point,
-    engine: &MulticoreEngine,
-    store: Option<&ResultStore>,
-) -> Result<MulticorePoint, CampaignError> {
-    let compute = || run_point(params, campaign_seed, point, engine);
-    match store {
-        Some(s) => s.get_or_compute(
-            StoreTable::MulticorePoints,
-            point_key(params, campaign_seed, point),
-            compute,
-        ),
-        None => compute(),
+    fn template(&self, h: ScenarioHasher) -> ScenarioHasher {
+        h.word(self.sets_per_point as u64)
+            .word(self.max_attempts_factor as u64)
+            .word(self.tasks_per_core as u64)
+            .f64(self.q_scale)
+            .f64(self.delay_frac)
+            .word(u64::from(self.simulate))
+            .word(self.sim_per_point as u64)
+            .f64(self.sim_horizon_factor)
+            .f64(self.taskset.period_range.0)
+            .f64(self.taskset.period_range.1)
+            .f64(self.taskset.deadline_factor.0)
+            .f64(self.taskset.deadline_factor.1)
     }
-}
 
-/// Content address of one finished grid point: campaign seed, every
-/// parameter the point's result depends on, and the point coordinates —
-/// never the axis *lists* (cores/policies/allocations/utilizations), so
-/// grid extensions restore shared points. The `methods` list shapes the
-/// accepted/ratio vectors and stays in, length-prefixed.
-fn point_key(params: &MulticoreParams, campaign_seed: u64, point: Point) -> u128 {
-    let mut h = ScenarioHasher::new(TAG_POINT)
-        .word(campaign_seed)
-        .word(params.sets_per_point as u64)
-        .word(params.max_attempts_factor as u64)
-        .word(params.tasks_per_core as u64)
-        .f64(params.q_scale)
-        .f64(params.delay_frac)
-        .word(u64::from(params.simulate))
-        .word(params.sim_per_point as u64)
-        .f64(params.sim_horizon_factor)
-        .f64(params.taskset.period_range.0)
-        .f64(params.taskset.period_range.1)
-        .f64(params.taskset.deadline_factor.0)
-        .f64(params.taskset.deadline_factor.1)
-        .word(params.methods.len() as u64);
-    for &m in &params.methods {
-        h = h.word(method_tag(m));
+    fn point_key(&self, (m, policy, allocation, u): Point, h: ScenarioHasher) -> ScenarioHasher {
+        hash_list(h, &self.methods, |h, method| h.word(method_tag(method)))
+            .word(m as u64)
+            .word(policy_tag(policy))
+            .word(allocation_tag(allocation))
+            .f64(u)
     }
-    h.word(point.m as u64)
-        .word(policy_tag(point.policy))
-        .word(allocation_tag(point.allocation))
-        .f64(point.utilization)
-        .finish128()
-}
 
-fn run_point(
-    params: &MulticoreParams,
-    campaign_seed: u64,
-    point: Point,
-    engine: &MulticoreEngine,
-) -> Result<MulticorePoint, CampaignError> {
-    let mut out = MulticorePoint {
-        m: point.m,
-        policy: crate::spec::policy_label(point.policy).to_string(),
-        allocation: allocation_label(point.allocation).to_string(),
-        utilization: point.utilization,
-        generated: 0,
-        attempts: 0,
-        accepted: vec![0; params.methods.len()],
-        ratios: Vec::new(),
-        sim_checks: 0,
-        sim_violations: 0,
-        sim_jobs: 0,
-        sim_migrations: 0,
-        migrations_mean: 0.0,
-    };
-    let ts_params = TaskSetParams {
-        n: point.m * params.tasks_per_core,
-        utilization: point.m as f64 * point.utilization,
-        ..params.taskset
-    };
-
-    for instance in 0..params.sets_per_point {
-        let Some((base, attempt)) = generate_instance(
-            params,
-            campaign_seed,
-            &ts_params,
-            instance,
-            engine,
-            &mut out.attempts,
-        ) else {
-            continue;
+    fn compute(
+        &self,
+        seed: u64,
+        point: Point,
+        engine: &MulticoreEngine,
+        _store: Option<&ResultStore>,
+    ) -> Result<MulticorePoint, CampaignError> {
+        let (m, policy, allocation, utilization) = point;
+        let mut out = MulticorePoint {
+            m,
+            policy: policy_label(policy).to_string(),
+            allocation: allocation_label(allocation).to_string(),
+            utilization,
+            generated: 0,
+            attempts: 0,
+            accepted: vec![0; self.methods.len()],
+            ratios: Vec::new(),
+            sim_checks: 0,
+            sim_violations: 0,
+            sim_jobs: 0,
+            sim_migrations: 0,
+            migrations_mean: 0.0,
         };
-        out.generated += 1;
-        // One equipment stream per (coords, allocation, policy); shared by
-        // every method so the dominance chain stays meaningful.
-        let equip_seed = stream_seed(
-            TAG_EQUIP,
-            campaign_seed,
-            &[
-                point.m as u64,
-                point.utilization.to_bits(),
-                instance as u64,
-                attempt as u64,
-                allocation_tag(point.allocation),
-                policy_tag(point.policy),
-            ],
-        );
-        let evaluation = evaluate_instance(params, point, &base, equip_seed)?;
-        for (k, &ok) in evaluation.accepted.iter().enumerate() {
-            if ok {
-                out.accepted[k] += 1;
-            }
-        }
-        if params.simulate && instance < params.sim_per_point {
-            let sim_seed = stream_seed(
-                TAG_SIM,
-                campaign_seed,
+        let ts_params = TaskSetParams {
+            n: m * self.tasks_per_core,
+            utilization: m as f64 * utilization,
+            ..self.taskset
+        };
+
+        for instance in 0..self.sets_per_point {
+            let Some((base, attempt)) =
+                generate_instance(self, seed, &ts_params, instance, engine, &mut out.attempts)
+            else {
+                continue;
+            };
+            out.generated += 1;
+            // One equipment stream per (coords, allocation, policy); shared
+            // by every method so the dominance chain stays meaningful.
+            let equip_seed = stream_seed(
+                TAG_EQUIP,
+                seed,
                 &[
-                    point.m as u64,
-                    point.utilization.to_bits(),
+                    m as u64,
+                    utilization.to_bits(),
                     instance as u64,
-                    allocation_tag(point.allocation),
-                    policy_tag(point.policy),
+                    attempt as u64,
+                    allocation_tag(allocation),
+                    policy_tag(policy),
                 ],
             );
-            simulate_instance(params, point, &evaluation, sim_seed, &mut out)?;
+            let evaluation = evaluate_instance(self, point, &base, equip_seed)?;
+            for (k, &ok) in evaluation.accepted.iter().enumerate() {
+                if ok {
+                    out.accepted[k] += 1;
+                }
+            }
+            if self.simulate && instance < self.sim_per_point {
+                let sim_seed = stream_seed(
+                    TAG_SIM,
+                    seed,
+                    &[
+                        m as u64,
+                        utilization.to_bits(),
+                        instance as u64,
+                        allocation_tag(allocation),
+                        policy_tag(policy),
+                    ],
+                );
+                simulate_instance(self, point, &evaluation, sim_seed, &mut out)?;
+            }
         }
+
+        out.ratios = acceptance_ratios(&out.accepted, out.generated);
+        if out.sim_jobs > 0 {
+            out.migrations_mean = out.sim_migrations as f64 / out.sim_jobs as f64;
+        }
+        Ok(out)
     }
 
-    out.ratios = out
-        .accepted
-        .iter()
-        .map(|&a| {
-            if out.generated == 0 {
-                0.0
-            } else {
-                a as f64 / out.generated as f64
-            }
-        })
-        .collect();
-    if out.sim_jobs > 0 {
-        out.migrations_mean = out.sim_migrations as f64 / out.sim_jobs as f64;
+    fn memo_stats(engine: &MulticoreEngine) -> MemoStats {
+        engine.taskset_memo.stats()
     }
-    Ok(out)
+
+    fn fold(&self, points: &[MulticorePoint], summary: &mut Summary) {
+        for p in points {
+            summary.instances += p.generated;
+            summary.dominance_violations += chain_violations(&self.methods, &p.accepted);
+            summary.sim_violations += p.sim_violations;
+        }
+    }
 }
 
 /// Draws one base multiprocessor task set, resampling up to the attempt
@@ -267,13 +203,13 @@ fn generate_instance(
 ) -> Option<(TaskSet, usize)> {
     for attempt in 0..params.max_attempts_factor {
         *attempts += 1;
-        let key = taskset_key(campaign_seed, ts_params, instance, attempt);
-        let base = engine.taskset_memo.get_or_insert_with(key, || {
-            // Seed from the key's low word: the pre-widening 64-bit hash,
-            // so generation streams (and aggregates) are unchanged.
-            let mut rng = StdRng::seed_from_u64(key as u64);
-            random_taskset_multicore(&mut rng, ts_params).ok().flatten()
-        });
+        let base = engine.base_taskset(
+            TAG_TASKSET,
+            campaign_seed,
+            ts_params,
+            (instance, attempt),
+            |rng, p| random_taskset_multicore(rng, p).ok().flatten(),
+        );
         if let Some(base) = base {
             return Some((base, attempt));
         }
@@ -294,12 +230,12 @@ struct Evaluation {
 
 fn evaluate_instance(
     params: &MulticoreParams,
-    point: Point,
+    (m, policy, allocation, _): Point,
     base: &TaskSet,
     equip_seed: u64,
 ) -> Result<Evaluation, CampaignError> {
     let mut rng = StdRng::seed_from_u64(equip_seed);
-    match point.allocation.heuristic() {
+    match allocation.heuristic() {
         None => {
             // Global: equipment always succeeds (Q = q_scale × C).
             let equipped =
@@ -308,9 +244,7 @@ fn evaluate_instance(
             let accepted = params
                 .methods
                 .iter()
-                .map(|&method| {
-                    global_schedulable_with_delay(&equipped, point.m, point.policy, method)
-                })
+                .map(|&method| global_schedulable_with_delay(&equipped, m, policy, method))
                 .collect::<Result<Vec<_>, _>>()
                 .map_err(|e| CampaignError::Analysis(format!("global test: {e}")))?;
             Ok(Evaluation {
@@ -319,7 +253,7 @@ fn evaluate_instance(
             })
         }
         Some(heuristic) => {
-            let partition = partition_taskset(base, point.m, heuristic, point.policy)
+            let partition = partition_taskset(base, m, heuristic, policy)
                 .map_err(|e| CampaignError::Analysis(format!("partitioning: {e}")))?;
             let Some(partition) = partition else {
                 // No feasible packing: every method rejects.
@@ -340,7 +274,7 @@ fn evaluate_instance(
                 match with_npr_and_curves(
                     &mut rng,
                     &subset,
-                    point.policy,
+                    policy,
                     params.q_scale,
                     params.delay_frac,
                 ) {
@@ -387,7 +321,7 @@ fn evaluate_instance(
                 .methods
                 .iter()
                 .map(|&method| {
-                    partitioned_schedulable_with_delay(&full, &partition, point.policy, method)
+                    partitioned_schedulable_with_delay(&full, &partition, policy, method)
                 })
                 .collect::<Result<Vec<_>, _>>()
                 .map_err(|e| CampaignError::Analysis(format!("partitioned test: {e}")))?;
@@ -405,20 +339,20 @@ fn evaluate_instance(
 /// extension of the paper's Theorem 1 soundness experiment.
 fn simulate_instance(
     params: &MulticoreParams,
-    point: Point,
+    (m, policy, allocation, _): Point,
     evaluation: &Evaluation,
     sim_seed: u64,
     out: &mut MulticorePoint,
 ) -> Result<(), CampaignError> {
     let mut rng = StdRng::seed_from_u64(sim_seed);
-    let policy = match point.policy {
+    let policy = match policy {
         Policy::FixedPriority => PriorityPolicy::FixedPriority,
         Policy::Edf => PriorityPolicy::Edf,
     };
     // Global allocation simulates all m cores at once; partitioned
     // allocations simulate each core's subset on its own core.
-    let runs: Vec<(usize, &TaskSet)> = match point.allocation {
-        Allocation::Global => evaluation.equipped.iter().map(|t| (point.m, t)).collect(),
+    let runs: Vec<(usize, &TaskSet)> = match allocation {
+        Allocation::Global => evaluation.equipped.iter().map(|t| (m, t)).collect(),
         _ => evaluation.equipped.iter().map(|t| (1, t)).collect(),
     };
     for (cores, tasks) in runs {
@@ -450,33 +384,11 @@ fn simulate_instance(
     Ok(())
 }
 
-/// Memo key (its low word doubling as the RNG seed) for a base task set: a
-/// pure function of campaign seed + generation parameters + instance
-/// coordinates. Policy and allocation are deliberately absent so the whole
-/// grid row shares base sets.
-fn taskset_key(
-    campaign_seed: u64,
-    params: &TaskSetParams,
-    instance: usize,
-    attempt: usize,
-) -> u128 {
-    ScenarioHasher::new(TAG_TASKSET)
-        .word(campaign_seed)
-        .word(params.n as u64)
-        .f64(params.utilization)
-        .f64(params.period_range.0)
-        .f64(params.period_range.1)
-        .f64(params.deadline_factor.0)
-        .f64(params.deadline_factor.1)
-        .word(instance as u64)
-        .word(attempt as u64)
-        .finish128()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::{CampaignSpec, Workload};
+    use std::num::NonZeroUsize;
 
     fn threads(n: usize) -> NonZeroUsize {
         NonZeroUsize::new(n).unwrap()
@@ -505,8 +417,9 @@ sim_per_point = 2
     #[test]
     fn points_cover_the_grid_in_order() {
         let params = small_params();
-        let engine = MulticoreEngine::new();
-        let points = run(&params, 7, threads(2), &engine, None).unwrap();
+        let engine = MulticoreEngine::default();
+        let points =
+            crate::run_grid(&params, 7, threads(2), &engine, None, &Default::default()).unwrap();
         // 1 core count x 2 policies x 4 allocations x 1 utilization.
         assert_eq!(points.len(), 8);
         assert_eq!(points[0].policy, "fp");
@@ -525,8 +438,9 @@ sim_per_point = 2
     #[test]
     fn simulator_never_beats_the_bound_and_counts_migrations() {
         let params = small_params();
-        let engine = MulticoreEngine::new();
-        let points = run(&params, 11, threads(4), &engine, None).unwrap();
+        let engine = MulticoreEngine::default();
+        let points =
+            crate::run_grid(&params, 11, threads(4), &engine, None, &Default::default()).unwrap();
         let mut checks = 0;
         for p in &points {
             assert_eq!(p.sim_violations, 0, "Theorem 1 violated on {p:?}");
@@ -544,8 +458,9 @@ sim_per_point = 2
     #[test]
     fn grid_rows_share_base_task_sets_via_memo() {
         let params = small_params();
-        let engine = MulticoreEngine::new();
-        let _ = run(&params, 7, threads(1), &engine, None).unwrap();
+        let engine = MulticoreEngine::default();
+        let _ =
+            crate::run_grid(&params, 7, threads(1), &engine, None, &Default::default()).unwrap();
         let stats = engine.taskset_memo.stats();
         assert!(
             stats.hits > 0,
@@ -558,8 +473,9 @@ sim_per_point = 2
     #[test]
     fn dominance_holds_on_the_small_grid() {
         let params = small_params();
-        let engine = MulticoreEngine::new();
-        let points = run(&params, 7, threads(2), &engine, None).unwrap();
+        let engine = MulticoreEngine::default();
+        let points =
+            crate::run_grid(&params, 7, threads(2), &engine, None, &Default::default()).unwrap();
         for p in &points {
             // accepted = [none, eq4, alg1, capped].
             assert!(p.accepted[1] <= p.accepted[2], "Eq.4 beat Algorithm 1");

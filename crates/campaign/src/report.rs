@@ -6,9 +6,11 @@
 //! of [`CampaignReport`]. All floating-point aggregates are folded in shard
 //! order, keeping output byte-identical across thread counts.
 
+use fnpr_sched::DelayMethod;
 use serde::{Deserialize, Serialize};
 
 use crate::spec::WorkloadKind;
+use crate::GridWorkload;
 
 /// One (policy × utilization) grid point of an acceptance campaign.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -420,16 +422,10 @@ impl CampaignReport {
     }
 }
 
-/// Builds the cross-workload summary from shard aggregates, folding floats
-/// in shard order (deterministic at any thread count).
+/// Folds one workload's finished points, in report order, into the
+/// campaign summary (deterministic at any thread count).
 #[must_use]
-pub fn summarize(
-    acceptance: &[AcceptancePoint],
-    soundness: &[SoundnessShard],
-    multicore: &[MulticorePoint],
-    cfg: &[CfgPoint],
-    method_labels: &[String],
-) -> Summary {
+pub fn summarize<W: GridWorkload>(params: &W, outputs: &[W::Output]) -> Summary {
     let mut summary = Summary {
         instances: 0,
         dominance_violations: 0,
@@ -438,70 +434,81 @@ pub fn summarize(
         pessimism_mean: 0.0,
         pessimism_max: 0.0,
     };
-    // Methods in ascending acceptance power: a tighter delay bound can only
-    // admit more task sets, and `no_delay` admits the most of all. Each
-    // adjacent pair of *present* chain methods must be non-decreasing in
-    // accepted count; anything else is a dominance violation.
-    const POWER_CHAIN: [&str; 4] = ["eq4", "algorithm1", "algorithm1_capped", "no_delay"];
+    params.fold(outputs, &mut summary);
+    summary
+}
+
+/// Acceptance ratios `accepted / generated`, all 0 when no set was
+/// generated.
+pub(crate) fn acceptance_ratios(accepted: &[usize], generated: usize) -> Vec<f64> {
+    accepted
+        .iter()
+        .map(|&a| {
+            if generated == 0 {
+                0.0
+            } else {
+                a as f64 / generated as f64
+            }
+        })
+        .collect()
+}
+
+/// How often one point's accepted counts (aligned with `methods`) break
+/// the methods' order of acceptance power: a tighter delay bound can only
+/// admit more task sets, and `None` (no delay) admits the most of all.
+/// Each adjacent pair of the methods present must be non-decreasing.
+pub(crate) fn chain_violations(methods: &[DelayMethod], accepted: &[usize]) -> usize {
+    const POWER_CHAIN: [DelayMethod; 4] = [
+        DelayMethod::Eq4,
+        DelayMethod::Algorithm1,
+        DelayMethod::Algorithm1Capped,
+        DelayMethod::None,
+    ];
     let chain: Vec<usize> = POWER_CHAIN
         .iter()
-        .filter_map(|name| method_labels.iter().position(|l| l == name))
+        .filter_map(|m| methods.iter().position(|x| x == m))
         .collect();
-    let mut gap_sum = 0.0;
-    let mut gap_weight = 0usize;
-    for p in acceptance {
-        summary.instances += p.generated;
-        for pair in chain.windows(2) {
-            if p.accepted[pair[1]] < p.accepted[pair[0]] {
-                summary.dominance_violations += 1;
-            }
-        }
-        if p.pessimism_gap_count > 0 {
-            gap_sum += p.pessimism_gap_mean * p.pessimism_gap_count as f64;
-            gap_weight += p.pessimism_gap_count;
-        }
-        summary.pessimism_max = summary.pessimism_max.max(p.pessimism_gap_max);
-    }
-    for p in multicore {
-        summary.instances += p.generated;
-        for pair in chain.windows(2) {
-            if p.accepted[pair[1]] < p.accepted[pair[0]] {
-                summary.dominance_violations += 1;
-            }
-        }
-        summary.sim_violations += p.sim_violations;
-    }
-    for p in cfg {
-        summary.instances += p.programs;
-        summary.dominance_violations += p.dominance_violations;
-        if p.pessimism_count > 0 {
-            gap_sum += p.pessimism_mean * p.pessimism_count as f64;
-            gap_weight += p.pessimism_count;
-        }
-        summary.pessimism_max = summary.pessimism_max.max(p.pessimism_max);
-    }
-    let mut ratio_sum = 0.0;
-    let mut ratio_count = 0usize;
-    for s in soundness {
-        summary.instances += s.rows.len();
-        summary.dominance_violations += s.theorem1_violations + s.eq4_violations;
-        summary.sim_violations += s.sim_violations;
-        summary.naive_unsound += s.naive_unsound;
-        ratio_sum += s.ratio_sum;
-        ratio_count += s.ratio_count;
-        summary.pessimism_max = summary.pessimism_max.max(s.ratio_max);
-    }
-    if gap_weight > 0 {
-        summary.pessimism_mean = gap_sum / gap_weight as f64;
-    } else if ratio_count > 0 {
-        summary.pessimism_mean = ratio_sum / ratio_count as f64;
-    }
-    summary
+    chain
+        .windows(2)
+        .filter(|pair| accepted[pair[1]] < accepted[pair[0]])
+        .count()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{CampaignSpec, Workload};
+
+    /// The validated default parameters of `kind`.
+    fn defaults(kind: WorkloadKind) -> Workload {
+        let spec = CampaignSpec {
+            workload: Some(kind),
+            ..CampaignSpec::default()
+        };
+        spec.validate().unwrap().workload
+    }
+
+    /// The summary of acceptance points under the four default methods.
+    fn acceptance_summary(points: &[AcceptancePoint]) -> Summary {
+        match defaults(WorkloadKind::Acceptance) {
+            Workload::Acceptance(params) => summarize(&params, points),
+            _ => unreachable!(),
+        }
+    }
+
+    fn cfg_summary(points: &[CfgPoint]) -> Summary {
+        match defaults(WorkloadKind::Cfg) {
+            Workload::Cfg(params) => summarize(&params, points),
+            _ => unreachable!(),
+        }
+    }
+
+    fn soundness_summary(shards: &[SoundnessShard]) -> Summary {
+        match defaults(WorkloadKind::Soundness) {
+            Workload::Soundness(params) => summarize(&params, shards),
+            _ => unreachable!(),
+        }
+    }
 
     fn sample_acceptance_report() -> CampaignReport {
         let points = vec![AcceptancePoint {
@@ -518,7 +525,7 @@ mod tests {
         let methods: Vec<String> = ["no_delay", "eq4", "algorithm1", "algorithm1_capped"]
             .map(String::from)
             .to_vec();
-        let summary = summarize(&points, &[], &[], &[], &methods);
+        let summary = acceptance_summary(&points);
         CampaignReport {
             name: "t".into(),
             workload: WorkloadKind::Acceptance,
@@ -630,7 +637,7 @@ mod tests {
 
     fn sample_cfg_report() -> CampaignReport {
         let points = vec![sample_cfg_point()];
-        let summary = summarize(&[], &[], &[], &points, &[]);
+        let summary = cfg_summary(&points);
         CampaignReport {
             name: "c".into(),
             workload: WorkloadKind::Cfg,
@@ -674,7 +681,7 @@ mod tests {
     fn cfg_summary_counts_dominance_violations() {
         let mut point = sample_cfg_point();
         point.dominance_violations = 2;
-        let summary = summarize(&[], &[], &[], &[point], &[]);
+        let summary = cfg_summary(&[point]);
         assert_eq!(summary.dominance_violations, 2);
     }
 
@@ -729,7 +736,7 @@ mod tests {
             soundness: vec![],
             multicore: vec![mc],
             cfg: vec![],
-            summary: summarize(&[], &[], &[], &[], &[]),
+            summary: acceptance_summary(&[]),
         };
         let row = report.to_csv().lines().nth(1).unwrap().to_string();
         assert!(row.starts_with("2,\"fp,custom\",first_fit,"), "row: {row}");
@@ -764,15 +771,15 @@ mod tests {
         let mut report = sample_acceptance_report();
         // Algorithm 1 accepting FEWER sets than Eq. 4 is a violation.
         report.acceptance[0].accepted = vec![10, 8, 6, 6];
-        let summary = summarize(&report.acceptance, &[], &[], &[], &report.methods);
+        let summary = acceptance_summary(&report.acceptance);
         assert_eq!(summary.dominance_violations, 1);
         // An inflated method beating no-delay is also flagged.
         report.acceptance[0].accepted = vec![5, 6, 6, 6];
-        let summary = summarize(&report.acceptance, &[], &[], &[], &report.methods);
+        let summary = acceptance_summary(&report.acceptance);
         assert!(summary.dominance_violations >= 1);
         // The canonical ordering is clean.
         report.acceptance[0].accepted = vec![10, 6, 8, 8];
-        let summary = summarize(&report.acceptance, &[], &[], &[], &report.methods);
+        let summary = acceptance_summary(&report.acceptance);
         assert_eq!(summary.dominance_violations, 0);
     }
 
@@ -810,7 +817,7 @@ mod tests {
                 ratio_count: 2,
             },
         ];
-        let summary = summarize(&[], &shards, &[], &[], &[]);
+        let summary = soundness_summary(&shards);
         assert_eq!(summary.instances, 1);
         assert_eq!(summary.naive_unsound, 3);
         assert_eq!(summary.dominance_violations, 1);

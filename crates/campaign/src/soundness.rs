@@ -7,7 +7,7 @@
 //! than panicking mid-sweep, so a single bad trial cannot hide how many
 //! others also failed.
 
-use std::num::NonZeroUsize;
+use std::ops::Range;
 
 use fnpr_core::{algorithm1, eq4_bound_for_curve, exact_worst_case, naive_bound, DelayCurve};
 use fnpr_sim::{check_against_algorithm1, simulate, Scenario, SimConfig};
@@ -16,11 +16,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::error::CampaignError;
-use crate::exec::{parallel_map, stream_seed};
-use crate::memo::{Memo, ScenarioHasher};
-use crate::report::{SoundnessRow, SoundnessShard};
+use crate::exec::stream_seed;
+use crate::memo::{Memo, MemoStats, ScenarioHasher};
+use crate::report::{SoundnessRow, SoundnessShard, Summary};
 use crate::spec::SoundnessParams;
 use crate::store::{bounds_key, BoundsEntry, ResultStore, StoreTable};
+use crate::GridWorkload;
 
 const TAG_TRIAL: u64 = 0x5452_4941; // "TRIA"
 const TAG_SHARD: u64 = 0x534e_5348; // "SNSH"
@@ -38,116 +39,109 @@ pub struct BoundsQuad {
     pub eq4: f64,
 }
 
-/// Shared state across shards of one `run` call.
+/// The memo tables one soundness run shares across its shards.
 pub struct SoundnessEngine {
     /// `(curve, Q) → bounds`, computed once per distinct scenario.
     pub bounds_memo: Memo<Option<BoundsQuad>>,
 }
 
-impl SoundnessEngine {
-    /// A fresh engine with empty memo tables.
-    #[must_use]
-    pub fn new() -> Self {
+impl Default for SoundnessEngine {
+    fn default() -> Self {
         Self {
             bounds_memo: Memo::named("bounds"),
         }
     }
 }
 
-impl Default for SoundnessEngine {
-    fn default() -> Self {
-        Self::new()
+/// The grid is the shard indices: `trials` split `trials_per_shard` at a
+/// time, each shard's trial range pure index math. A shard's key holds its
+/// `[first, last)` trial range — deliberately **not** the total trial
+/// count, so extending `trials` restores every complete shard of the
+/// shorter run (trial streams are pure functions of the trial index). A
+/// formerly-final *partial* shard has a different `last` and recomputes,
+/// which is exactly right.
+impl GridWorkload for SoundnessParams {
+    type Point = usize;
+    type Output = SoundnessShard;
+    type Memos = SoundnessEngine;
+    const TABLE: StoreTable = StoreTable::SoundnessShards;
+    const KEY_TAG: u64 = TAG_SHARD;
+
+    fn grid(&self) -> Vec<usize> {
+        (0..self.trials.div_ceil(self.trials_per_shard)).collect()
+    }
+
+    fn template(&self, h: ScenarioHasher) -> ScenarioHasher {
+        h.word(u64::from(self.simulate))
+            .f64(self.c_range.0)
+            .f64(self.c_range.1)
+            .word(self.segments.0)
+            .word(self.segments.1)
+            .f64(self.max_value_range.0)
+            .f64(self.max_value_range.1)
+            .f64(self.q_slack_range.0)
+            .f64(self.q_slack_range.1)
+    }
+
+    fn point_key(&self, shard: usize, h: ScenarioHasher) -> ScenarioHasher {
+        let trials = shard_trials(self, shard);
+        h.word(trials.start as u64).word(trials.end as u64)
+    }
+
+    /// Analysis failures propagate (curve generation and bound
+    /// computations cannot legitimately fail on the generated inputs).
+    fn compute(
+        &self,
+        seed: u64,
+        shard: usize,
+        engine: &SoundnessEngine,
+        store: Option<&ResultStore>,
+    ) -> Result<SoundnessShard, CampaignError> {
+        let trials = shard_trials(self, shard);
+        let mut out = SoundnessShard {
+            first_trial: trials.start,
+            rows: Vec::with_capacity(trials.len()),
+            naive_unsound: 0,
+            theorem1_violations: 0,
+            eq4_violations: 0,
+            sim_violations: 0,
+            ratio_sum: 0.0,
+            ratio_max: 0.0,
+            ratio_count: 0,
+        };
+        for trial in trials {
+            run_trial(self, seed, trial, engine, store, &mut out)?;
+        }
+        Ok(out)
+    }
+
+    fn memo_stats(engine: &SoundnessEngine) -> MemoStats {
+        engine.bounds_memo.stats()
+    }
+
+    /// The pessimism columns carry the Algorithm 1 ÷ exact tightness.
+    fn fold(&self, shards: &[SoundnessShard], summary: &mut Summary) {
+        let mut ratio_sum = 0.0;
+        let mut ratio_count = 0usize;
+        for s in shards {
+            summary.instances += s.rows.len();
+            summary.dominance_violations += s.theorem1_violations + s.eq4_violations;
+            summary.sim_violations += s.sim_violations;
+            summary.naive_unsound += s.naive_unsound;
+            ratio_sum += s.ratio_sum;
+            ratio_count += s.ratio_count;
+            summary.pessimism_max = summary.pessimism_max.max(s.ratio_max);
+        }
+        if ratio_count > 0 {
+            summary.pessimism_mean = ratio_sum / ratio_count as f64;
+        }
     }
 }
 
-/// Runs `params.trials` trials, sharded `trials_per_shard` at a time.
-///
-/// # Errors
-///
-/// Propagates the first analysis failure (curve generation and bound
-/// computations cannot legitimately fail on the generated inputs).
-pub fn run(
-    params: &SoundnessParams,
-    campaign_seed: u64,
-    threads: NonZeroUsize,
-    engine: &SoundnessEngine,
-    store: Option<&ResultStore>,
-) -> Result<Vec<SoundnessShard>, CampaignError> {
-    let shard_count = params.trials.div_ceil(params.trials_per_shard);
-    parallel_map(shard_count, threads, NonZeroUsize::MIN, |shard| {
-        compute_shard(params, campaign_seed, shard, engine, store)
-    })
-}
-
-/// Computes one shard by index through the store's counted read-through
-/// path; the shard's trial range is pure index math.
-fn compute_shard(
-    params: &SoundnessParams,
-    campaign_seed: u64,
-    shard: usize,
-    engine: &SoundnessEngine,
-    store: Option<&ResultStore>,
-) -> Result<SoundnessShard, CampaignError> {
-    let compute = || run_shard(params, campaign_seed, shard, engine, store);
-    match store {
-        Some(s) => s.get_or_compute(
-            StoreTable::SoundnessShards,
-            shard_key(params, campaign_seed, shard),
-            compute,
-        ),
-        None => compute(),
-    }
-}
-
-/// Content address of one finished shard: campaign seed, every per-trial
-/// generation parameter, and the shard's `[first, last)` trial range —
-/// deliberately **not** the total trial count, so extending `trials`
-/// restores every complete shard of the shorter run (trial streams are
-/// pure functions of the trial index). A formerly-final *partial* shard
-/// has a different `last_trial` and recomputes, which is exactly right.
-fn shard_key(params: &SoundnessParams, campaign_seed: u64, shard: usize) -> u128 {
-    let first_trial = shard * params.trials_per_shard;
-    let last_trial = (first_trial + params.trials_per_shard).min(params.trials);
-    ScenarioHasher::new(TAG_SHARD)
-        .word(campaign_seed)
-        .word(u64::from(params.simulate))
-        .f64(params.c_range.0)
-        .f64(params.c_range.1)
-        .word(params.segments.0)
-        .word(params.segments.1)
-        .f64(params.max_value_range.0)
-        .f64(params.max_value_range.1)
-        .f64(params.q_slack_range.0)
-        .f64(params.q_slack_range.1)
-        .word(first_trial as u64)
-        .word(last_trial as u64)
-        .finish128()
-}
-
-fn run_shard(
-    params: &SoundnessParams,
-    campaign_seed: u64,
-    shard: usize,
-    engine: &SoundnessEngine,
-    store: Option<&ResultStore>,
-) -> Result<SoundnessShard, CampaignError> {
-    let first_trial = shard * params.trials_per_shard;
-    let last_trial = (first_trial + params.trials_per_shard).min(params.trials);
-    let mut out = SoundnessShard {
-        first_trial,
-        rows: Vec::with_capacity(last_trial - first_trial),
-        naive_unsound: 0,
-        theorem1_violations: 0,
-        eq4_violations: 0,
-        sim_violations: 0,
-        ratio_sum: 0.0,
-        ratio_max: 0.0,
-        ratio_count: 0,
-    };
-    for trial in first_trial..last_trial {
-        run_trial(params, campaign_seed, trial, engine, store, &mut out)?;
-    }
-    Ok(out)
+/// The `[first, last)` trial range of one shard.
+fn shard_trials(params: &SoundnessParams, shard: usize) -> Range<usize> {
+    let first = shard * params.trials_per_shard;
+    first..(first + params.trials_per_shard).min(params.trials)
 }
 
 fn run_trial(
@@ -294,6 +288,7 @@ fn compute_bounds(
 mod tests {
     use super::*;
     use crate::spec::{CampaignSpec, Workload, WorkloadKind};
+    use std::num::NonZeroUsize;
 
     fn threads(n: usize) -> NonZeroUsize {
         NonZeroUsize::new(n).unwrap()
@@ -318,8 +313,16 @@ mod tests {
     #[test]
     fn ordering_and_rows_over_a_small_sweep() {
         let params = small_params(24, true);
-        let engine = SoundnessEngine::new();
-        let shards = run(&params, 2012, threads(4), &engine, None).unwrap();
+        let engine = SoundnessEngine::default();
+        let shards = crate::run_grid(
+            &params,
+            2012,
+            threads(4),
+            &engine,
+            None,
+            &Default::default(),
+        )
+        .unwrap();
         assert_eq!(shards.len(), 24);
         let mut naive_unsound = 0;
         for shard in &shards {
@@ -397,12 +400,14 @@ mod tests {
 
     #[test]
     fn trial_results_independent_of_shard_size() {
-        let engine_a = SoundnessEngine::new();
+        let engine_a = SoundnessEngine::default();
         let mut params = small_params(10, false);
-        let a = run(&params, 5, threads(1), &engine_a, None).unwrap();
+        let a =
+            crate::run_grid(&params, 5, threads(1), &engine_a, None, &Default::default()).unwrap();
         params.trials_per_shard = 5;
-        let engine_b = SoundnessEngine::new();
-        let b = run(&params, 5, threads(3), &engine_b, None).unwrap();
+        let engine_b = SoundnessEngine::default();
+        let b =
+            crate::run_grid(&params, 5, threads(3), &engine_b, None, &Default::default()).unwrap();
         let rows_a: Vec<_> = a.iter().flat_map(|s| s.rows.clone()).collect();
         let rows_b: Vec<_> = b.iter().flat_map(|s| s.rows.clone()).collect();
         assert_eq!(rows_a, rows_b);

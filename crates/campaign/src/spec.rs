@@ -11,7 +11,8 @@ use fnpr_synth::{Policy, ProgramGenParams, TaskSetParams};
 use serde::{Deserialize, Serialize};
 
 use crate::error::CampaignError;
-use crate::memo::ScenarioHasher;
+use crate::memo::{hash_list, ScenarioHasher};
+use crate::GridWorkload;
 
 /// Which experiment family a campaign runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -666,6 +667,7 @@ impl CampaignSpec {
         if params.taskset.n == 0 {
             return Err(CampaignError::Spec("taskset `n` must be >= 1".into()));
         }
+        validate_taskset(&params.taskset, params.max_attempts_factor)?;
         Ok(params)
     }
 
@@ -758,6 +760,7 @@ impl CampaignSpec {
                 params.sim_horizon_factor
             )));
         }
+        validate_taskset(&params.taskset, params.max_attempts_factor)?;
         Ok(params)
     }
 
@@ -926,7 +929,7 @@ impl CampaignSpec {
         let s = self.soundness.clone().unwrap_or_default();
         let params = SoundnessParams {
             trials: s.trials.unwrap_or(300),
-            trials_per_shard: s.trials_per_shard.unwrap_or(1).max(1),
+            trials_per_shard: s.trials_per_shard.unwrap_or(1),
             simulate: s.simulate.unwrap_or(true),
             c_range: s.c_range.unwrap_or((50.0, 400.0)),
             segments: s.segments.unwrap_or((2, 12)),
@@ -936,14 +939,19 @@ impl CampaignSpec {
         if params.trials == 0 {
             return Err(CampaignError::Spec("`trials` must be >= 1".into()));
         }
+        if params.trials_per_shard == 0 {
+            return Err(CampaignError::Spec(
+                "`trials_per_shard` must be >= 1".into(),
+            ));
+        }
         for (name, (lo, hi)) in [
             ("c_range", params.c_range),
             ("max_value_range", params.max_value_range),
             ("q_slack_range", params.q_slack_range),
         ] {
-            if !(lo > 0.0 && hi > lo) {
+            if !(lo > 0.0 && hi > lo && hi.is_finite()) {
                 return Err(CampaignError::Spec(format!(
-                    "`{name}` must satisfy 0 < lo < hi, got ({lo}, {hi})"
+                    "`{name}` must satisfy 0 < lo < hi < inf, got ({lo}, {hi})"
                 )));
             }
         }
@@ -970,140 +978,73 @@ impl Campaign {
     }
 
     /// A stable structural hash of everything that determines results
-    /// (not outputs or thread counts): the campaign id in reports.
+    /// (not outputs or thread counts): the campaign id in reports. Each
+    /// workload hashes its kind, its [`GridWorkload::template`] and its
+    /// axis lists.
     #[must_use]
     pub fn scenario_hash(&self) -> u64 {
         let h = ScenarioHasher::new(0x4341_4d50) // "CAMP"
             .str(&self.name)
             .word(self.seed);
-        match &self.workload {
+        let h = match &self.workload {
+            // The acceptance axes predate length prefixes.
             Workload::Acceptance(a) => {
-                let mut h = h
-                    .word(1)
-                    .word(a.sets_per_point as u64)
-                    .word(a.max_attempts_factor as u64)
-                    .f64(a.q_scale)
-                    .f64(a.delay_frac)
-                    .word(a.taskset.n as u64)
-                    .f64(a.taskset.period_range.0)
-                    .f64(a.taskset.period_range.1)
-                    .f64(a.taskset.deadline_factor.0)
-                    .f64(a.taskset.deadline_factor.1);
-                for p in &a.policies {
-                    h = h.word(policy_tag(*p));
-                }
-                for m in &a.methods {
-                    h = h.word(method_tag(*m));
-                }
-                for &u in &a.utilizations {
-                    h = h.f64(u);
-                }
-                h.finish()
+                let h = a.template(h.word(1));
+                let h = a.policies.iter().fold(h, |h, &p| h.word(policy_tag(p)));
+                let h = a.methods.iter().fold(h, |h, &m| h.word(method_tag(m)));
+                a.utilizations.iter().fold(h, |h, &u| h.f64(u))
             }
-            Workload::Soundness(s) => h
-                .word(2)
-                .word(s.trials as u64)
-                .word(u64::from(s.simulate))
-                .f64(s.c_range.0)
-                .f64(s.c_range.1)
-                .word(s.segments.0)
-                .word(s.segments.1)
-                .f64(s.max_value_range.0)
-                .f64(s.max_value_range.1)
-                .f64(s.q_slack_range.0)
-                .f64(s.q_slack_range.1)
-                .finish(),
+            Workload::Soundness(s) => s.template(h.word(2).word(s.trials as u64)),
             Workload::Multicore(mc) => {
-                let mut h = h
-                    .word(3)
-                    .word(mc.sets_per_point as u64)
-                    .word(mc.max_attempts_factor as u64)
-                    .word(mc.tasks_per_core as u64)
-                    .f64(mc.q_scale)
-                    .f64(mc.delay_frac)
-                    .word(u64::from(mc.simulate))
-                    .word(mc.sim_per_point as u64)
-                    .f64(mc.sim_horizon_factor)
-                    .f64(mc.taskset.period_range.0)
-                    .f64(mc.taskset.period_range.1)
-                    .f64(mc.taskset.deadline_factor.0)
-                    .f64(mc.taskset.deadline_factor.1);
-                // Each variable-length axis is preceded by its length so
-                // e.g. cores=[2, 11] + policies=[edf] cannot alias
-                // cores=[2] + policies=[fp, edf] (core counts are
-                // user-chosen and can collide with the tag alphabets).
-                h = h.word(mc.cores.len() as u64);
-                for &m in &mc.cores {
-                    h = h.word(m as u64);
-                }
-                h = h.word(mc.policies.len() as u64);
-                for p in &mc.policies {
-                    h = h.word(policy_tag(*p));
-                }
-                h = h.word(mc.allocations.len() as u64);
-                for a in &mc.allocations {
-                    h = h.word(allocation_tag(*a));
-                }
-                h = h.word(mc.methods.len() as u64);
-                for m in &mc.methods {
-                    h = h.word(method_tag(*m));
-                }
-                h = h.word(mc.utilizations.len() as u64);
-                for &u in &mc.utilizations {
-                    h = h.f64(u);
-                }
-                h.finish()
+                let h = mc.template(h.word(3));
+                let h = hash_list(h, &mc.cores, |h, m| h.word(m as u64));
+                let h = hash_list(h, &mc.policies, |h, p| h.word(policy_tag(p)));
+                let h = hash_list(h, &mc.allocations, |h, a| h.word(allocation_tag(a)));
+                let h = hash_list(h, &mc.methods, |h, m| h.word(method_tag(m)));
+                hash_list(h, &mc.utilizations, ScenarioHasher::f64)
             }
             Workload::Cfg(c) => {
-                let mut h = h
-                    .word(4)
-                    .word(c.programs_per_point as u64)
-                    .str(&c.tag)
-                    .word(c.program.max_sequence as u64)
-                    .f64(c.program.cost_range.0)
-                    .f64(c.program.cost_range.1)
-                    .f64(c.program.branch_probability)
-                    .f64(c.program.loop_probability)
-                    .word(c.program.block_bytes)
-                    .word(c.program.accesses_per_block.0 as u64)
-                    .word(c.program.accesses_per_block.1 as u64);
-                // Length-prefixed axes, same aliasing argument as multicore.
-                h = h.word(c.depths.len() as u64);
-                for &d in &c.depths {
-                    h = h.word(d as u64);
-                }
-                h = h.word(c.loop_iterations.len() as u64);
-                for &l in &c.loop_iterations {
-                    h = h.word(l);
-                }
-                h = h.word(c.footprints.len() as u64);
-                for &f in &c.footprints {
-                    h = h.word(f);
-                }
-                h = h.word(c.q_scales.len() as u64);
-                for &q in &c.q_scales {
-                    h = h.f64(q);
-                }
-                h = h.word(c.sets.len() as u64);
-                for &s in &c.sets {
-                    h = h.word(s as u64);
-                }
-                h = h.word(c.associativity.len() as u64);
-                for &a in &c.associativity {
-                    h = h.word(a as u64);
-                }
-                h = h.word(c.line_bytes.len() as u64);
-                for &l in &c.line_bytes {
-                    h = h.word(l);
-                }
-                h = h.word(c.reload_costs.len() as u64);
-                for &b in &c.reload_costs {
-                    h = h.f64(b);
-                }
-                h.finish()
+                let h = c.template(h.word(4));
+                let h = hash_list(h, &c.depths, |h, d| h.word(d as u64));
+                let h = hash_list(h, &c.loop_iterations, ScenarioHasher::word);
+                let h = hash_list(h, &c.footprints, ScenarioHasher::word);
+                let h = hash_list(h, &c.q_scales, ScenarioHasher::f64);
+                let h = hash_list(h, &c.sets, |h, s| h.word(s as u64));
+                let h = hash_list(h, &c.associativity, |h, a| h.word(a as u64));
+                let h = hash_list(h, &c.line_bytes, ScenarioHasher::word);
+                hash_list(h, &c.reload_costs, ScenarioHasher::f64)
             }
+        };
+        h.finish()
+    }
+}
+
+/// Checks the task-set generation settings the acceptance and multicore
+/// workloads share: a nonzero resampling budget, and a template whose
+/// `period_range` and `deadline_factor` are finite with `0 < lo <= hi`
+/// (the generator samples both; an empty range or a zero period panics
+/// it). `n` and `utilization` are left to each workload, because the grid
+/// replaces `utilization` in both and `n` in multicore.
+fn validate_taskset(
+    template: &TaskSetParams,
+    max_attempts_factor: usize,
+) -> Result<(), CampaignError> {
+    if max_attempts_factor == 0 {
+        return Err(CampaignError::Spec(
+            "`max_attempts_factor` must be >= 1".into(),
+        ));
+    }
+    for (name, (lo, hi)) in [
+        ("period_range", template.period_range),
+        ("deadline_factor", template.deadline_factor),
+    ] {
+        if !(lo.is_finite() && hi.is_finite() && lo > 0.0 && lo <= hi) {
+            return Err(CampaignError::Spec(format!(
+                "`{name}` must be finite with 0 < lo <= hi, got ({lo}, {hi})"
+            )));
         }
     }
+    Ok(())
 }
 
 /// The first `` `key` ``-quoted token of a validation message.
@@ -1293,6 +1234,15 @@ json = "out.json"
         assert_eq!(a.methods.len(), 4);
     }
 
+    /// A `[<workload>.taskset]` table with the given period range and
+    /// deadline factors (the table needs every field).
+    fn taskset_table(workload: &str, period_range: &str, deadline_factor: &str) -> String {
+        format!(
+            "workload = \"{workload}\"\n[{workload}.taskset]\nn = 3\nutilization = 0.5\n\
+             period_range = {period_range}\ndeadline_factor = {deadline_factor}\n"
+        )
+    }
+
     #[test]
     fn rejects_bad_specs() {
         let spec = CampaignSpec {
@@ -1313,6 +1263,31 @@ json = "out.json"
             ..CampaignSpec::default()
         };
         assert!(spec.validate().is_err());
+
+        // Values the generators cannot sample (a panic in a worker) or
+        // would silently degrade must fail validation, naming the key.
+        for (text, key) in [
+            (
+                taskset_table("acceptance", "[10.0, 1000.0]", "[1.0, 0.5]"),
+                "deadline_factor",
+            ),
+            (
+                taskset_table("acceptance", "[0.0, 1000.0]", "[1.0, 1.0]"),
+                "period_range",
+            ),
+            (
+                "[acceptance]\nmax_attempts_factor = 0\n".into(),
+                "max_attempts_factor",
+            ),
+            ("[soundness]\nc_range = [50.0, inf]\n".into(), "c_range"),
+            (
+                "[soundness]\ntrials_per_shard = 0\n".into(),
+                "trials_per_shard",
+            ),
+        ] {
+            let err = CampaignSpec::parse(&text).unwrap().validate().unwrap_err();
+            assert!(err.to_string().contains(key), "{text:?}: {err}");
+        }
     }
 
     #[test]
@@ -1407,6 +1382,9 @@ simulate = false
             "workload = \"multicore\"\n[multicore]\ntasks_per_core = 0\n",
             "workload = \"multicore\"\n[multicore]\nutilizations = { values = [1.5] }\n",
             "workload = \"multicore\"\n[multicore]\nsim_horizon_factor = 0.0\n",
+            &taskset_table("multicore", "[10.0, 1000.0]", "[2.0, 1.0]"),
+            &taskset_table("multicore", "[0.0, 1000.0]", "[1.0, 1.0]"),
+            "workload = \"multicore\"\n[multicore]\nmax_attempts_factor = 0\n",
         ] {
             let spec = CampaignSpec::parse(text).unwrap();
             assert!(spec.validate().is_err(), "accepted {text:?}");
