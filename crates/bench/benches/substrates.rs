@@ -5,7 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fnpr_cache::{AccessMap, CacheConfig, CrpdAnalysis};
 use fnpr_cfg::{reduce_loops, Occupancy, StartOffsets};
-use fnpr_synth::{random_cfg, CfgGenParams, GeneratedCfg};
+use fnpr_pipeline::program_access_map;
+use fnpr_synth::{random_cfg, random_program, CfgGenParams, GeneratedCfg, ProgramGenParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -62,6 +63,35 @@ fn bench_ucb_dataflow(c: &mut Criterion) {
                 });
             },
         );
+    }
+    // `[cfg]`-shaped inputs: generated programs whose blocks carry data
+    // accesses besides their instruction fetches, under a direct-mapped and
+    // a 2-way LRU cache of 256 sets.
+    for depth in [2usize, 3, 4] {
+        let params = ProgramGenParams {
+            max_depth: depth,
+            max_loop_iterations: 16,
+            footprint_lines: 64,
+            ..ProgramGenParams::default()
+        };
+        let mut rng = StdRng::seed_from_u64(1);
+        let compiled = random_program(&mut rng, &params)
+            .expect("generation succeeds")
+            .compiled;
+        for (name, ways) in [("dm256_data", 1), ("lru2x256_data", 2)] {
+            let cache = CacheConfig::new(256, ways, 16, 10.0).expect("valid geometry");
+            let accesses = program_access_map(&compiled, &cache);
+            group.bench_with_input(
+                BenchmarkId::new(name, compiled.cfg.len()),
+                &accesses,
+                |b, accesses| {
+                    b.iter(|| {
+                        CrpdAnalysis::analyze(black_box(&compiled.cfg), black_box(accesses), &cache)
+                            .unwrap()
+                    });
+                },
+            );
+        }
     }
     group.finish();
 }
