@@ -66,20 +66,32 @@ impl AccessMap {
     }
 
     /// Derives an access map for straight-line *instruction fetches*: block
-    /// `b` occupies `sizes[b]` bytes starting at `base[b]`, and fetches one
-    /// access per line it spans. A convenient generator for
-    /// instruction-cache studies (the paper's \[3\] models i-caches).
+    /// `b` occupies `size` bytes (at least one) starting at `base`, and
+    /// fetches one access per line it spans, in address order. The first
+    /// access is `base` itself and every later one the start of its line,
+    /// so a block that starts or ends mid-line still fetches both partial
+    /// lines. A convenient generator for instruction-cache studies (the
+    /// paper's \[3\] models i-caches).
+    ///
+    /// ```
+    /// use fnpr_cache::{AccessMap, CacheConfig};
+    /// use fnpr_cfg::BlockId;
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let config = CacheConfig::new(16, 1, 32, 10.0)?;
+    /// // Bytes 24..48 straddle lines 0 and 1.
+    /// let map = AccessMap::from_code_layout(&[(BlockId(0), 24, 24)], &config);
+    /// assert_eq!(map.of(BlockId(0)), &[24, 32]);
+    /// # Ok(())
+    /// # }
+    /// ```
     #[must_use]
     pub fn from_code_layout(layout: &[(BlockId, u64, u64)], config: &CacheConfig) -> Self {
         let mut map = Self::new();
         for &(block, base, size) in layout {
-            let mut addresses = Vec::new();
-            let mut at = base;
-            let end = base + size.max(1);
-            while at < end {
-                addresses.push(at);
-                at += config.line_bytes();
-            }
+            let lines = config.block_of(base)..=config.block_of(base + size.max(1) - 1);
+            let addresses = lines
+                .map(|line| (line * config.line_bytes()).max(base))
+                .collect();
             map.set(block, addresses);
         }
         map
@@ -169,6 +181,12 @@ mod tests {
         assert_eq!(map.of(BlockId(0)), &[0, 16, 32]);
         // 8 bytes from 40: single access at 40.
         assert_eq!(map.of(BlockId(1)), &[40]);
+        // A block starting mid-line also fetches the line it ends in.
+        let lines32 = CacheConfig::new(16, 1, 32, 10.0).unwrap();
+        let map = AccessMap::from_code_layout(&[(BlockId(0), 24, 24)], &lines32);
+        assert_eq!(map.of(BlockId(0)), &[24, 32]);
+        let map = AccessMap::from_code_layout(&[(BlockId(0), 8, 16)], &config);
+        assert_eq!(map.of(BlockId(0)), &[8, 16]);
     }
 
     #[test]

@@ -77,11 +77,10 @@ impl CrpdAnalysis {
         let config = self.ucb.config();
         let damage: usize = self
             .ucb
-            .useful_blocks(b)
+            .set_counts(b)
             .iter()
-            .enumerate()
-            .filter(|&(s, _)| ecb.contains(s))
-            .map(|(_, blocks)| blocks.len().min(config.associativity()))
+            .filter(|&&(s, _)| ecb.contains(s))
+            .map(|&(_, count)| count.min(config.associativity()))
             .sum();
         damage as f64 * config.reload_cost()
     }

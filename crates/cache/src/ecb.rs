@@ -1,18 +1,20 @@
 //! Evicting cache blocks of preempting tasks.
 
-use std::collections::BTreeSet;
-
 use serde::{Deserialize, Serialize};
 
 use crate::access::AccessMap;
+use crate::bits;
 use crate::config::CacheConfig;
 
 /// The cache sets a (set of) preempting task(s) may touch — anything the
 /// preempted task had cached in those sets may be evicted during a
 /// preemption.
+///
+/// Held as a bit vector over set indices, without trailing zero words, so
+/// equal sets compare equal.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EcbSet {
-    sets: BTreeSet<usize>,
+    words: Vec<u64>,
 }
 
 impl EcbSet {
@@ -22,21 +24,30 @@ impl EcbSet {
         Self::default()
     }
 
-    /// Builds from explicit cache-set indices.
+    /// Builds from explicit cache-set indices. The set holds one bit per
+    /// index up to the largest one given.
     #[must_use]
     pub fn from_sets<I: IntoIterator<Item = usize>>(sets: I) -> Self {
-        Self {
-            sets: sets.into_iter().collect(),
+        let mut words = Vec::new();
+        for s in sets {
+            if words.len() <= s / 64 {
+                words.resize(s / 64 + 1, 0);
+            }
+            bits::insert(&mut words, s);
         }
+        Self { words }
     }
 
     /// The full-damage ECB: every set of the cache (used when the preempter
     /// is unknown, the conservative default of the paper's Section IV).
     #[must_use]
     pub fn full(config: &CacheConfig) -> Self {
-        Self {
-            sets: (0..config.sets()).collect(),
+        let sets = config.sets();
+        let mut words = vec![u64::MAX; sets / 64];
+        if !sets.is_multiple_of(64) {
+            words.push((1 << (sets % 64)) - 1);
         }
+        Self { words }
     }
 
     /// The sets touched by a task, from its access map.
@@ -56,42 +67,48 @@ impl EcbSet {
     /// ```
     #[must_use]
     pub fn of_task(accesses: &AccessMap, config: &CacheConfig) -> Self {
-        let sets = accesses
-            .iter()
-            .flat_map(|(_, addrs)| addrs.iter().map(|&a| config.set_of(a)))
-            .collect();
-        Self { sets }
+        Self::from_sets(
+            accesses
+                .iter()
+                .flat_map(|(_, addrs)| addrs.iter().map(|&a| config.set_of(a))),
+        )
     }
 
     /// Union with another ECB set (several potential preempters).
     #[must_use]
     pub fn union(&self, other: &EcbSet) -> EcbSet {
-        EcbSet {
-            sets: self.sets.union(&other.sets).copied().collect(),
+        let (mut words, shorter) = if self.words.len() >= other.words.len() {
+            (self.words.clone(), &other.words)
+        } else {
+            (other.words.clone(), &self.words)
+        };
+        for (w, o) in words.iter_mut().zip(shorter) {
+            *w |= o;
         }
+        EcbSet { words }
     }
 
     /// Returns `true` if cache set `s` may be damaged.
     #[must_use]
     pub fn contains(&self, s: usize) -> bool {
-        self.sets.contains(&s)
+        bits::contains(&self.words, s)
     }
 
     /// Number of damaged sets.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.sets.len()
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Returns `true` if no set is damaged.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.sets.is_empty()
+        self.words.is_empty()
     }
 
     /// Iterates over the damaged set indices in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.sets.iter().copied()
+        bits::ones(&self.words)
     }
 }
 

@@ -6,10 +6,15 @@
 //!
 //! * [`CacheConfig`] — geometry (sets × ways × line size) and reload cost;
 //! * [`AccessMap`] — ordered per-basic-block memory accesses;
+//!   [`AccessMap::from_code_layout`] fetches every line a block's bytes
+//!   cover, both partial lines included when a block straddles a line
+//!   boundary;
 //! * [`UcbAnalysis`] — useful-cache-block dataflow (exact transfer for
 //!   direct-mapped caches, conservative may-analysis for LRU set-associative
-//!   ones);
-//! * [`EcbSet`] — evicting cache blocks of preempting tasks;
+//!   ones), run on bit vectors over the task's densely numbered memory
+//!   blocks and kept per block as sparse `(set, count)` pairs;
+//! * [`EcbSet`] — evicting cache blocks of preempting tasks, a bit vector
+//!   over cache-set indices;
 //! * [`CrpdAnalysis`] — `CRPD_b` per block, against full or per-preempter
 //!   damage;
 //! * [`ConcreteCache`] / [`preemption_cost_on_path`] — an executable cache
@@ -51,6 +56,7 @@
 #![warn(clippy::all)]
 
 mod access;
+mod bits;
 mod concrete;
 mod config;
 mod crpd;

@@ -18,6 +18,36 @@
 //! the abstract transfer) and the per-set useful count is capped at `A`;
 //! this over-approximates the age-based analyses of the later literature but
 //! remains sound (see the concrete-simulator property tests).
+//!
+//! # Encoding
+//!
+//! The task's distinct memory blocks ([`AccessMap::touched_blocks`],
+//! ascending) are numbered densely, and a program point's may-cached or
+//! may-live contents is one bit vector of `u64` words over them. Each basic
+//! block `b`'s access list is summarised once, as bit vectors: `touched_b`
+//! (every block it accesses), `first_b` and `last_b` (the first and the
+//! last block it accesses in each cache set it touches) and `kill_b` (every
+//! block of the task that maps to a set `b` touches). The transfers are
+//! then word operations:
+//!
+//! * direct-mapped: forward `out = (in & !kill_b) | last_b`, backward
+//!   `in = (out & !kill_b) | first_b`;
+//! * LRU: forward `out = in | touched_b`, backward `in = out | touched_b`.
+//!
+//! Each dataflow starts empty and sweeps the blocks in reverse post-order
+//! (the backward one in its reverse), but a sweep revisits a block only when
+//! one of its inputs changed since the block was last computed. The skipped
+//! blocks are exactly those a round-robin pass would recompute to the same
+//! value, so both reach the same least fixpoint, and the `4n + 8` sweep
+//! budget ([`CacheError::FixpointLimit`]) still stands behind them. Each
+//! block's useful vector is reduced once, at the end, to sparse
+//! `(set, count)` pairs, which is all the CRPD queries read.
+//!
+//! The analysis is unchanged; only its encoding is. The per-set
+//! formulation it replaced — one `BTreeSet` of memory blocks per cache set
+//! and program point — is kept as a test reference
+//! (`tests/ucb_reference.rs`), and every per-block result is checked
+//! against it on random cyclic graphs.
 
 use std::collections::BTreeSet;
 
@@ -25,19 +55,43 @@ use fnpr_cfg::{BlockId, Cfg};
 use serde::{Deserialize, Serialize};
 
 use crate::access::AccessMap;
+use crate::bits;
 use crate::config::CacheConfig;
 use crate::error::CacheError;
-
-/// Per-set contents abstraction: for each cache set, the memory blocks that
-/// may occupy it.
-type SetContents = Vec<BTreeSet<u64>>;
 
 /// Result of the useful-cache-block dataflow over one task.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct UcbAnalysis {
-    /// Per basic block, per cache set: the useful memory blocks.
-    useful: Vec<SetContents>,
+    /// The task's distinct memory blocks, ascending: bit `i` of a vector
+    /// stands for `blocks[i]`.
+    blocks: Vec<u64>,
+    /// Words per bit vector.
+    words: usize,
+    /// Per basic block, its useful memory blocks (`words` words each).
+    useful: Vec<u64>,
+    /// `(cache set, useful blocks in it)` for every set holding a useful
+    /// block, ascending by set; block `b`'s pairs are
+    /// `counts[spans[b]..spans[b + 1]]`.
+    counts: Vec<(usize, usize)>,
+    spans: Vec<usize>,
     config: CacheConfig,
+}
+
+/// Row `b` of a matrix of `words`-word bit vectors.
+fn row(matrix: &[u64], b: usize, words: usize) -> &[u64] {
+    &matrix[b * words..(b + 1) * words]
+}
+
+/// Row `b` of a matrix of `words`-word bit vectors, mutably.
+fn row_mut(matrix: &mut [u64], b: usize, words: usize) -> &mut [u64] {
+    &mut matrix[b * words..(b + 1) * words]
+}
+
+/// `acc |= other`, word by word.
+fn or_into(acc: &mut [u64], other: &[u64]) {
+    for (a, o) in acc.iter_mut().zip(other) {
+        *a |= o;
+    }
 }
 
 impl UcbAnalysis {
@@ -59,131 +113,113 @@ impl UcbAnalysis {
     ) -> Result<Self, CacheError> {
         accesses.validate(cfg)?;
         let n = cfg.len();
-        let sets = config.sets();
-        let empty = || vec![BTreeSet::new(); sets];
+        let blocks = accesses.touched_blocks(config);
+        let words = blocks.len().div_ceil(64);
+        let set_of: Vec<usize> = blocks.iter().map(|&m| config.set_of_block(m)).collect();
+        let dense = |address: u64| {
+            let m = config.block_of(address);
+            blocks.partition_point(|&other| other < m)
+        };
 
-        // Per-block access summaries, per set: all touched blocks, the first
-        // touched block, the last touched block.
-        let mut touched: Vec<SetContents> = vec![empty(); n];
-        let mut first: Vec<Vec<Option<u64>>> = vec![vec![None; sets]; n];
-        let mut last: Vec<Vec<Option<u64>>> = vec![vec![None; sets]; n];
-        for b in 0..n {
-            for &addr in accesses.of(BlockId(b)) {
-                let block = config.block_of(addr);
-                let set = config.set_of_block(block);
-                touched[b][set].insert(block);
-                if first[b][set].is_none() {
-                    first[b][set] = Some(block);
+        // Per-block access summaries: every block accessed, and the first
+        // and the last block accessed in each cache set touched. `kill`
+        // (direct-mapped only) adds every block of the task in those sets,
+        // found through per-set chains: `set_head[set]`, then `next_in_set`
+        // until `usize::MAX`.
+        let direct_mapped = config.is_direct_mapped();
+        let mut touched = vec![0u64; n * words];
+        let mut first = vec![0u64; n * words];
+        let mut last = vec![0u64; n * words];
+        let mut kill = vec![0u64; n * words];
+        let mut set_head = vec![usize::MAX; config.sets()];
+        let mut next_in_set = vec![usize::MAX; blocks.len()];
+        for (i, &s) in set_of.iter().enumerate().rev() {
+            next_in_set[i] = set_head[s];
+            set_head[s] = i;
+        }
+        // Per set: the basic block that touched it last, and its last access.
+        let mut toucher = vec![usize::MAX; config.sets()];
+        let mut last_access = vec![0usize; config.sets()];
+        let mut sets_touched = Vec::new();
+        for (block, addresses) in accesses.iter() {
+            let b = block.index();
+            sets_touched.clear();
+            for &address in addresses {
+                let i = dense(address);
+                let s = set_of[i];
+                bits::insert(row_mut(&mut touched, b, words), i);
+                if toucher[s] != b {
+                    toucher[s] = b;
+                    sets_touched.push(s);
+                    bits::insert(row_mut(&mut first, b, words), i);
                 }
-                last[b][set] = Some(block);
+                last_access[s] = i;
+            }
+            for &s in &sets_touched {
+                bits::insert(row_mut(&mut last, b, words), last_access[s]);
+                if direct_mapped {
+                    let mut i = set_head[s];
+                    while i != usize::MAX {
+                        bits::insert(row_mut(&mut kill, b, words), i);
+                        i = next_in_set[i];
+                    }
+                }
             }
         }
+        // LRU: `kill` stays empty and both directions generate `touched`.
+        let (forward_gen, backward_gen) = if direct_mapped {
+            (&last, &first)
+        } else {
+            (&touched, &touched)
+        };
 
-        let limit = 4 * n + 8;
-
-        // Forward may-reaching: IN = union of predecessor OUTs.
-        let mut reach_in: Vec<SetContents> = vec![empty(); n];
-        let mut reach_out: Vec<SetContents> = vec![empty(); n];
         let order = cfg.reverse_post_order();
-        let mut stable = false;
-        for _pass in 0..limit {
-            let mut changed = false;
-            for &b in &order {
-                let bi = b.index();
-                let mut incoming = empty();
-                for &p in cfg.predecessors(b) {
-                    for s in 0..sets {
-                        incoming[s].extend(reach_out[p.index()][s].iter().copied());
-                    }
-                }
-                let mut outgoing = empty();
-                for s in 0..sets {
-                    if config.is_direct_mapped() {
-                        match last[bi][s] {
-                            Some(m) => {
-                                outgoing[s].insert(m);
-                            }
-                            None => outgoing[s] = incoming[s].clone(),
-                        }
-                    } else {
-                        outgoing[s] = incoming[s].clone();
-                        outgoing[s].extend(touched[bi][s].iter().copied());
-                    }
-                }
-                if incoming != reach_in[bi] || outgoing != reach_out[bi] {
-                    changed = true;
-                    reach_in[bi] = incoming;
-                    reach_out[bi] = outgoing;
-                }
-            }
-            if !changed {
-                stable = true;
-                break;
-            }
-        }
-        if !stable {
-            return Err(CacheError::FixpointLimit { limit });
-        }
+        let limit = 4 * n + 8;
+        // Forward may-reaching: OUT per block; IN = union of predecessor OUTs.
+        let reach_out = solve(cfg, &order, true, &kill, forward_gen, words, limit)?;
+        // Backward may-live: IN per block; OUT = union of successor INs.
+        let live_in = solve(cfg, &order, false, &kill, backward_gen, words, limit)?;
 
-        // Backward may-live: OUT = union of successor INs.
-        let mut live_in: Vec<SetContents> = vec![empty(); n];
-        let mut live_out: Vec<SetContents> = vec![empty(); n];
-        stable = false;
-        for _pass in 0..limit {
-            let mut changed = false;
-            for &b in order.iter().rev() {
-                let bi = b.index();
-                let mut outgoing = empty();
-                for &succ in cfg.successors(b) {
-                    for s in 0..sets {
-                        outgoing[s].extend(live_in[succ.index()][s].iter().copied());
-                    }
-                }
-                let mut incoming = empty();
-                for s in 0..sets {
-                    if config.is_direct_mapped() {
-                        match first[bi][s] {
-                            Some(m) => {
-                                incoming[s].insert(m);
-                            }
-                            None => incoming[s] = outgoing[s].clone(),
-                        }
-                    } else {
-                        incoming[s] = outgoing[s].clone();
-                        incoming[s].extend(touched[bi][s].iter().copied());
-                    }
-                }
-                if outgoing != live_out[bi] || incoming != live_in[bi] {
-                    changed = true;
-                    live_out[bi] = outgoing;
-                    live_in[bi] = incoming;
-                }
-            }
-            if !changed {
-                stable = true;
-                break;
-            }
-        }
-        if !stable {
-            return Err(CacheError::FixpointLimit { limit });
-        }
-
-        // Useful at any point of b, per set:
-        // (reach_in ∪ touched) ∩ (live_out ∪ touched).
-        let mut useful: Vec<SetContents> = Vec::with_capacity(n);
+        // Useful at any point of b: (reach_in ∪ touched) ∩ (live_out ∪ touched),
+        // reduced to per-set counts.
+        let mut useful = vec![0u64; n * words];
+        let mut counts = Vec::new();
+        let mut spans = Vec::with_capacity(n + 1);
+        spans.push(0);
+        let mut cached = vec![0u64; words];
+        let mut needed = vec![0u64; words];
+        let mut useful_sets = Vec::new();
         for b in 0..n {
-            let mut per_set = empty();
-            for s in 0..sets {
-                let mut cached: BTreeSet<u64> = reach_in[b][s].clone();
-                cached.extend(touched[b][s].iter().copied());
-                let mut needed: BTreeSet<u64> = live_out[b][s].clone();
-                needed.extend(touched[b][s].iter().copied());
-                per_set[s] = cached.intersection(&needed).copied().collect();
+            let id = BlockId(b);
+            let own = row(&touched, b, words);
+            cached.copy_from_slice(own);
+            for p in cfg.predecessors(id) {
+                or_into(&mut cached, row(&reach_out, p.index(), words));
             }
-            useful.push(per_set);
+            needed.copy_from_slice(own);
+            for s in cfg.successors(id) {
+                or_into(&mut needed, row(&live_in, s.index(), words));
+            }
+            let out = row_mut(&mut useful, b, words);
+            for (w, word) in out.iter_mut().enumerate() {
+                *word = cached[w] & needed[w];
+            }
+            useful_sets.clear();
+            useful_sets.extend(bits::ones(out).map(|i| set_of[i]));
+            useful_sets.sort_unstable();
+            counts.extend(
+                useful_sets
+                    .chunk_by(|a, b| a == b)
+                    .map(|run| (run[0], run.len())),
+            );
+            spans.push(counts.len());
         }
         Ok(Self {
+            blocks,
+            words,
             useful,
+            counts,
+            spans,
             config: *config,
         })
     }
@@ -194,25 +230,40 @@ impl UcbAnalysis {
     ///
     /// Panics if `b` does not belong to the analysed graph.
     #[must_use]
-    pub fn useful_blocks(&self, b: BlockId) -> &[BTreeSet<u64>] {
-        &self.useful[b.index()]
+    pub fn useful_blocks(&self, b: BlockId) -> Vec<BTreeSet<u64>> {
+        let mut per_set = vec![BTreeSet::new(); self.config.sets()];
+        for i in bits::ones(row(&self.useful, b.index(), self.words)) {
+            let m = self.blocks[i];
+            per_set[self.config.set_of_block(m)].insert(m);
+        }
+        per_set
+    }
+
+    /// `(cache set, useful blocks in it)` of basic block `b`, for every set
+    /// holding a useful block, ascending by set.
+    pub(crate) fn set_counts(&self, b: BlockId) -> &[(usize, usize)] {
+        &self.counts[self.spans[b.index()]..self.spans[b.index() + 1]]
     }
 
     /// Per-set useful counts capped at the associativity (at most `A` lines
     /// of one set can be resident simultaneously).
     #[must_use]
     pub fn capped_counts(&self, b: BlockId) -> Vec<usize> {
-        self.useful[b.index()]
-            .iter()
-            .map(|s| s.len().min(self.config.associativity()))
-            .collect()
+        let mut counts = vec![0; self.config.sets()];
+        for &(s, count) in self.set_counts(b) {
+            counts[s] = count.min(self.config.associativity());
+        }
+        counts
     }
 
     /// Total useful-block count of a block (sum of capped per-set counts) —
     /// the `|UCB|` figure of the literature.
     #[must_use]
     pub fn ucb_count(&self, b: BlockId) -> usize {
-        self.capped_counts(b).iter().sum()
+        self.set_counts(b)
+            .iter()
+            .map(|&(_, count)| count.min(self.config.associativity()))
+            .sum()
     }
 
     /// The cache configuration the analysis ran under.
@@ -220,6 +271,66 @@ impl UcbAnalysis {
     pub fn config(&self) -> &CacheConfig {
         &self.config
     }
+}
+
+/// Solves one may-dataflow to its least fixpoint and returns every block's
+/// value `(input & !kill_b) | gen_b` (`words` words per block; `kill` and
+/// `gen` hold one such row per block): forward, a block's input is the
+/// union of its predecessors' values; backward, of its successors'.
+///
+/// Sweeps follow `order` (reversed when backward) and compute only blocks
+/// whose inputs changed since their last computation.
+fn solve(
+    cfg: &Cfg,
+    order: &[BlockId],
+    forward: bool,
+    kill: &[u64],
+    gen: &[u64],
+    words: usize,
+    limit: usize,
+) -> Result<Vec<u64>, CacheError> {
+    let n = cfg.len();
+    let mut value = vec![0u64; n * words];
+    let mut dirty = vec![true; n];
+    let mut input = vec![0u64; words];
+    let mut sweeps = 0;
+    while dirty.contains(&true) {
+        if sweeps == limit {
+            return Err(CacheError::FixpointLimit { limit });
+        }
+        sweeps += 1;
+        for k in 0..order.len() {
+            let b = order[if forward { k } else { order.len() - 1 - k }];
+            let bi = b.index();
+            if !dirty[bi] {
+                continue;
+            }
+            dirty[bi] = false;
+            let (sources, sinks) = if forward {
+                (cfg.predecessors(b), cfg.successors(b))
+            } else {
+                (cfg.successors(b), cfg.predecessors(b))
+            };
+            input.fill(0);
+            for p in sources {
+                or_into(&mut input, row(&value, p.index(), words));
+            }
+            let kill = row(kill, bi, words);
+            let gen = row(gen, bi, words);
+            let mut changed = false;
+            for (w, word) in row_mut(&mut value, bi, words).iter_mut().enumerate() {
+                let next = (input[w] & !kill[w]) | gen[w];
+                changed |= next != *word;
+                *word = next;
+            }
+            if changed {
+                for s in sinks {
+                    dirty[s.index()] = true;
+                }
+            }
+        }
+    }
+    Ok(value)
 }
 
 #[cfg(test)]

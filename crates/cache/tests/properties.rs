@@ -4,8 +4,13 @@
 //! paths and random preemption points, the *concrete* reload bill of a
 //! preemption never exceeds the *static* per-block CRPD bound — for
 //! direct-mapped and LRU set-associative caches, against both worst-case
-//! set eviction and realistic preempter runs.
+//! set eviction and realistic preempter runs. Graphs are layered DAGs,
+//! whose paths [`enumerate_paths`] lists, and random cyclic graphs, walked
+//! at random through their loops.
 
+mod common;
+
+use common::arb_cyclic_workload;
 use fnpr_cache::{
     empirical_crpd, enumerate_paths, preemption_cost_on_path, AccessMap, CacheConfig, CrpdAnalysis,
     EcbSet, PreemptionDamage, UcbAnalysis,
@@ -231,5 +236,40 @@ proptest! {
             &PreemptionDamage::EvictSets(EcbSet::full(&config)),
         );
         prop_assert!(cost.preempted_misses >= cost.baseline_misses);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// Concrete worst-case eviction never beats the static bound on loops:
+    /// a random walk from the entry (at most 40 blocks, so loop bodies
+    /// repeat) is preempted before each of its blocks in turn.
+    #[test]
+    fn concrete_cost_below_static_bound_on_loops(
+        w in arb_cyclic_workload(),
+        steps in prop::collection::vec(0usize..16, 0..40),
+    ) {
+        let (cfg, acc, config) = w.build();
+        let crpd = CrpdAnalysis::analyze(&cfg, &acc, &config).unwrap();
+        let mut path = vec![cfg.entry()];
+        for pick in steps {
+            let succs = cfg.successors(path[path.len() - 1]);
+            if succs.is_empty() {
+                break;
+            }
+            path.push(succs[pick % succs.len()]);
+        }
+        let evict_all = PreemptionDamage::EvictSets(EcbSet::full(&config));
+        for k in 0..path.len() {
+            let cost = preemption_cost_on_path(&cfg, &acc, &config, &path, k, &evict_all);
+            let bill = cost.extra_misses() as f64 * config.reload_cost();
+            let bound = crpd.crpd(path[k]);
+            prop_assert!(
+                bill <= bound,
+                "concrete bill {} exceeds static CRPD {} at step {} ({:?}) of {:?}",
+                bill, bound, k, path[k], path
+            );
+        }
     }
 }

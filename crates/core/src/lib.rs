@@ -89,7 +89,7 @@ pub use naive::{naive_bound, naive_bound_with_limit, NaiveBound, DEFAULT_MAX_CAN
 /// `fnpr-campaign`'s on-disk result store folds it into every entry's
 /// fingerprint, so persisted results from an older analysis invalidate to a
 /// clean recompute instead of being served stale.
-pub const ANALYSIS_VERSION: u64 = 1;
+pub const ANALYSIS_VERSION: u64 = 2;
 
 #[cfg(test)]
 mod crate_tests {
