@@ -961,6 +961,16 @@ impl CampaignSpec {
                 params.segments
             )));
         }
+        // Every segment start past `Q` is a candidate of both oracles, so a
+        // curve with more segments than their budget cannot be bounded.
+        let max_segments = fnpr_core::DEFAULT_MAX_CANDIDATES as u64;
+        if params.segments.1 - 1 > max_segments {
+            return Err(CampaignError::Spec(format!(
+                "`segments` draws at most hi - 1 segments, which must not exceed \
+                 the oracles' candidate budget {max_segments}, got {:?}",
+                params.segments
+            )));
+        }
         Ok(params)
     }
 }
@@ -1283,6 +1293,10 @@ json = "out.json"
             (
                 "[soundness]\ntrials_per_shard = 0\n".into(),
                 "trials_per_shard",
+            ),
+            (
+                "[soundness]\ntrials = 2\nsegments = [1, 100000000000]\nsimulate = false\n".into(),
+                "segments",
             ),
         ] {
             let err = CampaignSpec::parse(&text).unwrap().validate().unwrap_err();

@@ -29,16 +29,35 @@
 //! delay and only relaxes its successor's constraint, so an optimal sequence
 //! can be normalised so every point is a segment start, the earliest legal
 //! point `Q`, or *exactly* tight against its predecessor
-//! (`p + Q − fi(p)`). The closure of the anchors under the tight-successor
-//! map is finite (it is strictly increasing when `fi < Q`) and searched by
-//! dynamic programming.
+//! (`p + Q − fi(p)`). So every candidate lies on the tight-successor chain
+//! of one anchor (`Q`, or a segment start past it). A chain is strictly
+//! increasing (`fi < Q`) and stops at the domain end. Walking it carries the
+//! segment index along, so `fi` is read without a search.
+//!
+//! The dynamic program needs the candidates in increasing order. Each chain
+//! already is, so a heap over the chain heads merges them in `O(n log k)`
+//! for `n` candidates on `k` chains, and a point where two chains meet
+//! becomes one candidate. (Should a rounded step fail to climb, the heap
+//! takes the rest of that chain as a chain of its own.) The first candidate
+//! that may follow `c` is the first one at or past `c + Q − fi(c)`, which
+//! is exactly the next point of `c`'s own chain. So the program reads each
+//! successor's index off the chain and does no search either.
+//!
+//! The candidate budget ([`DEFAULT_MAX_ADVERSARY_CANDIDATES`], or the
+//! `limit` of [`exact_worst_case_with_limit`]) counts chain steps before
+//! the chains merge: a point where `j` chains meet counts `j` times.
+
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use serde::{Deserialize, Serialize};
 
+use crate::chains;
 use crate::curve::DelayCurve;
 use crate::error::AnalysisError;
 
-/// Default cap on the adversary's candidate-set size.
+/// Default cap on the adversary's chain steps, counted before duplicate
+/// points merge (see the module docs).
 pub const DEFAULT_MAX_ADVERSARY_CANDIDATES: usize = 4_000_000;
 
 /// An exact worst-case preemption scenario.
@@ -70,8 +89,8 @@ impl WorstCaseRun {
 /// # Errors
 ///
 /// * [`AnalysisError::InvalidQ`] if `q` is not finite and strictly positive;
-/// * [`AnalysisError::IterationLimit`] if the candidate closure exceeds
-///   [`DEFAULT_MAX_ADVERSARY_CANDIDATES`].
+/// * [`AnalysisError::IterationLimit`] if the tight-successor chains take
+///   more than [`DEFAULT_MAX_ADVERSARY_CANDIDATES`] steps.
 ///
 /// # Examples
 ///
@@ -92,7 +111,7 @@ pub fn exact_worst_case(curve: &DelayCurve, q: f64) -> Result<Option<WorstCaseRu
     exact_worst_case_with_limit(curve, q, DEFAULT_MAX_ADVERSARY_CANDIDATES)
 }
 
-/// [`exact_worst_case`] with an explicit candidate budget.
+/// [`exact_worst_case`] with an explicit budget of chain steps.
 ///
 /// # Errors
 ///
@@ -109,72 +128,97 @@ pub fn exact_worst_case_with_limit(
         return Ok(None);
     }
     let end = curve.domain_end();
+    let empty = WorstCaseRun {
+        preemptions: Vec::new(),
+        total_delay: 0.0,
+        q,
+    };
     if q >= end {
-        return Ok(Some(WorstCaseRun {
-            preemptions: Vec::new(),
-            total_delay: 0.0,
-            q,
-        }));
+        return Ok(Some(empty));
     }
-    // Anchors: earliest legal point and segment starts in [q, end).
-    let mut frontier: Vec<f64> = vec![q];
-    for seg in curve.segments() {
-        if seg.start > q && seg.start < end {
-            frontier.push(seg.start);
+    // The chain points by slot, in walk order, with `fi` read at the
+    // segment index each chain carries along, and the increasing runs
+    // `[first, last]` of slots they form: a run ends where its chain does or
+    // where a step fails to climb.
+    let (starts, seg_values) = curve.raw();
+    let mut slots: Vec<(f64, f64)> = Vec::new();
+    let mut runs = Vec::new();
+    for (mut p, mut k) in chains::anchors(curve, q) {
+        let mut run_start = slots.len();
+        loop {
+            let value = seg_values[k];
+            slots.push((p, value));
+            if slots.len() > limit {
+                return Err(AnalysisError::IterationLimit { limit });
+            }
+            let next = p + q - value;
+            if !(p < next && next < end) {
+                runs.push((run_start, slots.len() - 1));
+                run_start = slots.len();
+            }
+            if next >= end {
+                break;
+            }
+            k = chains::seek(starts, k, next);
+            p = next;
         }
     }
-    // Closure under the tight-successor map p -> p + q - f(p). The map is
-    // strictly increasing (f < q), so chains terminate past `end`.
-    let mut candidates: Vec<f64> = Vec::new();
-    while let Some(p) = frontier.pop() {
-        if p >= end {
-            continue;
+
+    // Merge the runs into increasing candidates: `order[i]` is a slot
+    // holding candidate `i`, `rank[s]` the candidate at slot `s`. Every
+    // point is positive, so its bit pattern orders like its value, and equal
+    // points (where chains meet) are one candidate.
+    let mut heads: BinaryHeap<_> = runs
+        .iter()
+        .map(|&(first, last)| Reverse((slots[first].0.to_bits(), first, last)))
+        .collect();
+    let mut order: Vec<usize> = Vec::with_capacity(slots.len());
+    let mut rank = vec![0; slots.len()];
+    while let Some(mut head) = heads.peek_mut() {
+        let Reverse((bits, s, last)) = *head;
+        if order.last().is_none_or(|&o| slots[o].0.to_bits() != bits) {
+            order.push(s);
         }
-        candidates.push(p);
-        if candidates.len() > limit {
-            return Err(AnalysisError::IterationLimit { limit });
+        rank[s] = order.len() - 1;
+        if s < last {
+            *head = Reverse((slots[s + 1].0.to_bits(), s + 1, last));
+        } else {
+            PeekMut::pop(head);
         }
-        frontier.push(p + q - curve.value_at(p));
     }
-    candidates.sort_by(f64::total_cmp);
-    candidates.dedup();
 
     // DP right-to-left: best[i] = f(c_i) + max(0, max best[j] over
     // c_j >= c_i + q - f(c_i)). suffix_best[i] = (max best[i..], argmax).
-    let n = candidates.len();
-    let mut best = vec![0.0f64; n];
+    // The threshold is the next point of c_i's chain, at the next slot, or
+    // past the end when the chain stops there. (After a step that rounded
+    // backwards, that point lies left of c_i; its entry is not filled yet
+    // and reads (0, 0), so c_i gets no successor.)
+    let n = order.len();
     let mut next: Vec<Option<usize>> = vec![None; n];
     let mut suffix_best: Vec<(f64, usize)> = vec![(0.0, 0); n];
     for i in (0..n).rev() {
-        let value = curve.value_at(candidates[i]);
-        let threshold = candidates[i] + q - value;
-        // First index with candidate >= threshold.
-        let from = candidates.partition_point(|&c| c < threshold);
-        best[i] = value;
-        if from < n {
-            let (succ_best, succ_idx) = suffix_best[from];
+        let s = order[i];
+        let (point, value) = slots[s];
+        let mut best = value;
+        if point + q - value < end {
+            let (succ_best, succ_idx) = suffix_best[rank[s + 1]];
             if succ_best > 0.0 {
-                best[i] = value + succ_best;
+                best = value + succ_best;
                 next[i] = Some(succ_idx);
             }
         }
-        suffix_best[i] = if i + 1 < n && suffix_best[i + 1].0 > best[i] {
+        suffix_best[i] = if i + 1 < n && suffix_best[i + 1].0 > best {
             suffix_best[i + 1]
         } else {
-            (best[i], i)
+            (best, i)
         };
     }
-    if n == 0 {
-        return Ok(Some(WorstCaseRun {
-            preemptions: Vec::new(),
-            total_delay: 0.0,
-            q,
-        }));
-    }
-    let (total, mut at) = suffix_best[0];
+    let Some(&(total, mut at)) = suffix_best.first() else {
+        return Ok(Some(empty));
+    };
     let mut preemptions = Vec::new();
     loop {
-        preemptions.push((candidates[at], curve.value_at(candidates[at])));
+        preemptions.push(slots[order[at]]);
         match next[at] {
             Some(succ) => at = succ,
             None => break,

@@ -62,6 +62,7 @@ mod adversary;
 mod algorithm1;
 mod baseline;
 mod capped;
+mod chains;
 mod cursor;
 mod curve;
 mod error;

@@ -14,17 +14,28 @@
 //! an optimal point set can be normalised (shifting points left never changes
 //! their value within a segment and only relaxes successor constraints) so
 //! that every point is either a segment start, the earliest legal point `Qi`,
-//! or exactly `Qi` after its predecessor. The finite candidate closure of
-//! those anchors under `+Qi` steps is searched by dynamic programming.
+//! or exactly `Qi` after its predecessor. So every candidate lies on the
+//! `+Qi` chain of one anchor (`Qi`, or a segment start past it). The chains
+//! are increasing, and the run-adaptive stable sort of their concatenation
+//! merges them; a point where two chains meet becomes one candidate. A
+//! dynamic program then walks the sorted candidates with one forward pointer
+//! for the spacing constraint and one segment index, so `fi` is read
+//! without a search.
+//!
+//! The candidate budget ([`DEFAULT_MAX_CANDIDATES`], or the `limit` of
+//! [`naive_bound_with_limit`]) counts chain steps before the chains merge: a
+//! point where `j` chains meet counts `j` times.
 //!
 //! [`algorithm1`]: crate::algorithm1
 
 use serde::{Deserialize, Serialize};
 
+use crate::chains;
 use crate::curve::DelayCurve;
 use crate::error::AnalysisError;
 
-/// Default cap on the DP candidate-set size.
+/// Default cap on the DP's chain steps, counted before duplicate points
+/// merge (see the module docs).
 pub const DEFAULT_MAX_CANDIDATES: usize = 4_000_000;
 
 /// Result of the naive maximum-weight point selection.
@@ -47,8 +58,9 @@ pub struct NaiveBound {
 /// # Errors
 ///
 /// * [`AnalysisError::InvalidQ`] if `q` is not finite and strictly positive;
-/// * [`AnalysisError::IterationLimit`] if the exact candidate closure exceeds
-///   [`DEFAULT_MAX_CANDIDATES`] (extremely fragmented curves with tiny `q`).
+/// * [`AnalysisError::IterationLimit`] if the `+q` chains take more than
+///   [`DEFAULT_MAX_CANDIDATES`] steps (extremely fragmented curves with tiny
+///   `q`).
 ///
 /// # Examples
 ///
@@ -68,7 +80,7 @@ pub fn naive_bound(curve: &DelayCurve, q: f64) -> Result<NaiveBound, AnalysisErr
     naive_bound_with_limit(curve, q, DEFAULT_MAX_CANDIDATES)
 }
 
-/// [`naive_bound`] with an explicit candidate budget.
+/// [`naive_bound`] with an explicit budget of chain steps.
 ///
 /// # Errors
 ///
@@ -89,16 +101,9 @@ pub fn naive_bound_with_limit(
             q,
         });
     }
-    // Anchor points: the earliest legal point and every segment start >= q.
-    let mut anchors: Vec<f64> = vec![q];
-    for seg in curve.segments() {
-        if seg.start > q && seg.start < end {
-            anchors.push(seg.start);
-        }
-    }
-    // Candidate closure under +q steps.
+    // The `+q` chains, concatenated; the stable sort finds each as a run.
     let mut candidates: Vec<f64> = Vec::new();
-    for &anchor in &anchors {
+    for (anchor, _) in chains::anchors(curve, q) {
         let mut p = anchor;
         while p < end {
             candidates.push(p);
@@ -112,35 +117,39 @@ pub fn naive_bound_with_limit(
     candidates.dedup();
 
     // DP over candidates: best[i] = value(c_i) + max over best[j], c_j <= c_i - q.
+    // `k` is the segment holding c_i, stepped forward with it.
+    let (starts, seg_values) = curve.raw();
     let n = candidates.len();
-    let mut best = vec![0.0f64; n];
+    let mut values = vec![0.0f64; n];
     let mut back: Vec<Option<usize>> = vec![None; n];
     // prefix_best[i] = (max of best[0..=i], index of the max)
     let mut prefix_best: Vec<(f64, usize)> = vec![(0.0, 0); n];
     let mut j = 0usize; // first index NOT yet eligible (c_j > c_i - q)
+    let mut k = 0usize;
     for i in 0..n {
         while j < n && candidates[j] <= candidates[i] - q {
             j += 1;
         }
-        let value = curve.value_at(candidates[i]);
+        k = chains::seek(starts, k, candidates[i]);
+        let value = seg_values[k];
+        values[i] = value;
+        let mut best = value;
         if j > 0 {
             let (prev_best, prev_idx) = prefix_best[j - 1];
-            best[i] = value + prev_best;
+            best = value + prev_best;
             back[i] = Some(prev_idx);
-        } else {
-            best[i] = value;
         }
-        prefix_best[i] = if i > 0 && prefix_best[i - 1].0 >= best[i] {
+        prefix_best[i] = if i > 0 && prefix_best[i - 1].0 >= best {
             prefix_best[i - 1]
         } else {
-            (best[i], i)
+            (best, i)
         };
     }
     // Traceback from the global optimum.
     let (total, mut at) = prefix_best[n - 1];
     let mut chain = Vec::new();
     loop {
-        chain.push((candidates[at], curve.value_at(candidates[at])));
+        chain.push((candidates[at], values[at]));
         match back[at] {
             Some(prev) => at = prev,
             None => break,
