@@ -137,14 +137,15 @@ pub fn exact_worst_case_with_limit(
         return Ok(Some(empty));
     }
     // The chain points by slot, in walk order, with `fi` read at the
-    // segment index each chain carries along, and the increasing runs
-    // `[first, last]` of slots they form: a run ends where its chain does or
-    // where a step fails to climb.
+    // segment index each chain carries along. `heads` holds one entry per
+    // increasing run `[first, last]` of slots, keyed by its next point: a
+    // run ends where its chain does or where a step fails to climb. Every
+    // point is positive, so its bit pattern orders like its value.
     let (starts, seg_values) = curve.raw();
     let mut slots: Vec<(f64, f64)> = Vec::new();
-    let mut runs = Vec::new();
+    let mut heads = BinaryHeap::new();
     for (mut p, mut k) in chains::anchors(curve, q) {
-        let mut run_start = slots.len();
+        let mut first = slots.len();
         loop {
             let value = seg_values[k];
             slots.push((p, value));
@@ -153,8 +154,9 @@ pub fn exact_worst_case_with_limit(
             }
             let next = p + q - value;
             if !(p < next && next < end) {
-                runs.push((run_start, slots.len() - 1));
-                run_start = slots.len();
+                let last = slots.len() - 1;
+                heads.push(Reverse((slots[first].0.to_bits(), first, last)));
+                first = last + 1;
             }
             if next >= end {
                 break;
@@ -165,13 +167,8 @@ pub fn exact_worst_case_with_limit(
     }
 
     // Merge the runs into increasing candidates: `order[i]` is a slot
-    // holding candidate `i`, `rank[s]` the candidate at slot `s`. Every
-    // point is positive, so its bit pattern orders like its value, and equal
+    // holding candidate `i`, `rank[s]` the candidate at slot `s`. Equal
     // points (where chains meet) are one candidate.
-    let mut heads: BinaryHeap<_> = runs
-        .iter()
-        .map(|&(first, last)| Reverse((slots[first].0.to_bits(), first, last)))
-        .collect();
     let mut order: Vec<usize> = Vec::with_capacity(slots.len());
     let mut rank = vec![0; slots.len()];
     while let Some(mut head) = heads.peek_mut() {

@@ -6,7 +6,8 @@
 //! one fixed step after its predecessor: `p + q` for the naive selection,
 //! the tight successor `p + q − fi(p)` for the adversary. So every
 //! candidate lies on the chain of one anchor, and a chain stops at its
-//! first point at or past the domain end.
+//! first point at or past the domain end. The adversary's step reads `fi`,
+//! so its chains carry their segment index along ([`seek`]).
 
 use crate::curve::DelayCurve;
 
@@ -21,10 +22,10 @@ pub(crate) fn anchors(curve: &DelayCurve, q: f64) -> impl Iterator<Item = (f64, 
 }
 
 /// The index of the segment holding `t > 0`, found from `k`, the segment
-/// holding a nearby earlier point. Forward, it gallops: it probes 1, 2, 4, …
-/// segments ahead and binary-searches the last gap, so crossing `d`
-/// segments costs `O(log d)` comparisons. It also moves back, because the
-/// adversary's rounded step `p + q − fi(p)` can land below `p` when
+/// holding the chain's previous point. Forward, it gallops: it probes 1, 2,
+/// 4, … segments ahead and binary-searches the last gap, so a step across
+/// `d` segments costs `O(log d)` comparisons. It also moves back, because
+/// the adversary's rounded step `p + q − fi(p)` can land below `p` when
 /// `q − fi(p)` is far below the spacing of floats near `p`.
 pub(crate) fn seek(starts: &[f64], k: usize, t: f64) -> usize {
     let ahead = &starts[k + 1..];

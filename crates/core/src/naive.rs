@@ -130,7 +130,9 @@ pub fn naive_bound_with_limit(
         while j < n && candidates[j] <= candidates[i] - q {
             j += 1;
         }
-        k = chains::seek(starts, k, candidates[i]);
+        while k + 1 < starts.len() && starts[k + 1] <= candidates[i] {
+            k += 1;
+        }
         let value = seg_values[k];
         values[i] = value;
         let mut best = value;
