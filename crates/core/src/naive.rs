@@ -101,7 +101,7 @@ pub fn naive_bound_with_limit(
             q,
         });
     }
-    // The `+q` chains, concatenated; the stable sort finds each as a run.
+    // The `+q` chains, concatenated; the stable sort adapts to their runs.
     let mut candidates: Vec<f64> = Vec::new();
     for (anchor, _) in chains::anchors(curve, q) {
         let mut p = anchor;
