@@ -8,9 +8,9 @@
 //! * tightness statistics: how close Algorithm 1 is to the exact worst
 //!   case (ratio 1.0 = no pessimism).
 //!
-//! Since PR 1 this binary drives the sweep through the `fnpr-campaign`
-//! engine (sharded across all cores, deterministic per seed, `(curve, Q)`
-//! analyses memoized) instead of a single-threaded loop.
+//! This binary drives the sweep through the `fnpr-campaign` engine
+//! (sharded across all cores, deterministic per seed) instead of a
+//! single-threaded loop.
 //!
 //! CSV on stdout: `seed,q,naive,exact,algorithm1,eq4,sim_max`.
 //!
@@ -70,8 +70,8 @@ fn main() {
     );
     eprintln!(
         "Algorithm 1 pessimism vs exact adversary: mean {:.3}x, worst {:.3}x \
-         ({} threads, bounds memo {} hits / {} misses)",
-        s.pessimism_mean, s.pessimism_max, outcome.threads, outcome.memo.hits, outcome.memo.misses
+         ({} threads)",
+        s.pessimism_mean, s.pessimism_max, outcome.threads
     );
     if s.naive_unsound == 0 {
         eprintln!("WARN: no naive violation observed — enlarge the sweep");

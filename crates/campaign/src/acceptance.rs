@@ -21,7 +21,7 @@ use crate::exec::stream_seed;
 use crate::memo::{hash_list, Memo, MemoStats, ScenarioHasher};
 use crate::report::{acceptance_ratios, chain_violations, AcceptancePoint, Summary};
 use crate::spec::{method_tag, policy_label, policy_tag, AcceptanceParams};
-use crate::store::{ResultStore, StoreTable};
+use crate::store::StoreTable;
 use crate::GridWorkload;
 
 /// Domain tags for RNG stream / memo key derivation.
@@ -121,7 +121,6 @@ impl GridWorkload for AcceptanceParams {
         seed: u64,
         (policy, utilization): (Policy, f64),
         engine: &AcceptanceEngine,
-        _store: Option<&ResultStore>,
     ) -> Result<AcceptancePoint, CampaignError> {
         let mut accepted = vec![0usize; self.methods.len()];
         let mut generated = 0usize;

@@ -13,7 +13,7 @@
 //! pure functions of `(campaign seed, shape coordinates, instance)` — never
 //! of the cache geometry, the `Qi` choice or the claiming thread — so every
 //! geometry/Q point of a grid row analyses the *same* programs. Memoization
-//! exploits exactly that sharing, at two layers:
+//! exploits exactly that sharing, at three layers:
 //!
 //! * **programs** — generation + compilation + the cache-independent
 //!   pipeline half ([`PreparedProgram`]: loop reduction, occupancy, timing)
@@ -21,7 +21,13 @@
 //!   sub-grid reuses each compiled program;
 //! * **curves** — the cache-dependent half (CRPD → `fi`) is keyed by
 //!   `(program structural hash, cache geometry)`, so the `Qi` axis (and any
-//!   duplicated geometry points) reuses derived curves.
+//!   duplicated geometry points) reuses derived curves;
+//! * **bounds** — Algorithm 1 / Eq. 4 totals are keyed by `(curve
+//!   structural hash, Q)`, so geometries that derive the same curve (LRU
+//!   caches that differ only in set count) bound it once.
+//!
+//! All three tables live in RAM for one run; the result store keeps only
+//! finished points.
 
 use std::sync::Arc;
 
@@ -38,13 +44,14 @@ use crate::exec::stream_key128;
 use crate::memo::{Memo, MemoStats, ScenarioHasher};
 use crate::report::{CfgPoint, Summary};
 use crate::spec::CfgParams;
-use crate::store::{bounds_key, BoundsEntry, ResultStore, StoreTable};
+use crate::store::StoreTable;
 use crate::GridWorkload;
 
 /// Domain tags for RNG stream / memo key derivation.
 const TAG_PROGRAM: u64 = 0x4347_5047; // "CGPG"
 const TAG_CURVE: u64 = 0x4347_4356; // "CGCV"
 const TAG_POINT: u64 = 0x4347_5450; // "CGTP"
+const TAG_BOUNDS_KEY: u64 = 0x424e_4451; // "BNDQ"
 
 /// A generated program plus the cache-independent half of its analysis,
 /// shared across every geometry and `Qi` point of the grid. The source
@@ -73,16 +80,13 @@ pub struct CfgEngine {
     /// Derived curves keyed by `(program structural hash, geometry)`.
     pub curve_memo: Memo<Option<Arc<TaskAnalysis>>>,
     /// `(Algorithm 1, Eq. 4)` total delays (`None` = divergent) keyed by
-    /// `(curve structural hash, Q)` — the curve's hash is cached inside
-    /// the `DelayCurve` itself, so a lookup costs O(1) rather than a
-    /// re-hash of every segment, and the key derivation
-    /// ([`crate::store::bounds_key`]) is *shared with the soundness
-    /// workload*, so the two workloads' cached bound computations dedupe
-    /// through one persistent table. Dedupes bound computations whenever
-    /// grid axes collide on the same `(fi, Q)` pair (duplicated geometry
-    /// points, q_scales × identical WCETs). Failures memoize the error
-    /// message, so the diagnostic survives the cache (analyses are
-    /// deterministic: a retry would fail identically).
+    /// `(curve structural hash, Q)` — the curve's hash is cached inside the
+    /// `DelayCurve` itself, so a lookup costs O(1) rather than a re-hash of
+    /// every segment. Dedupes bound computations whenever grid axes collide on
+    /// the same `(fi, Q)` pair (LRU geometries that differ only in set
+    /// count, duplicated geometry points, q_scales × identical WCETs).
+    /// Failures memoize the error message, so the diagnostic survives the
+    /// cache (analyses are deterministic: a retry would fail identically).
     pub bound_memo: Memo<BoundTotals>,
 }
 
@@ -195,7 +199,6 @@ impl GridWorkload for CfgParams {
         seed: u64,
         point: GridPoint,
         engine: &CfgEngine,
-        store: Option<&ResultStore>,
     ) -> Result<CfgPoint, CampaignError> {
         let tag = if self.tag.is_empty() {
             String::new()
@@ -286,10 +289,11 @@ impl GridWorkload for CfgParams {
             curve_max_sum += analysis.curve.max_value();
 
             let q = point.q_scale * analysis.timing.wcet;
-            let key = bounds_key(&analysis.curve, q);
             let (alg1, eq4) = engine
                 .bound_memo
-                .get_or_insert_with(key, || compute_point_bounds(&analysis.curve, q, store, key))
+                .get_or_insert_with(bounds_key(&analysis.curve, q), || {
+                    compute_point_bounds(&analysis.curve, q)
+                })
                 .map_err(|e| {
                     CampaignError::Analysis(format!(
                         "{e} (shape {}, instance {instance})",
@@ -336,46 +340,25 @@ impl GridWorkload for CfgParams {
     }
 }
 
-/// Computes — or restores from the **shared** `(curve, Q)` store table —
-/// one pair of Algorithm 1 / Eq. 4 totals (`None` = divergent). On a
-/// store miss the computed totals are persisted as a partial
-/// [`BoundsEntry`] (`naive`/`exact` left for a soundness run to fill in);
-/// a hit may equally have been written by a soundness campaign — the two
-/// workloads' bound memos key into one table (ROADMAP follow-up (b)).
+/// Computes one pair of Algorithm 1 / Eq. 4 totals (`None` = divergent).
 /// Errors (malformed `q`, cannot happen for generated programs) are
-/// reported, memoized in RAM by the caller, and never persisted.
-fn compute_point_bounds(
-    curve: &fnpr_core::DelayCurve,
-    q: f64,
-    store: Option<&ResultStore>,
-    key: u128,
-) -> Result<(Option<f64>, Option<f64>), String> {
-    if let Some(store) = store {
-        if let Some(entry) = store.get::<BoundsEntry>(StoreTable::Bounds, key) {
-            store.count(StoreTable::Bounds, true);
-            return Ok((entry.alg1, entry.eq4));
-        }
-    }
+/// reported and memoized by the caller.
+fn compute_point_bounds(curve: &fnpr_core::DelayCurve, q: f64) -> BoundTotals {
     let alg1 = algorithm1(curve, q)
         .map_err(|e| format!("algorithm1 (q {q}): {e}"))?
         .total_delay();
     let eq4 = eq4_bound_for_curve(curve, q)
         .map_err(|e| format!("eq4 (q {q}): {e}"))?
         .total_delay();
-    if let Some(store) = store {
-        store.count(StoreTable::Bounds, false);
-        store.put(
-            StoreTable::Bounds,
-            key,
-            &BoundsEntry {
-                alg1,
-                eq4,
-                naive: None,
-                exact: None,
-            },
-        );
-    }
     Ok((alg1, eq4))
+}
+
+/// Bound memo key: the curve's cached 128-bit structural hash plus `Q`.
+fn bounds_key(curve: &fnpr_core::DelayCurve, q: f64) -> u128 {
+    ScenarioHasher::new(TAG_BOUNDS_KEY)
+        .word128(curve.structural_hash128())
+        .f64(q)
+        .finish128()
 }
 
 /// Folds one program's bound totals into the point aggregates.
@@ -626,6 +609,15 @@ reload_cost = [10.0]
             assert_eq!(p.programs, 4);
             assert_eq!(p.dominance_violations, 0);
         }
+    }
+
+    #[test]
+    fn bounds_key_tracks_curve_and_q() {
+        let a = fnpr_core::DelayCurve::from_breakpoints([(0.0, 8.0), (40.0, 1.0)], 100.0).unwrap();
+        let b = fnpr_core::DelayCurve::from_breakpoints([(0.0, 8.0), (40.0, 2.0)], 100.0).unwrap();
+        assert_ne!(bounds_key(&a, 9.0), bounds_key(&b, 9.0));
+        assert_ne!(bounds_key(&a, 9.0), bounds_key(&a, 9.5));
+        assert_eq!(bounds_key(&a, 9.0), bounds_key(&a.clone(), 9.0));
     }
 
     #[test]

@@ -84,7 +84,8 @@ use store::StoreTable;
 /// point of it is keyed, computed and folded into the summary. This is
 /// the one place a workload is defined; [`run_campaign_with_store`] runs
 /// every workload through one runner, which owns the memo tables, the
-/// result store's read-through and the executor map.
+/// result store's read-through and the executor map. Workloads never see
+/// the store: it holds finished points only.
 pub trait GridWorkload: Sync {
     /// One grid point's coordinates.
     type Point: Copy + Send + Sync;
@@ -119,7 +120,9 @@ pub trait GridWorkload: Sync {
     /// the points it shares with an earlier run.
     fn point_key(&self, point: Self::Point, h: ScenarioHasher) -> ScenarioHasher;
 
-    /// Computes one point from the campaign seed and its coordinates.
+    /// Computes one point from the campaign seed and its coordinates, with
+    /// the run's in-RAM `memos`. The runner restores or persists the
+    /// finished point; nothing below it reads or writes the store.
     ///
     /// # Errors
     ///
@@ -130,7 +133,6 @@ pub trait GridWorkload: Sync {
         seed: u64,
         point: Self::Point,
         memos: &Self::Memos,
-        store: Option<&ResultStore>,
     ) -> Result<Self::Output, CampaignError>;
 
     /// The memo hit/miss counters a run reports.
@@ -219,10 +221,10 @@ pub fn ledger_record(
         memo_misses: outcome.memo.misses,
         points_restored: store.points_restored,
         points_computed: store.points_computed,
-        bounds_restored: store.bounds_restored,
-        bounds_computed: store.bounds_computed,
-        // The engine has no recovery path; the field keeps the ledger at
-        // schema v2.
+        // The store keeps finished points only and the engine has no
+        // recovery path; these fields keep the ledger at schema v2.
+        bounds_restored: 0,
+        bounds_computed: 0,
         recovered_shards: 0,
         p50_us: timing.p50,
         p90_us: timing.p90,
@@ -357,7 +359,7 @@ pub(crate) fn run_grid<W: GridWorkload>(
     let grid = params.grid();
     let run = NonZeroUsize::new(params.run_length()).unwrap_or(NonZeroUsize::MIN);
     exec::parallel_map(grid.len(), threads, run, settings, |i| {
-        let compute = || params.compute(seed, grid[i], memos, store);
+        let compute = || params.compute(seed, grid[i], memos);
         let Some(store) = store else {
             return compute();
         };

@@ -1,11 +1,12 @@
 //! Scenario-hash memoization.
 //!
 //! Campaign grids repeat work by construction: the same base task set is
-//! analysed under both fixed-priority and EDF policies, re-runs of an
-//! overlapping spec revisit identical `(curve, Q)` pairs, and duplicated
-//! grid points are common in hand-written sweeps. The [`Memo`] table keys
-//! cached results by a structural hash of the scenario inputs so each is
-//! computed exactly once per process.
+//! analysed under both fixed-priority and EDF policies, `[cfg]` cache
+//! geometries that differ only in set count derive identical `(curve, Q)`
+//! pairs, and duplicated grid points are common in hand-written sweeps.
+//! The [`Memo`] table keys cached results by a structural hash of the
+//! scenario inputs so each is computed exactly once per process. Across
+//! processes only finished points persist, in [`crate::store`].
 //!
 //! Memoization never affects results — a hit returns exactly the value a
 //! recomputation would produce (all analyses are deterministic functions of

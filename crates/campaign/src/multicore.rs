@@ -33,7 +33,7 @@ use crate::spec::{
     allocation_label, allocation_tag, method_tag, policy_label, policy_tag, Allocation,
     MulticoreParams,
 };
-use crate::store::{ResultStore, StoreTable};
+use crate::store::StoreTable;
 use crate::GridWorkload;
 
 /// Domain tags for RNG stream / memo key derivation.
@@ -103,7 +103,6 @@ impl GridWorkload for MulticoreParams {
         seed: u64,
         point: Point,
         engine: &MulticoreEngine,
-        _store: Option<&ResultStore>,
     ) -> Result<MulticorePoint, CampaignError> {
         let (m, policy, allocation, utilization) = point;
         let mut out = MulticorePoint {

@@ -168,9 +168,8 @@ pub struct SoundnessShard {
 }
 
 /// Per-run counters of the persistent result store ([`crate::store`]):
-/// how many grid points/shards were restored from disk vs computed, the
-/// shared `(curve, Q)` bounds table's hit split, and the load-time health
-/// counts. **Deliberately not part of [`CampaignReport`]**: a warm re-run
+/// how many grid points/shards were restored from disk vs computed, and
+/// the load-time health counts. **Deliberately not part of [`CampaignReport`]**: a warm re-run
 /// must emit byte-identical CSV/JSON to a cold one, and these counters are
 /// exactly what differs between the two — they render on stderr via
 /// [`std::fmt::Display`] instead (`grep`-able; CI asserts a warm smoke run
@@ -181,10 +180,6 @@ pub struct StoreStats {
     pub points_restored: u64,
     /// Grid points / shards computed (and persisted) this run.
     pub points_computed: u64,
-    /// Shared `(curve, Q)` bound entries served from the store.
-    pub bounds_restored: u64,
-    /// Shared `(curve, Q)` bound entries computed this run.
-    pub bounds_computed: u64,
     /// Corrupt/truncated/unknown-version lines skipped at load, plus
     /// undecodable payloads hit at lookup time.
     pub invalid_entries: u64,
@@ -204,19 +199,12 @@ impl std::fmt::Display for StoreStats {
         write!(
             f,
             "{} points restored, {} points computed ({:.1}% restored); \
-             {} bounds restored, {} bounds computed ({:.1}% restored); \
              {} invalid, {} stale entries, {} write errors",
             self.points_restored,
             self.points_computed,
             fnpr_obs::percent(
                 self.points_restored,
                 self.points_restored + self.points_computed
-            ),
-            self.bounds_restored,
-            self.bounds_computed,
-            fnpr_obs::percent(
-                self.bounds_restored,
-                self.bounds_restored + self.bounds_computed
             ),
             self.invalid_entries,
             self.stale_entries,
@@ -548,8 +536,6 @@ mod tests {
         let cold = StoreStats {
             points_restored: 0,
             points_computed: 8,
-            bounds_restored: 0,
-            bounds_computed: 16,
             invalid_entries: 0,
             stale_entries: 0,
             write_errors: 0,
@@ -562,15 +548,12 @@ mod tests {
         assert_eq!(
             line,
             "0 points restored, 8 points computed (0.0% restored); \
-             0 bounds restored, 16 bounds computed (0.0% restored); \
              0 invalid, 0 stale entries, 0 write errors"
         );
 
         let warm = StoreStats {
             points_restored: 8,
             points_computed: 0,
-            bounds_restored: 12,
-            bounds_computed: 4,
             invalid_entries: 1,
             stale_entries: 2,
             write_errors: 3,
@@ -583,7 +566,6 @@ mod tests {
         assert_eq!(
             line,
             "8 points restored, 0 points computed (100.0% restored); \
-             12 bounds restored, 4 bounds computed (75.0% restored); \
              1 invalid, 2 stale entries, 3 write errors"
         );
     }

@@ -6,6 +6,9 @@
 //! Violations are *recorded* (and surfaced in the campaign summary) rather
 //! than panicking mid-sweep, so a single bad trial cannot hide how many
 //! others also failed.
+//!
+//! Every trial draws its own curve from its own stream, so trials share
+//! no work worth memoizing: each computes its four bounds directly.
 
 use std::ops::Range;
 
@@ -17,40 +20,25 @@ use rand::{Rng, SeedableRng};
 
 use crate::error::CampaignError;
 use crate::exec::stream_seed;
-use crate::memo::{Memo, MemoStats, ScenarioHasher};
+use crate::memo::{MemoStats, ScenarioHasher};
 use crate::report::{SoundnessRow, SoundnessShard, Summary};
 use crate::spec::SoundnessParams;
-use crate::store::{bounds_key, BoundsEntry, ResultStore, StoreTable};
+use crate::store::StoreTable;
 use crate::GridWorkload;
 
 const TAG_TRIAL: u64 = 0x5452_4941; // "TRIA"
 const TAG_SHARD: u64 = 0x534e_5348; // "SNSH"
 
 /// The four analytical bounds of one `(curve, Q)` scenario.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BoundsQuad {
+struct BoundsQuad {
     /// The unsound naive selection.
-    pub naive: f64,
+    naive: f64,
     /// The exact adversary.
-    pub exact: f64,
+    exact: f64,
     /// Algorithm 1.
-    pub algorithm1: f64,
+    algorithm1: f64,
     /// The Eq. 4 state of the art.
-    pub eq4: f64,
-}
-
-/// The memo tables one soundness run shares across its shards.
-pub struct SoundnessEngine {
-    /// `(curve, Q) → bounds`, computed once per distinct scenario.
-    pub bounds_memo: Memo<Option<BoundsQuad>>,
-}
-
-impl Default for SoundnessEngine {
-    fn default() -> Self {
-        Self {
-            bounds_memo: Memo::named("bounds"),
-        }
-    }
+    eq4: f64,
 }
 
 /// The grid is the shard indices: `trials` split `trials_per_shard` at a
@@ -63,7 +51,7 @@ impl Default for SoundnessEngine {
 impl GridWorkload for SoundnessParams {
     type Point = usize;
     type Output = SoundnessShard;
-    type Memos = SoundnessEngine;
+    type Memos = ();
     const TABLE: StoreTable = StoreTable::SoundnessShards;
     const KEY_TAG: u64 = TAG_SHARD;
 
@@ -90,13 +78,7 @@ impl GridWorkload for SoundnessParams {
 
     /// Analysis failures propagate (curve generation and bound
     /// computations cannot legitimately fail on the generated inputs).
-    fn compute(
-        &self,
-        seed: u64,
-        shard: usize,
-        engine: &SoundnessEngine,
-        store: Option<&ResultStore>,
-    ) -> Result<SoundnessShard, CampaignError> {
+    fn compute(&self, seed: u64, shard: usize, _: &()) -> Result<SoundnessShard, CampaignError> {
         let trials = shard_trials(self, shard);
         let mut out = SoundnessShard {
             first_trial: trials.start,
@@ -110,13 +92,13 @@ impl GridWorkload for SoundnessParams {
             ratio_count: 0,
         };
         for trial in trials {
-            run_trial(self, seed, trial, engine, store, &mut out)?;
+            run_trial(self, seed, trial, &mut out)?;
         }
         Ok(out)
     }
 
-    fn memo_stats(engine: &SoundnessEngine) -> MemoStats {
-        engine.bounds_memo.stats()
+    fn memo_stats(_: &()) -> MemoStats {
+        MemoStats { hits: 0, misses: 0 }
     }
 
     /// The pessimism columns carry the Algorithm 1 ÷ exact tightness.
@@ -148,8 +130,6 @@ fn run_trial(
     params: &SoundnessParams,
     campaign_seed: u64,
     trial: usize,
-    engine: &SoundnessEngine,
-    store: Option<&ResultStore>,
     out: &mut SoundnessShard,
 ) -> Result<(), CampaignError> {
     // One stream per trial, a pure function of (seed, trial) — never of the
@@ -162,16 +142,12 @@ fn run_trial(
         .map_err(|e| CampaignError::Analysis(format!("trial {trial}: bad curve: {e:?}")))?;
     let q = curve.max_value() + rng.gen_range(params.q_slack_range.0..params.q_slack_range.1);
 
-    let key = bounds_key(&curve, q);
-    let bounds = engine
-        .bounds_memo
-        .get_or_insert_with(key, || compute_bounds(&curve, q, store, key))
-        .ok_or_else(|| {
-            CampaignError::Analysis(format!(
-                "trial {trial}: bound computation failed (q {q}, curve max {})",
-                curve.max_value()
-            ))
-        })?;
+    let bounds = compute_bounds(&curve, q).ok_or_else(|| {
+        CampaignError::Analysis(format!(
+            "trial {trial}: bound computation failed (q {q}, curve max {})",
+            curve.max_value()
+        ))
+    })?;
 
     let sim_max = if params.simulate {
         let scenario = Scenario::random_interference(
@@ -224,64 +200,13 @@ fn run_trial(
 
 /// Computes all four bounds; `None` on any divergence or analysis error
 /// (cannot happen for `q > max_value`, which the generator guarantees).
-///
-/// Consults the store's **shared** bounds table first (ROADMAP follow-up
-/// (b): one `(curve, Q)` table for the `[cfg]` and soundness workloads). A
-/// complete entry restores the whole quad; a partial `[cfg]`-written entry
-/// (Algorithm 1 / Eq. 4 only) seeds those two halves — the computations
-/// are the most expensive of the four and deterministic, so the restored
-/// totals are the exact values a recompute would produce — and the
-/// completed quad is written back, upgrading the entry in place.
-fn compute_bounds(
-    curve: &DelayCurve,
-    q: f64,
-    store: Option<&ResultStore>,
-    key: u128,
-) -> Option<BoundsQuad> {
-    let prior: Option<BoundsEntry> = store.and_then(|s| s.get(StoreTable::Bounds, key));
-    if let Some(entry) = prior {
-        if entry.is_complete() {
-            if let Some(store) = store {
-                store.count(StoreTable::Bounds, true);
-            }
-            return Some(BoundsQuad {
-                naive: entry.naive?,
-                exact: entry.exact?,
-                algorithm1: entry.alg1?,
-                eq4: entry.eq4?,
-            });
-        }
-    }
-    let (alg1, eq4) = match prior {
-        // A written entry is authoritative for its alg1/eq4 fields (`None`
-        // there means the bound diverged — the same `None` a recompute
-        // would produce below).
-        Some(entry) => (entry.alg1, entry.eq4),
-        None => (
-            algorithm1(curve, q).ok()?.total_delay(),
-            eq4_bound_for_curve(curve, q).ok()?.total_delay(),
-        ),
-    };
-    let quad = BoundsQuad {
+fn compute_bounds(curve: &DelayCurve, q: f64) -> Option<BoundsQuad> {
+    Some(BoundsQuad {
+        algorithm1: algorithm1(curve, q).ok()?.total_delay()?,
+        eq4: eq4_bound_for_curve(curve, q).ok()?.total_delay()?,
         naive: naive_bound(curve, q).ok()?.total_delay,
         exact: exact_worst_case(curve, q).ok()??.total_delay,
-        algorithm1: alg1?,
-        eq4: eq4?,
-    };
-    if let Some(store) = store {
-        store.count(StoreTable::Bounds, false);
-        store.put(
-            StoreTable::Bounds,
-            key,
-            &BoundsEntry {
-                alg1: Some(quad.algorithm1),
-                eq4: Some(quad.eq4),
-                naive: Some(quad.naive),
-                exact: Some(quad.exact),
-            },
-        );
-    }
-    Some(quad)
+    })
 }
 
 #[cfg(test)]
@@ -313,16 +238,8 @@ mod tests {
     #[test]
     fn ordering_and_rows_over_a_small_sweep() {
         let params = small_params(24, true);
-        let engine = SoundnessEngine::default();
-        let shards = crate::run_grid(
-            &params,
-            2012,
-            threads(4),
-            &engine,
-            None,
-            &Default::default(),
-        )
-        .unwrap();
+        let shards =
+            crate::run_grid(&params, 2012, threads(4), &(), None, &Default::default()).unwrap();
         assert_eq!(shards.len(), 24);
         let mut naive_unsound = 0;
         for shard in &shards {
@@ -343,71 +260,11 @@ mod tests {
     }
 
     #[test]
-    fn partial_bounds_entries_seed_and_upgrade_in_place() {
-        // The cross-workload path: a `[cfg]` campaign wrote a *partial*
-        // BoundsEntry (alg1/eq4 only) for a (curve, Q) this soundness run
-        // now needs. compute_bounds must treat the written halves as
-        // authoritative (they are: same deterministic functions, same
-        // inputs — sentinel values here make the reuse observable),
-        // compute only naive/exact, and write back the completed entry.
-        let dir = crate::testutil::scratch_dir("soundness_bounds");
-        let store = crate::store::ResultStore::open(&dir.join("bounds.log")).unwrap();
-
-        let curve = DelayCurve::from_breakpoints([(0.0, 2.0), (30.0, 0.5)], 90.0).unwrap();
-        let q = 9.0;
-        let key = bounds_key(&curve, q);
-        let reference = compute_bounds(&curve, q, None, key).unwrap();
-
-        // Distinguishable sentinels prove the entry halves are served
-        // rather than recomputed.
-        let sentinel = BoundsEntry {
-            alg1: Some(reference.algorithm1 + 0.125),
-            eq4: Some(reference.eq4 + 0.25),
-            naive: None,
-            exact: None,
-        };
-        store.put(StoreTable::Bounds, key, &sentinel);
-        let quad = compute_bounds(&curve, q, Some(&store), key).unwrap();
-        assert_eq!(quad.algorithm1, sentinel.alg1.unwrap(), "alg1 recomputed");
-        assert_eq!(quad.eq4, sentinel.eq4.unwrap(), "eq4 recomputed");
-        assert_eq!(quad.naive, reference.naive);
-        assert_eq!(quad.exact, reference.exact);
-        // The entry was upgraded in place to a complete quad...
-        let upgraded: BoundsEntry = store.get(StoreTable::Bounds, key).unwrap();
-        assert!(upgraded.is_complete());
-        assert_eq!(upgraded.alg1, sentinel.alg1);
-        assert_eq!(upgraded.naive, Some(reference.naive));
-        // ...which a second lookup restores whole (no further computation).
-        let restored = compute_bounds(&curve, q, Some(&store), key).unwrap();
-        assert_eq!(restored, quad);
-
-        // A divergent half in a written entry propagates as a failed quad,
-        // exactly like a divergent recompute would.
-        let divergent_key = key ^ 1;
-        store.put(
-            StoreTable::Bounds,
-            divergent_key,
-            &BoundsEntry {
-                alg1: None,
-                eq4: Some(1.0),
-                naive: None,
-                exact: None,
-            },
-        );
-        assert_eq!(compute_bounds(&curve, q, Some(&store), divergent_key), None);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn trial_results_independent_of_shard_size() {
-        let engine_a = SoundnessEngine::default();
         let mut params = small_params(10, false);
-        let a =
-            crate::run_grid(&params, 5, threads(1), &engine_a, None, &Default::default()).unwrap();
+        let a = crate::run_grid(&params, 5, threads(1), &(), None, &Default::default()).unwrap();
         params.trials_per_shard = 5;
-        let engine_b = SoundnessEngine::default();
-        let b =
-            crate::run_grid(&params, 5, threads(3), &engine_b, None, &Default::default()).unwrap();
+        let b = crate::run_grid(&params, 5, threads(3), &(), None, &Default::default()).unwrap();
         let rows_a: Vec<_> = a.iter().flat_map(|s| s.rows.clone()).collect();
         let rows_b: Vec<_> = b.iter().flat_map(|s| s.rows.clone()).collect();
         assert_eq!(rows_a, rows_b);

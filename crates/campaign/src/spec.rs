@@ -12,6 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::CampaignError;
 use crate::memo::{hash_list, ScenarioHasher};
+use crate::report::SoundnessRow;
 use crate::GridWorkload;
 
 /// Which experiment family a campaign runs.
@@ -126,7 +127,8 @@ impl GridSpec {
     ///
     /// # Errors
     ///
-    /// Rejects empty axes, non-positive steps and reversed ranges.
+    /// Rejects empty axes, non-positive steps, reversed ranges and ranges
+    /// with more values than the allocator can hold.
     pub fn expand(&self) -> Result<Vec<f64>, CampaignError> {
         if let Some(values) = &self.values {
             if values.is_empty() {
@@ -151,10 +153,17 @@ impl GridSpec {
             )));
         }
         let count = ((stop - start) / step + 1.5).floor() as usize;
-        let values: Vec<f64> = (0..count)
-            .map(|i| start + step * i as f64)
-            .filter(|&u| u <= stop + 1e-9)
-            .collect();
+        let mut values = try_vec(count).ok_or_else(|| {
+            CampaignError::Spec(format!(
+                "grid range expands to {count} values, more than this host can allocate: \
+                 start {start}, stop {stop}, step {step}"
+            ))
+        })?;
+        values.extend(
+            (0..count)
+                .map(|i| start + step * i as f64)
+                .filter(|&u| u <= stop + 1e-9),
+        );
         if values.is_empty() {
             return Err(CampaignError::Spec(format!(
                 "grid range expanded to no values: start {start}, stop {stop}, step {step}"
@@ -311,14 +320,14 @@ pub struct OutputSpec {
 }
 
 /// The persistent, content-addressed result store ([`crate::store`]):
-/// finished grid points and shared `(curve, Q)` bounds are appended here
-/// keyed by structural scenario hashes, so warm re-runs and grid
-/// *extensions* restore previously measured points instead of recomputing
-/// them (aggregates stay byte-identical either way). The CLI's `--store`
-/// flag overrides the path; restored/computed counts print on stderr.
+/// finished grid points, and nothing else, are appended here keyed by
+/// structural scenario hashes, so warm re-runs and grid *extensions*
+/// restore previously measured points instead of recomputing them
+/// (aggregates stay byte-identical either way). The CLI's `--store` flag
+/// overrides the path; restored/computed counts print on stderr.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct StoreSpec {
-    /// Store file path (relative paths resolve against the working
+    /// Store directory path (relative paths resolve against the working
     /// directory). Required when the `[store]` table is present.
     pub path: Option<String>,
 }
@@ -615,15 +624,15 @@ impl CampaignSpec {
             policies: a
                 .policies
                 .unwrap_or_else(|| vec![Policy::FixedPriority, Policy::Edf]),
-            utilizations: a
-                .utilizations
-                .unwrap_or(GridSpec {
+            utilizations: expand_axis(
+                "utilizations",
+                &a.utilizations.unwrap_or(GridSpec {
                     start: Some(0.3),
                     stop: Some(0.9),
                     step: Some(0.1),
                     values: None,
-                })
-                .expand()?,
+                }),
+            )?,
             methods: a.methods.unwrap_or_else(|| {
                 vec![
                     DelayMethod::None,
@@ -689,15 +698,15 @@ impl CampaignSpec {
                     Allocation::Global,
                 ]
             }),
-            utilizations: m
-                .utilizations
-                .unwrap_or(GridSpec {
+            utilizations: expand_axis(
+                "utilizations",
+                &m.utilizations.unwrap_or(GridSpec {
                     start: Some(0.3),
                     stop: Some(0.7),
                     step: Some(0.1),
                     values: None,
-                })
-                .expand()?,
+                }),
+            )?,
             methods: m.methods.unwrap_or_else(|| {
                 vec![
                     DelayMethod::None,
@@ -790,15 +799,15 @@ impl CampaignSpec {
             depths: c.depths.unwrap_or_else(|| vec![2, 3]),
             loop_iterations: c.loop_iterations.unwrap_or_else(|| vec![4]),
             footprints: c.footprints.unwrap_or_else(|| vec![8]),
-            q_scales: c
-                .q_scales
-                .unwrap_or(GridSpec {
+            q_scales: expand_axis(
+                "q_scales",
+                &c.q_scales.unwrap_or(GridSpec {
                     start: None,
                     stop: None,
                     step: None,
                     values: Some(vec![0.25, 0.5]),
-                })
-                .expand()?,
+                }),
+            )?,
             sets: c.sets.unwrap_or_else(|| vec![32]),
             associativity: c.associativity.unwrap_or_else(|| vec![1]),
             line_bytes: c.line_bytes.unwrap_or_else(|| vec![16]),
@@ -971,6 +980,15 @@ impl CampaignSpec {
                 params.segments
             )));
         }
+        // The run holds one shard index per shard and one row per trial.
+        let shards = params.trials.div_ceil(params.trials_per_shard);
+        if try_vec::<usize>(shards).is_none() || try_vec::<SoundnessRow>(params.trials).is_none() {
+            return Err(CampaignError::Spec(format!(
+                "`trials` = {} needs more memory for its shards and rows than this host \
+                 can allocate",
+                params.trials
+            )));
+        }
         Ok(params)
     }
 }
@@ -1055,6 +1073,24 @@ fn validate_taskset(
         }
     }
     Ok(())
+}
+
+/// Expands the axis `grid` of the spec key `key`, naming the key in any
+/// error.
+fn expand_axis(key: &str, grid: &GridSpec) -> Result<Vec<f64>, CampaignError> {
+    grid.expand().map_err(|e| match e {
+        CampaignError::Spec(msg) => CampaignError::Spec(format!("`{key}`: {msg}")),
+        other => other,
+    })
+}
+
+/// An empty `Vec` with room for `n` values, or `None` when the allocator
+/// refuses. A failed allocation aborts the process instead of panicking,
+/// so validation reserves what a run must hold before any point computes.
+fn try_vec<T>(n: usize) -> Option<Vec<T>> {
+    let mut values = Vec::new();
+    values.try_reserve_exact(n).ok()?;
+    Some(values)
 }
 
 /// The first `` `key` ``-quoted token of a validation message.
@@ -1297,6 +1333,21 @@ json = "out.json"
             (
                 "[soundness]\ntrials = 2\nsegments = [1, 100000000000]\nsimulate = false\n".into(),
                 "segments",
+            ),
+            // Sizes no allocator grants: the shard grid and the rows.
+            (
+                "[soundness]\ntrials = 100000000000000\nsimulate = false\n".into(),
+                "trials",
+            ),
+            (
+                "[soundness]\ntrials = 100000000000000\ntrials_per_shard = 100000000000000\n\
+                 simulate = false\n"
+                    .into(),
+                "trials",
+            ),
+            (
+                "[acceptance]\nutilizations = { start = 0.1, stop = 0.9, step = 1e-15 }\n".into(),
+                "utilizations",
             ),
         ] {
             let err = CampaignSpec::parse(&text).unwrap().validate().unwrap_err();

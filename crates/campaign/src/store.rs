@@ -10,11 +10,12 @@
 //! # Layout
 //!
 //! The store is a **directory** holding one append-only text log per
-//! [`StoreTable`] (point tables plus the shared `(curve, Q)` bounds table),
-//! so million-entry sweeps load per-table. [`ResultStore::open_read_only`]
+//! [`StoreTable`], one table of finished points per workload, so
+//! million-entry sweeps load per-table. [`ResultStore::open_read_only`]
 //! reads it without side effects. A path that exists but is not a
 //! directory (such as a pre-sharding single-file store) is refused, never
-//! read or rewritten.
+//! read or rewritten. The `(curve, Q)` bounds table an older build kept
+//! in the directory (`bounds.tbl`) is never opened, counted or rewritten.
 //!
 //! Each record is a single line:
 //!
@@ -25,9 +26,7 @@
 //! * `FNPR2` — the record **format version**; lines of any other version
 //!   (including the stampless `FNPR1` predecessor) are invalid and
 //!   recompute;
-//! * `tag` — the [`StoreTable`] the entry belongs to (notably the
-//!   `(curve, Q)` bounds table is *shared* between the `[cfg]` and
-//!   soundness workloads);
+//! * `tag` — the [`StoreTable`] the entry belongs to;
 //! * `key` — the 128-bit content address (structural scenario hash);
 //! * `fingerprint` — the [`analysis_fingerprint`] of the writer; entries
 //!   from a different analysis version are treated as stale and recomputed;
@@ -66,15 +65,14 @@ use crate::report::StoreStats;
 /// record-layout change; old lines then read as invalid and recompute.
 pub const STORE_FORMAT: &str = "FNPR2";
 
-/// Version of the *result schemas* this crate writes (the point/bounds
-/// payload shapes). Folded into [`analysis_fingerprint`]; bump when a
+/// Version of the *result schemas* this crate writes (the point payload
+/// shapes). Folded into [`analysis_fingerprint`]; bump when a
 /// report struct changes shape or meaning.
 const RESULTS_VERSION: u64 = 1;
 
 /// Domain tags for store-internal key derivation.
 const TAG_FINGERPRINT: u64 = 0x464e_5052; // "FNPR"
 const TAG_CHECKSUM: u64 = 0x434b_534d; // "CKSM"
-const TAG_BOUNDS_KEY: u64 = 0x424e_4451; // "BNDQ"
 
 /// The fingerprint stamped on every entry this build writes: a hash of the
 /// workspace analysis version ([`fnpr_core::ANALYSIS_VERSION`]) and the
@@ -90,10 +88,7 @@ pub fn analysis_fingerprint() -> u64 {
 }
 
 /// The tables a store multiplexes — one log file each under the store
-/// directory. Each workload's finished grid points get their own table;
-/// [`StoreTable::Bounds`] is shared by every workload that caches
-/// `(curve, Q)` bound computations (ROADMAP follow-up (b): the `[cfg]` and
-/// soundness memos key into this one table).
+/// directory, holding one workload's finished grid points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StoreTable {
     /// Finished acceptance grid points.
@@ -104,18 +99,15 @@ pub enum StoreTable {
     MulticorePoints,
     /// Finished `[cfg]` grid points.
     CfgPoints,
-    /// Shared `(curve structural hash, Q) → bounds` entries.
-    Bounds,
 }
 
 impl StoreTable {
     /// Every table, in display order.
-    pub const ALL: [StoreTable; 5] = [
+    pub const ALL: [StoreTable; 4] = [
         StoreTable::AcceptancePoints,
         StoreTable::SoundnessShards,
         StoreTable::MulticorePoints,
         StoreTable::CfgPoints,
-        StoreTable::Bounds,
     ];
 
     /// The on-disk tag.
@@ -126,7 +118,6 @@ impl StoreTable {
             StoreTable::SoundnessShards => 0x534e_4453,  // "SNDS"
             StoreTable::MulticorePoints => 0x4d43_4f52,  // "MCOR"
             StoreTable::CfgPoints => 0x4347_5054,        // "CGPT"
-            StoreTable::Bounds => 0x424e_4453,           // "BNDS"
         }
     }
 
@@ -138,7 +129,6 @@ impl StoreTable {
             StoreTable::SoundnessShards => "soundness shards",
             StoreTable::MulticorePoints => "multicore points",
             StoreTable::CfgPoints => "cfg points",
-            StoreTable::Bounds => "shared (curve, Q) bounds",
         }
     }
 
@@ -150,7 +140,6 @@ impl StoreTable {
             StoreTable::SoundnessShards => "soundness_shards.tbl",
             StoreTable::MulticorePoints => "multicore_points.tbl",
             StoreTable::CfgPoints => "cfg_points.tbl",
-            StoreTable::Bounds => "bounds.tbl",
         }
     }
 
@@ -163,54 +152,9 @@ impl StoreTable {
             .expect("every table is in ALL")
     }
 
-    /// Whether entries of this table are whole grid points (they drive the
-    /// `points restored / computed` counters; bounds count separately).
-    fn is_points(self) -> bool {
-        !matches!(self, StoreTable::Bounds)
-    }
-
     fn from_tag(tag: u32) -> Option<Self> {
         Self::ALL.into_iter().find(|t| t.tag() == tag)
     }
-}
-
-/// One shared `(curve, Q)` bounds entry. `alg1`/`eq4` are authoritative
-/// totals (`None` = the bound diverged); `naive`/`exact` are `None` until a
-/// soundness run needs and computes them — a `[cfg]`-written partial entry
-/// still saves the expensive Algorithm 1 / Eq. 4 halves, and the soundness
-/// run upgrades it in place (appends a complete record).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BoundsEntry {
-    /// Algorithm 1 total delay (`None` = divergent).
-    pub alg1: Option<f64>,
-    /// Eq. 4 total delay (`None` = divergent).
-    pub eq4: Option<f64>,
-    /// Naive-selection total (`None` = not computed yet).
-    pub naive: Option<f64>,
-    /// Exact adversary total (`None` = not computed yet).
-    pub exact: Option<f64>,
-}
-
-impl BoundsEntry {
-    /// `true` once every field has been measured (the soundness workload's
-    /// full quad; divergent `alg1`/`eq4` never complete because the quad
-    /// consumers treat divergence as a failed scenario anyway).
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.alg1.is_some() && self.eq4.is_some() && self.naive.is_some() && self.exact.is_some()
-    }
-}
-
-/// Key of the shared bounds table: the curve's cached 128-bit structural
-/// hash plus `Q`. One definition, used by both the `[cfg]` and the
-/// soundness workloads, so their cached bound computations dedupe whenever
-/// grids collide on the same `(fi, Q)` pair.
-#[must_use]
-pub fn bounds_key(curve: &fnpr_core::DelayCurve, q: f64) -> u128 {
-    ScenarioHasher::new(TAG_BOUNDS_KEY)
-        .word128(curve.structural_hash128())
-        .f64(q)
-        .finish128()
 }
 
 /// Outcome of one line parse during load.
@@ -249,8 +193,6 @@ pub struct ResultStore {
     // Counters (informational; never part of deterministic aggregates).
     points_restored: AtomicU64,
     points_computed: AtomicU64,
-    bounds_restored: AtomicU64,
-    bounds_computed: AtomicU64,
     invalid_entries: AtomicU64,
     stale_entries: AtomicU64,
     write_errors: AtomicU64,
@@ -332,8 +274,8 @@ impl ResultStore {
 
     /// Opens the store at `path` for reading only — no tail healing, no
     /// append handles. This is what `store stats` uses so inspecting a
-    /// store never mutates it. [`Self::put`] on a read-only store counts a
-    /// write error and drops the value.
+    /// store never mutates it. A point computed through a read-only store
+    /// counts a write error and is not persisted.
     ///
     /// # Errors
     ///
@@ -379,8 +321,6 @@ impl ResultStore {
             files,
             points_restored: AtomicU64::new(0),
             points_computed: AtomicU64::new(0),
-            bounds_restored: AtomicU64::new(0),
-            bounds_computed: AtomicU64::new(0),
             invalid_entries: AtomicU64::new(counts.invalid),
             stale_entries: AtomicU64::new(counts.stale),
             write_errors: AtomicU64::new(0),
@@ -435,10 +375,7 @@ impl ResultStore {
 
     /// Fetches and decodes an entry; `None` on absence *or* undecodable
     /// payload (counted as invalid — the caller recomputes either way).
-    /// Does not touch the restored/computed counters; use
-    /// [`Self::get_or_compute`] for counted point access.
-    #[must_use]
-    pub fn get<V: Deserialize>(&self, table: StoreTable, key: u128) -> Option<V> {
+    fn get<V: Deserialize>(&self, table: StoreTable, key: u128) -> Option<V> {
         // Clone the payload under the shard lock, parse outside it.
         let payload = self.entries[index_shard(key)]
             .lock()
@@ -464,7 +401,7 @@ impl ResultStore {
     /// later run recomputes instead of restoring a lossy value. Write
     /// failures are counted and warned once — the campaign result never
     /// depends on the store being writable.
-    pub fn put<V>(&self, table: StoreTable, key: u128, value: &V)
+    fn put<V>(&self, table: StoreTable, key: u128, value: &V)
     where
         V: Serialize + Deserialize + PartialEq,
     {
@@ -503,9 +440,11 @@ impl ResultStore {
             .insert((table.tag(), key), payload);
     }
 
-    /// The counted point-level access path: restore the entry if present,
-    /// otherwise run `compute` and persist its success. Errors from
-    /// `compute` propagate unstored.
+    /// The one access path: restore the point if present, otherwise run
+    /// `compute` and persist its success. Errors from `compute` propagate
+    /// unstored. Bumps the restored/computed counters (and mirrors them
+    /// into the global telemetry registry — a write-only side channel,
+    /// never read back into aggregates).
     ///
     /// # Errors
     ///
@@ -520,38 +459,15 @@ impl ResultStore {
         V: Serialize + Deserialize + PartialEq,
     {
         if let Some(v) = self.get(table, key) {
-            self.count(table, true);
+            fnpr_obs::counter!("campaign.store.points.restored").incr();
+            self.points_restored.fetch_add(1, Ordering::Relaxed);
             return Ok(v);
         }
         let v = compute()?;
-        self.count(table, false);
+        fnpr_obs::counter!("campaign.store.points.computed").incr();
+        self.points_computed.fetch_add(1, Ordering::Relaxed);
         self.put(table, key, &v);
         Ok(v)
-    }
-
-    /// Bumps the restored/computed counter pair for `table` (and mirrors
-    /// the event into the global telemetry registry — a write-only side
-    /// channel, never read back into aggregates).
-    pub fn count(&self, table: StoreTable, restored: bool) {
-        let counter = match (table.is_points(), restored) {
-            (true, true) => {
-                fnpr_obs::counter!("campaign.store.points.restored").incr();
-                &self.points_restored
-            }
-            (true, false) => {
-                fnpr_obs::counter!("campaign.store.points.computed").incr();
-                &self.points_computed
-            }
-            (false, true) => {
-                fnpr_obs::counter!("campaign.store.bounds.restored").incr();
-                &self.bounds_restored
-            }
-            (false, false) => {
-                fnpr_obs::counter!("campaign.store.bounds.computed").incr();
-                &self.bounds_computed
-            }
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     fn count_write_error(&self, why: &str) {
@@ -574,8 +490,6 @@ impl ResultStore {
         StoreStats {
             points_restored: self.points_restored.load(Ordering::Relaxed),
             points_computed: self.points_computed.load(Ordering::Relaxed),
-            bounds_restored: self.bounds_restored.load(Ordering::Relaxed),
-            bounds_computed: self.bounds_computed.load(Ordering::Relaxed),
             invalid_entries: self.invalid_entries.load(Ordering::Relaxed),
             stale_entries: self.stale_entries.load(Ordering::Relaxed),
             write_errors: self.write_errors.load(Ordering::Relaxed),
@@ -692,18 +606,21 @@ impl ResultStore {
         // Eviction and output order: oldest first, then (tag, key).
         records.sort_by_key(|a| (a.1 .0, a.0));
         if let Some(max_bytes) = policy.max_bytes {
-            let mut sizes: Vec<u64> = records
+            let sizes: Vec<u64> = records
                 .iter()
                 .map(|((tag, key), (stamp, payload))| {
                     format_record(*tag, *key, self.fingerprint, *stamp, payload).len() as u64
                 })
                 .collect();
+            // The shortest oldest-first prefix whose eviction fits the rest.
             let mut total: u64 = sizes.iter().sum();
-            while total > max_bytes && !records.is_empty() {
-                records.remove(0);
-                total -= sizes.remove(0);
-                evicted += 1;
+            let mut cut = 0;
+            while total > max_bytes && cut < sizes.len() {
+                total -= sizes[cut];
+                cut += 1;
             }
+            records.drain(..cut);
+            evicted += cut;
         }
 
         // Rewrite each table file (sorted by (tag, key) for deterministic
@@ -912,8 +829,8 @@ fn load_log_file(
             ParsedLine::Valid {
                 tag, key, payload, ..
             } => {
-                // Later lines supersede earlier ones (append-only upgrades,
-                // e.g. a bounds entry completed by a soundness run).
+                // Later lines supersede earlier ones (a point recomputed
+                // after its earlier line failed to decode).
                 entries[index_shard(key)].insert((tag, key), payload);
             }
             ParsedLine::Stale => counts.stale += 1,
@@ -1019,9 +936,9 @@ mod tests {
         crate::testutil::scratch_dir("store_unit").join(name)
     }
 
-    /// The bounds table's log file under a sharded store directory.
-    fn bounds_file(store_dir: &Path) -> PathBuf {
-        store_dir.join(StoreTable::Bounds.file_name())
+    /// The `[cfg]` table's log file under a sharded store directory.
+    fn cfg_file(store_dir: &Path) -> PathBuf {
+        store_dir.join(StoreTable::CfgPoints.file_name())
     }
 
     #[test]
@@ -1029,12 +946,12 @@ mod tests {
         let path = temp_store_path("basic.log");
         {
             let store = ResultStore::open(&path).unwrap();
-            assert_eq!(store.get::<f64>(StoreTable::Bounds, 42), None);
-            store.put(StoreTable::Bounds, 42, &1.5f64);
-            assert_eq!(store.get::<f64>(StoreTable::Bounds, 42), Some(1.5));
+            assert_eq!(store.get::<f64>(StoreTable::CfgPoints, 42), None);
+            store.put(StoreTable::CfgPoints, 42, &1.5f64);
+            assert_eq!(store.get::<f64>(StoreTable::CfgPoints, 42), Some(1.5));
         }
         let store = ResultStore::open(&path).unwrap();
-        assert_eq!(store.get::<f64>(StoreTable::Bounds, 42), Some(1.5));
+        assert_eq!(store.get::<f64>(StoreTable::CfgPoints, 42), Some(1.5));
         let stats = store.stats();
         assert_eq!(stats.invalid_entries, 0);
         assert_eq!(stats.stale_entries, 0);
@@ -1045,17 +962,17 @@ mod tests {
     fn tables_do_not_alias() {
         let path = temp_store_path("tables.log");
         let store = ResultStore::open(&path).unwrap();
-        store.put(StoreTable::Bounds, 7, &1.0f64);
+        store.put(StoreTable::SoundnessShards, 7, &1.0f64);
         store.put(StoreTable::CfgPoints, 7, &2.0f64);
-        assert_eq!(store.get::<f64>(StoreTable::Bounds, 7), Some(1.0));
+        assert_eq!(store.get::<f64>(StoreTable::SoundnessShards, 7), Some(1.0));
         assert_eq!(store.get::<f64>(StoreTable::CfgPoints, 7), Some(2.0));
         assert_eq!(store.get::<f64>(StoreTable::AcceptancePoints, 7), None);
         let counts: HashMap<_, _> = store.table_counts().into_iter().collect();
-        assert_eq!(counts[&StoreTable::Bounds], 1);
+        assert_eq!(counts[&StoreTable::SoundnessShards], 1);
         assert_eq!(counts[&StoreTable::CfgPoints], 1);
         assert_eq!(counts[&StoreTable::MulticorePoints], 0);
         // And the sharded layout physically separates them.
-        assert!(bounds_file(&path).is_file());
+        assert!(path.join(StoreTable::SoundnessShards.file_name()).is_file());
         assert!(path.join(StoreTable::CfgPoints.file_name()).is_file());
     }
 
@@ -1080,22 +997,26 @@ mod tests {
         let path = temp_store_path("truncated.log");
         {
             let store = ResultStore::open(&path).unwrap();
-            store.put(StoreTable::Bounds, 1, &1.0f64);
-            store.put(StoreTable::Bounds, 2, &2.0f64);
+            store.put(StoreTable::CfgPoints, 1, &1.0f64);
+            store.put(StoreTable::CfgPoints, 2, &2.0f64);
         }
         // Chop the table file mid-way through the last line (a crashed
         // writer).
-        let tbl = bounds_file(&path);
+        let tbl = cfg_file(&path);
         let bytes = std::fs::read(&tbl).unwrap();
         std::fs::write(&tbl, &bytes[..bytes.len() - 4]).unwrap();
         let store = ResultStore::open(&path).unwrap();
-        assert_eq!(store.get::<f64>(StoreTable::Bounds, 1), Some(1.0));
-        assert_eq!(store.get::<f64>(StoreTable::Bounds, 2), None, "truncated");
+        assert_eq!(store.get::<f64>(StoreTable::CfgPoints, 1), Some(1.0));
+        assert_eq!(
+            store.get::<f64>(StoreTable::CfgPoints, 2),
+            None,
+            "truncated"
+        );
         assert_eq!(store.stats().invalid_entries, 1);
         // Rewriting the lost entry restores it for the next open.
-        store.put(StoreTable::Bounds, 2, &2.0f64);
+        store.put(StoreTable::CfgPoints, 2, &2.0f64);
         let again = ResultStore::open(&path).unwrap();
-        assert_eq!(again.get::<f64>(StoreTable::Bounds, 2), Some(2.0));
+        assert_eq!(again.get::<f64>(StoreTable::CfgPoints, 2), Some(2.0));
     }
 
     #[test]
@@ -1103,19 +1024,19 @@ mod tests {
         let path = temp_store_path("garbage.log");
         {
             let store = ResultStore::open(&path).unwrap();
-            store.put(StoreTable::Bounds, 1, &1.0f64);
+            store.put(StoreTable::CfgPoints, 1, &1.0f64);
         }
         // Prepend binary garbage, append an unknown-version line, a
         // checksum-corrupted copy of a valid line, and a well-formed record
         // of the retired stampless `FNPR1` format.
-        let tbl = bounds_file(&path);
+        let tbl = cfg_file(&path);
         let mut bytes = vec![0xFFu8, 0xFE, 0x00, b'\n'];
         let original = std::fs::read(&tbl).unwrap();
         bytes.extend_from_slice(&original);
         bytes.extend_from_slice(b"FNPR9 00000000 0 0 1 0 x\n");
         let valid_line = String::from_utf8(original).unwrap();
         bytes.extend_from_slice(valid_line.replace("1.0", "9.0").as_bytes());
-        let (tag, fp, payload) = (StoreTable::Bounds.tag(), analysis_fingerprint(), "4.25");
+        let (tag, fp, payload) = (StoreTable::CfgPoints.tag(), analysis_fingerprint(), "4.25");
         let v1_sum = ScenarioHasher::new(TAG_CHECKSUM)
             .word(u64::from(tag))
             .word128(77)
@@ -1131,13 +1052,13 @@ mod tests {
         std::fs::write(&tbl, bytes).unwrap();
         let store = ResultStore::open(&path).unwrap();
         // The corrupted duplicate must NOT supersede the valid entry.
-        assert_eq!(store.get::<f64>(StoreTable::Bounds, 1), Some(1.0));
+        assert_eq!(store.get::<f64>(StoreTable::CfgPoints, 1), Some(1.0));
         assert_eq!(store.stats().invalid_entries, 4);
         // The FNPR1 record is never served: its point recomputes.
-        assert_eq!(store.get::<f64>(StoreTable::Bounds, 77), None);
-        let v: Result<f64, ()> = store.get_or_compute(StoreTable::Bounds, 77, || Ok(5.0));
+        assert_eq!(store.get::<f64>(StoreTable::CfgPoints, 77), None);
+        let v: Result<f64, ()> = store.get_or_compute(StoreTable::CfgPoints, 77, || Ok(5.0));
         assert_eq!(v, Ok(5.0));
-        assert_eq!(store.stats().bounds_computed, 1);
+        assert_eq!(store.stats().points_computed, 1);
     }
 
     #[test]
@@ -1147,7 +1068,7 @@ mod tests {
         // migrated or healed.
         let path = temp_store_path("single_file.log");
         let line = format_record(
-            StoreTable::Bounds.tag(),
+            StoreTable::CfgPoints.tag(),
             4,
             analysis_fingerprint(),
             9,
@@ -1168,9 +1089,9 @@ mod tests {
         let path = temp_store_path("header.log");
         {
             let store = ResultStore::open(&path).unwrap();
-            store.put(StoreTable::Bounds, 0x1111, &1.0f64);
+            store.put(StoreTable::CfgPoints, 0x1111, &1.0f64);
         }
-        let tbl = bounds_file(&path);
+        let tbl = cfg_file(&path);
         let line = std::fs::read_to_string(&tbl).unwrap();
         let fields: Vec<&str> = line.trim_end().splitn(8, ' ').collect();
         assert_eq!(fields.len(), 8, "FNPR2 records have 8 fields");
@@ -1180,7 +1101,7 @@ mod tests {
             std::fs::write(&tbl, mutated.join(" ") + "\n").unwrap();
             let store = ResultStore::open(&path).unwrap();
             assert_eq!(
-                store.get::<f64>(StoreTable::Bounds, 0x1111),
+                store.get::<f64>(StoreTable::CfgPoints, 0x1111),
                 None,
                 "field {field} corruption survived"
             );
@@ -1197,37 +1118,37 @@ mod tests {
         let path = temp_store_path("stale.log");
         {
             let store = ResultStore::open_with_fingerprint(&path, 111).unwrap();
-            store.put(StoreTable::Bounds, 5, &1.0f64);
+            store.put(StoreTable::CfgPoints, 5, &1.0f64);
         }
         let store = ResultStore::open_with_fingerprint(&path, 222).unwrap();
-        assert_eq!(store.get::<f64>(StoreTable::Bounds, 5), None);
+        assert_eq!(store.get::<f64>(StoreTable::CfgPoints, 5), None);
         assert_eq!(store.stats().stale_entries, 1);
         // The recomputed value is written under the new fingerprint and
         // wins on the next open; the stale line survives until gc.
-        store.put(StoreTable::Bounds, 5, &2.0f64);
+        store.put(StoreTable::CfgPoints, 5, &2.0f64);
         let again = ResultStore::open_with_fingerprint(&path, 222).unwrap();
-        assert_eq!(again.get::<f64>(StoreTable::Bounds, 5), Some(2.0));
+        assert_eq!(again.get::<f64>(StoreTable::CfgPoints, 5), Some(2.0));
         assert_eq!(again.stats().stale_entries, 1);
         assert_eq!(again.gc().unwrap().kept, 1);
         let clean = ResultStore::open_with_fingerprint(&path, 222).unwrap();
         assert_eq!(clean.stats().stale_entries, 0);
-        assert_eq!(clean.get::<f64>(StoreTable::Bounds, 5), Some(2.0));
+        assert_eq!(clean.get::<f64>(StoreTable::CfgPoints, 5), Some(2.0));
     }
 
     #[test]
     fn non_finite_values_are_never_persisted() {
         let path = temp_store_path("nonfinite.log");
         let store = ResultStore::open(&path).unwrap();
-        store.put(StoreTable::Bounds, 1, &f64::NAN);
-        store.put(StoreTable::Bounds, 2, &f64::INFINITY);
-        store.put(StoreTable::Bounds, 3, &Some(f64::NAN));
-        assert_eq!(store.get::<f64>(StoreTable::Bounds, 1), None);
-        assert_eq!(store.get::<f64>(StoreTable::Bounds, 2), None);
-        assert_eq!(store.get::<Option<f64>>(StoreTable::Bounds, 3), None);
+        store.put(StoreTable::CfgPoints, 1, &f64::NAN);
+        store.put(StoreTable::CfgPoints, 2, &f64::INFINITY);
+        store.put(StoreTable::CfgPoints, 3, &Some(f64::NAN));
+        assert_eq!(store.get::<f64>(StoreTable::CfgPoints, 1), None);
+        assert_eq!(store.get::<f64>(StoreTable::CfgPoints, 2), None);
+        assert_eq!(store.get::<Option<f64>>(StoreTable::CfgPoints, 3), None);
         assert_eq!(store.stats().write_errors, 3);
         // Finite negative zero, by contrast, survives bit-exactly.
-        store.put(StoreTable::Bounds, 4, &(-0.0f64));
-        let restored = store.get::<f64>(StoreTable::Bounds, 4).unwrap();
+        store.put(StoreTable::CfgPoints, 4, &(-0.0f64));
+        let restored = store.get::<f64>(StoreTable::CfgPoints, 4).unwrap();
         assert_eq!(restored.to_bits(), (-0.0f64).to_bits());
     }
 
@@ -1236,10 +1157,10 @@ mod tests {
         let path = temp_store_path("gc.log");
         let store = ResultStore::open(&path).unwrap();
         for i in 0..5 {
-            store.put(StoreTable::Bounds, 9, &(i as f64));
+            store.put(StoreTable::CfgPoints, 9, &(i as f64));
         }
-        assert_eq!(store.get::<f64>(StoreTable::Bounds, 9), Some(4.0));
-        let tbl = bounds_file(&path);
+        assert_eq!(store.get::<f64>(StoreTable::CfgPoints, 9), Some(4.0));
+        let tbl = cfg_file(&path);
         let lines_before = std::fs::read_to_string(&tbl).unwrap().lines().count();
         assert_eq!(lines_before, 5);
         let bytes_before = std::fs::metadata(&tbl).unwrap().len();
@@ -1261,11 +1182,11 @@ mod tests {
             "{summary}"
         );
         assert!(summary.contains("reclaimed"), "{summary}");
-        assert_eq!(store.get::<f64>(StoreTable::Bounds, 9), Some(4.0));
+        assert_eq!(store.get::<f64>(StoreTable::CfgPoints, 9), Some(4.0));
         // The append handle still works after the rename.
-        store.put(StoreTable::Bounds, 10, &7.0f64);
+        store.put(StoreTable::CfgPoints, 10, &7.0f64);
         let again = ResultStore::open(&path).unwrap();
-        assert_eq!(again.get::<f64>(StoreTable::Bounds, 10), Some(7.0));
+        assert_eq!(again.get::<f64>(StoreTable::CfgPoints, 10), Some(7.0));
     }
 
     /// Appends a record with an explicit stamp (the normal `put` path
@@ -1288,14 +1209,14 @@ mod tests {
         let now = fnpr_obs::ledger::unix_now();
         append_stamped(
             &path,
-            StoreTable::Bounds,
+            StoreTable::SoundnessShards,
             1,
             now.saturating_sub(40 * 86_400),
             "1.0",
         );
         append_stamped(
             &path,
-            StoreTable::Bounds,
+            StoreTable::SoundnessShards,
             2,
             now.saturating_sub(3 * 86_400),
             "2.0",
@@ -1310,11 +1231,11 @@ mod tests {
             .unwrap();
         assert_eq!((report.kept, report.evicted, report.dropped), (1, 2, 0));
         // Evicted entries leave the index immediately, not just the files.
-        assert_eq!(store.get::<f64>(StoreTable::Bounds, 1), None);
-        assert_eq!(store.get::<f64>(StoreTable::Bounds, 2), Some(2.0));
+        assert_eq!(store.get::<f64>(StoreTable::SoundnessShards, 1), None);
+        assert_eq!(store.get::<f64>(StoreTable::SoundnessShards, 2), Some(2.0));
         assert_eq!(store.get::<f64>(StoreTable::CfgPoints, 3), None);
         let again = ResultStore::open(&path).unwrap();
-        assert_eq!(again.get::<f64>(StoreTable::Bounds, 2), Some(2.0));
+        assert_eq!(again.get::<f64>(StoreTable::SoundnessShards, 2), Some(2.0));
         assert!(
             report.summary().contains("evicted 2"),
             "{}",
@@ -1328,11 +1249,11 @@ mod tests {
         drop(ResultStore::open(&path).unwrap());
         // Three same-size records, stamps 10 < 20 < 30.
         for (key, stamp) in [(1u128, 10u64), (2, 20), (3, 30)] {
-            append_stamped(&path, StoreTable::Bounds, key, stamp, "5.5");
+            append_stamped(&path, StoreTable::CfgPoints, key, stamp, "5.5");
         }
         let store = ResultStore::open(&path).unwrap();
         let one_line = format_record(
-            StoreTable::Bounds.tag(),
+            StoreTable::CfgPoints.tag(),
             1,
             analysis_fingerprint(),
             10,
@@ -1349,12 +1270,12 @@ mod tests {
         assert_eq!((report.kept, report.evicted), (2, 1));
         assert!(report.bytes_after <= 2 * one_line);
         assert_eq!(
-            store.get::<f64>(StoreTable::Bounds, 1),
+            store.get::<f64>(StoreTable::CfgPoints, 1),
             None,
             "oldest evicted"
         );
-        assert_eq!(store.get::<f64>(StoreTable::Bounds, 2), Some(5.5));
-        assert_eq!(store.get::<f64>(StoreTable::Bounds, 3), Some(5.5));
+        assert_eq!(store.get::<f64>(StoreTable::CfgPoints, 2), Some(5.5));
+        assert_eq!(store.get::<f64>(StoreTable::CfgPoints, 3), Some(5.5));
         // A zero budget empties the store without erroring.
         let report = store
             .gc_with(GcPolicy {
@@ -1363,15 +1284,15 @@ mod tests {
             })
             .unwrap();
         assert_eq!((report.kept, report.evicted), (0, 2));
-        assert_eq!(store.get::<f64>(StoreTable::Bounds, 3), None);
+        assert_eq!(store.get::<f64>(StoreTable::CfgPoints, 3), None);
     }
 
     #[test]
     fn shard_files_reports_per_table_sizes_and_counts() {
         let path = temp_store_path("inventory.log");
         let store = ResultStore::open(&path).unwrap();
-        store.put(StoreTable::Bounds, 1, &1.0f64);
-        store.put(StoreTable::Bounds, 2, &2.0f64);
+        store.put(StoreTable::CfgPoints, 1, &1.0f64);
+        store.put(StoreTable::CfgPoints, 2, &2.0f64);
         store.put(StoreTable::MulticorePoints, 3, &3.0f64);
         let files = store.shard_files();
         assert_eq!(files.len(), StoreTable::ALL.len());
@@ -1379,44 +1300,13 @@ mod tests {
             .iter()
             .map(|f| (f.table, (f.records, f.bytes)))
             .collect();
-        assert_eq!(by_table[&StoreTable::Bounds].0, 2);
+        assert_eq!(by_table[&StoreTable::CfgPoints].0, 2);
         assert_eq!(by_table[&StoreTable::MulticorePoints].0, 1);
         assert_eq!(by_table[&StoreTable::AcceptancePoints], (0, 0));
         assert_eq!(
-            by_table[&StoreTable::Bounds].1,
-            std::fs::metadata(bounds_file(&path)).unwrap().len()
+            by_table[&StoreTable::CfgPoints].1,
+            std::fs::metadata(cfg_file(&path)).unwrap().len()
         );
-    }
-
-    #[test]
-    fn bounds_key_tracks_curve_and_q() {
-        let a = fnpr_core::DelayCurve::from_breakpoints([(0.0, 8.0), (40.0, 1.0)], 100.0).unwrap();
-        let b = fnpr_core::DelayCurve::from_breakpoints([(0.0, 8.0), (40.0, 2.0)], 100.0).unwrap();
-        assert_ne!(bounds_key(&a, 9.0), bounds_key(&b, 9.0));
-        assert_ne!(bounds_key(&a, 9.0), bounds_key(&a, 9.5));
-        assert_eq!(bounds_key(&a, 9.0), bounds_key(&a.clone(), 9.0));
-    }
-
-    #[test]
-    fn bounds_entry_round_trips_and_reports_completeness() {
-        let partial = BoundsEntry {
-            alg1: Some(3.0),
-            eq4: Some(4.0),
-            naive: None,
-            exact: None,
-        };
-        assert!(!partial.is_complete());
-        let full = BoundsEntry {
-            naive: Some(1.0),
-            exact: Some(2.0),
-            ..partial
-        };
-        assert!(full.is_complete());
-        let path = temp_store_path("bounds.log");
-        let store = ResultStore::open(&path).unwrap();
-        store.put(StoreTable::Bounds, 1, &partial);
-        store.put(StoreTable::Bounds, 1, &full);
-        assert_eq!(store.get::<BoundsEntry>(StoreTable::Bounds, 1), Some(full));
     }
 
     /// A pid no live process can hold (kernels cap pids far below this),

@@ -2,7 +2,8 @@
 //! and grid extensions restore previously measured points with
 //! **byte-identical** aggregates, corrupted or version-mismatched store
 //! content degrades to a clean recompute (and the store heals), and the
-//! `(curve, Q)` bounds table is genuinely shared across campaigns.
+//! store keeps finished points only: a changed point key recomputes, and
+//! files an older build left behind are never read or rewritten.
 
 use std::path::PathBuf;
 
@@ -115,19 +116,17 @@ fn soundness_trial_extension_restores_complete_shards() {
 }
 
 #[test]
-fn bounds_table_is_shared_across_campaigns() {
+fn simulate_toggle_recomputes_every_shard_with_equal_bounds() {
     // Same trials, different `simulate`: every shard key changes (the sim
-    // rows differ) but the (curve, Q) scenarios are identical — the second
-    // campaign must restore every bound from the shared table.
-    let path = temp_store_path("bounds.log");
+    // rows differ), so the second campaign restores nothing and recomputes
+    // every shard, bounds included, to the same analytical columns.
+    let path = temp_store_path("simulate.log");
     let first = run_with(
         &soundness_campaign(8, false),
         Some(&ResultStore::open(&path).unwrap()),
         2,
     );
-    let stats = first.store.unwrap();
-    assert_eq!(stats.bounds_computed, 8);
-    assert_eq!(stats.bounds_restored, 0);
+    assert_eq!(first.store.unwrap().points_computed, 8);
 
     let second = run_with(
         &soundness_campaign(8, true),
@@ -136,9 +135,7 @@ fn bounds_table_is_shared_across_campaigns() {
     );
     let stats = second.store.unwrap();
     assert_eq!(stats.points_restored, 0, "simulate changes every shard");
-    assert_eq!(stats.bounds_computed, 0, "bounds were in the shared table");
-    assert_eq!(stats.bounds_restored, 8);
-    // And the analytical columns agree between the two runs.
+    assert_eq!(stats.points_computed, 8);
     let rows = |o: &CampaignOutcome| {
         o.report
             .soundness
@@ -148,6 +145,33 @@ fn bounds_table_is_shared_across_campaigns() {
             .collect::<Vec<_>>()
     };
     assert_eq!(rows(&first), rows(&second));
+}
+
+#[test]
+fn older_store_restores_in_full_and_its_bounds_table_is_left_alone() {
+    // Older builds also kept a `bounds.tbl` of (curve, Q) bounds in the
+    // store directory. This build never opens, counts or rewrites it.
+    let campaign = soundness_campaign(8, false);
+    let path = temp_store_path("older.log");
+    let cold = run_with(&campaign, Some(&ResultStore::open(&path).unwrap()), 2);
+    let bounds_tbl = path.join("bounds.tbl");
+    let legacy = "FNPR2 424e4453 not a record this build reads\n\
+                  arbitrary bytes, no trailing newline";
+    std::fs::write(&bounds_tbl, legacy).unwrap();
+
+    let store = ResultStore::open(&path).unwrap();
+    let warm = run_with(&campaign, Some(&store), 2);
+    let stats = warm.store.unwrap();
+    assert_eq!((stats.points_restored, stats.points_computed), (8, 0));
+    assert_eq!(stats.invalid_entries, 0, "bounds.tbl was read");
+    assert_eq!(renderings(&warm), renderings(&cold));
+
+    store.gc().unwrap();
+    assert_eq!(std::fs::read_to_string(&bounds_tbl).unwrap(), legacy);
+    assert!(store
+        .shard_files()
+        .iter()
+        .all(|f| f.table.file_name() != "bounds.tbl"));
 }
 
 #[test]

@@ -87,9 +87,12 @@ pub struct RunRecord {
     pub points_restored: u64,
     /// Grid points computed fresh.
     pub points_computed: u64,
-    /// Shared `(curve, Q)` bounds restored from the result store.
+    /// Shared `(curve, Q)` bounds restored from the result store. The
+    /// result store keeps finished points only, so the campaign engine
+    /// always writes 0; the field keeps the schema at v2.
     pub bounds_restored: u64,
-    /// Shared `(curve, Q)` bounds computed fresh.
+    /// Shared `(curve, Q)` bounds computed fresh. Always 0, like
+    /// `bounds_restored`.
     pub bounds_computed: u64,
     /// Shards that reached the aggregate through a recovery path. The
     /// campaign engine runs every shard on one thread pool with no
