@@ -143,11 +143,27 @@ impl DelayCurve {
     where
         I: IntoIterator<Item = (f64, f64)>,
     {
+        Self::from_breakpoints_reserved(points, end, 0)
+    }
+
+    /// [`Self::from_breakpoints`] with room for `capacity` segments
+    /// reserved up front. Only the sampler reserves: its cells rarely
+    /// merge, so the reservation replaces every regrowth of both vectors.
+    /// Curves whose breakpoints mostly merge (such as those composed by
+    /// [`Self::from_windows`]) grow as they need and keep no unused room.
+    fn from_breakpoints_reserved<I>(
+        points: I,
+        end: f64,
+        capacity: usize,
+    ) -> Result<Self, CurveError>
+    where
+        I: IntoIterator<Item = (f64, f64)>,
+    {
         if !(end.is_finite() && end > 0.0) {
             return Err(CurveError::BadDomain { end });
         }
-        let mut starts = Vec::new();
-        let mut values = Vec::new();
+        let mut starts = Vec::with_capacity(capacity);
+        let mut values = Vec::with_capacity(capacity);
         for (index, (start, value)) in points.into_iter().enumerate() {
             if !start.is_finite() {
                 return Err(CurveError::NonMonotonic {
@@ -196,12 +212,19 @@ impl DelayCurve {
     /// Builds a conservative step-function upper bound of a continuous
     /// function by sampling it on a regular grid.
     ///
-    /// On each grid cell `[k·step, (k+1)·step)` the curve takes
-    /// `max(f(k·step), f(k·step + step/2), f((k+1)·step))`, which upper-bounds
-    /// any `f` that is monotone on each half cell — in particular the
-    /// Gaussian-shaped benchmark functions of the paper when `step` is small
-    /// relative to their width. Negative samples are clamped to zero (a
-    /// preemption delay cannot be negative).
+    /// On each grid cell `[lo, hi)` with `lo = k·step` and
+    /// `hi = min((k+1)·step, end)` the curve takes
+    /// `max(f(lo), f((lo + hi)/2), f(hi))`, which upper-bounds any `f` that
+    /// is monotone on each half cell — in particular the Gaussian-shaped
+    /// benchmark functions of the paper when `step` is small relative to
+    /// their width. The last cell therefore samples at `end`. Negative
+    /// samples are clamped to zero (a preemption delay cannot be negative).
+    ///
+    /// A cell's `hi` is the next cell's `lo`, so that boundary sample is
+    /// taken once and shared between the two cells: a 64-cell curve calls
+    /// `f` 129 times, not 192. A sample is shared only when the two points
+    /// are the same float (the clamp to `end` can make them differ), so `f`
+    /// must return the same value whenever it is called at the same point.
     ///
     /// # Errors
     ///
@@ -228,13 +251,22 @@ impl DelayCurve {
         if !(step.is_finite() && step > 0.0) {
             return Err(CurveError::BadStep { step });
         }
-        let cells = (end / step).ceil() as usize;
-        let mut points = Vec::with_capacity(cells.max(1));
-        for k in 0..cells.max(1) {
+        let cells = ((end / step).ceil() as usize).max(1);
+        let mut points = Vec::with_capacity(cells);
+        // The previous cell's `hi` (as bits) and `f(hi)`.
+        let mut boundary: Option<(u64, f64)> = None;
+        for k in 0..cells {
             let lo = (k as f64) * step;
             let hi = ((k + 1) as f64 * step).min(end);
             let mid = 0.5 * (lo + hi);
-            let sample = f(lo).max(f(mid)).max(f(hi));
+            let at_lo = match boundary {
+                Some((bits, sample)) if bits == lo.to_bits() => sample,
+                _ => f(lo),
+            };
+            let at_mid = f(mid);
+            let at_hi = f(hi);
+            boundary = Some((hi.to_bits(), at_hi));
+            let sample = at_lo.max(at_mid).max(at_hi);
             if !sample.is_finite() {
                 return Err(CurveError::BadValue {
                     index: k,
@@ -243,7 +275,7 @@ impl DelayCurve {
             }
             points.push((lo, sample.max(0.0)));
         }
-        Self::from_breakpoints(points, end)
+        Self::from_breakpoints_reserved(points, end, cells)
     }
 
     /// Builds the pointwise maximum over a set of constant *windows*.
@@ -943,6 +975,24 @@ mod tests {
             );
         }
         assert!(f.max_value() <= 10.0 + 1e-9);
+    }
+
+    #[test]
+    fn from_fn_upper_samples_each_boundary_once() {
+        let calls = std::cell::Cell::new(0usize);
+        let f = |t: f64| {
+            calls.set(calls.get() + 1);
+            t
+        };
+        // 64 cells: 65 boundaries (0, 1, …, 64) and 64 midpoints.
+        let ramp = DelayCurve::from_fn_upper(f, 64.0, 1.0).unwrap();
+        assert_eq!(calls.get(), 129);
+        // The last cell, [63, 63.5), samples at `end`, not at 64.
+        calls.set(0);
+        let short = DelayCurve::from_fn_upper(f, 63.5, 1.0).unwrap();
+        assert_eq!(calls.get(), 129);
+        assert_eq!(short.value_at(63.0), 63.5);
+        assert_eq!(ramp.value_at(63.0), 64.0);
     }
 
     #[test]

@@ -215,6 +215,13 @@ fn with_inflated_wcets(
 /// [`edf_schedulable_with_delay`]: multicore analyses inflate once and then
 /// run their own (per-core or global) test on the result.
 ///
+/// The copy carries timing only (see [`crate::TaskSet::with_wcets`]): each
+/// task keeps `Qi` and drops its delay curve, because the tests run on it
+/// (RTA, the EDF demand test, the global density and BCL tests) read only
+/// `C′`, `T`, `D` and `Qi`. Inflating the copy again with a delay-aware
+/// method is therefore a [`SchedError::MissingCurve`] error instead of a
+/// second charge of the same delay.
+///
 /// # Errors
 ///
 /// As [`inflate_wcets`], plus [`SchedError::InvalidTask`] when `caps`
@@ -339,6 +346,47 @@ mod tests {
             inflate_wcets(&no_curve, DelayMethod::Algorithm1),
             Err(SchedError::MissingCurve { index: 0 })
         ));
+    }
+
+    #[test]
+    fn inflated_copies_carry_timing_only() {
+        let ts = TaskSet::new(vec![
+            curved_task(10.0, 50.0, 4.0, 2.0),
+            curved_task(20.0, 100.0, 8.0, 3.0),
+        ])
+        .unwrap();
+        for (method, caps) in [
+            (
+                DelayMethod::Eq4,
+                preemption_caps as fn(&TaskSet) -> Vec<usize>,
+            ),
+            (DelayMethod::Algorithm1, preemption_caps),
+            (DelayMethod::Algorithm1Capped, preemption_caps_edf),
+        ] {
+            let inflated = inflated_taskset(&ts, method, caps)
+                .unwrap()
+                .expect("converges");
+            for (copy, task) in inflated.iter().zip(ts.iter()) {
+                assert!(copy.delay_curve().is_none(), "{method:?}");
+                assert_eq!(copy.q(), task.q());
+                assert_eq!(copy.period(), task.period());
+                assert_eq!(copy.deadline(), task.deadline());
+            }
+            // The delay is already in C′: inflating again cannot charge it
+            // a second time.
+            for again in [
+                DelayMethod::Eq4,
+                DelayMethod::Algorithm1,
+                DelayMethod::Algorithm1Capped,
+            ] {
+                assert!(matches!(
+                    inflated_taskset(&inflated, again, caps),
+                    Err(SchedError::MissingCurve { index: 0 })
+                ));
+            }
+            let none = inflated_taskset(&inflated, DelayMethod::None, caps).unwrap();
+            assert_eq!(none, Some(inflated));
+        }
     }
 
     #[test]

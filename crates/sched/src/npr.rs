@@ -79,15 +79,19 @@ impl NprBounds {
 pub fn max_npr_lengths_edf(tasks: &TaskSet) -> Result<NprBounds, SchedError> {
     let horizon = demand_horizon(tasks)?;
     let points = testing_points(tasks, horizon)?;
+    // Slack does not depend on the task: one sweep over the points below
+    // the largest deadline gives every prefix minimum, and a task's bound
+    // is the minimum over the points below its own deadline.
+    let d_max = tasks.iter().map(|t| t.deadline()).fold(0.0f64, f64::max);
+    let mut prefix_min = vec![f64::INFINITY];
+    let mut running = f64::INFINITY;
+    for &t in points.iter().take_while(|&&t| t < d_max) {
+        running = running.min(slack(tasks, t));
+        prefix_min.push(running);
+    }
     let q_max = tasks
         .iter()
-        .map(|task| {
-            points
-                .iter()
-                .take_while(|&&t| t < task.deadline())
-                .map(|&t| slack(tasks, t))
-                .fold(f64::INFINITY, f64::min)
-        })
+        .map(|task| prefix_min[points.partition_point(|&t| t < task.deadline())])
         .collect();
     Ok(NprBounds { q_max })
 }
@@ -102,30 +106,27 @@ pub fn blocking_tolerances_fp(tasks: &TaskSet) -> Vec<f64> {
     (0..tasks.len())
         .map(|i| {
             let ti = tasks.task(i);
-            // Testing points: multiples of higher-priority periods within
-            // (0, Di], plus Di itself.
-            let mut points: Vec<f64> = vec![ti.deadline()];
+            let tolerance_at = |t: f64| {
+                let mut w = ti.wcet();
+                for j in 0..i {
+                    let tj = tasks.task(j);
+                    w += ceil_div(t, tj.period()) * tj.wcet();
+                }
+                t - w
+            };
+            // Testing points: Di, plus the multiples of higher-priority
+            // periods below it. A maximum does not depend on the order in
+            // which they are visited, nor on visiting one twice.
+            let mut best = tolerance_at(ti.deadline());
             for j in 0..i {
                 let tj = tasks.task(j);
                 let mut at = tj.period();
                 while at < ti.deadline() {
-                    points.push(at);
+                    best = best.max(tolerance_at(at));
                     at += tj.period();
                 }
             }
-            points.sort_by(f64::total_cmp);
-            points.dedup();
-            points
-                .iter()
-                .map(|&t| {
-                    let mut w = ti.wcet();
-                    for j in 0..i {
-                        let tj = tasks.task(j);
-                        w += ceil_div(t, tj.period()) * tj.wcet();
-                    }
-                    t - w
-                })
-                .fold(f64::NEG_INFINITY, f64::max)
+            best
         })
         .collect()
 }

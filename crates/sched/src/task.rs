@@ -158,6 +158,12 @@ impl Task {
     /// even the period: that makes the task *unschedulable*, not invalid,
     /// and the schedulability tests report it as such.
     ///
+    /// The copy carries timing only: `Ci`, `Ti`, `Di` and `Qi`, without the
+    /// delay curve. An inflated WCET already contains the preemption delay,
+    /// so a delay-aware inflation of the copy fails with
+    /// [`SchedError::MissingCurve`] instead of charging the delay twice; the
+    /// tests run on inflated copies read no curve.
+    ///
     /// # Errors
     ///
     /// Returns [`SchedError::InvalidTask`] if `wcet` is not finite and
@@ -169,9 +175,13 @@ impl Task {
                 value: wcet,
             });
         }
-        let mut out = self.clone();
-        out.wcet = wcet;
-        Ok(out)
+        Ok(Self {
+            wcet,
+            period: self.period,
+            deadline: self.deadline,
+            q: self.q,
+            delay_curve: None,
+        })
     }
 }
 
@@ -247,7 +257,10 @@ impl TaskSet {
         TaskSet { tasks }
     }
 
-    /// Replaces every task's WCET (used by inflation passes).
+    /// Replaces every task's WCET (used by inflation passes). Like
+    /// [`Task::with_wcet`], the copy carries timing only: its tasks keep
+    /// `Qi` but no delay curve, because the new WCETs are meant to contain
+    /// the delay already.
     ///
     /// # Errors
     ///

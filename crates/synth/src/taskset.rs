@@ -1,6 +1,5 @@
 //! Random task-set generation (UUniFast and friends).
 
-use fnpr_core::DelayCurve;
 use fnpr_sched::{max_npr_lengths_edf, max_npr_lengths_fp, SchedError, Task, TaskSet};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -156,9 +155,14 @@ pub enum Policy {
 /// whose peak is `delay_frac` of the task's `Qi` (keeping all analyses
 /// convergent when `delay_frac < 1`).
 ///
-/// Returns `None` when the base set is not schedulable under the chosen
-/// policy even without preemption costs, or when the derived bounds are
-/// infeasible — callers typically resample.
+/// Returns `None` when a derived bound is not strictly positive
+/// ([`fnpr_sched::NprBounds::feasible`]) or a scaled `Qi` is not finite and
+/// positive — callers typically resample. The bounds constrain regions,
+/// not the base set itself: under fixed priority the lowest-priority task's
+/// blocking tolerance bounds no region, and under EDF no slack at or after
+/// the largest deadline does. So a base set that misses a deadline even
+/// without preemption costs can still be equipped; the schedulability tests
+/// reject it afterwards.
 ///
 /// # Errors
 ///
@@ -185,20 +189,7 @@ pub fn with_npr_and_curves<R: Rng>(
         if !(q.is_finite() && q > 0.0) {
             return Ok(None);
         }
-        let peak = q * delay_frac;
-        let curve = random_unimodal_curve(rng, task.wcet(), peak.max(1e-9), task.wcet() / 64.0)
-            .map_err(|_| SchedError::InvalidTask {
-                what: "curve",
-                value: task.wcet(),
-            })?;
-        let clamped: DelayCurve =
-            curve
-                .clamped(peak.max(0.0))
-                .map_err(|_| SchedError::InvalidTask {
-                    what: "curve clamp",
-                    value: peak,
-                })?;
-        tasks.push(task.clone().with_q(q)?.with_delay_curve(clamped));
+        tasks.push(equip(rng, task, q, delay_frac)?);
     }
     Ok(Some(TaskSet::new(tasks)?))
 }
@@ -222,22 +213,36 @@ pub fn with_npr_and_curves_global<R: Rng>(
     let mut tasks = Vec::with_capacity(base.len());
     for task in base.iter() {
         let q = (task.wcet() * q_scale).max(f64::MIN_POSITIVE);
-        let peak = q * delay_frac;
-        let curve = random_unimodal_curve(rng, task.wcet(), peak.max(1e-9), task.wcet() / 64.0)
-            .map_err(|_| SchedError::InvalidTask {
-                what: "curve",
-                value: task.wcet(),
-            })?;
-        let clamped: DelayCurve =
-            curve
-                .clamped(peak.max(0.0))
-                .map_err(|_| SchedError::InvalidTask {
-                    what: "curve clamp",
-                    value: peak,
-                })?;
-        tasks.push(task.clone().with_q(q)?.with_delay_curve(clamped));
+        tasks.push(equip(rng, task, q, delay_frac)?);
     }
     TaskSet::new(tasks)
+}
+
+/// `task` with region length `q` and a random unimodal curve whose values
+/// are at most `peak = q × delay_frac`.
+///
+/// The curve's amplitude is drawn below `peak.max(1e-9)`, so clamping it to
+/// `peak` changes it only when `peak < 1e-9` or a sample rounds above the
+/// amplitude. The clamp, a second validated and hashed curve, is therefore
+/// built only when some value exceeds the cap or the cap is infinite (which
+/// the clamp rejects); otherwise it would rebuild the same curve.
+fn equip<R: Rng>(rng: &mut R, task: &Task, q: f64, delay_frac: f64) -> Result<Task, SchedError> {
+    let peak = q * delay_frac;
+    let curve = random_unimodal_curve(rng, task.wcet(), peak.max(1e-9), task.wcet() / 64.0)
+        .map_err(|_| SchedError::InvalidTask {
+            what: "curve",
+            value: task.wcet(),
+        })?;
+    let cap = peak.max(0.0);
+    let curve = if cap.is_finite() && curve.max_value() <= cap {
+        curve
+    } else {
+        curve.clamped(cap).map_err(|_| SchedError::InvalidTask {
+            what: "curve clamp",
+            value: peak,
+        })?
+    };
+    Ok(task.clone().with_q(q)?.with_delay_curve(curve))
 }
 
 #[cfg(test)]
@@ -351,6 +356,41 @@ mod tests {
             let curve = t.delay_curve().expect("curve set");
             assert!(curve.max_value() < q, "delay must stay below Q");
         }
+    }
+
+    #[test]
+    fn equipment_does_not_test_the_base_set() {
+        use fnpr_sched::{
+            blocking_tolerances_fp, edf_schedulable_with_delay, fp_schedulable_with_delay,
+            DelayMethod,
+        };
+        let set = |specs: &[(f64, f64, f64)]| -> TaskSet {
+            specs
+                .iter()
+                .map(|&(c, t, d)| Task::new(c, t).unwrap().with_deadline(d).unwrap())
+                .collect()
+        };
+        let mut rng = StdRng::seed_from_u64(5);
+        // FP: τ2 misses its deadline even unblocked (β2 = −1), but only
+        // lower-priority regions would have to fit in β2, and there are none.
+        let fp = set(&[(3.0, 5.0, 5.0), (3.0, 6.0, 6.0)]);
+        assert_eq!(blocking_tolerances_fp(&fp), vec![2.0, -1.0]);
+        assert_eq!(max_npr_lengths_fp(&fp).q_max, vec![f64::INFINITY, 2.0]);
+        let equipped = with_npr_and_curves(&mut rng, &fp, Policy::FixedPriority, 0.8, 0.5)
+            .unwrap()
+            .expect("every bound is positive");
+        assert!(!fp_schedulable_with_delay(&equipped, DelayMethod::None).unwrap());
+        // EDF: dbf(3) = 3.5 > 3, but no task's bound reads the slack at or
+        // after the largest deadline.
+        let edf = set(&[(1.0, 10.0, 2.0), (2.5, 10.0, 3.0)]);
+        assert_eq!(
+            max_npr_lengths_edf(&edf).unwrap().q_max,
+            vec![f64::INFINITY, 1.0]
+        );
+        let equipped = with_npr_and_curves(&mut rng, &edf, Policy::Edf, 0.8, 0.5)
+            .unwrap()
+            .expect("every bound is positive");
+        assert!(!edf_schedulable_with_delay(&equipped, DelayMethod::None).unwrap());
     }
 
     #[test]
