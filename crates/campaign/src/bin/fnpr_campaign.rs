@@ -19,7 +19,9 @@ use std::process::ExitCode;
 
 use fnpr_campaign::spec::{allocation_label, policy_label};
 use fnpr_campaign::store::{GcPolicy, ResultStore};
-use fnpr_campaign::{history, run_campaign_with_store, CampaignSpec, GridWorkload, Workload};
+use fnpr_campaign::{
+    history, ledger, run_campaign_with_store, CampaignSpec, GridWorkload, Workload,
+};
 
 struct RunArgs {
     spec: PathBuf,
@@ -282,9 +284,8 @@ fn cmd_run(args: &RunArgs) -> ExitCode {
         }
     }
     if let Some(path) = &ledger_target {
-        let record =
-            fnpr_campaign::ledger_record(&campaign, &outcome, started.elapsed().as_secs_f64());
-        if let Err(e) = fnpr_obs::append_record(Path::new(path), &record) {
+        let record = ledger::ledger_record(&campaign, &outcome, started.elapsed().as_secs_f64());
+        if let Err(e) = ledger::append_record(Path::new(path), &record) {
             eprintln!("fnpr-campaign: appending run record to {path}: {e}");
             return ExitCode::FAILURE;
         }
@@ -461,7 +462,7 @@ fn cmd_grid(path: &Path) -> ExitCode {
 /// trailing median, and (under `--check`) gate on regressions the way the
 /// run path gates on the paper's claims — exit code 2.
 fn cmd_history(args: &HistoryArgs) -> ExitCode {
-    let view = match fnpr_obs::read_ledger(&args.ledger) {
+    let view = match ledger::read_ledger(&args.ledger) {
         Ok(view) => view,
         Err(e) => {
             eprintln!(
@@ -678,7 +679,7 @@ telemetry (write-only; aggregates are byte-identical with it on or off):
   --trace-out PATH   write a Chrome trace-event JSON of per-shard spans
                      (open in Perfetto or chrome://tracing)
   --ledger PATH      append one run record (throughput, percentiles, hit
-                     rates) to a checksummed JSONL run ledger
+                     rates) to a checksummed run ledger
   --quiet            also suppresses the live progress line
 
 history (regression watch over a run ledger):

@@ -1,7 +1,7 @@
 //! Regression watch over the run ledger.
 //!
 //! The `fnpr-campaign history` subcommand is a thin shell around this
-//! module: read a ledger (see [`fnpr_obs::ledger`]), group runs by
+//! module: read a ledger (see [`crate::ledger`]), group runs by
 //! scenario hash, compare each scenario's **latest** run against the
 //! **trailing median** of the runs before it, and render the result as a
 //! terminal trend table or a self-contained HTML dashboard. Under
@@ -15,7 +15,7 @@
 //! trend context but not gated: a cold store legitimately collapses the
 //! restore rate without the binary getting slower.
 
-use fnpr_obs::{LedgerView, RunRecord};
+use crate::ledger::{LedgerView, RunRecord};
 
 /// Tuning for [`analyze`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -379,7 +379,7 @@ mod tests {
 
     fn run(scenario: &str, points_per_sec: f64, p99_us: f64) -> RunRecord {
         RunRecord {
-            schema: fnpr_obs::LEDGER_SCHEMA_VERSION,
+            schema: crate::ledger::LEDGER_SCHEMA_VERSION,
             unix_seconds: 1_700_000_000,
             name: "trend-test".to_string(),
             scenario: scenario.to_string(),
@@ -392,9 +392,6 @@ mod tests {
             memo_misses: 4,
             points_restored: 8,
             points_computed: 0,
-            bounds_restored: 0,
-            bounds_computed: 0,
-            recovered_shards: 0,
             p50_us: p99_us / 4.0,
             p90_us: p99_us / 2.0,
             p99_us,

@@ -23,7 +23,9 @@
 //!   acceptance grid share base task sets and each is generated once;
 //! * **Result pipeline** ([`report`]) — streaming per-shard aggregation,
 //!   folded in shard order into a [`CampaignReport`] with CSV and JSON
-//!   renderings.
+//!   renderings;
+//! * **Run ledger** ([`ledger`]) — one record per run in the result
+//!   store's line format, trended and gated by [`history`].
 //!
 //! # Quickstart
 //!
@@ -58,6 +60,7 @@ pub mod cfg_workload;
 pub mod error;
 pub mod exec;
 pub mod history;
+pub mod ledger;
 pub mod memo;
 pub mod multicore;
 pub mod report;
@@ -177,60 +180,6 @@ pub struct CampaignOutcome {
     pub store: Option<StoreStats>,
     /// Worker threads the run resolved to.
     pub threads: usize,
-}
-
-/// Builds the run-ledger record for a finished campaign run — the
-/// longitudinal row `fnpr-campaign history` trends and gates on (see
-/// [`fnpr_obs::ledger`]). The latency percentiles come from the
-/// workload's per-point timing histogram
-/// (`campaign.point.micros.<workload>`), so they are meaningful only when
-/// telemetry was enabled for the run (zeros otherwise); the CLI arms
-/// telemetry whenever a ledger target is set.
-#[must_use]
-pub fn ledger_record(
-    campaign: &Campaign,
-    outcome: &CampaignOutcome,
-    wall_seconds: f64,
-) -> fnpr_obs::RunRecord {
-    let report = &outcome.report;
-    let grid_points = (report.acceptance.len()
-        + report.soundness.len()
-        + report.multicore.len()
-        + report.cfg.len()) as u64;
-    let timing = fnpr_obs::histogram(&format!(
-        "campaign.point.micros.{}",
-        campaign.workload_kind().key()
-    ))
-    .snapshot();
-    let store = outcome.store.unwrap_or_default();
-    fnpr_obs::RunRecord {
-        schema: fnpr_obs::LEDGER_SCHEMA_VERSION,
-        unix_seconds: fnpr_obs::ledger::unix_now(),
-        name: campaign.name.clone(),
-        scenario: report.scenario.clone(),
-        workload: campaign.workload_kind().key().to_string(),
-        grid_points,
-        threads: outcome.threads as u64,
-        wall_seconds,
-        points_per_sec: if wall_seconds > 0.0 {
-            grid_points as f64 / wall_seconds
-        } else {
-            0.0
-        },
-        memo_hits: outcome.memo.hits,
-        memo_misses: outcome.memo.misses,
-        points_restored: store.points_restored,
-        points_computed: store.points_computed,
-        // The store keeps finished points only and the engine has no
-        // recovery path; these fields keep the ledger at schema v2.
-        bounds_restored: 0,
-        bounds_computed: 0,
-        recovered_shards: 0,
-        p50_us: timing.p50,
-        p90_us: timing.p90,
-        p99_us: timing.p99,
-        max_us: timing.max,
-    }
 }
 
 /// Runs a validated campaign. `threads_override` (e.g. from the CLI) wins

@@ -347,7 +347,7 @@ pub struct TelemetrySpec {
     /// buffered unless `--trace-out` is given).
     pub trace: Option<String>,
     /// Run-ledger path (`LEDGER.jsonl`; absent: no run record is appended
-    /// unless `--ledger` is given). See [`fnpr_obs::ledger`] and the
+    /// unless `--ledger` is given). See [`crate::ledger`] and the
     /// `fnpr-campaign history` subcommand.
     pub ledger: Option<String>,
     /// Live stderr progress line (default true; `--quiet` suppresses).

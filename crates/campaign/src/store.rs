@@ -26,7 +26,8 @@
 //! * `FNPR2` — the record **format version**; lines of any other version
 //!   (including the stampless `FNPR1` predecessor) are invalid and
 //!   recompute;
-//! * `tag` — the [`StoreTable`] the entry belongs to;
+//! * `tag` — the [`StoreTable`] the entry belongs to (the run ledger,
+//!   [`crate::ledger`], frames its lines the same way under its own tag);
 //! * `key` — the 128-bit content address (structural scenario hash);
 //! * `fingerprint` — the [`analysis_fingerprint`] of the writer; entries
 //!   from a different analysis version are treated as stale and recomputed;
@@ -51,7 +52,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::Write as _;
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -157,16 +158,14 @@ impl StoreTable {
     }
 }
 
-/// Outcome of one line parse during load.
-enum ParsedLine {
-    Valid {
-        tag: u32,
-        key: u128,
-        stamp: u64,
-        payload: String,
-    },
-    Stale,
-    Invalid,
+/// One well-formed, checksum-valid record line, whatever its table and
+/// fingerprint (see [`parse_record`]).
+pub(crate) struct Record<'a> {
+    pub(crate) tag: u32,
+    pub(crate) key: u128,
+    pub(crate) fingerprint: u64,
+    pub(crate) stamp: u64,
+    pub(crate) payload: &'a str,
 }
 
 /// Independently locked index shards, like [`crate::memo::Memo`]'s: cold
@@ -250,18 +249,9 @@ impl ResultStore {
         let mut files = Vec::with_capacity(StoreTable::ALL.len());
         for table in StoreTable::ALL {
             let file_path = path.join(table.file_name());
-            let unterminated = load_log_file(&file_path, fingerprint, &mut entries, &mut counts)?;
-            let mut file = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&file_path)?;
-            if unterminated {
-                // A crashed writer left a torn final line (already counted
-                // as invalid above); terminate it so healing appends start
-                // on a fresh line instead of gluing onto the wreckage.
-                file.write_all(b"\n")?;
-                counts.healed += 1;
-            }
+            load_log_file(&file_path, fingerprint, &mut entries, &mut counts)?;
+            let (file, healed) = open_log_for_append(&file_path)?;
+            counts.healed += u64::from(healed);
             files.push(Mutex::new(file));
         }
         counts.publish();
@@ -346,7 +336,7 @@ impl ResultStore {
         let content = format!(
             "pid={} started={} name={}\n",
             std::process::id(),
-            fnpr_obs::ledger::unix_now(),
+            fnpr_obs::unix_now(),
             name
         );
         let _ = std::fs::write(self.path.join(INPROGRESS_FILE), content);
@@ -391,29 +381,18 @@ impl ResultStore {
         }
     }
 
-    /// Persists an entry, **after** a two-sided round-trip self-check: the
-    /// value is serialized, parsed back, and must both compare equal
-    /// (catches NaN payloads — JSON has no NaN, and `NaN != NaN` makes
-    /// `PartialEq` fail) *and* re-serialize to the identical string
-    /// (catches any value equality cannot see, e.g. a float formatter
-    /// normalizing `-0.0` to `0.0` — equal under `==`, different bytes in
-    /// the rendered aggregates). On any mismatch the entry is skipped so a
-    /// later run recomputes instead of restoring a lossy value. Write
-    /// failures are counted and warned once — the campaign result never
-    /// depends on the store being writable.
+    /// Persists an entry, **after** the [`lossless_json`] self-check. On a
+    /// lossy value the entry is skipped so a later run recomputes instead
+    /// of restoring it. Write failures are counted and warned once — the
+    /// campaign result never depends on the store being writable.
     fn put<V>(&self, table: StoreTable, key: u128, value: &V)
     where
         V: Serialize + Deserialize + PartialEq,
     {
-        let payload = serde_json::to_string(value);
-        debug_assert!(!payload.contains('\n'), "compact JSON is single-line");
-        match serde_json::from_str::<V>(&payload) {
-            Ok(rt) if rt == *value && serde_json::to_string(&rt) == payload => {}
-            _ => {
-                self.count_write_error("value does not round-trip losslessly");
-                return;
-            }
-        }
+        let Some(payload) = lossless_json(value) else {
+            self.count_write_error("value does not round-trip losslessly");
+            return;
+        };
         let Some(files) = &self.files else {
             self.count_write_error("store is read-only");
             return;
@@ -422,7 +401,7 @@ impl ResultStore {
             table.tag(),
             key,
             self.fingerprint,
-            fnpr_obs::ledger::unix_now(),
+            fnpr_obs::unix_now(),
             &payload,
         );
         // Hold the table's file lock across the index insert too: `gc`
@@ -580,14 +559,10 @@ impl ResultStore {
                     continue;
                 }
                 scanned += 1;
-                if let ParsedLine::Valid {
-                    tag,
-                    key,
-                    stamp,
-                    payload,
-                } = parse_record(line, self.fingerprint)
-                {
-                    live.insert((tag, key), (stamp, payload));
+                if let Some(r) = parse_record(line) {
+                    if r.fingerprint == self.fingerprint && StoreTable::from_tag(r.tag).is_some() {
+                        live.insert((r.tag, r.key), (r.stamp, r.payload.to_string()));
+                    }
                 }
             }
         }
@@ -596,8 +571,7 @@ impl ResultStore {
         // Retention: age cutoff first, then oldest-first size eviction.
         let mut evicted = 0usize;
         if let Some(days) = policy.max_age_days {
-            let cutoff =
-                fnpr_obs::ledger::unix_now().saturating_sub((days * 86_400.0).max(0.0) as u64);
+            let cutoff = fnpr_obs::unix_now().saturating_sub((days * 86_400.0).max(0.0) as u64);
             let before = live.len();
             live.retain(|_, (stamp, _)| *stamp >= cutoff);
             evicted += before - live.len();
@@ -803,21 +777,19 @@ impl GcReport {
     }
 }
 
-/// Loads one log file into the index shards; returns whether the file
-/// ended mid-line (a torn tail the caller may heal). Missing files load as
-/// empty.
+/// Loads one log file into the index shards. Missing files load as empty;
+/// a line whose tag names no [`StoreTable`] is invalid.
 fn load_log_file(
     path: &Path,
     fingerprint: u64,
     entries: &mut [HashMap<(u32, u128), String>],
     counts: &mut LoadCounts,
-) -> std::io::Result<bool> {
+) -> std::io::Result<()> {
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
         Err(e) => return Err(e),
     };
-    let unterminated = bytes.last().is_some_and(|&b| b != b'\n');
     // Lossy decoding: a line with invalid UTF-8 cannot checksum correctly
     // and parses as invalid, which is exactly right.
     let text = String::from_utf8_lossy(&bytes);
@@ -825,23 +797,69 @@ fn load_log_file(
         if line.is_empty() {
             continue;
         }
-        match parse_record(line, fingerprint) {
-            ParsedLine::Valid {
-                tag, key, payload, ..
-            } => {
-                // Later lines supersede earlier ones (a point recomputed
-                // after its earlier line failed to decode).
-                entries[index_shard(key)].insert((tag, key), payload);
+        match parse_record(line) {
+            Some(r) if StoreTable::from_tag(r.tag).is_none() => counts.invalid += 1,
+            // Later lines supersede earlier ones (a point recomputed after
+            // its earlier line failed to decode).
+            Some(r) if r.fingerprint == fingerprint => {
+                entries[index_shard(r.key)].insert((r.tag, r.key), r.payload.to_string());
             }
-            ParsedLine::Stale => counts.stale += 1,
-            ParsedLine::Invalid => counts.invalid += 1,
+            Some(_) => counts.stale += 1,
+            None => counts.invalid += 1,
         }
     }
-    Ok(unterminated)
+    Ok(())
+}
+
+/// Opens the log at `path` for appending, creating it if absent. A final
+/// line without its newline, a crashed writer's torn tail (which reads as
+/// invalid), is terminated first so the next record starts on a fresh line
+/// instead of gluing onto the wreckage; only the last byte is read.
+/// Returns the handle and whether it healed a torn tail.
+pub(crate) fn open_log_for_append(path: &Path) -> std::io::Result<(File, bool)> {
+    let mut file = OpenOptions::new()
+        .read(true)
+        .append(true)
+        .create(true)
+        .open(path)?;
+    let torn = file.metadata()?.len() > 0 && {
+        let mut last = [0u8];
+        file.seek(SeekFrom::End(-1))?;
+        file.read_exact(&mut last)?;
+        last[0] != b'\n'
+    };
+    if torn {
+        file.write_all(b"\n")?;
+    }
+    Ok((file, torn))
+}
+
+/// Serializes `value` as compact JSON after a two-sided round-trip
+/// self-check: the text is parsed back, and the value must both compare
+/// equal (catches NaN payloads — JSON has no NaN, and `NaN != NaN` makes
+/// `PartialEq` fail — and integers the JSON model cannot hold) *and*
+/// re-serialize to the identical string (catches any value equality cannot
+/// see, e.g. a float formatter normalizing `-0.0` to `0.0` — equal under
+/// `==`, different bytes in the rendered aggregates). `None` when the value
+/// would not survive a write and a read.
+pub(crate) fn lossless_json<V>(value: &V) -> Option<String>
+where
+    V: Serialize + Deserialize + PartialEq,
+{
+    let payload = serde_json::to_string(value);
+    debug_assert!(!payload.contains('\n'), "compact JSON is single-line");
+    let parsed = serde_json::from_str::<V>(&payload).ok()?;
+    (parsed == *value && serde_json::to_string(&parsed) == payload).then_some(payload)
 }
 
 /// Formats one record line (trailing newline included).
-fn format_record(tag: u32, key: u128, fingerprint: u64, stamp: u64, payload: &str) -> String {
+pub(crate) fn format_record(
+    tag: u32,
+    key: u128,
+    fingerprint: u64,
+    stamp: u64,
+    payload: &str,
+) -> String {
     format!(
         "{STORE_FORMAT} {tag:08x} {key:032x} {fingerprint:016x} {stamp} {len} {sum:016x} {payload}\n",
         len = payload.len(),
@@ -869,33 +887,12 @@ fn index_shard(key: u128) -> usize {
     (key as u64 as usize) % INDEX_SHARDS
 }
 
-/// Parses one log line against `fingerprint`. Anything malformed —
-/// unknown format token, bad hex, wrong payload length (truncation), wrong
-/// checksum (corruption), unknown table tag — is [`ParsedLine::Invalid`];
-/// a well-formed line from another analysis version is
-/// [`ParsedLine::Stale`].
-fn parse_record(line: &str, fingerprint: u64) -> ParsedLine {
-    match parse_any_fingerprint(line) {
-        Some((tag, key, fp, stamp, payload)) => {
-            if fp != fingerprint {
-                ParsedLine::Stale
-            } else {
-                ParsedLine::Valid {
-                    tag,
-                    key,
-                    stamp,
-                    payload,
-                }
-            }
-        }
-        None => ParsedLine::Invalid,
-    }
-}
-
-/// The fingerprint-agnostic half of [`parse_record`]: structural and
-/// checksum validation only. `None` = invalid line.
-#[allow(clippy::type_complexity)]
-fn parse_any_fingerprint(line: &str) -> Option<(u32, u128, u64, u64, String)> {
+/// Parses one log line: structural and checksum validation only. `None`
+/// for anything malformed — unknown format token, bad hex, wrong payload
+/// length (truncation), wrong checksum (corruption). Which tags and
+/// fingerprints are current is the caller's question: the store's loader
+/// and [`crate::ledger`] each ask it of the fields returned.
+pub(crate) fn parse_record(line: &str) -> Option<Record<'_>> {
     let rest = line.strip_prefix(STORE_FORMAT)?.strip_prefix(' ')?;
     let mut parts = rest.splitn(7, ' ');
     let (Some(tag), Some(key), Some(fp), Some(stamp), Some(len), Some(sum), Some(payload)) = (
@@ -919,13 +916,16 @@ fn parse_any_fingerprint(line: &str) -> Option<(u32, u128, u64, u64, String)> {
     ) else {
         return None;
     };
-    if StoreTable::from_tag(tag).is_none()
-        || payload.len() != len
-        || checksum(tag, key, fp, stamp, payload) != sum
-    {
+    if payload.len() != len || checksum(tag, key, fp, stamp, payload) != sum {
         return None;
     }
-    Some((tag, key, fp, stamp, payload.to_string()))
+    Some(Record {
+        tag,
+        key,
+        fingerprint: fp,
+        stamp,
+        payload,
+    })
 }
 
 #[cfg(test)]
@@ -1203,10 +1203,46 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_payloads_are_invalid_and_recompute() {
+        // A checksum-valid record whose payload nests far past the JSON
+        // parser's depth cap. Decoding it on this 2 MiB test thread, as on
+        // a worker, counts it invalid instead of overflowing the stack.
+        let path = temp_store_path("nested.log");
+        drop(ResultStore::open(&path).unwrap());
+        let deep = "[".repeat(100_000) + &"]".repeat(100_000);
+        append_stamped(&path, StoreTable::CfgPoints, 5, 1, &deep);
+        let store = ResultStore::open(&path).unwrap();
+        let v: Result<f64, ()> = store.get_or_compute(StoreTable::CfgPoints, 5, || Ok(6.5));
+        assert_eq!(v, Ok(6.5));
+        let stats = store.stats();
+        assert_eq!((stats.invalid_entries, stats.points_computed), (1, 1));
+        let again = ResultStore::open(&path).unwrap();
+        assert_eq!(again.get::<f64>(StoreTable::CfgPoints, 5), Some(6.5));
+    }
+
+    #[test]
+    fn checksum_valid_lines_of_unknown_tables_are_invalid() {
+        // A well-formed record under a tag no table owns (the run ledger's,
+        // say) is never indexed, and gc drops it.
+        let path = temp_store_path("foreign_tag.log");
+        drop(ResultStore::open(&path).unwrap());
+        let line = format_record(0x4c44_4752, 7, analysis_fingerprint(), 1, "1.0");
+        std::fs::write(cfg_file(&path), line).unwrap();
+        let store = ResultStore::open(&path).unwrap();
+        assert_eq!(store.stats().invalid_entries, 1);
+        assert_eq!(
+            store.table_counts().iter().map(|(_, n)| n).sum::<usize>(),
+            0
+        );
+        let report = store.gc().unwrap();
+        assert_eq!((report.scanned, report.kept, report.dropped), (1, 0, 1));
+    }
+
+    #[test]
     fn gc_age_policy_evicts_old_entries_oldest_first() {
         let path = temp_store_path("gc_age.log");
         drop(ResultStore::open(&path).unwrap());
-        let now = fnpr_obs::ledger::unix_now();
+        let now = fnpr_obs::unix_now();
         append_stamped(
             &path,
             StoreTable::SoundnessShards,

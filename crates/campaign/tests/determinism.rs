@@ -193,8 +193,8 @@ fn render_with_telemetry(
     fnpr_obs::set_trace_collection(true);
     let campaign = spec.validate().expect("generated specs are valid");
     let outcome = run_campaign(&campaign, Some(threads)).expect("campaign runs");
-    let record = fnpr_campaign::ledger_record(&campaign, &outcome, 0.5);
-    fnpr_obs::append_record(ledger, &record).expect("ledger appends");
+    let record = fnpr_campaign::ledger::ledger_record(&campaign, &outcome, 0.5);
+    fnpr_campaign::ledger::append_record(ledger, &record).expect("ledger appends");
     let out = (outcome.report.to_csv(), outcome.report.to_json());
     // Drain the trace buffer so repeated proptest cases cannot grow it
     // without bound, and stop collecting between cases. Counters stay
@@ -256,7 +256,7 @@ proptest! {
         }
         // The side channel itself is healthy: three valid records of one
         // scenario, percentiles ordered and clamped to the observed max.
-        let view = fnpr_obs::read_ledger(&ledger).expect("ledger reads back");
+        let view = fnpr_campaign::ledger::read_ledger(&ledger).expect("ledger reads back");
         prop_assert_eq!(view.records.len(), 3);
         prop_assert_eq!((view.invalid, view.stale), (0, 0));
         let scenario = &view.records[0].scenario;

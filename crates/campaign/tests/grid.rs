@@ -111,3 +111,32 @@ fn multicore_grid_lists_the_csv_rows() {
 fn cfg_grid_lists_the_csv_rows() {
     assert_grid_matches_run("cfg_smoke.toml");
 }
+
+#[test]
+fn deeply_nested_specs_are_spec_errors() {
+    // 100,000 nested arrays used to overflow the parser's stack (exit
+    // 134); both spec parsers now stop at their depth cap.
+    let dir = common::scratch_dir("grid_deep");
+    let deep = "[".repeat(100_000) + &"]".repeat(100_000);
+    for (file, text) in [
+        (
+            "deep.json",
+            format!("{{\"name\": {deep}, \"workload\": \"soundness\"}}"),
+        ),
+        (
+            "deep.toml",
+            format!("name = {deep}\nworkload = \"soundness\"\n"),
+        ),
+    ] {
+        std::fs::write(dir.join(file), text).unwrap();
+        let output = Command::new(env!("CARGO_BIN_EXE_fnpr-campaign"))
+            .current_dir(&dir)
+            .args(["grid", file])
+            .output()
+            .expect("fnpr-campaign starts");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{file}: {stderr}");
+        assert!(stderr.contains("deeper than 128"), "{file}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -5,7 +5,8 @@
 //! process boundary.
 
 use fnpr_campaign::history::{analyze, any_regression, render_html, render_table, HistoryOptions};
-use fnpr_campaign::{ledger_record, run_campaign, CampaignSpec};
+use fnpr_campaign::ledger::{append_record, ledger_record, read_ledger, LEDGER_SCHEMA_VERSION};
+use fnpr_campaign::{run_campaign, CampaignSpec};
 
 mod common;
 
@@ -30,7 +31,7 @@ fn append_run_raw(ledger: &std::path::Path, wall_seconds: f64) {
     let campaign = smoke_spec().validate().expect("spec validates");
     let outcome = run_campaign(&campaign, Some(2)).expect("campaign runs");
     let record = ledger_record(&campaign, &outcome, wall_seconds);
-    fnpr_obs::append_record(ledger, &record).expect("ledger appends");
+    append_record(ledger, &record).expect("ledger appends");
 }
 
 /// Runs the smoke campaign once and appends its ledger record with the
@@ -48,7 +49,7 @@ fn append_run(ledger: &std::path::Path, wall_seconds: f64) {
     record.p90_us = 200.0;
     record.p99_us = 300.0;
     record.max_us = 400;
-    fnpr_obs::append_record(ledger, &record).expect("ledger appends");
+    append_record(ledger, &record).expect("ledger appends");
 }
 
 #[test]
@@ -58,7 +59,7 @@ fn healthy_ledger_passes_the_check() {
     for wall in [0.100, 0.103, 0.098, 0.101] {
         append_run(&ledger, wall);
     }
-    let view = fnpr_obs::read_ledger(&ledger).expect("ledger reads");
+    let view = read_ledger(&ledger).expect("ledger reads");
     assert_eq!(view.records.len(), 4);
     assert_eq!((view.invalid, view.stale), (0, 0));
     let trends = analyze(&view, &HistoryOptions::default());
@@ -76,7 +77,7 @@ fn degraded_final_run_fails_the_check_and_is_flagged_everywhere() {
     for wall in [0.100, 0.102, 0.099, 0.300] {
         append_run(&ledger, wall);
     }
-    let view = fnpr_obs::read_ledger(&ledger).expect("ledger reads");
+    let view = read_ledger(&ledger).expect("ledger reads");
     let options = HistoryOptions::default();
     let trends = analyze(&view, &options);
     assert!(any_regression(&trends), "must flag the degraded final row");
@@ -113,7 +114,7 @@ fn records_survive_a_torn_tail_between_runs() {
     // The next append heals the tail; the reader skips the torn line and
     // keeps both real records.
     append_run(&ledger, 0.1);
-    let view = fnpr_obs::read_ledger(&ledger).expect("ledger reads");
+    let view = read_ledger(&ledger).expect("ledger reads");
     assert_eq!(view.records.len(), 2);
     assert_eq!(view.invalid, 1, "torn line counted, not fatal");
     assert!(!any_regression(&analyze(&view, &HistoryOptions::default())));
@@ -125,9 +126,9 @@ fn ledger_rows_carry_real_run_shape() {
     let dir = common::scratch_dir("history_shape");
     let ledger = dir.join("LEDGER.jsonl");
     append_run_raw(&ledger, 0.5);
-    let view = fnpr_obs::read_ledger(&ledger).expect("ledger reads");
+    let view = read_ledger(&ledger).expect("ledger reads");
     let r = &view.records[0];
-    assert_eq!(r.schema, fnpr_obs::LEDGER_SCHEMA_VERSION);
+    assert_eq!(r.schema, LEDGER_SCHEMA_VERSION);
     assert_eq!(r.name, "history-e2e");
     assert_eq!(r.workload, "soundness");
     assert_eq!(r.grid_points, 3, "6 trials / 2 per shard");

@@ -138,7 +138,8 @@ impl Cfg {
     /// (Cooper–Harvey–Kennedy).
     ///
     /// Used by the natural-loop detection; exposed because dominator trees
-    /// are generally useful to downstream analyses.
+    /// are generally useful to downstream analyses. Ask [`dominates`] of
+    /// the result for any number of block pairs.
     #[must_use]
     pub fn immediate_dominators(&self) -> Vec<BlockId> {
         let n = self.len();
@@ -177,23 +178,6 @@ impl Cfg {
             .collect()
     }
 
-    /// Returns `true` if `a` dominates `b` (reflexive).
-    #[must_use]
-    pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        let idom = self.immediate_dominators();
-        let mut at = b;
-        loop {
-            if at == a {
-                return true;
-            }
-            let next = idom[at.index()];
-            if next == at {
-                return false; // reached the entry
-            }
-            at = next;
-        }
-    }
-
     /// Reverse post-order starting at the entry.
     #[must_use]
     pub fn reverse_post_order(&self) -> Vec<BlockId> {
@@ -218,6 +202,23 @@ impl Cfg {
         }
         post.reverse();
         post
+    }
+}
+
+/// Returns `true` if `a` dominates `b` (reflexive), walking up `idom`, the
+/// [`Cfg::immediate_dominators`] of their graph.
+#[must_use]
+pub fn dominates(idom: &[BlockId], a: BlockId, b: BlockId) -> bool {
+    let mut at = b;
+    loop {
+        if at == a {
+            return true;
+        }
+        let next = idom[at.index()];
+        if next == at {
+            return false; // reached the entry
+        }
+        at = next;
     }
 }
 
@@ -467,9 +468,9 @@ mod tests {
         assert_eq!(idom[1], BlockId(0));
         assert_eq!(idom[2], BlockId(0));
         assert_eq!(idom[3], BlockId(0)); // join dominated by entry, not by 1/2
-        assert!(cfg.dominates(BlockId(0), BlockId(3)));
-        assert!(!cfg.dominates(BlockId(1), BlockId(3)));
-        assert!(cfg.dominates(BlockId(3), BlockId(3)));
+        assert!(dominates(&idom, BlockId(0), BlockId(3)));
+        assert!(!dominates(&idom, BlockId(1), BlockId(3)));
+        assert!(dominates(&idom, BlockId(3), BlockId(3)));
     }
 
     #[test]
@@ -489,8 +490,8 @@ mod tests {
         assert_eq!(idom[h.index()], e);
         assert_eq!(idom[body.index()], h);
         assert_eq!(idom[x.index()], h);
-        assert!(cfg.dominates(h, body));
-        assert!(!cfg.dominates(body, x));
+        assert!(dominates(&idom, h, body));
+        assert!(!dominates(&idom, body, x));
     }
 
     #[test]

@@ -50,7 +50,7 @@ mod offsets;
 pub use block::{BasicBlock, BlockId, ExecInterval};
 pub use callgraph::{Function, FunctionSummary, Program};
 pub use error::CfgError;
-pub use graph::{Cfg, CfgBuilder};
+pub use graph::{dominates, Cfg, CfgBuilder};
 pub use loops::{natural_loops, reduce_loops, LoopBound, NaturalLoop, ReducedCfg};
 pub use occupancy::Occupancy;
 pub use offsets::{GraphTiming, StartOffsets};

@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::block::{BlockId, ExecInterval};
 use crate::error::CfgError;
-use crate::graph::{Cfg, CfgBuilder};
+use crate::graph::{dominates, Cfg, CfgBuilder};
 use crate::offsets::StartOffsets;
 
 /// Iteration bounds of one natural loop, keyed by its header block.
@@ -97,23 +97,10 @@ impl NaturalLoop {
 #[must_use]
 pub fn natural_loops(cfg: &Cfg) -> Vec<NaturalLoop> {
     let idom = cfg.immediate_dominators();
-    let dominates = |a: BlockId, b: BlockId| -> bool {
-        let mut at = b;
-        loop {
-            if at == a {
-                return true;
-            }
-            let up = idom[at.index()];
-            if up == at {
-                return false;
-            }
-            at = up;
-        }
-    };
     // header -> latches
     let mut latches_by_header: BTreeMap<BlockId, Vec<BlockId>> = BTreeMap::new();
     for (u, v) in cfg.edges() {
-        if dominates(v, u) {
+        if dominates(&idom, v, u) {
             latches_by_header.entry(v).or_default().push(u);
         }
     }

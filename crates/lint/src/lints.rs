@@ -26,7 +26,9 @@ pub const DETERMINISM_EXEMPT_CRATES: &[&str] = &["obs", "bench"];
 pub const UNSAFE_ALLOWLIST: &[&str] = &[];
 
 /// Magic wire/format tags that must be defined as a `const` in exactly
-/// one crate and only referenced elsewhere.
+/// one crate and only referenced elsewhere. The retired `FNPR1`, `FNPRW1`
+/// and `FNPRL1` have no definition left; watching them keeps each from
+/// coming back as an inline literal.
 pub const FORMAT_TAGS: &[&str] = &["FNPR1", "FNPR2", "FNPRW1", "FNPRL1"];
 
 /// Schema-version constants that must have exactly one defining crate.

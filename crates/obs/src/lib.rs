@@ -24,9 +24,6 @@
 //! * a [`MetricsReport`] snapshot serialized to versioned JSON
 //!   (the CLI's `--metrics PATH`), histograms carrying
 //!   bucket-interpolated p50/p90/p99;
-//! * an append-only, checksummed run [`ledger`] (`LEDGER.jsonl`; the
-//!   CLI's `--ledger PATH`) — one [`RunRecord`] per campaign run, the
-//!   longitudinal data `fnpr-campaign history` trends and gates on;
 //! * a rate-limited [`ProgressMeter`] line on stderr (points done/total,
 //!   points/sec, ETA, hit-rates; the CLI's `--quiet` suppresses it).
 //!
@@ -34,19 +31,18 @@
 //! layer, e.g. `campaign.memo.hit`, `core.alg1.windows`,
 //! `sim.migrations`. The README's "Observability" section lists the
 //! metrics each crate emits.
+//!
+//! This is also the crate the determinism lints let read the clock:
+//! [`unix_now`] stamps store records and run-ledger rows.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod ledger;
 pub mod progress;
 pub mod report;
 pub mod span;
 
-pub use ledger::{
-    append_record, read_ledger, LedgerView, RunRecord, LEDGER_FORMAT, LEDGER_SCHEMA_VERSION,
-};
 pub use progress::{progress_enabled, set_progress, ProgressMeter};
 pub use report::{percent, HistogramSnapshot, MetricsReport, METRICS_SCHEMA_VERSION};
 pub use span::{
@@ -72,6 +68,15 @@ pub fn enabled() -> bool {
 /// Turns telemetry collection on or off process-wide.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
+}
+
+/// Seconds since the Unix epoch right now (0 if the clock is somehow
+/// before the epoch).
+#[must_use]
+pub fn unix_now() -> u64 {
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_secs())
 }
 
 /// The histogram backing cells: count/sum/max plus power-of-two buckets
