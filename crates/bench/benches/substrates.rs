@@ -1,9 +1,15 @@
 //! Criterion benchmarks for the substrates: start-offset analysis, loop
 //! reduction and the useful-cache-block dataflow as the task's control-flow
-//! graph grows, and the calls the acceptance sweep makes per task set.
+//! graph grows, the calls the acceptance sweep makes per task set, and the
+//! result store's write and restore of one finished point.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::path::Path;
+
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
 use fnpr_cache::{AccessMap, CacheConfig, CrpdAnalysis};
+use fnpr_campaign::report::{CfgPoint, SoundnessRow, SoundnessShard};
+use fnpr_campaign::store::StoreTable;
+use fnpr_campaign::ResultStore;
 use fnpr_cfg::{reduce_loops, Occupancy, StartOffsets};
 use fnpr_pipeline::program_access_map;
 use fnpr_sched::{
@@ -163,12 +169,119 @@ fn bench_acceptance_equipment(c: &mut Criterion) {
     group.finish();
 }
 
+/// A one-trial soundness shard, as the soundness workload stores 20,000
+/// of them (361 bytes of JSON).
+fn soundness_shard() -> SoundnessShard {
+    SoundnessShard {
+        first_trial: 0,
+        rows: vec![SoundnessRow {
+            trial: 0,
+            q: 5.12227735285861,
+            naive: 96.21001807040463,
+            exact: 239.37113527988092,
+            algorithm1: 245.7157468551535,
+            eq4: 675.3522908164298,
+            sim_max: Some(96.03654580306035),
+        }],
+        naive_unsound: 1,
+        theorem1_violations: 0,
+        eq4_violations: 0,
+        sim_violations: 0,
+        ratio_sum: 1.0265053326828828,
+        ratio_max: 1.0265053326828828,
+        ratio_count: 1,
+    }
+}
+
+/// A `[cfg]` grid point from the `cfg_smoke` example (421 bytes of JSON).
+fn cfg_point() -> CfgPoint {
+    CfgPoint {
+        shape: "d2_l4_f4".to_string(),
+        depth: 2,
+        loop_iterations: 4,
+        footprint: 4,
+        sets: 16,
+        associativity: 1,
+        line_bytes: 16,
+        reload_cost: 1.0,
+        q_scale: 0.4,
+        programs: 6,
+        blocks_mean: 5.0,
+        wcet_mean: 43.74755764929869,
+        curve_max_mean: 8.333333333333334,
+        alg1_converged: 5,
+        eq4_converged: 5,
+        delay_mean: 21.2,
+        pessimism_mean: 1.657777777777778,
+        pessimism_max: 2.2222222222222223,
+        pessimism_count: 5,
+        dominance_violations: 0,
+    }
+}
+
+/// `ResultStore::get_or_compute` on one finished point: `put` computes
+/// under a key the store has not seen (the self-check, the framing and one
+/// append), `restore` reads back a stored key (the decode).
+fn bench_store_codec(c: &mut Criterion) {
+    let mut group = c.benchmark_group("store_codec");
+    let dir = std::env::temp_dir().join(format!("fnpr_store_codec_{}", std::process::id()));
+    bench_store_table(
+        &mut group,
+        &dir,
+        "soundness_shard",
+        StoreTable::SoundnessShards,
+        &soundness_shard(),
+    );
+    bench_store_table(
+        &mut group,
+        &dir,
+        "cfg_point",
+        StoreTable::CfgPoints,
+        &cfg_point(),
+    );
+    group.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn bench_store_table<V>(
+    group: &mut BenchmarkGroup<'_>,
+    dir: &Path,
+    name: &str,
+    table: StoreTable,
+    value: &V,
+) where
+    V: serde::Serialize + serde::Deserialize + PartialEq + Clone,
+{
+    let open = |kind: &str| {
+        ResultStore::open(&dir.join(format!("{kind}_{name}"))).expect("scratch store opens")
+    };
+    let store = open("put");
+    let mut key = 0u128;
+    group.bench_function(BenchmarkId::new("put", name), |b| {
+        b.iter(|| {
+            key += 1;
+            store.get_or_compute(table, key, || Ok::<_, ()>(black_box(value).clone()))
+        });
+    });
+    assert_eq!(store.stats().write_errors, 0, "every point was stored");
+    let store = open("restore");
+    let _ = store.get_or_compute(table, 0, || Ok::<_, ()>(value.clone()));
+    group.bench_function(BenchmarkId::new("restore", name), |b| {
+        b.iter(|| {
+            store
+                .get_or_compute(table, 0, || Err::<V, _>(()))
+                .expect("restored")
+        });
+    });
+}
+
 criterion_group!(
     benches,
     bench_offsets,
     bench_loop_reduction,
     bench_ucb_dataflow,
     bench_occupancy_windows,
-    bench_acceptance_equipment
+    bench_acceptance_equipment,
+    bench_store_codec
 );
 criterion_main!(benches);

@@ -131,7 +131,10 @@ pub fn ledger_record(
         campaign.workload_kind().key()
     ))
     .snapshot();
-    let store = outcome.store.unwrap_or_default();
+    // A run without a store computes every point.
+    let (points_restored, points_computed) = outcome
+        .store
+        .map_or((0, grid_points), |s| (s.points_restored, s.points_computed));
     RunRecord {
         schema: LEDGER_SCHEMA_VERSION,
         unix_seconds: fnpr_obs::unix_now(),
@@ -148,8 +151,8 @@ pub fn ledger_record(
         },
         memo_hits: outcome.memo.hits,
         memo_misses: outcome.memo.misses,
-        points_restored: store.points_restored,
-        points_computed: store.points_computed,
+        points_restored,
+        points_computed,
         p50_us: timing.p50,
         p90_us: timing.p90,
         p99_us: timing.p99,
@@ -257,6 +260,28 @@ mod tests {
     /// A checksum-valid current-schema ledger line carrying `payload`.
     fn framed(payload: &str) -> String {
         format_record(LEDGER_TAG, 0, ledger_fingerprint(), 0, payload)
+    }
+
+    #[test]
+    fn storeless_runs_record_every_point_as_computed() {
+        let spec = crate::spec::CampaignSpec::parse(
+            r#"{"workload":"soundness","soundness":{"trials":6,"trials_per_shard":2}}"#,
+        )
+        .unwrap();
+        let campaign = spec.validate().unwrap();
+        let storeless = crate::run_campaign_with_store(&campaign, Some(1), None).unwrap();
+        let record = ledger_record(&campaign, &storeless, 0.5);
+        assert_eq!(record.grid_points, 3, "one point per shard of two trials");
+        assert_eq!((record.points_restored, record.points_computed), (0, 3));
+        // With a store, the store's own counts are recorded: the same 3
+        // points computed cold, then 3 restored warm.
+        let path = scratch("counted.fnprstore");
+        for expected in [(0, 3), (3, 0)] {
+            let store = crate::store::ResultStore::open(&path).unwrap();
+            let outcome = crate::run_campaign_with_store(&campaign, Some(1), Some(&store)).unwrap();
+            let record = ledger_record(&campaign, &outcome, 0.5);
+            assert_eq!((record.points_restored, record.points_computed), expected);
+        }
     }
 
     #[test]

@@ -1269,6 +1269,21 @@ json = "out.json"
     }
 
     #[test]
+    fn json_spec_strings_decode_surrogate_pairs() {
+        let spec = CampaignSpec::parse(
+            r#"{"name": "emoji \ud83d\ude00", "workload": "soundness", "soundness": {"trials": 5}}"#,
+        )
+        .unwrap();
+        assert_eq!(spec.validate().unwrap().name, "emoji \u{1f600}");
+        // A lone or reversed surrogate is a spec error, not U+FFFD.
+        for name in [r"\ud83d", r"\ude00", r"\ude00\ud83d", r"x\ud83d y"] {
+            let text = format!(r#"{{"name": "{name}", "workload": "soundness"}}"#);
+            let err = CampaignSpec::parse(&text).unwrap_err().to_string();
+            assert!(err.contains("surrogate"), "{name}: {err}");
+        }
+    }
+
+    #[test]
     fn defaults_validate() {
         let campaign = CampaignSpec::default().validate().unwrap();
         assert_eq!(campaign.seed, 2012);

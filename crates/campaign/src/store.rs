@@ -57,7 +57,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::memo::ScenarioHasher;
 use crate::report::StoreStats;
@@ -835,21 +835,48 @@ pub(crate) fn open_log_for_append(path: &Path) -> std::io::Result<(File, bool)> 
 }
 
 /// Serializes `value` as compact JSON after a two-sided round-trip
-/// self-check: the text is parsed back, and the value must both compare
-/// equal (catches NaN payloads — JSON has no NaN, and `NaN != NaN` makes
-/// `PartialEq` fail — and integers the JSON model cannot hold) *and*
-/// re-serialize to the identical string (catches any value equality cannot
-/// see, e.g. a float formatter normalizing `-0.0` to `0.0` — equal under
-/// `==`, different bytes in the rendered aggregates). `None` when the value
-/// would not survive a write and a read.
+/// self-check on one tree: `written = value.to_value()` is written out,
+/// the text is parsed back into a second tree, and that tree is
+/// deserialized. The value must compare equal (catches NaN payloads —
+/// JSON has no NaN, and `NaN != NaN` makes `PartialEq` fail — integers
+/// the JSON model cannot hold, and types that serialize to `null`), *and*
+/// the parsed tree must equal `written` with floats compared by bits
+/// (catches what value equality cannot see, e.g. a float formatter
+/// normalizing `-0.0` to `0.0` — equal under `==`, different bytes in the
+/// rendered aggregates). Writing is a pure function of the tree, so a
+/// bitwise-equal tree writes the same bytes again: the text restored from
+/// the store re-serializes to exactly the text stored. `None` when the
+/// value would not survive a write and a read.
 pub(crate) fn lossless_json<V>(value: &V) -> Option<String>
 where
     V: Serialize + Deserialize + PartialEq,
 {
-    let payload = serde_json::to_string(value);
+    let written = value.to_value();
+    let payload = serde_json::value_to_string(&written);
     debug_assert!(!payload.contains('\n'), "compact JSON is single-line");
-    let parsed = serde_json::from_str::<V>(&payload).ok()?;
-    (parsed == *value && serde_json::to_string(&parsed) == payload).then_some(payload)
+    let back = serde_json::parse_value(&payload).ok()?;
+    let parsed = V::from_value(&back).ok()?;
+    (parsed == *value && same_bits(&back, &written)).then_some(payload)
+}
+
+/// Tree equality with floats compared by their bits: unlike `==` on
+/// [`Value`], it tells `-0.0` from `0.0`.
+fn same_bits(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        (Value::Seq(xs), Value::Seq(ys)) => {
+            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same_bits(x, y))
+        }
+        (Value::Map(xs), Value::Map(ys)) => {
+            xs.len() == ys.len()
+                && xs
+                    .iter()
+                    .zip(ys)
+                    .all(|((kx, x), (ky, y))| kx == ky && same_bits(x, y))
+        }
+        (Value::Null | Value::Bool(_) | Value::Int(_) | Value::Str(_), _) => a == b,
+        _ => false,
+    }
 }
 
 /// Formats one record line (trailing newline included).
@@ -1150,6 +1177,70 @@ mod tests {
         store.put(StoreTable::CfgPoints, 4, &(-0.0f64));
         let restored = store.get::<f64>(StoreTable::CfgPoints, 4).unwrap();
         assert_eq!(restored.to_bits(), (-0.0f64).to_bits());
+    }
+
+    /// A derive-fallback shape: it serializes to `null` and never
+    /// deserializes.
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Pair(f64, f64);
+
+    /// Equal to every other `Blind`, whatever it holds, the way `==` cannot
+    /// tell `-0.0` from `0.0`. It writes NaN, which reads back as `null`,
+    /// and reads `null` as a value equal to the one written: only the tree
+    /// comparison sees the loss.
+    #[derive(Debug)]
+    struct Blind(f64);
+
+    impl PartialEq for Blind {
+        fn eq(&self, _: &Self) -> bool {
+            true
+        }
+    }
+
+    impl Serialize for Blind {
+        fn to_value(&self) -> Value {
+            Value::Float(self.0)
+        }
+    }
+
+    impl Deserialize for Blind {
+        fn from_value(v: &Value) -> Result<Self, serde::Error> {
+            Ok(Blind(v.as_f64().unwrap_or(0.0)))
+        }
+    }
+
+    #[test]
+    fn every_lossy_value_is_refused() {
+        let path = temp_store_path("lossy.log");
+        let store = ResultStore::open(&path).unwrap();
+        // Each value below is refused by a different part of the check:
+        // the read-back (`u64` above `i64::MAX`, a bare derive-fallback
+        // type), the value comparison (`Some` of either of those, which
+        // reads back as `None`), or the tree comparison alone (`Blind`).
+        store.put(StoreTable::CfgPoints, 1, &u64::MAX);
+        store.put(StoreTable::CfgPoints, 2, &Some(f64::INFINITY));
+        store.put(StoreTable::CfgPoints, 3, &Pair(1.5, -0.0));
+        store.put(StoreTable::CfgPoints, 4, &Some(Pair(1.5, -0.0)));
+        store.put(StoreTable::CfgPoints, 5, &Blind(f64::NAN));
+        assert!(lossless_json(&Blind(f64::NAN)).is_none());
+        assert!(lossless_json(&Some(Pair(1.5, 2.0))).is_none());
+        assert_eq!(store.get::<u64>(StoreTable::CfgPoints, 1), None);
+        assert_eq!(store.get::<Option<f64>>(StoreTable::CfgPoints, 2), None);
+        assert_eq!(store.get::<Pair>(StoreTable::CfgPoints, 3), None);
+        assert_eq!(store.get::<Option<Pair>>(StoreTable::CfgPoints, 4), None);
+        assert_eq!(store.get::<Blind>(StoreTable::CfgPoints, 5), None);
+        assert_eq!(store.stats().write_errors, 5);
+        assert!(store.table_counts().iter().all(|&(_, n)| n == 0));
+        // The largest `u64` JSON holds, and a finite `Blind`, persist.
+        store.put(StoreTable::CfgPoints, 6, &(i64::MAX as u64));
+        store.put(StoreTable::CfgPoints, 7, &Blind(-0.0));
+        assert_eq!(
+            store.get::<u64>(StoreTable::CfgPoints, 6),
+            Some(i64::MAX as u64)
+        );
+        let blind = store.get::<Blind>(StoreTable::CfgPoints, 7).unwrap();
+        assert_eq!(blind.0.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(store.stats().write_errors, 5);
     }
 
     #[test]
