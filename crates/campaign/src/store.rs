@@ -42,12 +42,19 @@
 //! *Never crash, never serve wrong data.* Any unreadable, truncated,
 //! corrupt, version- or fingerprint-mismatched entry degrades to a cache
 //! miss: the point recomputes and a fresh valid entry is appended. A value
-//! is only persisted after a **round-trip self-check** (serialize → parse →
-//! compare equal), so every restored value compares equal to the computed
-//! one — and because the JSON float encoding is shortest-round-trip exact,
-//! warm aggregates are **byte-identical** to a cold run's. Non-finite
-//! floats are the one lossy case (JSON has no NaN/Inf); the self-check
-//! fails for them and the point simply stays uncached.
+//! is only persisted after a **round-trip self-check** on one JSON tree
+//! ([`lossless_json`]): the value's tree is written, the text is parsed
+//! back and deserialized, and the value must compare equal while the
+//! parsed tree must equal the written one with floats compared by bits.
+//! Because writing is a function of the tree alone, a bitwise-equal tree
+//! re-serializes to the same bytes, so every restored value writes the
+//! payload it was stored as — and because the JSON float encoding is
+//! shortest-round-trip exact, warm aggregates are **byte-identical** to a
+//! cold run's. Non-finite floats (JSON has no NaN/Inf), integers above
+//! `i64::MAX` and types that serialize to `null` are the lossy cases; the
+//! self-check fails for them and the point simply stays uncached. The
+//! check costs one tree build, one write, one parse and one decode per
+//! point, paid before the table's file lock is taken.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -837,16 +844,16 @@ pub(crate) fn open_log_for_append(path: &Path) -> std::io::Result<(File, bool)> 
 /// Serializes `value` as compact JSON after a two-sided round-trip
 /// self-check on one tree: `written = value.to_value()` is written out,
 /// the text is parsed back into a second tree, and that tree is
-/// deserialized. The value must compare equal (catches NaN payloads —
-/// JSON has no NaN, and `NaN != NaN` makes `PartialEq` fail — integers
-/// the JSON model cannot hold, and types that serialize to `null`), *and*
-/// the parsed tree must equal `written` with floats compared by bits
-/// (catches what value equality cannot see, e.g. a float formatter
-/// normalizing `-0.0` to `0.0` — equal under `==`, different bytes in the
-/// rendered aggregates). Writing is a pure function of the tree, so a
-/// bitwise-equal tree writes the same bytes again: the text restored from
-/// the store re-serializes to exactly the text stored. `None` when the
-/// value would not survive a write and a read.
+/// deserialized. The value must read back and compare equal (catches NaN
+/// payloads — JSON has no NaN, and `NaN != NaN` makes `PartialEq` fail —
+/// integers the JSON model cannot hold, and types that serialize to
+/// `null`), *and* the parsed tree must equal `written` with floats
+/// compared by bits (catches what value equality cannot see, e.g. a float
+/// formatter normalizing `-0.0` to `0.0` — equal under `==`, different
+/// bytes in the rendered aggregates). Writing is a pure function of the
+/// tree, so a bitwise-equal tree writes the same bytes again: the text
+/// restored from the store re-serializes to exactly the text stored.
+/// `None` when the value would not survive a write and a read.
 pub(crate) fn lossless_json<V>(value: &V) -> Option<String>
 where
     V: Serialize + Deserialize + PartialEq,
@@ -1213,10 +1220,11 @@ mod tests {
     fn every_lossy_value_is_refused() {
         let path = temp_store_path("lossy.log");
         let store = ResultStore::open(&path).unwrap();
-        // Each value below is refused by a different part of the check:
-        // the read-back (`u64` above `i64::MAX`, a bare derive-fallback
-        // type), the value comparison (`Some` of either of those, which
-        // reads back as `None`), or the tree comparison alone (`Blind`).
+        // `u64::MAX` and a bare derive-fallback type do not read back.
+        // `Some(f64::INFINITY)` and `Some(Pair(..))` read back as `None`,
+        // which the value comparison refuses (and only it for `Pair`, whose
+        // written tree is `null` too). Only the tree comparison refuses
+        // `Blind`.
         store.put(StoreTable::CfgPoints, 1, &u64::MAX);
         store.put(StoreTable::CfgPoints, 2, &Some(f64::INFINITY));
         store.put(StoreTable::CfgPoints, 3, &Pair(1.5, -0.0));
