@@ -1,10 +1,11 @@
 //! The `bound_kernel` criterion group: the fused `CurveCursor` kernel
-//! against the retained per-call reference path, on the workloads the
-//! campaign engines actually run — a many-segment synthetic curve and a
-//! CFG-derived curve, near-divergent `Q` choices (many windows), a dense
-//! `Q` grid, the lazy scale view against eager materialization, the
-//! heap-based `from_windows` sweep and the allocation-free Eq. 4 fast
-//! path.
+//! against the per-call reference path (the test reference
+//! `crates/core/tests/support/algorithm1_reference.rs`, included below), on
+//! the workloads the campaign engines actually run — a many-segment
+//! synthetic curve and a CFG-derived curve, near-divergent `Q` choices
+//! (many windows), a dense `Q` grid, a sensitivity-bisection probe (scale
+//! the curve, then run), the heap-based `from_windows` sweep and the
+//! allocation-free Eq. 4 fast path.
 //!
 //! Results persist to `BENCH_bound_kernel.json` at the repo root (see the
 //! criterion shim docs): re-runs report per-benchmark deltas, and CI runs
@@ -12,12 +13,17 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fnpr_cache::CacheConfig;
-use fnpr_core::{algorithm1, algorithm1_scaled, eq4_bound_with_limit, reference, DelayCurve};
+use fnpr_core::{algorithm1, eq4_bound_with_limit, DelayCurve};
 use fnpr_pipeline::{analyze_task, program_access_map};
 use fnpr_synth::{random_program, ProgramGenParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
+
+// The bench times only `reference::algorithm1`.
+#[allow(dead_code)]
+#[path = "../../core/tests/support/algorithm1_reference.rs"]
+mod reference;
 
 /// Domain end of the synthetic curve.
 const SYNTH_C: f64 = 4000.0;
@@ -145,14 +151,9 @@ fn bench_bound_kernel(c: &mut Criterion) {
         },
     );
 
-    // The sensitivity-bisection probe: lazy view vs materialize-then-run.
+    // The sensitivity-bisection probe: scale the curve, then run.
     let factor = 0.85;
     group.throughput(Throughput::Elements(1));
-    group.bench_function("scaled_lazy_view", |b| {
-        b.iter(|| {
-            algorithm1_scaled(black_box(&synthetic), black_box(SYNTH_Q), black_box(factor)).unwrap()
-        })
-    });
     group.bench_function("scaled_materialized", |b| {
         b.iter(|| {
             let scaled = black_box(&synthetic).scaled(black_box(factor)).unwrap();

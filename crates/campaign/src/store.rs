@@ -180,6 +180,10 @@ pub(crate) struct Record<'a> {
 /// single index mutex would serialize them all.
 const INDEX_SHARDS: usize = 16;
 
+/// One index shard: `(table tag, key)` → payload. Payloads are boxed at
+/// their exact length, so a live entry keeps no writer-buffer slack.
+type IndexShard = HashMap<(u32, u128), Box<str>>;
+
 /// In-progress marker inside the store directory: written by
 /// [`ResultStore::begin_run`], removed by [`ResultStore::end_run`]. A
 /// marker left by a dead process means the previous run was interrupted.
@@ -192,7 +196,7 @@ const INPROGRESS_FILE: &str = "campaign.inprogress";
 pub struct ResultStore {
     path: PathBuf,
     fingerprint: u64,
-    entries: Vec<Mutex<HashMap<(u32, u128), String>>>,
+    entries: Vec<Mutex<IndexShard>>,
     /// Append handles in [`StoreTable::ALL`] order; `None` when read-only
     /// (index only: no append handles, no healing).
     files: Option<Vec<Mutex<File>>>,
@@ -250,8 +254,7 @@ impl ResultStore {
     pub fn open_with_fingerprint(path: &Path, fingerprint: u64) -> std::io::Result<Self> {
         require_store_dir(path)?;
         std::fs::create_dir_all(path)?;
-        let mut entries: Vec<HashMap<(u32, u128), String>> =
-            (0..INDEX_SHARDS).map(|_| HashMap::new()).collect();
+        let mut entries: Vec<IndexShard> = (0..INDEX_SHARDS).map(|_| HashMap::new()).collect();
         let mut counts = LoadCounts::default();
         let mut files = Vec::with_capacity(StoreTable::ALL.len());
         for table in StoreTable::ALL {
@@ -289,8 +292,7 @@ impl ResultStore {
     /// As [`Self::open_read_only`].
     pub fn open_read_only_with_fingerprint(path: &Path, fingerprint: u64) -> std::io::Result<Self> {
         require_store_dir(path)?;
-        let mut entries: Vec<HashMap<(u32, u128), String>> =
-            (0..INDEX_SHARDS).map(|_| HashMap::new()).collect();
+        let mut entries: Vec<IndexShard> = (0..INDEX_SHARDS).map(|_| HashMap::new()).collect();
         let mut counts = LoadCounts::default();
         for table in StoreTable::ALL {
             load_log_file(
@@ -307,7 +309,7 @@ impl ResultStore {
     fn assemble(
         path: &Path,
         fingerprint: u64,
-        entries: Vec<HashMap<(u32, u128), String>>,
+        entries: Vec<IndexShard>,
         files: Option<Vec<Mutex<File>>>,
         counts: &LoadCounts,
     ) -> Self {
@@ -423,7 +425,7 @@ impl ResultStore {
         self.entries[index_shard(key)]
             .lock()
             .expect("store index poisoned")
-            .insert((table.tag(), key), payload);
+            .insert((table.tag(), key), payload.into_boxed_str());
     }
 
     /// The one access path: restore the point if present, otherwise run
@@ -551,7 +553,7 @@ impl ResultStore {
         let mut bytes_before = 0u64;
         // Latest valid line per (tag, key), with its stamp — re-parsed
         // from disk (not the index) because stamps only live in the files.
-        let mut live: BTreeMap<(u32, u128), (u64, String)> = BTreeMap::new();
+        let mut live: BTreeMap<(u32, u128), (u64, Box<str>)> = BTreeMap::new();
         for table in StoreTable::ALL {
             let file_path = self.path.join(table.file_name());
             let bytes = match std::fs::read(&file_path) {
@@ -568,7 +570,7 @@ impl ResultStore {
                 scanned += 1;
                 if let Some(r) = parse_record(line) {
                     if r.fingerprint == self.fingerprint && StoreTable::from_tag(r.tag).is_some() {
-                        live.insert((r.tag, r.key), (r.stamp, r.payload.to_string()));
+                        live.insert((r.tag, r.key), (r.stamp, r.payload.into()));
                     }
                 }
             }
@@ -583,7 +585,7 @@ impl ResultStore {
             live.retain(|_, (stamp, _)| *stamp >= cutoff);
             evicted += before - live.len();
         }
-        let mut records: Vec<((u32, u128), (u64, String))> = live.into_iter().collect();
+        let mut records: Vec<_> = live.into_iter().collect();
         // Eviction and output order: oldest first, then (tag, key).
         records.sort_by_key(|a| (a.1 .0, a.0));
         if let Some(max_bytes) = policy.max_bytes {
@@ -789,7 +791,7 @@ impl GcReport {
 fn load_log_file(
     path: &Path,
     fingerprint: u64,
-    entries: &mut [HashMap<(u32, u128), String>],
+    entries: &mut [IndexShard],
     counts: &mut LoadCounts,
 ) -> std::io::Result<()> {
     let bytes = match std::fs::read(path) {
@@ -809,7 +811,7 @@ fn load_log_file(
             // Later lines supersede earlier ones (a point recomputed after
             // its earlier line failed to decode).
             Some(r) if r.fingerprint == fingerprint => {
-                entries[index_shard(r.key)].insert((r.tag, r.key), r.payload.to_string());
+                entries[index_shard(r.key)].insert((r.tag, r.key), r.payload.into());
             }
             Some(_) => counts.stale += 1,
             None => counts.invalid += 1,

@@ -19,7 +19,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::cursor::{CurveCursor, CurveView};
+use crate::cursor::CurveCursor;
 use crate::curve::DelayCurve;
 use crate::error::AnalysisError;
 
@@ -177,7 +177,7 @@ pub fn algorithm1_with_limit(
     q: f64,
     limit: usize,
 ) -> Result<BoundOutcome, AnalysisError> {
-    run_from(curve, CurveView::IDENTITY, q, q, limit, |_record| {})
+    run_from(curve, q, q, limit, |_record| {})
 }
 
 /// Bounds the *remaining* cumulative preemption delay of a job that has
@@ -220,84 +220,7 @@ pub fn algorithm1_from(
             delay: start_progress,
         });
     }
-    run_from(
-        curve,
-        CurveView::IDENTITY,
-        q,
-        start_progress,
-        DEFAULT_MAX_WINDOWS,
-        |_| {},
-    )
-}
-
-/// Runs Algorithm 1 over the *lazy view* `fi(t) · factor` of the curve —
-/// bit-identical to `algorithm1(&curve.scaled(factor)?, q)` without
-/// materializing (clone + revalidate) the scaled curve.
-///
-/// This is the probe primitive behind sensitivity bisection
-/// (`fnpr-sched::delay_tolerance`): a bisection step costs
-/// O(segments + windows), not O(segments) allocation per task per probe.
-/// To cap the curve's values instead, run [`algorithm1`] on
-/// [`DelayCurve::clamped`].
-///
-/// # Errors
-///
-/// As [`algorithm1`], plus [`AnalysisError::InvalidDelay`] when `factor` is
-/// negative or not finite, or the scaled maximum overflows (the cases where
-/// materializing would fail validation).
-///
-/// # Examples
-///
-/// ```
-/// use fnpr_core::{algorithm1, algorithm1_scaled, DelayCurve};
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let fi = DelayCurve::from_breakpoints([(0.0, 4.0), (30.0, 1.0)], 90.0)?;
-/// let lazy = algorithm1_scaled(&fi, 9.0, 0.5)?;
-/// let eager = algorithm1(&fi.scaled(0.5)?, 9.0)?;
-/// assert_eq!(lazy, eager);
-/// # Ok(())
-/// # }
-/// ```
-pub fn algorithm1_scaled(
-    curve: &DelayCurve,
-    q: f64,
-    factor: f64,
-) -> Result<BoundOutcome, AnalysisError> {
-    algorithm1_sink_scaled(curve, q, factor, |_| {})
-}
-
-/// Validates a scale factor against the same invariants the eager
-/// [`DelayCurve::scaled`] constructor enforces, shared by
-/// [`algorithm1_scaled`] and [`crate::algorithm1_capped_scaled`].
-fn validated_view(curve: &DelayCurve, factor: f64) -> Result<CurveView, AnalysisError> {
-    if !(factor.is_finite() && factor >= 0.0) {
-        return Err(AnalysisError::InvalidDelay { delay: factor });
-    }
-    // The largest scaled value overflowing is exactly the case where the
-    // eager `scaled()` constructor would reject the curve.
-    let peak = curve.max_value() * factor;
-    if !peak.is_finite() {
-        return Err(AnalysisError::InvalidDelay { delay: peak });
-    }
-    Ok(CurveView { factor })
-}
-
-/// Streams the windows of [`algorithm1_scaled`] into `sink` without
-/// materializing a trace vector — the allocation-light backbone of the
-/// capped analysis ([`crate::algorithm1_capped_scaled`] folds the stream
-/// into a bounded min-heap instead of collecting every record).
-///
-/// # Errors
-///
-/// As [`algorithm1_scaled`].
-pub(crate) fn algorithm1_sink_scaled(
-    curve: &DelayCurve,
-    q: f64,
-    factor: f64,
-    sink: impl FnMut(WindowRecord),
-) -> Result<BoundOutcome, AnalysisError> {
-    let view = validated_view(curve, factor)?;
-    run_from(curve, view, q, q, DEFAULT_MAX_WINDOWS, sink)
+    run_from(curve, q, start_progress, DEFAULT_MAX_WINDOWS, |_| {})
 }
 
 /// Runs Algorithm 1 keeping a full per-window trace.
@@ -315,25 +238,20 @@ pub fn algorithm1_trace(
     q: f64,
 ) -> Result<(BoundOutcome, Vec<WindowRecord>), AnalysisError> {
     let mut records = Vec::new();
-    let outcome = run_from(
-        curve,
-        CurveView::IDENTITY,
-        q,
-        q,
-        DEFAULT_MAX_WINDOWS,
-        |record| records.push(record),
-    )?;
+    let outcome = run_from(curve, q, q, DEFAULT_MAX_WINDOWS, |record| {
+        records.push(record)
+    })?;
     Ok((outcome, records))
 }
 
-/// Shared driver: lines 1–15 of Algorithm 1 with a record sink, fused into
+/// The one Algorithm 1 loop: lines 1–15 with a record sink, fused into
 /// one amortized-linear scan by [`CurveCursor`]. The window iteration
 /// starts at an arbitrary first preemption candidate (`q` for the plain
 /// analysis, lines 1–4: the first `Q` units of progress are
-/// preemption-free).
-fn run_from<S: FnMut(WindowRecord)>(
+/// preemption-free). [`crate::algorithm1_capped`] streams the records into
+/// a bounded heap instead of collecting them.
+pub(crate) fn run_from<S: FnMut(WindowRecord)>(
     curve: &DelayCurve,
-    view: CurveView,
     q: f64,
     first_candidate: f64,
     limit: usize,
@@ -343,7 +261,7 @@ fn run_from<S: FnMut(WindowRecord)>(
         return Err(AnalysisError::InvalidQ { q });
     }
     let wcet = curve.domain_end();
-    let mut cursor = CurveCursor::new(curve, view);
+    let mut cursor = CurveCursor::new(curve);
     let mut total_delay = 0.0f64;
     let mut next_progress = first_candidate;
     let mut windows = 0usize;
@@ -411,111 +329,6 @@ fn run_from<S: FnMut(WindowRecord)>(
 fn note_alg1_run(windows: usize) {
     fnpr_obs::counter!("core.alg1.runs").incr();
     fnpr_obs::counter!("core.alg1.windows").add(windows as u64);
-}
-
-/// The pre-cursor per-call implementation of Algorithm 1, retained as the
-/// differential-testing and benchmarking baseline.
-///
-/// Each window issues three independent curve queries
-/// ([`DelayCurve::first_crossing`], [`DelayCurve::max_on`],
-/// [`DelayCurve::argmax_on`]), each a binary search plus a segment scan —
-/// O(windows × segments) per run. The property tests in
-/// `tests/properties.rs` assert the fused kernel is bit-identical to this
-/// path on arbitrary curves (including divergent and iteration-limit
-/// outcomes), and the `bound_kernel` criterion group measures the speedup.
-pub mod reference {
-    use super::{AnalysisError, BoundOutcome, DelayBound, DelayCurve};
-
-    /// Per-call-queries counterpart of [`algorithm1`](crate::algorithm1).
-    ///
-    /// # Errors
-    ///
-    /// As [`algorithm1`](crate::algorithm1).
-    pub fn algorithm1(curve: &DelayCurve, q: f64) -> Result<BoundOutcome, AnalysisError> {
-        algorithm1_with_limit(curve, q, super::DEFAULT_MAX_WINDOWS)
-    }
-
-    /// Per-call-queries counterpart of
-    /// [`algorithm1_with_limit`](crate::algorithm1_with_limit).
-    ///
-    /// # Errors
-    ///
-    /// As [`algorithm1_with_limit`](crate::algorithm1_with_limit).
-    pub fn algorithm1_with_limit(
-        curve: &DelayCurve,
-        q: f64,
-        limit: usize,
-    ) -> Result<BoundOutcome, AnalysisError> {
-        if !(q.is_finite() && q > 0.0) {
-            return Err(AnalysisError::InvalidQ { q });
-        }
-        run_from(curve, q, q, limit)
-    }
-
-    /// Per-call-queries counterpart of
-    /// [`algorithm1_from`](crate::algorithm1_from).
-    ///
-    /// # Errors
-    ///
-    /// As [`algorithm1_from`](crate::algorithm1_from).
-    pub fn algorithm1_from(
-        curve: &DelayCurve,
-        q: f64,
-        start_progress: f64,
-    ) -> Result<BoundOutcome, AnalysisError> {
-        if !(start_progress.is_finite() && start_progress >= 0.0) {
-            return Err(AnalysisError::InvalidDelay {
-                delay: start_progress,
-            });
-        }
-        run_from(curve, q, start_progress, super::DEFAULT_MAX_WINDOWS)
-    }
-
-    fn run_from(
-        curve: &DelayCurve,
-        q: f64,
-        first_candidate: f64,
-        limit: usize,
-    ) -> Result<BoundOutcome, AnalysisError> {
-        if !(q.is_finite() && q > 0.0) {
-            return Err(AnalysisError::InvalidQ { q });
-        }
-        let wcet = curve.domain_end();
-        let mut total_delay = 0.0f64;
-        let mut next_progress = first_candidate;
-        let mut windows = 0usize;
-        while next_progress < wcet {
-            if windows >= limit {
-                return Err(AnalysisError::IterationLimit { limit });
-            }
-            let progress = next_progress;
-            let p_cross = curve
-                .first_crossing(progress, q)
-                .expect("validated inputs")
-                .unwrap_or(wcet)
-                .min(wcet);
-            let delay = curve.max_on(progress, p_cross).expect("validated interval");
-            let _p_max = curve
-                .argmax_on(progress, p_cross)
-                .expect("validated interval");
-            if delay >= q {
-                return Ok(BoundOutcome::Divergent {
-                    at_progress: progress,
-                    window_delay: delay,
-                    q,
-                });
-            }
-            next_progress = progress + q - delay;
-            total_delay += delay;
-            windows += 1;
-        }
-        Ok(BoundOutcome::Converged(DelayBound {
-            total_delay,
-            windows,
-            q,
-            wcet,
-        }))
-    }
 }
 
 #[cfg(test)]

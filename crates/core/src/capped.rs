@@ -26,7 +26,7 @@ use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::algorithm1::{algorithm1_sink_scaled, BoundOutcome, DelayBound};
+use crate::algorithm1::{run_from, BoundOutcome, DelayBound, DEFAULT_MAX_WINDOWS};
 use crate::curve::DelayCurve;
 use crate::error::AnalysisError;
 
@@ -80,26 +80,8 @@ pub fn algorithm1_capped(
     q: f64,
     max_preemptions: usize,
 ) -> Result<Option<CappedBound>, AnalysisError> {
-    algorithm1_capped_scaled(curve, q, max_preemptions, 1.0)
-}
-
-/// [`algorithm1_capped`] over the lazy view `fi(t) · factor` — bit-identical
-/// to `algorithm1_capped(&curve.scaled(factor)?, q, max_preemptions)`
-/// without materializing the scaled curve. The probe primitive behind
-/// capped-method sensitivity bisection.
-///
-/// # Errors
-///
-/// As [`algorithm1_capped`], plus [`AnalysisError::InvalidDelay`] on a
-/// malformed `factor` (as [`crate::algorithm1_scaled`]).
-pub fn algorithm1_capped_scaled(
-    curve: &DelayCurve,
-    q: f64,
-    max_preemptions: usize,
-    factor: f64,
-) -> Result<Option<CappedBound>, AnalysisError> {
     let mut top = TopCharges::new(max_preemptions);
-    let outcome = algorithm1_sink_scaled(curve, q, factor, |w| top.offer(w.delay))?;
+    let outcome = run_from(curve, q, q, DEFAULT_MAX_WINDOWS, |w| top.offer(w.delay))?;
     let uncapped = match outcome {
         BoundOutcome::Converged(bound) => bound,
         BoundOutcome::Divergent { .. } => return Ok(None),
@@ -266,7 +248,7 @@ mod tests {
                     let scaled = curve.scaled(factor).unwrap();
                     let (outcome, trace) = algorithm1_trace(&scaled, q).unwrap();
                     for cap in [0usize, 1, 2, 3, 7, 1000] {
-                        let capped = algorithm1_capped_scaled(curve, q, cap, factor).unwrap();
+                        let capped = algorithm1_capped(&scaled, q, cap).unwrap();
                         match outcome.clone() {
                             BoundOutcome::Divergent { .. } => assert_eq!(capped, None),
                             BoundOutcome::Converged(bound) => {

@@ -23,42 +23,17 @@
 //! enters and leaves each structure at most once: a full Algorithm 1 run
 //! costs **O(segments + windows)** and performs no per-window allocation.
 //!
-//! The cursor evaluates the curve through a [`CurveView`] — an on-the-fly
-//! `value ↦ value · factor` transform — so sensitivity bisection can probe
-//! scaled curves without materializing (clone + revalidate) a fresh
-//! [`DelayCurve`] per probe. The identity view (`factor = 1`) is bit-exact:
-//! `v · 1.0` returns `v` unchanged for every finite `v ≥ 0`.
+//! The cursor reads segment values as the curve stores them. A scaled
+//! curve (sensitivity bisection) is materialized with
+//! [`DelayCurve::scaled`] and scanned like any other.
 //!
-//! Bit-identity with the per-call reference path (kept as
-//! [`reference`](crate::reference)) is property-tested in
-//! `tests/properties.rs`.
+//! Bit-identity with the pre-cursor per-call path (kept as a test
+//! reference in `tests/support/algorithm1_reference.rs`) is
+//! property-tested in `tests/properties.rs`.
 
 use std::collections::VecDeque;
 
 use crate::curve::DelayCurve;
-
-/// A lazy value transform applied while scanning: `v ↦ v · factor`.
-///
-/// Equivalent to materializing `curve.scaled(factor)?` — the merged-segment
-/// representation the eager constructor produces is pointwise identical,
-/// and the kernels only ever read pointwise values — without the
-/// O(segments) allocation and re-validation per probe.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct CurveView {
-    /// Non-negative, finite scale factor.
-    pub factor: f64,
-}
-
-impl CurveView {
-    /// The identity view: reads the curve's values unchanged (bit-exact).
-    pub const IDENTITY: CurveView = CurveView { factor: 1.0 };
-
-    /// Applies the view to one raw segment value.
-    #[inline]
-    pub fn apply(self, value: f64) -> f64 {
-        value * self.factor
-    }
-}
 
 /// The answers Algorithm 1 needs about one window `[progress, progress+q]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,7 +56,6 @@ pub(crate) struct WindowScan {
 /// iteration guarantees: `next = progress + q − delay` with `delay < q`).
 pub(crate) struct CurveCursor<'c> {
     curve: &'c DelayCurve,
-    view: CurveView,
     /// Index of the segment containing the current window start.
     lo: usize,
     /// Crossing frontier: segments below it can never cross again.
@@ -90,7 +64,7 @@ pub(crate) struct CurveCursor<'c> {
     /// first window).
     pushed: Option<usize>,
     /// Sliding-window maximum over `[lo segment .. crossing segment]`:
-    /// `(segment index, viewed value)` with values non-increasing front to
+    /// `(segment index, value)` with values non-increasing front to
     /// back; the front is the earliest maximal segment still in the window.
     deque: VecDeque<(usize, f64)>,
     /// Segment-pointer advances this cursor performed (telemetry only:
@@ -100,11 +74,10 @@ pub(crate) struct CurveCursor<'c> {
 }
 
 impl<'c> CurveCursor<'c> {
-    /// A cursor reading the curve through `view`.
-    pub fn new(curve: &'c DelayCurve, view: CurveView) -> Self {
+    /// A cursor at the start of `curve`.
+    pub fn new(curve: &'c DelayCurve) -> Self {
         Self {
             curve,
-            view,
             lo: 0,
             cross: 0,
             pushed: None,
@@ -174,8 +147,7 @@ impl<'c> CurveCursor<'c> {
         // empty and the seed starts it fresh.
         if self.pushed.is_none_or(|p| p < self.lo) {
             debug_assert!(self.deque.is_empty());
-            self.deque
-                .push_back((self.lo, self.view.apply(values[self.lo])));
+            self.deque.push_back((self.lo, values[self.lo]));
             self.pushed = Some(self.lo);
         }
 
@@ -195,7 +167,7 @@ impl<'c> CurveCursor<'c> {
             if start > limit {
                 break;
             }
-            let value = self.view.apply(values[k]);
+            let value = values[k];
             self.offer(k, value);
             // Within segment k, f(p) = value, and the crossing condition
             // value >= limit - p first holds at p = limit - value.
@@ -212,8 +184,8 @@ impl<'c> CurveCursor<'c> {
             // The domain ends before any crossing: the window maximum runs
             // over the whole remaining domain `[progress, wcet]`.
             let from = self.pushed.map_or(0, |p| p + 1);
-            for (j, &raw) in values.iter().enumerate().skip(from) {
-                self.offer(j, self.view.apply(raw));
+            for (j, &value) in values.iter().enumerate().skip(from) {
+                self.offer(j, value);
                 self.advances += 1;
             }
         }
@@ -250,7 +222,7 @@ mod tests {
     /// Runs the cursor and the three per-call queries side by side over a
     /// synthetic strictly-increasing progress schedule.
     fn check_against_reference(f: &DelayCurve, q: f64, progresses: &[f64]) {
-        let mut cursor = CurveCursor::new(f, CurveView::IDENTITY);
+        let mut cursor = CurveCursor::new(f);
         for &progress in progresses {
             assert!(progress < f.domain_end());
             let scan = cursor.window(progress, q);
@@ -282,26 +254,5 @@ mod tests {
         // window extends to wcet.
         let f = curve(&[(0.0, 0.1), (90.0, 5.0), (95.0, 0.1)], 100.0);
         check_against_reference(&f, 30.0, &[30.0, 59.0, 80.0, 99.0]);
-    }
-
-    #[test]
-    fn view_matches_materialized_curve() {
-        let f = curve(&[(0.0, 2.0), (10.0, 8.0), (30.0, 1.0)], 60.0);
-        let factor = 0.75;
-        let materialized = f.scaled(factor).unwrap();
-        let mut lazy = CurveCursor::new(&f, CurveView { factor });
-        let mut eager = CurveCursor::new(&materialized, CurveView::IDENTITY);
-        for progress in [5.0, 9.0, 13.0, 29.0, 31.0, 55.0] {
-            let a = lazy.window(progress, 6.0);
-            let b = eager.window(progress, 6.0);
-            assert_eq!(a, b, "at progress {progress}");
-        }
-    }
-
-    #[test]
-    fn identity_view_is_bit_exact() {
-        for v in [0.0, 1.5e-300, 0.1, 7.25, 1e300] {
-            assert_eq!(CurveView::IDENTITY.apply(v).to_bits(), v.to_bits());
-        }
     }
 }

@@ -73,11 +73,11 @@ pub use adversary::{
     exact_worst_case, exact_worst_case_with_limit, WorstCaseRun, DEFAULT_MAX_ADVERSARY_CANDIDATES,
 };
 pub use algorithm1::{
-    algorithm1, algorithm1_from, algorithm1_scaled, algorithm1_trace, algorithm1_with_limit,
-    reference, BoundOutcome, DelayBound, WindowRecord, DEFAULT_MAX_WINDOWS,
+    algorithm1, algorithm1_from, algorithm1_trace, algorithm1_with_limit, BoundOutcome, DelayBound,
+    WindowRecord, DEFAULT_MAX_WINDOWS,
 };
 pub use baseline::{eq4_bound, eq4_bound_for_curve, eq4_bound_with_limit, DEFAULT_MAX_ITERATIONS};
-pub use capped::{algorithm1_capped, algorithm1_capped_scaled, CappedBound};
+pub use capped::{algorithm1_capped, CappedBound};
 pub use curve::{DelayCurve, Segment};
 pub use error::{AnalysisError, CurveError};
 pub use hash::StructuralHasher;

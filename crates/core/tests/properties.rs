@@ -11,11 +11,13 @@
 //! * the right link is the paper's dominance claim over the state of the art.
 
 use fnpr_core::{
-    algorithm1, algorithm1_capped_scaled, algorithm1_from, algorithm1_scaled, algorithm1_trace,
-    algorithm1_with_limit, eq4_bound_for_curve, exact_worst_case, naive_bound, reference,
-    BoundOutcome, DelayCurve,
+    algorithm1, algorithm1_capped, algorithm1_from, algorithm1_trace, algorithm1_with_limit,
+    eq4_bound_for_curve, exact_worst_case, naive_bound, BoundOutcome, DelayCurve,
 };
 use proptest::prelude::*;
+
+#[path = "support/algorithm1_reference.rs"]
+mod reference;
 
 /// Asserts two bound outcomes are *bit*-identical: same variant, same float
 /// bit patterns, same window counts (stricter than `==`, which would let
@@ -345,19 +347,6 @@ proptest! {
         assert_bit_identical(&fused, &per_call);
     }
 
-    /// The lazy scale view equals the eager materialization (`scaled`)
-    /// exactly, on convergent and divergent parameterisations alike.
-    #[test]
-    fn lazy_view_matches_materialized_curve(
-        curve in arb_curve(),
-        q in 0.5f64..40.0,
-        factor in 0.0f64..3.0,
-    ) {
-        let lazy = algorithm1_scaled(&curve, q, factor).unwrap();
-        let eager = algorithm1(&curve.scaled(factor).unwrap(), q).unwrap();
-        assert_bit_identical(&lazy, &eager);
-    }
-
     /// The bounded-min-heap capped path is *bit*-identical to the
     /// trace-materializing selection it replaced: sort every window charge
     /// descending, take the `cap` largest, sum largest-first — on arbitrary
@@ -370,8 +359,9 @@ proptest! {
         factor in 0.0f64..2.0,
         cap in 0usize..40,
     ) {
-        let capped = algorithm1_capped_scaled(&curve, q, cap, factor).unwrap();
-        let (outcome, trace) = algorithm1_trace(&curve.scaled(factor).unwrap(), q).unwrap();
+        let scaled = curve.scaled(factor).unwrap();
+        let capped = algorithm1_capped(&scaled, q, cap).unwrap();
+        let (outcome, trace) = algorithm1_trace(&scaled, q).unwrap();
         match outcome {
             BoundOutcome::Divergent { .. } => prop_assert_eq!(capped, None),
             BoundOutcome::Converged(bound) => {

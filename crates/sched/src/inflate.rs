@@ -8,15 +8,12 @@
 //! accepted under Eq. 4 inflation is also accepted under Algorithm 1
 //! inflation — the acceptance-ratio experiment quantifies the gap.
 
-use fnpr_core::{algorithm1_capped_scaled, algorithm1_scaled, eq4_bound};
+use fnpr_core::{algorithm1, algorithm1_capped, eq4_bound_for_curve};
 use serde::{Deserialize, Serialize};
 
 use crate::edf::edf_schedulable_with_npr;
 use crate::error::SchedError;
-use crate::rta::{
-    floating_npr_blocking, response_time_analysis, response_time_analysis_warm, rta_floating_npr,
-    RtaResult,
-};
+use crate::rta::rta_floating_npr;
 use crate::task::TaskSet;
 use crate::util::floor_div;
 
@@ -142,19 +139,17 @@ impl Inflation {
 /// # }
 /// ```
 pub fn inflate_wcets(tasks: &TaskSet, method: DelayMethod) -> Result<Inflation, SchedError> {
-    inflate(tasks, method, preemption_caps, 1.0)
+    inflate(tasks, method, preemption_caps)
 }
 
-/// The single inflation driver: every task's bound is evaluated through
-/// the fused fnpr-core kernel over the lazy scale view `fi(t) · factor`
-/// (`factor = 1.0` is the bit-exact identity; only the
-/// [`crate::delay_tolerance`] probe passes another). The cap rule `caps` is
-/// evaluated only for [`DelayMethod::Algorithm1Capped`].
+/// The single inflation path: each task's bound is one fnpr-core call on
+/// its own curve and `Qi` ([`eq4_bound_for_curve`], [`algorithm1`] or
+/// [`algorithm1_capped`]). The cap rule `caps` is evaluated only for
+/// [`DelayMethod::Algorithm1Capped`].
 fn inflate(
     tasks: &TaskSet,
     method: DelayMethod,
     caps: fn(&TaskSet) -> Vec<usize>,
-    factor: f64,
 ) -> Result<Inflation, SchedError> {
     let caps = match method {
         DelayMethod::Algorithm1Capped => caps(tasks),
@@ -178,30 +173,15 @@ fn inflate(
             .ok_or(SchedError::MissingCurve { index })?;
         let total = match method {
             DelayMethod::None => unreachable!("handled above"),
-            // Eq. 4 reads only the curve maximum, and scaling a
-            // non-negative curve scales its maximum.
-            DelayMethod::Eq4 => {
-                eq4_bound(curve.domain_end(), q, curve.max_value() * factor)?.total_delay()
-            }
-            DelayMethod::Algorithm1 => algorithm1_scaled(curve, q, factor)?.total_delay(),
+            DelayMethod::Eq4 => eq4_bound_for_curve(curve, q)?.total_delay(),
+            DelayMethod::Algorithm1 => algorithm1(curve, q)?.total_delay(),
             DelayMethod::Algorithm1Capped => {
-                algorithm1_capped_scaled(curve, q, caps[index], factor)?.map(|b| b.total_delay)
+                algorithm1_capped(curve, q, caps[index])?.map(|b| b.total_delay)
             }
         };
         wcets.push(total.map(|delay| task.wcet() + delay));
     }
     Ok(Inflation { wcets, method })
-}
-
-/// `tasks` with the inflated WCETs, or `None` when any bound diverged.
-fn with_inflated_wcets(
-    tasks: &TaskSet,
-    inflation: &Inflation,
-) -> Result<Option<TaskSet>, SchedError> {
-    match inflation.finite_wcets() {
-        Some(wcets) => tasks.with_wcets(&wcets).map(Some),
-        None => Ok(None),
-    }
 }
 
 /// The Eq. 5-inflated copy of the task set: `C′i = Ci + delay bound`, or
@@ -213,7 +193,9 @@ fn with_inflated_wcets(
 ///
 /// This is the reusable half of [`fp_schedulable_with_delay`] and
 /// [`edf_schedulable_with_delay`]: multicore analyses inflate once and then
-/// run their own (per-core or global) test on the result.
+/// run their own (per-core or global) test on the result. The bounds read
+/// each curve as stored; [`crate::delay_tolerance`] scales the curves
+/// first, with [`crate::scale_delay_curves`].
 ///
 /// The copy carries timing only (see [`crate::TaskSet::with_wcets`]): each
 /// task keeps `Qi` and drops its delay curve, because the tests run on it
@@ -231,7 +213,10 @@ pub fn inflated_taskset(
     method: DelayMethod,
     caps: fn(&TaskSet) -> Vec<usize>,
 ) -> Result<Option<TaskSet>, SchedError> {
-    with_inflated_wcets(tasks, &inflate(tasks, method, caps, 1.0)?)
+    match inflate(tasks, method, caps)?.finite_wcets() {
+        Some(wcets) => tasks.with_wcets(&wcets).map(Some),
+        None => Ok(None),
+    }
 }
 
 /// Fixed-priority floating-NPR schedulability with delay-inflated WCETs
@@ -248,45 +233,6 @@ pub fn fp_schedulable_with_delay(tasks: &TaskSet, method: DelayMethod) -> Result
         return Ok(false);
     };
     Ok(rta_floating_npr(&inflated)?.schedulable())
-}
-
-/// The full fixed-priority RTA with every delay curve scaled by `factor`
-/// on the fly, optionally **warm-started** from a previous probe's
-/// response times — the [`crate::delay_tolerance`] bisection primitive,
-/// decision-identical to materializing [`crate::scale_delay_curves`] and
-/// running [`fp_schedulable_with_delay`]. `None` when any inflation
-/// diverges (the set is unschedulable under the method before the RTA even
-/// runs).
-///
-/// `warm` carries per-task response times from a probe at a *smaller or
-/// equal* scale factor; inflated WCETs grow with the factor, so those times
-/// lower-bound the current fixpoints and the iteration resumes instead of
-/// re-climbing from `Ci + Bi` ([`response_time_analysis_warm`] — which also
-/// re-verifies any warm rejection cold, so decisions cannot drift even if
-/// that monotonicity were ever violated).
-///
-/// # Errors
-///
-/// As [`fp_schedulable_with_delay`], plus an error for a negative or
-/// non-finite `factor` and validation of `warm`.
-pub(crate) fn fp_rta_with_delay_scaled(
-    tasks: &TaskSet,
-    method: DelayMethod,
-    factor: f64,
-    warm: Option<&[f64]>,
-) -> Result<Option<RtaResult>, SchedError> {
-    let inflation = inflate(tasks, method, preemption_caps, factor)?;
-    let Some(inflated) = with_inflated_wcets(tasks, &inflation)? else {
-        return Ok(None);
-    };
-    // Blocking terms depend only on the `Qi`s, which inflation leaves
-    // untouched — identical across every probe of a bisection.
-    let blocking = floating_npr_blocking(&inflated);
-    let rta = match warm {
-        Some(warm) => response_time_analysis_warm(&inflated, &blocking, warm)?,
-        None => response_time_analysis(&inflated, &blocking)?,
-    };
-    Ok(Some(rta))
 }
 
 /// EDF floating-NPR schedulability with delay-inflated WCETs
@@ -537,42 +483,6 @@ mod tests {
         if plain {
             assert!(capped);
         }
-    }
-
-    #[test]
-    fn scaled_inflation_matches_materialized_scaling() {
-        use crate::sensitivity::scale_delay_curves;
-        let ts = TaskSet::new(vec![
-            curved_task(2.0, 20.0, 1.0, 0.5),
-            curved_task(8.0, 50.0, 3.0, 2.0),
-            curved_task(10.0, 120.0, 4.0, 2.5),
-        ])
-        .unwrap();
-        let rules: [fn(&TaskSet) -> Vec<usize>; 2] = [preemption_caps, preemption_caps_edf];
-        for method in [
-            DelayMethod::Eq4,
-            DelayMethod::Algorithm1,
-            DelayMethod::Algorithm1Capped,
-        ] {
-            for factor in [0.0, 0.25, 1.0, 1.7] {
-                let materialized = scale_delay_curves(&ts, factor).unwrap();
-                for caps in rules {
-                    let lazy = inflate(&ts, method, caps, factor).unwrap();
-                    let eager = inflate(&materialized, method, caps, 1.0).unwrap();
-                    assert_eq!(lazy.wcets, eager.wcets, "{method:?} @ {factor}");
-                }
-                assert_eq!(
-                    fp_rta_with_delay_scaled(&ts, method, factor, None)
-                        .unwrap()
-                        .is_some_and(|rta| rta.schedulable()),
-                    fp_schedulable_with_delay(&materialized, method).unwrap()
-                );
-            }
-        }
-        // Malformed factors are rejected.
-        let caps = preemption_caps;
-        assert!(inflate(&ts, DelayMethod::Algorithm1, caps, -1.0).is_err());
-        assert!(inflate(&ts, DelayMethod::Algorithm1, caps, f64::NAN).is_err());
     }
 
     #[test]

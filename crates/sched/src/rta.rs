@@ -85,90 +85,31 @@ impl RtaResult {
 /// # }
 /// ```
 pub fn response_time_analysis(tasks: &TaskSet, blocking: &[f64]) -> Result<RtaResult, SchedError> {
-    validate_terms(tasks, blocking, "blocking")?;
-    let mut response_times = Vec::with_capacity(tasks.len());
-    for (i, &block_term) in blocking.iter().enumerate() {
-        let start = tasks.task(i).wcet() + block_term;
-        response_times.push(fixpoint_from(tasks, i, block_term, start)?);
-    }
-    Ok(RtaResult { response_times })
-}
-
-/// [`response_time_analysis`] with per-task **warm starts**: task `i`'s
-/// fixpoint iteration begins at `max(Ci + Bi, warm[i])` instead of
-/// `Ci + Bi`.
-///
-/// The intended `warm[i]` is a *lower bound on the task's true response
-/// time* — typically the response times of the same task set with smaller
-/// (or equal) WCETs, e.g. the previous accepted probe of a
-/// [`crate::delay_tolerance`] bisection. Starting at or below the least
-/// fixpoint, the monotone recurrence climbs to exactly the same fixpoint as
-/// the cold iteration, just in fewer steps.
-///
-/// The *decisions* (which tasks meet their deadline) are identical to
-/// [`response_time_analysis`] even for an overshooting hint: a warm-started
-/// iteration can only accept a task when some (pre-)fixpoint sits at or
-/// below the deadline — which means the least fixpoint does too — and any
-/// warm-started *rejection* of a task whose hint exceeded the cold start is
-/// re-verified from the cold start before it is reported. Reported response
-/// *values* can exceed the cold ones only in that overshooting case (they
-/// land on a higher pre-fixpoint), which keeps chained warm starts sound:
-/// decisions never drift.
-///
-/// # Errors
-///
-/// As [`response_time_analysis`], with the same validation applied to
-/// `warm`.
-pub fn response_time_analysis_warm(
-    tasks: &TaskSet,
-    blocking: &[f64],
-    warm: &[f64],
-) -> Result<RtaResult, SchedError> {
-    validate_terms(tasks, blocking, "blocking")?;
-    validate_terms(tasks, warm, "warm start")?;
-    let mut response_times = Vec::with_capacity(tasks.len());
-    for (i, &block_term) in blocking.iter().enumerate() {
-        let cold_start = tasks.task(i).wcet() + block_term;
-        let start = cold_start.max(warm[i]);
-        let mut result = fixpoint_from(tasks, i, block_term, start)?;
-        if result.is_none() && start > cold_start {
-            // The hint overshot (possible only when the caller's lower-bound
-            // contract was broken); a deadline miss must be confirmed from
-            // the cold start so warm decisions can never diverge from cold.
-            result = fixpoint_from(tasks, i, block_term, cold_start)?;
-        }
-        response_times.push(result);
-    }
-    Ok(RtaResult { response_times })
-}
-
-/// Shared length/validity check for per-task term vectors.
-fn validate_terms(tasks: &TaskSet, terms: &[f64], what: &'static str) -> Result<(), SchedError> {
-    if terms.len() != tasks.len() {
+    let what = "blocking";
+    if blocking.len() != tasks.len() {
         return Err(SchedError::InvalidTask {
             what,
-            value: terms.len() as f64,
+            value: blocking.len() as f64,
         });
     }
-    for &v in terms {
+    for &v in blocking {
         if !(v.is_finite() && v >= 0.0) {
             return Err(SchedError::InvalidTask { what, value: v });
         }
     }
-    Ok(())
+    let mut response_times = Vec::with_capacity(tasks.len());
+    for (i, &block_term) in blocking.iter().enumerate() {
+        response_times.push(fixpoint(tasks, i, block_term)?);
+    }
+    Ok(RtaResult { response_times })
 }
 
-/// Iterates task `i`'s response-time recurrence from `start` until a
-/// (pre-)fixpoint or past the deadline. `Ok(None)` is a deadline miss; the
+/// Iterates task `i`'s response-time recurrence from `Ci + Bi` until a
+/// fixpoint or past the deadline. `Ok(None)` is a deadline miss; the
 /// iteration limit is an error only while still under the deadline.
-fn fixpoint_from(
-    tasks: &TaskSet,
-    i: usize,
-    block_term: f64,
-    start: f64,
-) -> Result<Option<f64>, SchedError> {
+fn fixpoint(tasks: &TaskSet, i: usize, block_term: f64) -> Result<Option<f64>, SchedError> {
     let ti = tasks.task(i);
-    let mut r = start;
+    let mut r = ti.wcet() + block_term;
     fnpr_obs::counter!("sched.rta.fixpoints").incr();
     for _ in 0..DEFAULT_MAX_ITERATIONS {
         fnpr_obs::counter!("sched.rta.iterations").incr();
@@ -181,9 +122,9 @@ fn fixpoint_from(
             next += ceil_div(r, tj.period()) * tj.wcet();
         }
         if next <= r {
-            // `next == r` is the fixpoint; `next < r` cannot happen from a
-            // cold start (monotone map below its least fixpoint) and marks
-            // an overshooting warm start resting on a pre-fixpoint.
+            // `next == r` is the fixpoint; `next < r` cannot happen for a
+            // monotone map climbing from below its least fixpoint, and is
+            // accepted defensively.
             return Ok(Some(r));
         }
         r = next;
@@ -193,8 +134,7 @@ fn fixpoint_from(
             limit: DEFAULT_MAX_ITERATIONS,
         })
     } else {
-        // Exhausted inside the deadline's tolerance band: report the miss,
-        // as the pre-refactor loop did.
+        // Exhausted inside the deadline's tolerance band: a miss.
         Ok(None)
     }
 }
@@ -407,55 +347,5 @@ mod tests {
         assert!(response_time_analysis(&tasks, &[]).is_err());
         assert!(response_time_analysis(&tasks, &[-1.0]).is_err());
         assert!(response_time_analysis(&tasks, &[f64::NAN]).is_err());
-    }
-
-    #[test]
-    fn warm_start_from_a_lower_bound_matches_cold_exactly() {
-        let tasks = ts(&[(1.0, 4.0), (2.0, 6.0), (3.0, 13.0)]);
-        let cold = response_time_analysis(&tasks, &[0.0; 3]).unwrap();
-        // Zero hints are the cold start itself.
-        let zero = response_time_analysis_warm(&tasks, &[0.0; 3], &[0.0; 3]).unwrap();
-        assert_eq!(cold.response_times, zero.response_times);
-        // The cold fixpoints themselves (the delay_tolerance use case: the
-        // previous probe's times at a smaller inflation) resume and land on
-        // the identical values.
-        let hints: Vec<f64> = cold.response_times.iter().map(|r| r.unwrap()).collect();
-        let warm = response_time_analysis_warm(&tasks, &[0.0; 3], &hints).unwrap();
-        assert_eq!(cold.response_times, warm.response_times);
-        // Any intermediate lower bound too.
-        let halves: Vec<f64> = hints.iter().map(|r| r * 0.5).collect();
-        let warm = response_time_analysis_warm(&tasks, &[0.0; 3], &halves).unwrap();
-        assert_eq!(cold.response_times, warm.response_times);
-    }
-
-    #[test]
-    fn overshooting_warm_starts_cannot_flip_decisions() {
-        // τ2's least fixpoint is 3 (≤ D = 6). A hint of 4 violates the
-        // lower-bound contract and rests on a pre-fixpoint — the decision
-        // must still be "schedulable", even if the value is the hint.
-        let tasks = ts(&[(1.0, 4.0), (2.0, 6.0)]);
-        let cold = response_time_analysis(&tasks, &[0.0; 2]).unwrap();
-        assert_eq!(cold.response_times[1], Some(3.0));
-        let warm = response_time_analysis_warm(&tasks, &[0.0; 2], &[0.0, 4.0]).unwrap();
-        assert!(warm.schedulable());
-        assert_eq!(warm.response_times[1], Some(4.0)); // pre-fixpoint, ≤ D
-                                                       // A hint past the deadline is re-verified from the cold start:
-                                                       // the task is schedulable and must stay accepted.
-        let wild = response_time_analysis_warm(&tasks, &[0.0; 2], &[0.0, 100.0]).unwrap();
-        assert_eq!(wild.response_times[1], Some(3.0));
-        // And on a genuinely unschedulable set the miss is still reported.
-        let tight = ts(&[(3.0, 5.0), (3.0, 5.0)]);
-        let cold = response_time_analysis(&tight, &[0.0; 2]).unwrap();
-        let warm = response_time_analysis_warm(&tight, &[0.0; 2], &[0.0, 4.0]).unwrap();
-        assert_eq!(cold.response_times, warm.response_times);
-        assert!(!warm.schedulable());
-    }
-
-    #[test]
-    fn warm_start_validation() {
-        let tasks = ts(&[(1.0, 4.0)]);
-        assert!(response_time_analysis_warm(&tasks, &[0.0], &[]).is_err());
-        assert!(response_time_analysis_warm(&tasks, &[0.0], &[-1.0]).is_err());
-        assert!(response_time_analysis_warm(&tasks, &[0.0], &[f64::INFINITY]).is_err());
     }
 }

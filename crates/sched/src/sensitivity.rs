@@ -10,7 +10,7 @@ use fnpr_core::DelayCurve;
 use serde::{Deserialize, Serialize};
 
 use crate::error::SchedError;
-use crate::inflate::{fp_rta_with_delay_scaled, DelayMethod};
+use crate::inflate::{fp_schedulable_with_delay, DelayMethod};
 use crate::task::{Task, TaskSet};
 
 /// Result of the delay-scale bisection.
@@ -29,7 +29,8 @@ pub struct DelayTolerance {
 ///
 /// # Errors
 ///
-/// Propagates task reconstruction errors ([`SchedError::InvalidTask`]).
+/// [`SchedError::InvalidTask`] when `factor` is negative or not finite, or
+/// a scaled value overflows `f64`; propagates task reconstruction errors.
 pub fn scale_delay_curves(tasks: &TaskSet, factor: f64) -> Result<TaskSet, SchedError> {
     let scaled: Result<Vec<Task>, SchedError> = tasks
         .iter()
@@ -53,12 +54,14 @@ pub fn scale_delay_curves(tasks: &TaskSet, factor: f64) -> Result<TaskSet, Sched
 ///
 /// The search space is `[0, upper]`; `upper` should comfortably exceed any
 /// plausible tolerance (the region lengths bound it: once the scaled
-/// maximum reaches `Q`, every bound diverges).
+/// maximum reaches `Q`, every bound diverges). Each probe is
+/// [`scale_delay_curves`] followed by [`fp_schedulable_with_delay`].
 ///
 /// # Errors
 ///
 /// Propagates [`SchedError`] from the underlying analyses (missing `Qi` or
-/// curves, malformed tasks).
+/// curves, malformed tasks), including [`SchedError::InvalidTask`] from
+/// [`scale_delay_curves`] when a probed scale overflows a curve.
 ///
 /// # Examples
 ///
@@ -92,35 +95,10 @@ pub fn delay_tolerance(
             value: upper.min(precision),
         });
     }
-    // Probe through the lazy scale view: no scaled-curve materialization
-    // (clone + revalidate) per bisection step per task, decision-identical
-    // to `scale_delay_curves` + `fp_schedulable_with_delay` (the lazy and
-    // eager bound kernels are bit-identical; property-tested in fnpr-core
-    // and `tests/properties.rs`).
-    //
-    // Each *accepted* probe additionally hands its response-time fixpoints
-    // to the next probe as warm starts: inflated WCETs grow with the scale,
-    // so the accepted times lower-bound every later probe's fixpoints and
-    // the RTA resumes mid-climb instead of restarting from `Ci + Bi` —
-    // decision-identical to the cold path by construction
-    // (`response_time_analysis_warm` re-verifies warm rejections cold).
-    let mut warm: Option<Vec<f64>> = None;
-    let accepts = |scale: f64, warm: &mut Option<Vec<f64>>| -> Result<bool, SchedError> {
-        let Some(rta) = fp_rta_with_delay_scaled(tasks, method, scale, warm.as_deref())? else {
-            return Ok(false); // some inflation diverged
-        };
-        if !rta.schedulable() {
-            return Ok(false);
-        }
-        *warm = Some(
-            rta.response_times
-                .iter()
-                .map(|r| r.expect("schedulable RTA has a time per task"))
-                .collect(),
-        );
-        Ok(true)
+    let accepts = |scale: f64| -> Result<bool, SchedError> {
+        fp_schedulable_with_delay(&scale_delay_curves(tasks, scale)?, method)
     };
-    if !accepts(0.0, &mut warm)? {
+    if !accepts(0.0)? {
         return Ok(DelayTolerance {
             max_scale: 0.0,
             precision,
@@ -129,7 +107,7 @@ pub fn delay_tolerance(
     }
     let mut lo = 0.0;
     let mut hi = upper;
-    if accepts(hi, &mut warm)? {
+    if accepts(hi)? {
         return Ok(DelayTolerance {
             max_scale: hi,
             precision,
@@ -138,7 +116,7 @@ pub fn delay_tolerance(
     }
     while hi - lo > precision {
         let mid = 0.5 * (lo + hi);
-        if accepts(mid, &mut warm)? {
+        if accepts(mid)? {
             lo = mid;
         } else {
             hi = mid;
@@ -154,7 +132,6 @@ pub fn delay_tolerance(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inflate::fp_schedulable_with_delay;
     use fnpr_core::DelayCurve;
 
     fn set(delay: f64) -> TaskSet {
@@ -237,69 +214,66 @@ mod tests {
         assert!(delay_tolerance(&ts, DelayMethod::Algorithm1, 1.0, f64::NAN).is_err());
     }
 
-    /// The warm-started bisection is decision-identical to a cold one: a
-    /// reference bisection that re-runs the full RTA from scratch per probe
-    /// must find the exact same `max_scale` (bitwise — the probes and the
-    /// branch sequence are the same) for every method.
+    /// `max_scale` bits and `base_infeasible` flags over a fixed grid, as
+    /// computed by the lazy-scale-view, warm-started bisection this path
+    /// replaced: every probe, and so every branch, must decide the same.
     #[test]
-    fn warm_started_bisection_matches_the_cold_path() {
-        fn cold_tolerance(
-            tasks: &TaskSet,
-            method: DelayMethod,
-            upper: f64,
-            precision: f64,
-        ) -> DelayTolerance {
-            let accepts = |scale: f64| {
-                fp_rta_with_delay_scaled(tasks, method, scale, None)
-                    .unwrap()
-                    .is_some_and(|rta| rta.schedulable())
-            };
-            if !accepts(0.0) {
-                return DelayTolerance {
-                    max_scale: 0.0,
-                    precision,
-                    base_infeasible: true,
-                };
-            }
-            let (mut lo, mut hi) = (0.0, upper);
-            if accepts(hi) {
-                return DelayTolerance {
-                    max_scale: hi,
-                    precision,
-                    base_infeasible: false,
-                };
-            }
-            while hi - lo > precision {
-                let mid = 0.5 * (lo + hi);
-                if accepts(mid) {
-                    lo = mid;
-                } else {
-                    hi = mid;
-                }
-            }
-            DelayTolerance {
-                max_scale: lo,
-                precision,
-                base_infeasible: false,
-            }
-        }
-
-        let sets = [set(0.05), set(0.1), set(0.3), set(0.6)];
-        for tasks in &sets {
-            for method in [
-                DelayMethod::Eq4,
-                DelayMethod::Algorithm1,
-                DelayMethod::Algorithm1Capped,
-            ] {
-                for (upper, precision) in [(20.0, 0.01), (4.0, 0.001), (0.5, 0.05)] {
-                    let warm = delay_tolerance(tasks, method, upper, precision).unwrap();
-                    let cold = cold_tolerance(tasks, method, upper, precision);
+    fn bisection_matches_recorded_results() {
+        let methods = [
+            DelayMethod::Eq4,
+            DelayMethod::Algorithm1,
+            DelayMethod::Algorithm1Capped,
+        ];
+        let searches = [(20.0, 0.01), (4.0, 0.001), (0.5, 0.05)];
+        // Per delay: for each method, the `max_scale` bits for each search.
+        // No set in the grid is infeasible at scale 0.
+        let expected: [(f64, [[u64; 3]; 3]); 4] = [
+            (
+                0.05,
+                [
+                    [0x401d100000000000, 0x4010000000000000, 0x3fe0000000000000],
+                    [0x4024000000000000, 0x4010000000000000, 0x3fe0000000000000],
+                    [0x4033fd8000000000, 0x4010000000000000, 0x3fe0000000000000],
+                ],
+            ),
+            (
+                0.1,
+                [
+                    [0x400d100000000000, 0x400d160000000000, 0x3fe0000000000000],
+                    [0x4014000000000000, 0x4010000000000000, 0x3fe0000000000000],
+                    [0x4023fb0000000000, 0x4010000000000000, 0x3fe0000000000000],
+                ],
+            ),
+            (
+                0.3,
+                [
+                    [0x3ff3600000000000, 0x3ff3640000000000, 0x3fe0000000000000],
+                    [0x3ffa900000000000, 0x3ffaa80000000000, 0x3fe0000000000000],
+                    [0x400aa40000000000, 0x400aaa0000000000, 0x3fe0000000000000],
+                ],
+            ),
+            (
+                0.6,
+                [
+                    [0x3fe3600000000000, 0x3fe3600000000000, 0x3fe0000000000000],
+                    [0x3fea900000000000, 0x3feaa80000000000, 0x3fe0000000000000],
+                    [0x3ffa900000000000, 0x3ffaa80000000000, 0x3fe0000000000000],
+                ],
+            ),
+        ];
+        for (delay, per_method) in expected {
+            let tasks = set(delay);
+            for (method, bits) in methods.into_iter().zip(per_method) {
+                for ((upper, precision), bits) in searches.into_iter().zip(bits) {
+                    let t = delay_tolerance(&tasks, method, upper, precision).unwrap();
                     assert_eq!(
-                        warm.max_scale.to_bits(),
-                        cold.max_scale.to_bits(),
-                        "{method:?} upper {upper} precision {precision}"
+                        t.max_scale.to_bits(),
+                        bits,
+                        "delay {delay} {method:?} upper {upper} precision {precision}: {}",
+                        t.max_scale
                     );
-                    assert_eq!(warm.base_infeasible, cold.base_infeasible);
+                    assert!(!t.base_infeasible);
+                    assert_eq!(t.precision, precision);
                 }
             }
         }

@@ -91,8 +91,8 @@ pub mod campaign {
 
 // The most common entry points, flattened for convenience.
 pub use fnpr_core::{
-    algorithm1, algorithm1_scaled, algorithm1_trace, eq4_bound, eq4_bound_for_curve,
-    exact_worst_case, naive_bound, BoundOutcome, DelayBound, DelayCurve,
+    algorithm1, algorithm1_trace, eq4_bound, eq4_bound_for_curve, exact_worst_case, naive_bound,
+    BoundOutcome, DelayBound, DelayCurve,
 };
 pub use pipeline::{
     analyze_task, analyze_task_against, analyze_taskset, PipelineError, TaskAnalysis, TaskProgram,
