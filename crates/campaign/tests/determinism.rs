@@ -369,9 +369,9 @@ proptest! {
 }
 
 /// Serde mirror of the `--metrics` snapshot document. `fnpr-obs` writes
-/// the file with a hand-rolled, dependency-free emitter; parsing it back
-/// through the workspace serde shim pins the format to plain standard
-/// JSON that any consumer can read.
+/// the file from its own `Value` tree; parsing it back into this separate
+/// mirror pins the format to plain standard JSON that any consumer can
+/// read.
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
 struct MetricsDoc {
     schema_version: u64,
@@ -399,7 +399,7 @@ struct HistogramDoc {
 }
 
 /// The `--metrics` JSON round-trips through the serde shim: the
-/// hand-rolled writer's output parses into [`MetricsDoc`], survives a
+/// writer's output parses into [`MetricsDoc`], survives a
 /// re-serialize/re-parse cycle, and preserves every field — including a
 /// label that needs JSON escaping.
 #[test]

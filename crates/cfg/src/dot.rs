@@ -2,7 +2,6 @@
 
 use std::fmt::Write as _;
 
-use crate::block::BlockId;
 use crate::graph::Cfg;
 use crate::offsets::StartOffsets;
 
@@ -46,27 +45,6 @@ pub fn to_dot(cfg: &Cfg, offsets: Option<&StartOffsets>) -> String {
     out
 }
 
-/// Renders only a subset of blocks (e.g. one loop body) — helper for docs.
-#[must_use]
-pub fn to_dot_subgraph(cfg: &Cfg, keep: &[BlockId]) -> String {
-    let mut out = String::from("digraph cfg {\n");
-    for block in cfg.blocks().filter(|b| keep.contains(&b.id)) {
-        let _ = writeln!(
-            out,
-            "  {} [label=\"{}\"];",
-            block.id,
-            block.label.clone().unwrap_or_else(|| block.id.to_string())
-        );
-    }
-    for (from, to) in cfg.edges() {
-        if keep.contains(&from) && keep.contains(&to) {
-            let _ = writeln!(out, "  {from} -> {to};");
-        }
-    }
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,14 +67,5 @@ mod tests {
         let rendered = to_dot(&cfg, Some(&offsets));
         assert!(rendered.contains("s=[30, 65]")); // block 3's published offsets
         assert!(rendered.contains("s=[65, 180]")); // block 10
-    }
-
-    #[test]
-    fn subgraph_restricts_output() {
-        let cfg = figure1_cfg();
-        let keep = [BlockId(0), BlockId(1)];
-        let rendered = to_dot_subgraph(&cfg, &keep);
-        assert!(rendered.contains("b0 -> b1"));
-        assert!(!rendered.contains("b3"));
     }
 }

@@ -1,7 +1,8 @@
 //! Findings, lint identifiers and machine-readable output.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+
+use serde::{Serialize, Value};
 
 /// Order-dependent iteration over `HashMap`/`HashSet`.
 pub const HASH_ITER: &str = "hash_iter";
@@ -44,7 +45,7 @@ pub const LINTS: &[&str] = &[
 ];
 
 /// One diagnostic: a lint id anchored at `file:line`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Finding {
     /// Lint id (one of [`LINTS`]).
     pub lint: &'static str,
@@ -104,54 +105,26 @@ impl CheckOutcome {
     /// The machine-readable report (stable field order, schema v1).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema_version\": 1,\n");
-        let _ = writeln!(out, "  \"files_scanned\": {},", self.files_scanned);
-        out.push_str("  \"findings\": [\n");
-        for (i, f) in self.findings.iter().enumerate() {
-            let comma = if i + 1 == self.findings.len() {
-                ""
-            } else {
-                ","
-            };
-            let _ = writeln!(
-                out,
-                "    {{\"lint\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\"}}{}",
-                json_escape(f.lint),
-                json_escape(&f.file),
-                f.line,
-                json_escape(&f.message),
-                comma
-            );
-        }
-        out.push_str("  ],\n  \"counts\": {");
-        let counts = self.counts();
-        for (i, (lint, n)) in counts.iter().enumerate() {
-            let comma = if i + 1 == counts.len() { "" } else { ", " };
-            let _ = write!(out, "\"{}\": {}{}", json_escape(lint), n, comma);
-        }
-        out.push_str("}\n}\n");
-        out
+        let mut json = serde_json::to_string_pretty(self);
+        json.push('\n');
+        json
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+impl Serialize for CheckOutcome {
+    fn to_value(&self) -> Value {
+        let counts = self
+            .counts()
+            .into_iter()
+            .map(|(lint, n)| (lint.to_string(), n.to_value()))
+            .collect();
+        Value::Map(vec![
+            ("schema_version".into(), Value::Int(1)),
+            ("files_scanned".into(), self.files_scanned.to_value()),
+            ("findings".into(), self.findings.to_value()),
+            ("counts".into(), Value::Map(counts)),
+        ])
     }
-    out
 }
 
 #[cfg(test)]
@@ -179,7 +152,15 @@ mod tests {
 
     #[test]
     fn escaping_handles_controls() {
-        assert_eq!(json_escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
+        let mut outcome = CheckOutcome::default();
+        outcome.findings.push(Finding::new(
+            HASH_ITER,
+            "src/lib.rs",
+            1,
+            "a\"b\\c\nd\u{1}".to_string(),
+        ));
+        let json = outcome.to_json();
+        assert!(json.contains("\"a\\\"b\\\\c\\nd\\u0001\""), "{json}");
     }
 
     #[test]

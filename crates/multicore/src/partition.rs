@@ -61,16 +61,6 @@ impl Partition {
             .collect();
         TaskSet::new(subset).ok()
     }
-
-    /// Total utilisation per core.
-    #[must_use]
-    pub fn core_utilizations(&self, tasks: &TaskSet) -> Vec<f64> {
-        let mut us = vec![0.0; self.cores];
-        for (i, &core) in self.assignment.iter().enumerate() {
-            us[core] += tasks.task(i).utilization();
-        }
-        us
-    }
 }
 
 /// Bin-packs `tasks` onto `m` cores with a caller-supplied admission test:
@@ -242,7 +232,10 @@ mod tests {
                 .unwrap_or_else(|| panic!("2 cores fit U=2.0 under {heuristic:?}"));
             assert_eq!(p.assignment.len(), 4);
             assert!(p.assignment.iter().all(|&c| c < 2));
-            let us = p.core_utilizations(&tasks);
+            let mut us = [0.0; 2];
+            for (i, &core) in p.assignment.iter().enumerate() {
+                us[core] += tasks.task(i).utilization();
+            }
             assert!((us.iter().sum::<f64>() - 2.0).abs() < 1e-9);
             // Each core is EDF-feasible.
             assert!(us.iter().all(|&u| u <= 1.0 + 1e-9));

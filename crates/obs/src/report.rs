@@ -1,15 +1,13 @@
 //! The `MetricsReport` snapshot: everything the registry knows, as
 //! versioned JSON (the CLI's `--metrics PATH`).
 //!
-//! The writer is hand-rolled (this crate is dependency-free) but emits
-//! plain standard JSON with real objects for the name → value maps, so
-//! any consumer — including the workspace's own serde shim, which
-//! `fnpr-campaign`'s determinism suite round-trips the file through —
-//! can parse it.
+//! The report serializes to a `serde::Value` tree, with real objects for
+//! the name → value maps, and the workspace's `serde_json` renders it: the
+//! one JSON codec that also writes the result store and the run ledger.
 
 use std::collections::BTreeMap;
 
-use crate::span::json_string;
+use serde::{Serialize, Value};
 
 /// Version of the metrics JSON layout. Bump on breaking shape changes so
 /// downstream dashboards can dispatch.
@@ -26,7 +24,7 @@ pub const METRICS_SCHEMA_VERSION: u64 = 2;
 /// buckets, so they carry at most one octave of error — plenty for
 /// "did the tail move?" trend questions, and cheap enough to keep the
 /// record path to three relaxed atomic adds.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct HistogramSnapshot {
     /// Observations recorded.
     pub count: u64,
@@ -166,86 +164,38 @@ impl MetricsReport {
     /// metric name, keys sorted — the maps are `BTreeMap`s).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema_version\": {},\n", self.schema_version));
-        out.push_str(&format!("  \"label\": {},\n", json_string(&self.label)));
-        out.push_str(&format!(
-            "  \"scenario\": {},\n",
-            json_string(&self.scenario)
-        ));
-        out.push_str(&format!(
-            "  \"store_path\": {},\n",
-            match &self.store_path {
-                Some(path) => json_string(path),
-                None => "null".to_string(),
-            }
-        ));
-        out.push_str(&format!("  \"points_total\": {},\n", self.points_total));
-        out.push_str(&format!("  \"points_done\": {},\n", self.points_done));
-        out.push_str(&format!(
-            "  \"elapsed_seconds\": {},\n",
-            json_f64(self.elapsed_seconds)
-        ));
-        out.push_str(&format!("  \"span_count\": {},\n", self.span_count));
-        push_map(&mut out, "counters", &self.counters, |v| v.to_string());
-        out.push_str(",\n");
-        push_map(&mut out, "gauges", &self.gauges, |v| v.to_string());
-        out.push_str(",\n");
-        push_map(&mut out, "histograms", &self.histograms, |h| {
-            format!(
-                "{{\"count\": {}, \"sum\": {}, \"max\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
-                h.count,
-                h.sum,
-                h.max,
-                json_f64(h.p50),
-                json_f64(h.p90),
-                json_f64(h.p99)
-            )
-        });
-        out.push_str("\n}\n");
-        out
+        let mut json = serde_json::to_string_pretty(self);
+        json.push('\n');
+        json
     }
 }
 
-/// Appends `"name": { "key": value, ... }` (no trailing newline/comma).
-fn push_map<V>(
-    out: &mut String,
-    name: &str,
-    map: &BTreeMap<String, V>,
-    render: impl Fn(&V) -> String,
-) {
-    out.push_str(&format!("  {}: {{", json_string(name)));
-    for (i, (key, value)) in map.iter().enumerate() {
-        let comma = if i + 1 < map.len() { "," } else { "" };
-        out.push_str(&format!(
-            "\n    {}: {}{comma}",
-            json_string(key),
-            render(value)
-        ));
-    }
-    if map.is_empty() {
-        out.push('}');
-    } else {
-        out.push_str("\n  }");
+impl Serialize for MetricsReport {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("schema_version".into(), self.schema_version.to_value()),
+            ("label".into(), self.label.to_value()),
+            ("scenario".into(), self.scenario.to_value()),
+            ("store_path".into(), self.store_path.to_value()),
+            ("points_total".into(), self.points_total.to_value()),
+            ("points_done".into(), self.points_done.to_value()),
+            ("elapsed_seconds".into(), self.elapsed_seconds.to_value()),
+            ("span_count".into(), self.span_count.to_value()),
+            ("counters".into(), object(&self.counters)),
+            ("gauges".into(), object(&self.gauges)),
+            ("histograms".into(), object(&self.histograms)),
+        ])
     }
 }
 
-/// JSON-safe float rendering: `Display` for finite values (shortest
-/// round-trip), `0` for non-finite ones (JSON has no NaN/inf).
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // `Display` prints integral floats without a dot; keep them
-        // unambiguously floats for typed consumers.
-        if s.contains('.') || s.contains('e') || s.contains('E') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "0".to_string()
-    }
+/// A name-keyed map as a JSON object: the shim serializes a `BTreeMap` as
+/// `[key, value]` pairs.
+fn object<V: Serialize>(map: &BTreeMap<String, V>) -> Value {
+    Value::Map(
+        map.iter()
+            .map(|(name, value)| (name.clone(), value.to_value()))
+            .collect(),
+    )
 }
 
 /// `part` as a percentage of `total` (0.0 when `total` is 0) — the one
@@ -359,13 +309,32 @@ mod tests {
         assert!(snap.p99 <= u64::MAX as f64);
     }
 
+    /// A report with no registry entries, its float field set to `seconds`.
+    fn empty_report(seconds: f64) -> MetricsReport {
+        MetricsReport {
+            schema_version: METRICS_SCHEMA_VERSION,
+            label: String::new(),
+            scenario: String::new(),
+            store_path: None,
+            points_total: 0,
+            points_done: 0,
+            elapsed_seconds: seconds,
+            span_count: 0,
+            counters: BTreeMap::new(),
+            gauges: BTreeMap::new(),
+            histograms: BTreeMap::new(),
+        }
+    }
+
     #[test]
-    fn json_f64_always_renders_a_number() {
-        assert_eq!(json_f64(1.25), "1.25");
-        assert_eq!(json_f64(3.0), "3.0");
-        assert_eq!(json_f64(0.5), "0.5");
-        assert_eq!(json_f64(f64::NAN), "0");
-        assert_eq!(json_f64(f64::INFINITY), "0");
+    fn floats_always_render_as_json_numbers_or_null() {
+        let json = |seconds: f64| empty_report(seconds).to_json();
+        assert!(json(1.25).contains("\"elapsed_seconds\": 1.25,"));
+        assert!(json(3.0).contains("\"elapsed_seconds\": 3.0,"));
+        assert!(json(0.5).contains("\"elapsed_seconds\": 0.5,"));
+        // JSON has no NaN or infinity.
+        assert!(json(f64::NAN).contains("\"elapsed_seconds\": null,"));
+        assert!(json(f64::INFINITY).contains("\"elapsed_seconds\": null,"));
     }
 
     #[test]
@@ -377,10 +346,9 @@ mod tests {
 
     #[test]
     fn empty_maps_render_as_empty_objects() {
-        let mut out = String::new();
-        push_map(&mut out, "m", &BTreeMap::<String, u64>::new(), |v| {
-            v.to_string()
-        });
-        assert_eq!(out, "  \"m\": {}");
+        let json = empty_report(0.0).to_json();
+        for map in ["\"counters\": {}", "\"gauges\": {}", "\"histograms\": {}"] {
+            assert!(json.contains(map), "{json}");
+        }
     }
 }

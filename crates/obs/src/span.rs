@@ -17,6 +17,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
+use serde::{Serialize, Value};
+
 /// Whether finished spans are buffered as trace events ([`Span`] cost
 /// stays a counter bump otherwise).
 static TRACE_ON: AtomicBool = AtomicBool::new(false);
@@ -184,25 +186,31 @@ pub fn take_trace_events() -> Vec<TraceEvent> {
 /// `traceEvents` array of `ph: "X"` complete events).
 #[must_use]
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    let mut out = String::with_capacity(64 + events.len() * 96);
-    out.push_str("{\"traceEvents\":[\n");
-    for (i, e) in events.iter().enumerate() {
-        let args = match e.shard {
-            Some(shard) => format!(",\"args\":{{\"shard\":{shard}}}"),
-            None => String::new(),
-        };
-        out.push_str(&format!(
-            "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{}{args}}}{}\n",
-            json_string(e.name),
-            json_string(e.cat),
-            e.ts_us,
-            e.dur_us,
-            e.tid,
-            if i + 1 < events.len() { "," } else { "" },
-        ));
+    let trace = Value::Map(vec![("traceEvents".into(), events.to_value())]);
+    let mut json = serde_json::value_to_string(&trace);
+    json.push('\n');
+    json
+}
+
+impl Serialize for TraceEvent {
+    fn to_value(&self) -> Value {
+        let args = self.shard.map(|shard| {
+            let args = Value::Map(vec![("shard".into(), shard.to_value())]);
+            ("args".into(), args)
+        });
+        // Collected from an exact-size iterator, so the map has no spare
+        // capacity: a trace holds up to `TRACE_EVENT_CAP` of them at once.
+        let fields = [
+            ("name".into(), self.name.to_value()),
+            ("cat".into(), self.cat.to_value()),
+            ("ph".into(), "X".to_value()),
+            ("ts".into(), self.ts_us.to_value()),
+            ("dur".into(), self.dur_us.to_value()),
+            ("pid".into(), Value::Int(1)),
+            ("tid".into(), self.tid.to_value()),
+        ];
+        Value::Map(fields.into_iter().chain(args).collect())
     }
-    out.push_str("]}\n");
-    out
 }
 
 /// Drains the buffer and writes it to `path` as Chrome trace JSON.
@@ -213,25 +221,6 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
 pub fn write_chrome_trace(path: &std::path::Path) -> std::io::Result<()> {
     let events = take_trace_events();
     std::fs::write(path, chrome_trace_json(&events))
-}
-
-/// Escapes `s` as a JSON string literal (quotes included).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -300,44 +289,76 @@ mod tests {
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"args\":{\"shard\":3}"));
         assert!(json.contains("b \\\"quoted\\\""));
-        // Exactly one separator between the two events.
-        assert_eq!(json.matches("},\n").count(), 1);
+        // Exactly the two events, in order.
+        assert_eq!(parsed_names(&json), ["a", "b \"quoted\""]);
+    }
+
+    /// The event names of a trace document, read back by the shim parser.
+    fn parsed_names(json: &str) -> Vec<String> {
+        let doc = serde_json::parse_value(json).unwrap_or_else(|e| panic!("unparseable: {e}"));
+        doc.get("traceEvents")
+            .and_then(Value::as_seq)
+            .unwrap()
+            .iter()
+            .map(|e| e.get("name").and_then(Value::as_str).unwrap().to_string())
+            .collect()
+    }
+
+    /// One event named `name`, for the escaping tests.
+    fn named(name: &'static str) -> TraceEvent {
+        TraceEvent {
+            name,
+            cat: "test",
+            ts_us: 0,
+            dur_us: 1,
+            tid: 1,
+            shard: None,
+        }
     }
 
     #[test]
-    fn json_string_escapes_controls() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_string("x\ny"), "\"x\\ny\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+    fn trace_names_escape_controls() {
+        let json = chrome_trace_json(&[
+            named("plain"),
+            named("a\"b\\c"),
+            named("x\ny"),
+            named("\u{1}"),
+        ]);
+        for escaped in ["\"plain\"", "\"a\\\"b\\\\c\"", "\"x\\ny\"", "\"\\u0001\""] {
+            assert!(json.contains(escaped), "missing {escaped} in {json}");
+        }
     }
 
     #[test]
-    fn json_string_escapes_every_control_and_specials_exhaustively() {
-        // Every C0 control plus the two mandatory escapes: the output must
-        // contain no raw control bytes and no unescaped quote/backslash.
+    fn trace_names_escape_every_control_and_specials_exhaustively() {
+        // Every C0 control plus the two mandatory escapes: the document
+        // must contain no raw control bytes before its final newline.
         for code in 0u32..0x20 {
             let c = char::from_u32(code).unwrap();
-            let escaped = json_string(&format!("a{c}b"));
+            let name: &'static str = Box::leak(format!("a{c}b").into_boxed_str());
+            let json = chrome_trace_json(&[named(name)]);
             assert!(
-                !escaped.chars().any(|c| (c as u32) < 0x20),
-                "raw control {code:#x} leaked: {escaped:?}"
+                !json
+                    .trim_end_matches('\n')
+                    .chars()
+                    .any(|c| (c as u32) < 0x20),
+                "raw control {code:#x} leaked: {json:?}"
             );
-            assert!(escaped.starts_with('"') && escaped.ends_with('"'));
         }
+        let json = chrome_trace_json(&[named("\r"), named("\t"), named("héllo 日本")]);
         // \r and \t take their short forms, not \uXXXX.
-        assert_eq!(json_string("\r"), "\"\\r\"");
-        assert_eq!(json_string("\t"), "\"\\t\"");
+        assert!(json.contains("\"name\":\"\\r\""), "{json}");
+        assert!(json.contains("\"name\":\"\\t\""), "{json}");
         // Multi-byte characters pass through unescaped (JSON is UTF-8).
-        assert_eq!(json_string("héllo 日本"), "\"héllo 日本\"");
+        assert!(json.contains("\"name\":\"héllo 日本\""), "{json}");
     }
 
     #[test]
     fn hostile_names_produce_valid_trace_json() {
         // Adversarial span/category names: quotes, backslashes (Windows
         // paths), embedded newlines and control characters. The emitted
-        // document must stay structurally valid JSON — balanced quotes on
-        // every line, no raw control bytes, one object per event line.
+        // document must stay structurally valid JSON — balanced quotes and
+        // no raw control bytes.
         let events = vec![
             TraceEvent {
                 name: "say \"hi\"",
@@ -383,10 +404,10 @@ mod tests {
 
     #[test]
     fn hostile_names_round_trip_through_a_json_parser() {
-        // The workspace keeps one JSON grammar: what `json_string` emits,
+        // The workspace keeps one JSON grammar: the names a trace carries,
         // the serde shim's parser must read back verbatim. This pins the
         // escaping pair from the consuming side, for every tricky shape.
-        for name in [
+        let names = [
             "say \"hi\"",
             "back\\slash\\",
             "multi\nline",
@@ -394,10 +415,8 @@ mod tests {
             "ctl\u{1}\u{1f}",
             "héllo 日本",
             "",
-        ] {
-            let parsed: String = serde_json::from_str(&json_string(name))
-                .unwrap_or_else(|e| panic!("unparseable for {name:?}: {e}"));
-            assert_eq!(parsed, name);
-        }
+        ];
+        let events: Vec<_> = names.into_iter().map(named).collect();
+        assert_eq!(parsed_names(&chrome_trace_json(&events)), names);
     }
 }

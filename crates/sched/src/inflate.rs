@@ -84,12 +84,6 @@ pub struct Inflation {
 }
 
 impl Inflation {
-    /// `true` when every task received a finite inflated WCET.
-    #[must_use]
-    pub fn all_finite(&self) -> bool {
-        self.wcets.iter().all(Option::is_some)
-    }
-
     /// The finite WCET vector, if every task converged.
     #[must_use]
     pub fn finite_wcets(&self) -> Option<Vec<f64>> {
@@ -275,7 +269,7 @@ mod tests {
         let ts = TaskSet::new(vec![Task::new(2.0, 10.0).unwrap()]).unwrap();
         let inf = inflate_wcets(&ts, DelayMethod::None).unwrap();
         assert_eq!(inf.wcets, vec![Some(2.0)]);
-        assert!(inf.all_finite());
+        assert!(inf.wcets.iter().all(Option::is_some));
         assert_eq!(inf.total_overhead(&ts), Some(0.0));
     }
 
@@ -356,7 +350,7 @@ mod tests {
         let ts = TaskSet::new(vec![curved_task(10.0, 100.0, 4.0, 5.0)]).unwrap();
         let inf = inflate_wcets(&ts, DelayMethod::Eq4).unwrap();
         assert_eq!(inf.wcets, vec![None]);
-        assert!(!inf.all_finite());
+        assert!(!inf.wcets.iter().all(Option::is_some));
         assert_eq!(inf.total_overhead(&ts), None);
         assert!(!fp_schedulable_with_delay(&ts, DelayMethod::Eq4).unwrap());
         assert!(!edf_schedulable_with_delay(&ts, DelayMethod::Algorithm1).unwrap());

@@ -39,12 +39,6 @@ impl RtaResult {
     pub fn schedulable(&self) -> bool {
         self.response_times.iter().all(Option::is_some)
     }
-
-    /// Number of tasks that met their deadline.
-    #[must_use]
-    pub fn schedulable_count(&self) -> usize {
-        self.response_times.iter().filter(|r| r.is_some()).count()
-    }
 }
 
 /// Runs RTA on `tasks` (index 0 = highest priority) with per-task blocking
@@ -248,7 +242,7 @@ mod tests {
         let rta = response_time_analysis(&tasks, &[0.0; 3]).unwrap();
         assert_eq!(rta.response_times, vec![Some(1.0), Some(3.0), Some(10.0)]);
         assert!(rta.schedulable());
-        assert_eq!(rta.schedulable_count(), 3);
+        assert_eq!(rta.response_times.iter().flatten().count(), 3);
     }
 
     #[test]
@@ -259,7 +253,7 @@ mod tests {
         assert_eq!(rta.response_times[0], Some(3.0));
         assert_eq!(rta.response_times[1], None);
         assert!(!rta.schedulable());
-        assert_eq!(rta.schedulable_count(), 1);
+        assert_eq!(rta.response_times.iter().flatten().count(), 1);
     }
 
     #[test]

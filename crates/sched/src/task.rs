@@ -240,23 +240,6 @@ impl TaskSet {
         self.tasks.iter().map(Task::utilization).sum()
     }
 
-    /// A copy sorted by ascending relative deadline (deadline-monotonic
-    /// priority order, also the order EDF blocking analysis wants).
-    #[must_use]
-    pub fn sorted_by_deadline(&self) -> TaskSet {
-        let mut tasks = self.tasks.clone();
-        tasks.sort_by(|a, b| a.deadline().total_cmp(&b.deadline()));
-        TaskSet { tasks }
-    }
-
-    /// A copy sorted by ascending period (rate-monotonic priority order).
-    #[must_use]
-    pub fn sorted_by_period(&self) -> TaskSet {
-        let mut tasks = self.tasks.clone();
-        tasks.sort_by(|a, b| a.period().total_cmp(&b.period()));
-        TaskSet { tasks }
-    }
-
     /// Replaces every task's WCET (used by inflation passes). Like
     /// [`Task::with_wcet`], the copy carries timing only: its tasks keep
     /// `Qi` but no delay curve, because the new WCETs are meant to contain
@@ -347,18 +330,16 @@ mod tests {
     }
 
     #[test]
-    fn sorting() {
+    fn deadlines_and_periods_keep_index_order() {
         let ts = TaskSet::new(vec![
             Task::new(1.0, 20.0).unwrap().with_deadline(12.0).unwrap(),
             Task::new(1.0, 10.0).unwrap().with_deadline(9.0).unwrap(),
         ])
         .unwrap();
-        let by_d = ts.sorted_by_deadline();
-        assert_eq!(by_d.task(0).deadline(), 9.0);
-        let by_t = ts.sorted_by_period();
-        assert_eq!(by_t.task(0).period(), 10.0);
-        // Originals untouched.
-        assert_eq!(ts.task(0).deadline(), 12.0);
+        let deadlines: Vec<f64> = ts.iter().map(Task::deadline).collect();
+        assert_eq!(deadlines, [12.0, 9.0]);
+        let periods: Vec<f64> = ts.iter().map(Task::period).collect();
+        assert_eq!(periods, [20.0, 10.0]);
     }
 
     #[test]

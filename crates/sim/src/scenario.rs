@@ -84,16 +84,6 @@ impl Scenario {
         }
     }
 
-    /// Builds a periodic scenario with random phases in `[0, T_i)`.
-    #[must_use]
-    pub fn periodic_random_phases<R: Rng>(tasks: &TaskSet, horizon: f64, rng: &mut R) -> Self {
-        let phases: Vec<f64> = tasks
-            .iter()
-            .map(|t| rng.gen_range(0.0..t.period()))
-            .collect();
-        Self::periodic(tasks, &phases, horizon)
-    }
-
     /// Builds a *sporadic* scenario: task `i` releases with gaps drawn
     /// uniformly from `[T_i, (1 + spread) · T_i)` — the minimum inter-arrival
     /// time is respected, so every fixed-priority/EDF analysis for the
