@@ -3,7 +3,6 @@
 use std::collections::BTreeMap;
 
 use fnpr_cfg::{BlockId, Cfg};
-use serde::{Deserialize, Serialize};
 
 use crate::config::CacheConfig;
 use crate::error::CacheError;
@@ -14,7 +13,7 @@ use crate::error::CacheError;
 /// This is the cache-model view of the task: `fnpr-cfg` deliberately does
 /// not store accesses, so the same graph can be analysed under different
 /// memory layouts.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AccessMap {
     accesses: BTreeMap<BlockId, Vec<u64>>,
 }

@@ -1,7 +1,5 @@
 //! Cache geometry and cost model.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::CacheError;
 
 /// Geometry and timing of one cache level.
@@ -9,7 +7,7 @@ use crate::error::CacheError;
 /// Addresses are byte addresses; a *memory block* is an address range of one
 /// cache line, identified by `address / line_bytes`; blocks map to sets by
 /// `block % sets` (modulo placement, the standard hardware policy).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
     sets: usize,
     associativity: usize,

@@ -6,7 +6,6 @@
 //! set is damaged (the conservative default used by the paper's pipeline).
 
 use fnpr_cfg::{BlockId, Cfg};
-use serde::{Deserialize, Serialize};
 
 use crate::access::AccessMap;
 use crate::config::CacheConfig;
@@ -15,7 +14,7 @@ use crate::error::CacheError;
 use crate::ucb::UcbAnalysis;
 
 /// CRPD bounds for every basic block of one task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrpdAnalysis {
     ucb: UcbAnalysis,
     blocks: usize,

@@ -1,7 +1,5 @@
 //! Evicting cache blocks of preempting tasks.
 
-use serde::{Deserialize, Serialize};
-
 use crate::access::AccessMap;
 use crate::bits;
 use crate::config::CacheConfig;
@@ -12,7 +10,7 @@ use crate::config::CacheConfig;
 ///
 /// Held as a bit vector over set indices, without trailing zero words, so
 /// equal sets compare equal.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EcbSet {
     words: Vec<u64>,
 }

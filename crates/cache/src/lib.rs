@@ -16,9 +16,10 @@
 //! * [`EcbSet`] — evicting cache blocks of preempting tasks, a bit vector
 //!   over cache-set indices;
 //! * [`CrpdAnalysis`] — `CRPD_b` per block, against full or per-preempter
-//!   damage;
-//! * [`ConcreteCache`] / [`preemption_cost_on_path`] — an executable cache
-//!   for validating the static bounds against real runs.
+//!   damage.
+//!
+//! The executable cache that checks these bounds against concrete runs is
+//! test code (`tests/support/`).
 //!
 //! # From CRPD to the paper's delay function
 //!
@@ -57,21 +58,15 @@
 
 mod access;
 mod bits;
-mod concrete;
 mod config;
 mod crpd;
 mod ecb;
-mod empirical;
 mod error;
 mod ucb;
 
 pub use access::AccessMap;
-pub use concrete::{
-    enumerate_paths, preemption_cost_on_path, ConcreteCache, PreemptionCost, PreemptionDamage,
-};
 pub use config::CacheConfig;
 pub use crpd::CrpdAnalysis;
 pub use ecb::EcbSet;
-pub use empirical::{empirical_crpd, empirical_crpd_on_paths, EmpiricalCrpd};
 pub use error::CacheError;
 pub use ucb::UcbAnalysis;

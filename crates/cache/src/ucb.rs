@@ -52,7 +52,6 @@
 use std::collections::BTreeSet;
 
 use fnpr_cfg::{BlockId, Cfg};
-use serde::{Deserialize, Serialize};
 
 use crate::access::AccessMap;
 use crate::bits;
@@ -60,7 +59,7 @@ use crate::config::CacheConfig;
 use crate::error::CacheError;
 
 /// Result of the useful-cache-block dataflow over one task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UcbAnalysis {
     /// The task's distinct memory blocks, ascending: bit `i` of a vector
     /// stands for `blocks[i]`.

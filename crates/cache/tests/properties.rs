@@ -9,12 +9,15 @@
 //! at random through their loops.
 
 mod common;
+#[path = "support/concrete.rs"]
+mod concrete;
+#[path = "support/empirical.rs"]
+mod empirical;
 
 use common::arb_cyclic_workload;
-use fnpr_cache::{
-    empirical_crpd, enumerate_paths, preemption_cost_on_path, AccessMap, CacheConfig, CrpdAnalysis,
-    EcbSet, PreemptionDamage, UcbAnalysis,
-};
+use concrete::{enumerate_paths, preemption_cost_on_path, PreemptionDamage};
+use empirical::empirical_crpd;
+use fnpr_cache::{AccessMap, CacheConfig, CrpdAnalysis, EcbSet, UcbAnalysis};
 use fnpr_cfg::{BlockId, Cfg, CfgBuilder, ExecInterval};
 use proptest::prelude::*;
 

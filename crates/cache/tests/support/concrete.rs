@@ -4,17 +4,13 @@
 //! of [`CrpdAnalysis`] means the extra reload bill never exceeds the static
 //! per-block bound — exercised by unit and property tests.
 //!
-//! [`CrpdAnalysis`]: crate::CrpdAnalysis
+//! [`CrpdAnalysis`]: fnpr_cache::CrpdAnalysis
 
+use fnpr_cache::{AccessMap, CacheConfig, EcbSet};
 use fnpr_cfg::{BlockId, Cfg};
-use serde::{Deserialize, Serialize};
-
-use crate::access::AccessMap;
-use crate::config::CacheConfig;
-use crate::ecb::EcbSet;
 
 /// An executable set-associative LRU cache (direct-mapped when `A = 1`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConcreteCache {
     config_sets: usize,
     config_ways: usize,
@@ -86,7 +82,7 @@ impl ConcreteCache {
 }
 
 /// How a preemption damages the cache in [`preemption_cost_on_path`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PreemptionDamage {
     /// Clear every set in the ECB (worst case).
     EvictSets(EcbSet),
@@ -95,7 +91,7 @@ pub enum PreemptionDamage {
 }
 
 /// Result of one concrete preemption experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PreemptionCost {
     /// Misses along the path without any preemption.
     pub baseline_misses: u64,
@@ -192,7 +188,7 @@ pub fn enumerate_paths(cfg: &Cfg, limit: usize) -> Vec<Vec<BlockId>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crpd::CrpdAnalysis;
+    use fnpr_cache::CrpdAnalysis;
     use fnpr_cfg::{CfgBuilder, ExecInterval};
 
     fn iv() -> ExecInterval {

@@ -16,17 +16,15 @@
 //! analysis' pessimism (mostly the "whole block charged" granularity of
 //! [3]).
 //!
-//! [`CrpdAnalysis`]: crate::CrpdAnalysis
+//! [`CrpdAnalysis`]: fnpr_cache::CrpdAnalysis
 
+use fnpr_cache::{AccessMap, CacheConfig};
 use fnpr_cfg::{BlockId, Cfg};
-use serde::{Deserialize, Serialize};
 
-use crate::access::AccessMap;
 use crate::concrete::{enumerate_paths, preemption_cost_on_path, PreemptionDamage};
-use crate::config::CacheConfig;
 
 /// Empirically observed per-block preemption costs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmpiricalCrpd {
     /// Worst observed reload bill per block (time units), index = block id.
     pub per_block: Vec<f64>,
@@ -104,8 +102,7 @@ pub fn empirical_crpd_on_paths(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crpd::CrpdAnalysis;
-    use crate::ecb::EcbSet;
+    use fnpr_cache::{CrpdAnalysis, EcbSet};
     use fnpr_cfg::{CfgBuilder, ExecInterval};
 
     fn iv() -> ExecInterval {

@@ -1188,10 +1188,22 @@ mod tests {
         assert_eq!(restored.to_bits(), (-0.0f64).to_bits());
     }
 
-    /// A derive-fallback shape: it serializes to `null` and never
-    /// deserializes.
-    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    /// Serializes to `null` and never deserializes, so nothing it writes
+    /// can read back.
+    #[derive(Debug, PartialEq)]
     struct Pair(f64, f64);
+
+    impl Serialize for Pair {
+        fn to_value(&self) -> Value {
+            Value::Null
+        }
+    }
+
+    impl Deserialize for Pair {
+        fn from_value(_: &Value) -> Result<Self, serde::Error> {
+            Err(serde::Error::new("Pair never deserializes"))
+        }
+    }
 
     /// Equal to every other `Blind`, whatever it holds, the way `==` cannot
     /// tell `-0.0` from `0.0`. It writes NaN, which reads back as `null`,
@@ -1222,7 +1234,7 @@ mod tests {
     fn every_lossy_value_is_refused() {
         let path = temp_store_path("lossy.log");
         let store = ResultStore::open(&path).unwrap();
-        // `u64::MAX` and a bare derive-fallback type do not read back.
+        // `u64::MAX` and a bare `Pair` do not read back.
         // `Some(f64::INFINITY)` and `Some(Pair(..))` read back as `None`,
         // which the value comparison refuses (and only it for `Pair`, whose
         // written tree is `null` too). Only the tree comparison refuses

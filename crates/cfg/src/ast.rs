@@ -31,15 +31,13 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::block::{BlockId, ExecInterval};
 use crate::error::CfgError;
 use crate::graph::{Cfg, CfgBuilder};
 use crate::loops::LoopBound;
 
 /// A structured program fragment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
     /// A basic block with a label, `[min, max]` execution time and the
     /// byte addresses of its (data) memory accesses.
@@ -141,7 +139,7 @@ impl Stmt {
 }
 
 /// Output of [`compile`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledProgram {
     /// The (reducible) control-flow graph.
     pub cfg: Cfg,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::CfgError;
 
 /// Identifier of a basic block within one control-flow graph.
@@ -11,7 +9,7 @@ use crate::error::CfgError;
 /// Ids are dense indices assigned by the [`CfgBuilder`] in insertion order.
 ///
 /// [`CfgBuilder`]: crate::CfgBuilder
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId(pub usize);
 
 impl BlockId {
@@ -30,7 +28,7 @@ impl fmt::Display for BlockId {
 
 /// A `[min, max]` execution-time interval for one basic block, as produced by
 /// standard WCET estimation tools (the paper's `eminb`/`emaxb`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecInterval {
     /// Best-case execution time of the block.
     pub min: f64,
@@ -108,7 +106,7 @@ impl ExecInterval {
 /// Memory accesses (needed for CRPD analysis) are deliberately *not* stored
 /// here — `fnpr-cache` associates access sets with block ids externally, so
 /// the graph substrate stays independent of the cache model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BasicBlock {
     /// The block's id within its graph.
     pub id: BlockId,

@@ -12,8 +12,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::block::{BlockId, ExecInterval};
 use crate::error::CfgError;
 use crate::graph::{Cfg, CfgBuilder};
@@ -21,7 +19,7 @@ use crate::loops::{reduce_loops, LoopBound, ReducedCfg};
 use crate::offsets::GraphTiming;
 
 /// One function of a program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Function {
     /// The function's name (unique within a [`Program`]).
     pub name: String,
@@ -62,7 +60,7 @@ impl Function {
 }
 
 /// Summary of one analysed function.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FunctionSummary {
     /// Whole-function timing (call-inclusive, loops reduced).
     pub timing: GraphTiming,
@@ -71,7 +69,7 @@ pub struct FunctionSummary {
 }
 
 /// A program: a set of functions closed under calls.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Program {
     functions: BTreeMap<String, Function>,
 }

@@ -1,7 +1,5 @@
 //! The control-flow graph container and its builder.
 
-use serde::{Deserialize, Serialize};
-
 use crate::block::{BasicBlock, BlockId, ExecInterval};
 use crate::error::CfgError;
 
@@ -18,7 +16,7 @@ use crate::error::CfgError;
 /// Cyclic graphs are accepted — the offset analysis requires acyclicity and
 /// checks it separately, while the loop machinery ([`reduce_loops`](crate::reduce_loops)) reduces
 /// natural loops to super-blocks first.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cfg {
     blocks: Vec<BasicBlock>,
     succs: Vec<Vec<BlockId>>,

@@ -18,8 +18,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::block::{BlockId, ExecInterval};
 use crate::error::CfgError;
 use crate::graph::{dominates, Cfg, CfgBuilder};
@@ -31,7 +29,7 @@ use crate::offsets::StartOffsets;
 /// `n` times per visit has `n` iterations (so `n − 1` full header-to-latch
 /// passes plus the final header-to-exit pass). With this convention the
 /// collapsed interval of [`reduce_loops`] is conservative in both directions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoopBound {
     /// Minimum number of header entries when the loop is reached.
     pub min_iterations: u64,
@@ -71,7 +69,7 @@ impl LoopBound {
 }
 
 /// A natural loop: a header, the latches jumping back to it, and the body.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NaturalLoop {
     /// The loop header (dominates every body block).
     pub header: BlockId,
@@ -134,7 +132,7 @@ pub fn natural_loops(cfg: &Cfg) -> Vec<NaturalLoop> {
 
 /// An acyclic graph produced by [`reduce_loops`], with the provenance of
 /// every reduced block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReducedCfg {
     /// The loop-free graph (safe for [`StartOffsets::analyze`]).
     pub cfg: Cfg,
@@ -281,7 +279,14 @@ fn iteration_interval(cfg: &Cfg, l: &NaturalLoop) -> Result<ExecInterval, CfgErr
     // Unreachable body blocks cannot happen: every body block reaches a
     // latch and is reached from the header by definition of natural loops.
     let body_graph = builder.build()?;
-    let offsets = StartOffsets::analyze(&body_graph)?;
+    // A cycle left in the body of an innermost loop avoids the header and
+    // has no natural header of its own: the region is irreducible.
+    let offsets = StartOffsets::analyze(&body_graph).map_err(|e| match e {
+        CfgError::Cyclic { witness } => CfgError::Irreducible {
+            witness: order[witness.index()],
+        },
+        other => other,
+    })?;
     // Latest finish over the whole body bounds one iteration from above.
     let mut iter_max: f64 = 0.0;
     for i in 0..body_graph.len() {
@@ -545,6 +550,29 @@ mod tests {
         assert!(natural_loops(&cfg).is_empty());
         let err = reduce_loops(&cfg, &BTreeMap::new()).unwrap_err();
         assert!(matches!(err, CfgError::Irreducible { .. }));
+        // The same region inside the natural loop of `h`, every block
+        // bounded: the loop body keeps the x <-> y cycle.
+        let mut b = CfgBuilder::new();
+        let [entry, h, x, y, exit] = [(); 5].map(|()| b.block(iv(1.0, 1.0)));
+        for (from, to) in [
+            (entry, h),
+            (h, x),
+            (h, y),
+            (x, y),
+            (y, x),
+            (y, h),
+            (y, exit),
+        ] {
+            b.edge(from, to).unwrap();
+        }
+        let cfg = b.build().unwrap();
+        let bound = LoopBound::exact(2).unwrap();
+        let bounds = (0..cfg.len()).map(|i| (BlockId(i), bound)).collect();
+        let err = reduce_loops(&cfg, &bounds).unwrap_err();
+        assert!(
+            matches!(err, CfgError::Irreducible { witness } if witness == x || witness == y),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -4,8 +4,6 @@
 //! `BB(t)` of blocks possibly executing at progress `t` is known, and the
 //! preemption-delay function is `fi(t) = max {CRPD_b : b ∈ BB(t)}`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::block::BlockId;
 use crate::error::CfgError;
 use crate::graph::Cfg;
@@ -13,7 +11,7 @@ use crate::offsets::{GraphTiming, StartOffsets};
 
 /// Precomputed execution windows for every block of one graph, supporting
 /// `BB(t)` queries and the window/value export used to build delay curves.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Occupancy {
     windows: Vec<(f64, f64)>, // per block: [earliest start, latest finish)
     wcet: f64,

@@ -19,14 +19,12 @@
 //! > Figure 1 fixture test pins the published `[smin, smax]` values, which
 //! > both readings share.
 
-use serde::{Deserialize, Serialize};
-
 use crate::block::BlockId;
 use crate::error::CfgError;
 use crate::graph::Cfg;
 
 /// Result of the start-offset analysis over one acyclic graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StartOffsets {
     smin: Vec<f64>,
     smax: Vec<f64>,
@@ -136,7 +134,7 @@ impl StartOffsets {
 }
 
 /// Whole-graph execution-time bounds derived from the offsets of the exits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GraphTiming {
     /// Best-case execution time (min over exits of earliest finish).
     pub bcet: f64,

@@ -1,10 +1,10 @@
 //! Property-based tests for the CFG substrate.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use fnpr_cfg::{
-    natural_loops, reduce_loops, BlockId, Cfg, CfgBuilder, ExecInterval, GraphTiming, LoopBound,
-    Occupancy, StartOffsets,
+    natural_loops, reduce_loops, BlockId, Cfg, CfgBuilder, CfgError, ExecInterval, GraphTiming,
+    LoopBound, Occupancy, StartOffsets,
 };
 use proptest::prelude::*;
 
@@ -218,6 +218,89 @@ proptest! {
             let from_query: Vec<usize> =
                 occ.blocks_at(t).iter().map(|b| b.index()).collect();
             prop_assert_eq!(from_windows, from_query);
+        }
+    }
+}
+
+/// A random graph of 2–7 blocks: a spanning tree from the entry plus extra
+/// edges, self-loops and back edges included (none into the entry, which
+/// has no predecessor).
+fn arb_cyclic_cfg() -> impl Strategy<Value = Cfg> {
+    (
+        2usize..8,
+        prop::collection::vec(0usize..7, 6),
+        prop::collection::vec((0usize..7, 0usize..7), 0..10),
+    )
+        .prop_map(|(n, parents, extra)| {
+            let mut edges: BTreeSet<(usize, usize)> =
+                (1..n).map(|i| (parents[i - 1] % i, i)).collect();
+            edges.extend(extra.iter().map(|&(from, to)| (from % n, 1 + to % (n - 1))));
+            let mut builder = CfgBuilder::new();
+            let iv = ExecInterval::new(1.0, 2.0).unwrap();
+            let ids: Vec<BlockId> = (0..n).map(|_| builder.block(iv)).collect();
+            for (from, to) in edges {
+                builder.edge(ids[from], ids[to]).unwrap();
+            }
+            builder.build().unwrap()
+        })
+}
+
+/// Hecht and Ullman's T1/T2 test: drop self-loops (T1) and merge a block
+/// with a single predecessor into that predecessor (T2) until neither
+/// applies. The graph is reducible exactly when one block is left.
+fn t1_t2_reducible(cfg: &Cfg) -> bool {
+    let n = cfg.len();
+    let mut succs: Vec<BTreeSet<usize>> = (0..n)
+        .map(|i| {
+            cfg.successors(BlockId(i))
+                .iter()
+                .map(|b| b.index())
+                .collect()
+        })
+        .collect();
+    let mut alive: Vec<usize> = (0..n).collect();
+    loop {
+        for (i, out) in succs.iter_mut().enumerate() {
+            out.remove(&i);
+        }
+        let merge = alive.iter().find_map(|&v| {
+            let mut preds = alive.iter().filter(|&&u| succs[u].contains(&v));
+            match (preds.next(), preds.next()) {
+                (Some(&u), None) => Some((u, v)),
+                _ => None,
+            }
+        });
+        let Some((u, v)) = merge else {
+            return alive.len() == 1;
+        };
+        let moved = std::mem::take(&mut succs[v]);
+        succs[u].remove(&v);
+        succs[u].extend(moved);
+        alive.retain(|&b| b != v);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// With every block bounded, loop reduction succeeds exactly on the
+    /// graphs the T1/T2 test calls reducible and reports every other graph
+    /// as irreducible, whether or not the irreducible region sits inside a
+    /// natural loop.
+    #[test]
+    fn reduce_loops_accepts_exactly_the_reducible_graphs(cfg in arb_cyclic_cfg()) {
+        let bound = LoopBound::new(1, 3).unwrap();
+        let bounds: BTreeMap<BlockId, LoopBound> =
+            (0..cfg.len()).map(|i| (BlockId(i), bound)).collect();
+        match reduce_loops(&cfg, &bounds) {
+            Ok(reduced) => {
+                prop_assert!(t1_t2_reducible(&cfg), "reduced an irreducible graph: {:?}", cfg);
+                prop_assert!(reduced.cfg.is_acyclic());
+            }
+            Err(CfgError::Irreducible { .. }) => {
+                prop_assert!(!t1_t2_reducible(&cfg), "refused a reducible graph: {:?}", cfg);
+            }
+            Err(e) => panic!("{e:?} for {cfg:?}"),
         }
     }
 }

@@ -50,8 +50,6 @@
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
-use serde::{Deserialize, Serialize};
-
 use crate::chains;
 use crate::curve::DelayCurve;
 use crate::error::AnalysisError;
@@ -61,7 +59,7 @@ use crate::error::AnalysisError;
 pub const DEFAULT_MAX_ADVERSARY_CANDIDATES: usize = 4_000_000;
 
 /// An exact worst-case preemption scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorstCaseRun {
     /// Preemption progress points and the delay paid at each, in order.
     pub preemptions: Vec<(f64, f64)>,

@@ -17,8 +17,6 @@
 //! preemption delay of **any** run (Theorem 1), so `C′ = C + total_delay` is a
 //! safe inflated WCET (Eq. 5).
 
-use serde::{Deserialize, Serialize};
-
 use crate::cursor::CurveCursor;
 use crate::curve::DelayCurve;
 use crate::error::AnalysisError;
@@ -29,7 +27,7 @@ use crate::error::AnalysisError;
 pub const DEFAULT_MAX_WINDOWS: usize = 10_000_000;
 
 /// One analysed window of Algorithm 1 (one iteration of the main loop).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowRecord {
     /// Zero-based window index (`k` in the paper's proof notation).
     pub index: usize,
@@ -49,7 +47,7 @@ pub struct WindowRecord {
 }
 
 /// Result of a converged Algorithm 1 run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DelayBound {
     /// Upper bound on the cumulative preemption delay (`total_delay`).
     pub total_delay: f64,
@@ -82,7 +80,7 @@ impl DelayBound {
 
 /// Outcome of a delay-bound analysis: either a finite bound or a certificate
 /// that the parameterisation admits no finite bound.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BoundOutcome {
     /// A finite upper bound was computed.
     Converged(DelayBound),

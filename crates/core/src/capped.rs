@@ -24,14 +24,12 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::algorithm1::{run_from, BoundOutcome, DelayBound, DEFAULT_MAX_WINDOWS};
 use crate::curve::DelayCurve;
 use crate::error::AnalysisError;
 
 /// Result of the arrival-capped analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CappedBound {
     /// The plain Algorithm 1 bound (cap ignored).
     pub uncapped: DelayBound,

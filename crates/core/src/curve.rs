@@ -13,8 +13,6 @@
 
 use std::collections::{BinaryHeap, HashMap};
 
-use serde::{Deserialize, Serialize, Value};
-
 use crate::error::CurveError;
 use crate::hash::StructuralHasher;
 
@@ -22,7 +20,7 @@ use crate::hash::StructuralHasher;
 ///
 /// The segment covers the right-open progress interval `[start, end)` and the
 /// curve takes the value `value` everywhere in it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// Inclusive start of the segment, in progress units.
     pub start: f64,
@@ -419,9 +417,8 @@ impl DelayCurve {
     ///
     /// Computed **once** at construction and cached, so memo layers keying
     /// on curve identity (e.g. campaign `(curve, Q)` bound caches) pay O(1)
-    /// per lookup instead of re-hashing every segment. Serde round-trips
-    /// recompute it from the deserialized segments, so the cache can never
-    /// go stale.
+    /// per lookup instead of re-hashing every segment. Every constructor
+    /// computes it from the segments it builds, so it can never go stale.
     ///
     /// ```
     /// use fnpr_core::DelayCurve;
@@ -759,42 +756,6 @@ impl DelayCurve {
     }
 }
 
-// Hand-written (de)serialization: only the defining data (`starts`,
-// `values`, `end`) travels; the cached structural hash is recomputed on
-// deserialization (via the validating constructor), so it can never go
-// stale and old serialized curves stay readable.
-impl Serialize for DelayCurve {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("starts".to_string(), self.starts.to_value()),
-            ("values".to_string(), self.values.to_value()),
-            ("end".to_string(), self.end.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for DelayCurve {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::Error::new("expected a map for DelayCurve"))?;
-        let starts: Vec<f64> =
-            serde::de_field(serde::value::map_get(map, "starts"), "DelayCurve.starts")?;
-        let values: Vec<f64> =
-            serde::de_field(serde::value::map_get(map, "values"), "DelayCurve.values")?;
-        let end: f64 = serde::de_field(serde::value::map_get(map, "end"), "DelayCurve.end")?;
-        if starts.len() != values.len() {
-            return Err(serde::Error::new(format!(
-                "DelayCurve: {} starts but {} values",
-                starts.len(),
-                values.len()
-            )));
-        }
-        DelayCurve::from_breakpoints(starts.into_iter().zip(values), end)
-            .map_err(|e| serde::Error::new(format!("DelayCurve: {e}")))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1074,21 +1035,6 @@ mod tests {
             a.structural_hash(),
             a.scaled(1.0).unwrap().structural_hash()
         );
-    }
-
-    #[test]
-    fn serde_round_trip_recomputes_the_hash() {
-        let f = curve(&[(0.0, 2.0), (4.0, 7.5)], 10.0);
-        let back = DelayCurve::from_value(&f.to_value()).unwrap();
-        assert_eq!(back, f);
-        assert_eq!(back.structural_hash(), f.structural_hash());
-        // Mismatched lengths and invalid shapes are rejected.
-        let broken = serde::Value::Map(vec![
-            ("starts".to_string(), vec![0.0f64, 4.0].to_value()),
-            ("values".to_string(), vec![2.0f64].to_value()),
-            ("end".to_string(), 10.0f64.to_value()),
-        ]);
-        assert!(DelayCurve::from_value(&broken).is_err());
     }
 
     #[test]

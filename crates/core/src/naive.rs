@@ -28,8 +28,6 @@
 //!
 //! [`algorithm1`]: crate::algorithm1
 
-use serde::{Deserialize, Serialize};
-
 use crate::chains;
 use crate::curve::DelayCurve;
 use crate::error::AnalysisError;
@@ -39,7 +37,7 @@ use crate::error::AnalysisError;
 pub const DEFAULT_MAX_CANDIDATES: usize = 4_000_000;
 
 /// Result of the naive maximum-weight point selection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NaiveBound {
     /// The selected preemption points and their delays, in increasing
     /// progress order; pairwise at least `q` apart, all in `[q, C)`.

@@ -14,10 +14,9 @@ use fnpr_sched::{
     rta_floating_npr, DelayMethod, SchedError, Task, TaskSet,
 };
 use fnpr_synth::Policy;
-use serde::{Deserialize, Serialize};
 
 /// Which admitting core receives each task during packing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Heuristic {
     /// Lowest-indexed core that admits the task.
     FirstFit,
@@ -33,7 +32,7 @@ impl Heuristic {
 }
 
 /// A successful assignment of every task to a core.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     /// `assignment[i]` = core of task `i` (original index order).
     pub assignment: Vec<usize>,

@@ -186,9 +186,11 @@ pub fn take_trace_events() -> Vec<TraceEvent> {
 /// `traceEvents` array of `ph: "X"` complete events).
 #[must_use]
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    let trace = Value::Map(vec![("traceEvents".into(), events.to_value())]);
-    let mut json = serde_json::value_to_string(&trace);
-    json.push('\n');
+    // One event's tree at a time: the whole trace as one tree would take
+    // about 0.9 KB per event, against about 100 bytes of text.
+    let mut json = String::from("{\"traceEvents\":");
+    serde_json::append_seq(&mut json, events);
+    json.push_str("}\n");
     json
 }
 
@@ -198,8 +200,6 @@ impl Serialize for TraceEvent {
             let args = Value::Map(vec![("shard".into(), shard.to_value())]);
             ("args".into(), args)
         });
-        // Collected from an exact-size iterator, so the map has no spare
-        // capacity: a trace holds up to `TRACE_EVENT_CAP` of them at once.
         let fields = [
             ("name".into(), self.name.to_value()),
             ("cat".into(), self.cat.to_value()),
@@ -291,6 +291,31 @@ mod tests {
         assert!(json.contains("b \\\"quoted\\\""));
         // Exactly the two events, in order.
         assert_eq!(parsed_names(&json), ["a", "b \"quoted\""]);
+    }
+
+    #[test]
+    fn streamed_trace_matches_the_whole_tree() {
+        const NAMES: [&str; 4] = [
+            "plain",
+            "say \"hi\"",
+            "ctl\u{0}\u{1}\n\u{1f}",
+            "back\\slash",
+        ];
+        let many: Vec<TraceEvent> = (0..40u64)
+            .map(|i| TraceEvent {
+                name: NAMES[i as usize % NAMES.len()],
+                cat: "c\tat",
+                ts_us: i * 7,
+                dur_us: u64::MAX - i,
+                tid: i % 3 + 1,
+                shard: (i % 2 == 0).then_some(i),
+            })
+            .collect();
+        for events in [&[][..], &many[..1], &many[1..2], &many] {
+            let tree = Value::Map(vec![("traceEvents".into(), events.to_value())]);
+            let whole = serde_json::value_to_string(&tree) + "\n";
+            assert_eq!(chrome_trace_json(events), whole);
+        }
     }
 
     /// The event names of a trace document, read back by the shim parser.

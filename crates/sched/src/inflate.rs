@@ -75,7 +75,7 @@ pub enum DelayMethod {
 
 /// Per-task inflation outcome: the inflated WCET, or `None` when the bound
 /// diverges (the task cannot amortise its worst-case delay within `Q`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Inflation {
     /// Inflated WCETs in task-set order (`None` = divergent).
     pub wcets: Vec<Option<f64>>,

@@ -77,8 +77,8 @@ pub use inflate::{
 pub use npr::{blocking_tolerances_fp, max_npr_lengths_edf, max_npr_lengths_fp, NprBounds};
 pub use priority::{audsley_floating_npr, Assignment};
 pub use rta::{
-    floating_npr_blocking, response_time_analysis, response_time_analysis_with_jitter,
-    rta_floating_npr, RtaResult, DEFAULT_MAX_ITERATIONS,
+    floating_npr_blocking, response_time_analysis, rta_floating_npr, RtaResult,
+    DEFAULT_MAX_ITERATIONS,
 };
 pub use sensitivity::{delay_tolerance, scale_delay_curves, DelayTolerance};
 pub use task::{Task, TaskSet};

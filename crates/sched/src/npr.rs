@@ -15,15 +15,13 @@
 //! Unconstrained tasks (shortest deadline / highest priority) get
 //! `f64::INFINITY`; callers typically cap at the task's own WCET.
 
-use serde::{Deserialize, Serialize};
-
 use crate::edf::{demand_horizon, slack, testing_points};
 use crate::error::SchedError;
 use crate::task::TaskSet;
 use crate::util::ceil_div;
 
 /// Per-task maximum region lengths plus the provenance needed to audit them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NprBounds {
     /// Maximum admissible `Qi` per task, in the task set's index order.
     /// `f64::INFINITY` when nothing constrains the task;

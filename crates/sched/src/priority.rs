@@ -11,14 +11,12 @@
 //! schedulable there (given all still-unassigned tasks above it) can take
 //! it; if none can, no fixed-priority ordering works for this test.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::SchedError;
 use crate::task::{Task, TaskSet};
 use crate::util::ceil_div;
 
 /// Outcome of Audsley's assignment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Assignment {
     /// A feasible priority order was found: original task indices from
     /// highest to lowest priority.

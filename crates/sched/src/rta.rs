@@ -9,8 +9,6 @@
 //! `C′ = C + total_delay` with the delay bound from Algorithm 1 or Eq. 4)
 //! and then runs this analysis unchanged — see [`crate::inflate`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::SchedError;
 use crate::task::TaskSet;
 use crate::util::ceil_div;
@@ -25,7 +23,7 @@ pub const DEFAULT_MAX_ITERATIONS: usize = 100_000;
 const TIME_TOLERANCE: f64 = 1e-9;
 
 /// Response-time analysis result for one task set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RtaResult {
     /// Worst-case response time per task (index order), `None` when the
     /// fixpoint exceeded the deadline (the iteration stops there — the task
@@ -133,68 +131,6 @@ fn fixpoint(tasks: &TaskSet, i: usize, block_term: f64) -> Result<Option<f64>, S
     }
 }
 
-/// Jitter-aware RTA: higher-priority releases may be deferred by up to
-/// `jitter[j]` after their nominal arrival, increasing interference to
-/// `⌈(R + Jj)/Tj⌉` jobs, and a task's own response extends to `R + Ji`
-/// (Audsley/Tindell). With all-zero jitters this is exactly
-/// [`response_time_analysis`].
-///
-/// # Errors
-///
-/// As [`response_time_analysis`], with the same validation applied to
-/// `jitter`.
-pub fn response_time_analysis_with_jitter(
-    tasks: &TaskSet,
-    blocking: &[f64],
-    jitter: &[f64],
-) -> Result<RtaResult, SchedError> {
-    if blocking.len() != tasks.len() || jitter.len() != tasks.len() {
-        return Err(SchedError::InvalidTask {
-            what: "terms length",
-            value: blocking.len().min(jitter.len()) as f64,
-        });
-    }
-    for &v in blocking.iter().chain(jitter) {
-        if !(v.is_finite() && v >= 0.0) {
-            return Err(SchedError::InvalidTask {
-                what: "blocking/jitter",
-                value: v,
-            });
-        }
-    }
-    let mut response_times = Vec::with_capacity(tasks.len());
-    for i in 0..tasks.len() {
-        let ti = tasks.task(i);
-        let budget = ti.deadline() - jitter[i];
-        let mut r = ti.wcet() + blocking[i];
-        let mut result = None;
-        for _ in 0..DEFAULT_MAX_ITERATIONS {
-            if r > budget + TIME_TOLERANCE {
-                break;
-            }
-            let mut next = ti.wcet() + blocking[i];
-            for (j, &jj) in jitter.iter().enumerate().take(i) {
-                let tj = tasks.task(j);
-                next += ceil_div(r + jj, tj.period()) * tj.wcet();
-            }
-            if next == r {
-                // Report the release-relative response (busy time + own
-                // jitter).
-                result = Some(r + jitter[i]);
-                break;
-            }
-            r = next;
-        }
-        if result.is_none() && r <= budget + TIME_TOLERANCE {
-            return Err(SchedError::IterationLimit {
-                limit: DEFAULT_MAX_ITERATIONS,
-            });
-        }
-        response_times.push(result);
-    }
-    Ok(RtaResult { response_times })
-}
-
 /// Blocking terms for floating-NPR fixed-priority scheduling: task `i` can
 /// be blocked by the longest region of any lower-priority task.
 ///
@@ -296,43 +232,6 @@ mod tests {
         let rta = response_time_analysis(&tasks, &[0.0, 0.0]).unwrap();
         let r = rta.response_times[1].expect("schedulable");
         assert!((r - 1.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn jitter_free_matches_plain_rta() {
-        let tasks = ts(&[(1.0, 4.0), (2.0, 6.0), (3.0, 13.0)]);
-        let plain = response_time_analysis(&tasks, &[0.0; 3]).unwrap();
-        let jittered = response_time_analysis_with_jitter(&tasks, &[0.0; 3], &[0.0; 3]).unwrap();
-        assert_eq!(plain.response_times, jittered.response_times);
-    }
-
-    #[test]
-    fn jitter_increases_interference() {
-        // τ2 at R=3 sees one τ1 job without jitter; with J1 = 1.5 the
-        // second τ1 release at 4 slides into the window: ceil((3+1.5)/4)=2.
-        let tasks = ts(&[(1.0, 4.0), (2.0, 6.0)]);
-        let plain = response_time_analysis_with_jitter(&tasks, &[0.0; 2], &[0.0; 2]).unwrap();
-        assert_eq!(plain.response_times[1], Some(3.0));
-        let jittered = response_time_analysis_with_jitter(&tasks, &[0.0; 2], &[1.5, 0.0]).unwrap();
-        assert_eq!(jittered.response_times[1], Some(4.0)); // 2 + 2x1
-    }
-
-    #[test]
-    fn own_jitter_extends_response_and_tightens_deadline() {
-        let tasks = ts(&[(2.0, 10.0)]);
-        let r = response_time_analysis_with_jitter(&tasks, &[0.0], &[3.0]).unwrap();
-        assert_eq!(r.response_times[0], Some(5.0)); // 2 busy + 3 jitter
-                                                    // Jitter eating the whole deadline budget fails.
-        let tight = ts(&[(2.0, 10.0)]);
-        let r = response_time_analysis_with_jitter(&tight, &[0.0], &[9.0]).unwrap();
-        assert_eq!(r.response_times[0], None);
-    }
-
-    #[test]
-    fn jitter_validation() {
-        let tasks = ts(&[(1.0, 4.0)]);
-        assert!(response_time_analysis_with_jitter(&tasks, &[0.0], &[]).is_err());
-        assert!(response_time_analysis_with_jitter(&tasks, &[0.0], &[-1.0]).is_err());
     }
 
     #[test]

@@ -7,14 +7,13 @@
 //! head-room (e.g. for cache-size reduction studies), below 1 the shortfall.
 
 use fnpr_core::DelayCurve;
-use serde::{Deserialize, Serialize};
 
 use crate::error::SchedError;
 use crate::inflate::{fp_schedulable_with_delay, DelayMethod};
 use crate::task::{Task, TaskSet};
 
 /// Result of the delay-scale bisection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayTolerance {
     /// Largest accepted scale factor found (within `precision`).
     pub max_scale: f64,

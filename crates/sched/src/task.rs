@@ -1,7 +1,6 @@
 //! The sporadic task model of the paper's Section III.
 
 use fnpr_core::DelayCurve;
-use serde::{Deserialize, Serialize};
 
 use crate::error::SchedError;
 
@@ -27,7 +26,7 @@ use crate::error::SchedError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Task {
     wcet: f64,
     period: f64,
@@ -189,7 +188,7 @@ impl Task {
 ///
 /// Index order is *priority order for fixed-priority analyses* (task 0 has
 /// the highest priority); EDF analyses ignore the order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskSet {
     tasks: Vec<Task>,
 }

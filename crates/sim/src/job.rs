@@ -1,11 +1,9 @@
 //! Per-job simulation state and the exported records.
 
-use serde::{Deserialize, Serialize};
-
 use crate::scenario::SimTask;
 
 /// Mutable job state inside the engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct JobState {
     /// Dense id in release order.
     pub id: usize,
@@ -98,7 +96,7 @@ impl JobState {
 }
 
 /// Immutable per-job outcome exported by the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobRecord {
     /// Dense id in release order.
     pub id: usize,

@@ -57,7 +57,7 @@ mod trace;
 mod validate;
 
 pub use job::JobRecord;
-pub use metrics::{per_task_metrics, run_metrics, RunMetrics, TaskMetrics};
+pub use metrics::{per_task_metrics, TaskMetrics};
 pub use multi::{simulate, SimResult};
 pub use policy::{PreemptionMode, PriorityPolicy, SimConfig};
 pub use render::render_timeline;

@@ -1,11 +1,9 @@
 //! Aggregate metrics over simulation results.
 
-use serde::{Deserialize, Serialize};
-
 use crate::multi::SimResult;
 
 /// Aggregates for one task across a run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskMetrics {
     /// Task index.
     pub task: usize,
@@ -65,42 +63,6 @@ pub fn per_task_metrics(result: &SimResult, task_count: usize) -> Vec<TaskMetric
         .collect()
 }
 
-/// Whole-run summary.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RunMetrics {
-    /// Total jobs released.
-    pub jobs: usize,
-    /// Total preemptions.
-    pub preemptions: u64,
-    /// Total migrations (0 when `cores = 1`).
-    pub migrations: u64,
-    /// Total preemption delay.
-    pub total_delay: f64,
-    /// Total deadline misses.
-    pub misses: usize,
-}
-
-/// Computes the whole-run summary.
-#[must_use]
-pub fn run_metrics(result: &SimResult) -> RunMetrics {
-    let mut m = RunMetrics {
-        jobs: result.jobs.len(),
-        preemptions: 0,
-        migrations: 0,
-        total_delay: 0.0,
-        misses: 0,
-    };
-    for job in &result.jobs {
-        m.preemptions += u64::from(job.preemptions);
-        m.migrations += u64::from(job.migrations);
-        m.total_delay += job.cumulative_delay;
-        if !job.deadline_met() {
-            m.misses += 1;
-        }
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,8 +89,6 @@ mod tests {
         assert_eq!(m.completed, 2);
         assert_eq!(m.misses, 2);
         assert_eq!(m.max_response, Some(3.0));
-        let run = run_metrics(&r);
-        assert_eq!(run.misses, 2);
     }
 
     #[test]
@@ -185,10 +145,5 @@ mod tests {
         assert_eq!(per_task[1].total_delay, 2.0);
         assert_eq!(per_task[1].max_job_delay, 2.0);
         assert_eq!(per_task[1].misses, 0);
-        let run = run_metrics(&r);
-        assert_eq!(run.jobs, 2);
-        assert_eq!(run.preemptions, 1);
-        assert_eq!(run.total_delay, 2.0);
-        assert_eq!(run.misses, 0);
     }
 }

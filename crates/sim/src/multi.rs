@@ -38,8 +38,6 @@
 //! paper's Theorem 1 bound applies per job at any core count, and
 //! [`crate::check_against_algorithm1`] validates it empirically.
 
-use serde::{Deserialize, Serialize};
-
 use crate::job::{JobRecord, JobState};
 use crate::policy::{PreemptionMode, PriorityPolicy, SimConfig};
 use crate::scenario::Scenario;
@@ -49,7 +47,7 @@ use crate::trace::TraceEvent;
 const MAX_EVENTS: usize = 50_000_000;
 
 /// Result of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// One record per job, in release order.
     pub jobs: Vec<JobRecord>,

@@ -1,9 +1,7 @@
 //! Scheduling policy configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// How job priorities are ordered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PriorityPolicy {
     /// Fixed task priorities: lower task index = higher priority.
     FixedPriority,
@@ -14,7 +12,7 @@ pub enum PriorityPolicy {
 
 /// How preemptions are handled — the three categories of the paper's
 /// introduction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PreemptionMode {
     /// Fully preemptive: the highest-priority ready job always gets the
     /// processor immediately.
@@ -29,7 +27,7 @@ pub enum PreemptionMode {
 }
 
 /// Full simulator configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Number of identical cores (`m >= 1`) under global dispatching; the
     /// constructors set 1, the paper's unicore model.

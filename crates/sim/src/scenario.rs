@@ -3,10 +3,9 @@
 use fnpr_core::DelayCurve;
 use fnpr_sched::TaskSet;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A task as the simulator sees it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimTask {
     /// Execution requirement of each job (useful work, excluding preemption
     /// delay).
@@ -23,7 +22,7 @@ pub struct SimTask {
 }
 
 /// A complete scenario: tasks plus an explicit, time-sorted release list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// The tasks, index = fixed priority (0 highest).
     pub tasks: Vec<SimTask>,
@@ -33,7 +32,7 @@ pub struct Scenario {
 
 /// Output of [`Scenario::adversary`]: the scenario plus the exact delay the
 /// constructed run pays, for equality assertions in tests.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdversaryPlan {
     /// The runnable scenario (task 0 = spike, task 1 = victim).
     pub scenario: Scenario,

@@ -1,13 +1,11 @@
 //! Simulation event traces.
 
-use serde::{Deserialize, Serialize};
-
 /// One scheduler event (recorded when tracing is enabled).
 ///
 /// Within one instant, events follow the engine's processing order:
 /// completions, then every release of that instant, then region expiries,
 /// then the dispatches, regions and preemptions these trigger.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceEvent {
     /// A job arrived in the ready queue.
     Released {

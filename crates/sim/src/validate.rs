@@ -2,12 +2,11 @@
 //! observed cumulative delays against the static bounds.
 
 use fnpr_core::{algorithm1, AnalysisError, BoundOutcome, DelayCurve};
-use serde::{Deserialize, Serialize};
 
 use crate::multi::SimResult;
 
 /// Outcome of checking one task's simulated delays against a bound.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundCheck {
     /// The static bound compared against (`None` = divergent analysis, i.e.
     /// an infinite bound that trivially holds).

@@ -10,10 +10,9 @@ use std::collections::BTreeMap;
 
 use fnpr_cfg::{BlockId, Cfg, CfgBuilder, CfgError, ExecInterval, LoopBound};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters for [`random_cfg`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CfgGenParams {
     /// Maximum nesting depth of regions.
     pub max_depth: usize,
@@ -47,7 +46,7 @@ impl Default for CfgGenParams {
 
 /// A generated graph: the CFG, the loop bounds its reduction needs, and a
 /// straight-line code layout for cache analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeneratedCfg {
     /// The (possibly cyclic) control-flow graph.
     pub cfg: Cfg,

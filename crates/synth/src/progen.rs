@@ -19,7 +19,6 @@
 use fnpr_cfg::ast::{compile, CompiledProgram, Stmt};
 use fnpr_cfg::CfgError;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Base byte address of the synthetic data region. Code layouts start at 0
 /// and span `blocks × block_bytes` bytes — far below this — so data and
@@ -32,7 +31,7 @@ pub const DATA_BASE: u64 = 1 << 20;
 pub const DATA_STRIDE: u64 = 64;
 
 /// Parameters for [`random_program`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProgramGenParams {
     /// Maximum nesting depth of regions (0 = a single basic block).
     pub max_depth: usize,

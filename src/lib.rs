@@ -13,7 +13,7 @@
 //! |--------|-------|----------|
 //! | [`core`] | `fnpr-core` | [`DelayCurve`], **Algorithm 1** ([`algorithm1`]), the Eq. 4 baseline ([`eq4_bound`]), the naive unsound bound, the exact adversary |
 //! | [`cfg`](mod@crate::cfg) | `fnpr-cfg` | basic blocks, Eqs. 1–3 start offsets, loop reduction, call graphs, `BB(t)` occupancy |
-//! | [`cache`] | `fnpr-cache` | cache geometry, UCB/ECB analyses, per-block CRPD, concrete cache simulator |
+//! | [`cache`] | `fnpr-cache` | cache geometry, UCB/ECB analyses, per-block CRPD |
 //! | [`sched`] | `fnpr-sched` | task model, fixed-priority RTA, EDF demand tests, `Qi` determination, Eq. 5 inflation |
 //! | [`sim`] | `fnpr-sim` | floating-NPR scheduler simulator with delay injection (unicore + m-core) |
 //! | [`synth`] | `fnpr-synth` | Figure-4 curves, UUniFast task sets, random CFGs |
