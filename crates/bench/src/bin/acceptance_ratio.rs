@@ -15,7 +15,7 @@
 //!
 //! Usage: `cargo run -p fnpr-bench --bin acceptance_ratio [sets_per_point]`
 
-use fnpr_campaign::spec::{AcceptanceSpec, GridSpec};
+use fnpr_campaign::spec::AcceptanceParams;
 use fnpr_campaign::{run_campaign, CampaignSpec, WorkloadKind};
 
 fn main() {
@@ -28,15 +28,9 @@ fn main() {
         name: Some("acceptance_ratio".into()),
         seed: Some(2012),
         workload: Some(WorkloadKind::Acceptance),
-        acceptance: Some(AcceptanceSpec {
-            sets_per_point: Some(sets_per_point),
-            utilizations: Some(GridSpec {
-                start: Some(0.3),
-                stop: Some(0.9),
-                step: Some(0.1),
-                values: None,
-            }),
-            ..AcceptanceSpec::default()
+        acceptance: Some(AcceptanceParams {
+            sets_per_point,
+            ..AcceptanceParams::default()
         }),
         ..CampaignSpec::default()
     };

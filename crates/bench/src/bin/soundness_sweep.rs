@@ -16,7 +16,7 @@
 //!
 //! Usage: `cargo run -p fnpr-bench --bin soundness_sweep [trials]`
 
-use fnpr_campaign::spec::SoundnessSpec;
+use fnpr_campaign::spec::SoundnessParams;
 use fnpr_campaign::{run_campaign, CampaignSpec, WorkloadKind};
 
 fn main() {
@@ -29,10 +29,9 @@ fn main() {
         name: Some("soundness_sweep".into()),
         seed: Some(2012),
         workload: Some(WorkloadKind::Soundness),
-        soundness: Some(SoundnessSpec {
-            trials: Some(trials),
-            simulate: Some(true),
-            ..SoundnessSpec::default()
+        soundness: Some(SoundnessParams {
+            trials,
+            ..SoundnessParams::default()
         }),
         ..CampaignSpec::default()
     };

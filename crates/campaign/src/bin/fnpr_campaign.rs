@@ -10,7 +10,8 @@
 //! fnpr-campaign example-spec         # print a template TOML spec
 //! ```
 //!
-//! Exit codes: 0 on success, 1 on usage/spec errors, 2 when the run
+//! Exit codes: 0 on success, 1 on usage/spec errors (a spec error is one
+//! line naming its key, without the usage text), 2 when the run
 //! completed but the paper's dominance/soundness claims were violated —
 //! or, for `history --check`, when a performance regression was detected.
 
@@ -20,7 +21,7 @@ use std::process::ExitCode;
 use fnpr_campaign::spec::{allocation_label, policy_label};
 use fnpr_campaign::store::{GcPolicy, ResultStore};
 use fnpr_campaign::{
-    history, ledger, run_campaign_with_store, CampaignSpec, GridWorkload, Workload,
+    history, ledger, run_campaign_with_store, CampaignError, CampaignSpec, GridWorkload, Workload,
 };
 
 struct RunArgs {
@@ -167,7 +168,7 @@ fn parse_history_args(args: &[String]) -> Result<HistoryArgs, String> {
 fn cmd_run(args: &RunArgs) -> ExitCode {
     let campaign = match CampaignSpec::load_validated(&args.spec) {
         Ok(campaign) => campaign,
-        Err(e) => return usage_error(&e.to_string()),
+        Err(e) => return spec_error(&e),
     };
     // Telemetry: CLI flags win over the spec's [telemetry] table. The
     // whole subsystem is a write-only side channel — aggregates are
@@ -380,7 +381,7 @@ fn emit(target: Option<&str>, content: &str, stdout_default: bool) -> std::io::R
 fn cmd_grid(path: &Path) -> ExitCode {
     let campaign = match CampaignSpec::load_validated(path) {
         Ok(campaign) => campaign,
-        Err(e) => return usage_error(&e.to_string()),
+        Err(e) => return spec_error(&e),
     };
     println!("campaign: {}", campaign.name);
     println!("seed: {}", campaign.seed);
@@ -640,6 +641,13 @@ fn cmd_store_gc(path: &Path, policy: &GcPolicy) -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// A spec that cannot be read, parsed or validated: one line naming the
+/// problem, without the usage text (the arguments were fine).
+fn spec_error(e: &CampaignError) -> ExitCode {
+    eprintln!("fnpr-campaign: {e}");
+    ExitCode::FAILURE
 }
 
 fn usage_error(msg: &str) -> ExitCode {

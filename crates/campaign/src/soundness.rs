@@ -222,9 +222,9 @@ mod tests {
     fn small_params(trials: usize, simulate: bool) -> SoundnessParams {
         let spec = CampaignSpec {
             workload: Some(WorkloadKind::Soundness),
-            soundness: Some(crate::spec::SoundnessSpec {
-                trials: Some(trials),
-                simulate: Some(simulate),
+            soundness: Some(crate::spec::SoundnessParams {
+                trials,
+                simulate,
                 ..Default::default()
             }),
             ..CampaignSpec::default()

@@ -1,13 +1,18 @@
 //! Scenario specs: the serde-backed description of a campaign.
 //!
 //! A spec file (TOML or JSON) names a workload, its parameter grid, and
-//! where to put the results. [`CampaignSpec`] is the raw deserialized
-//! form — almost everything optional — and [`Campaign`] is the validated
-//! form with defaults applied, which the executor consumes.
+//! where to put the results. [`CampaignSpec`] is the file as written: each
+//! workload table deserializes straight into its `*Params` type, whose
+//! `Default` fills absent keys, and an unknown key is a parse error.
+//! [`CampaignSpec::validate`] expands the grid axes and checks every value
+//! into the [`Campaign`] the executor runs.
+
+use std::fmt;
+use std::ops::Deref;
 
 use fnpr_multicore::Heuristic;
-use fnpr_sched::DelayMethod;
-use fnpr_synth::{Policy, ProgramGenParams, TaskSetParams};
+use fnpr_sched::{DelayMethod, Task};
+use fnpr_synth::{Policy, ProgramGenParams, TaskSetParams, DATA_STRIDE};
 use serde::{Deserialize, Serialize};
 
 use crate::error::CampaignError;
@@ -76,9 +81,10 @@ impl Allocation {
     }
 }
 
-/// Raw deserialized campaign spec (everything optional; see [`Campaign`]
-/// for the defaults).
+/// A campaign spec as written: every key is optional ([`Campaign`] holds
+/// the values that apply), and an unknown key is an error.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct CampaignSpec {
     /// Campaign name, used in report headers and default output paths.
     pub name: Option<String>,
@@ -92,14 +98,14 @@ pub struct CampaignSpec {
     /// present, that workload is inferred; otherwise the default is
     /// acceptance.
     pub workload: Option<WorkloadKind>,
-    /// Acceptance-workload parameters.
-    pub acceptance: Option<AcceptanceSpec>,
-    /// Soundness-workload parameters.
-    pub soundness: Option<SoundnessSpec>,
-    /// Multicore-workload parameters.
-    pub multicore: Option<MulticoreSpec>,
-    /// CFG-workload parameters.
-    pub cfg: Option<CfgSpec>,
+    /// The `[acceptance]` table.
+    pub acceptance: Option<AcceptanceParams>,
+    /// The `[soundness]` table.
+    pub soundness: Option<SoundnessParams>,
+    /// The `[multicore]` table.
+    pub multicore: Option<MulticoreParams>,
+    /// The `[cfg]` table.
+    pub cfg: Option<CfgParams>,
     /// Output locations.
     pub output: Option<OutputSpec>,
     /// Persistent result store ([`crate::store`]).
@@ -108,210 +114,296 @@ pub struct CampaignSpec {
     pub telemetry: Option<TelemetrySpec>,
 }
 
-/// A one-dimensional sweep axis: either an explicit `values` list or an
-/// inclusive `start`/`stop` range with `step`.
+/// A sweep axis: an explicit `values` list or an inclusive `start`/`stop`
+/// range with `step`, which validation expands into `values` in place.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct GridSpec {
     /// Range start (inclusive).
     pub start: Option<f64>,
     /// Range stop (inclusive, up to float slack).
     pub stop: Option<f64>,
-    /// Range step (> 0).
+    /// Range step (> 0; default 0.1).
     pub step: Option<f64>,
     /// Explicit values (overrides the range fields).
     pub values: Option<Vec<f64>>,
 }
 
 impl GridSpec {
-    /// Expands the axis into concrete values.
-    ///
-    /// # Errors
-    ///
-    /// Rejects empty axes, non-positive steps, reversed ranges and ranges
-    /// with more values than the allocator can hold.
-    pub fn expand(&self) -> Result<Vec<f64>, CampaignError> {
+    /// The inclusive range `start..=stop` by `step`.
+    fn range(start: f64, stop: f64, step: f64) -> Self {
+        Self {
+            start: Some(start),
+            stop: Some(stop),
+            step: Some(step),
+            values: None,
+        }
+    }
+
+    /// Replaces the axis by its values, naming its `key` in any error (an
+    /// empty axis, a bad range, more values than the allocator grants).
+    fn expand(&mut self, key: &str) -> Check {
+        let grid = format!("{key}: grid");
         if let Some(values) = &self.values {
-            if values.is_empty() {
-                return Err(CampaignError::Spec("grid `values` is empty".into()));
-            }
-            return Ok(values.clone());
+            let subject = format_args!("{grid} `values`");
+            return require(!values.is_empty(), subject, "is empty");
         }
         let (Some(start), Some(stop)) = (self.start, self.stop) else {
-            return Err(CampaignError::Spec(
-                "grid needs either `values` or `start`/`stop`".into(),
-            ));
+            return Err(invalid(grid, "needs either `values` or `start`/`stop`"));
         };
         let step = self.step.unwrap_or(0.1);
-        if !start.is_finite()
-            || !stop.is_finite()
-            || !step.is_finite()
-            || step <= 0.0
-            || stop < start
-        {
-            return Err(CampaignError::Spec(format!(
-                "bad grid range: start {start}, stop {stop}, step {step}"
-            )));
-        }
+        let range = format!("start {start}, stop {stop}, step {step}");
+        let finite = start.is_finite() && stop.is_finite() && step.is_finite();
+        let ok = finite && step > 0.0 && stop >= start;
+        require(ok, format_args!("{key}: bad grid range:"), &range)?;
         let count = ((stop - start) / step + 1.5).floor() as usize;
-        let mut values = try_vec(count).ok_or_else(|| {
-            CampaignError::Spec(format!(
-                "grid range expands to {count} values, more than this host can allocate: \
-                 start {start}, stop {stop}, step {step}"
-            ))
-        })?;
-        values.extend(
-            (0..count)
-                .map(|i| start + step * i as f64)
-                .filter(|&u| u <= stop + 1e-9),
-        );
-        if values.is_empty() {
-            return Err(CampaignError::Spec(format!(
-                "grid range expanded to no values: start {start}, stop {stop}, step {step}"
-            )));
+        let mut values = Vec::new();
+        if values.try_reserve_exact(count).is_err() {
+            let subject = format_args!("{grid} range expands to {count} values,");
+            let rule = format_args!("more than this host can allocate: {range}");
+            return Err(invalid(subject, rule));
         }
-        Ok(values)
+        // At least `start` itself: `count >= 1` once `stop >= start`.
+        let steps = (0..count).map(|i| start + step * i as f64);
+        values.extend(steps.filter(|&u| u <= stop + 1e-9));
+        self.values = Some(values);
+        Ok(())
     }
 }
 
-/// Acceptance-ratio workload parameters.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct AcceptanceSpec {
+impl Deref for GridSpec {
+    type Target = [f64];
+
+    /// The axis values (none for an unexpanded range).
+    fn deref(&self) -> &[f64] {
+        self.values.as_deref().unwrap_or_default()
+    }
+}
+
+impl<'a> IntoIterator for &'a GridSpec {
+    type Item = &'a f64;
+    type IntoIter = std::slice::Iter<'a, f64>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// The policies a task-set sweep covers by default.
+const POLICIES: [Policy; 2] = [Policy::FixedPriority, Policy::Edf];
+
+/// The WCET-inflation methods a task-set sweep compares by default.
+const METHODS: [DelayMethod; 4] = [
+    DelayMethod::None,
+    DelayMethod::Eq4,
+    DelayMethod::Algorithm1,
+    DelayMethod::Algorithm1Capped,
+];
+
+/// Acceptance-ratio workload parameters: the `[acceptance]` table.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
+pub struct AcceptanceParams {
     /// Random task sets per grid point (default 200).
-    pub sets_per_point: Option<usize>,
+    pub sets_per_point: usize,
     /// Resampling budget per set: at most `sets_per_point ×` this many
     /// attempts per point (default 50).
-    pub max_attempts_factor: Option<usize>,
+    pub max_attempts_factor: usize,
     /// Scheduling policies to sweep (default: fixed-priority and EDF).
-    pub policies: Option<Vec<Policy>>,
+    pub policies: Vec<Policy>,
     /// Utilization axis (default 0.3..=0.9 step 0.1).
-    pub utilizations: Option<GridSpec>,
+    pub utilizations: GridSpec,
     /// WCET-inflation methods to compare (default: all four).
-    pub methods: Option<Vec<DelayMethod>>,
+    pub methods: Vec<DelayMethod>,
     /// `Qi` scale relative to each task's maximum admissible region
     /// (default 0.8).
-    pub q_scale: Option<f64>,
+    pub q_scale: f64,
     /// Delay-curve peak as a fraction of `Qi` (default 0.6).
-    pub delay_frac: Option<f64>,
+    pub delay_frac: f64,
     /// Task-set generation template; its `utilization` field is replaced by
     /// each grid point's value (default [`TaskSetParams::default`]).
-    pub taskset: Option<TaskSetParams>,
+    pub taskset: TaskSetParams,
 }
 
-/// Soundness-sweep workload parameters.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct SoundnessSpec {
+impl Default for AcceptanceParams {
+    fn default() -> Self {
+        Self {
+            sets_per_point: 200,
+            max_attempts_factor: 50,
+            policies: POLICIES.to_vec(),
+            utilizations: GridSpec::range(0.3, 0.9, 0.1),
+            methods: METHODS.to_vec(),
+            q_scale: 0.8,
+            delay_frac: 0.6,
+            taskset: TaskSetParams::default(),
+        }
+    }
+}
+
+/// Soundness-sweep workload parameters: the `[soundness]` table.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
+pub struct SoundnessParams {
     /// Number of random curves (default 300).
-    pub trials: Option<usize>,
+    pub trials: usize,
     /// Trials per shard — the executor's work unit and CSV row granularity
     /// (default 1: one row per trial, like the original binary).
-    pub trials_per_shard: Option<usize>,
+    pub trials_per_shard: usize,
     /// Whether to validate each bound against the discrete-event simulator
     /// (default true).
-    pub simulate: Option<bool>,
+    pub simulate: bool,
     /// Task length `C` range (default `[50, 400]`).
-    pub c_range: Option<(f64, f64)>,
+    pub c_range: (f64, f64),
     /// Step-curve segment count range, half-open (default `[2, 12)`).
-    pub segments: Option<(u64, u64)>,
+    pub segments: (u64, u64),
     /// Curve max value range (default `[1, 8]`).
-    pub max_value_range: Option<(f64, f64)>,
+    pub max_value_range: (f64, f64),
     /// Slack of `Q` above the curve maximum (default `[0.5, 10]`).
-    pub q_slack_range: Option<(f64, f64)>,
+    pub q_slack_range: (f64, f64),
 }
 
-/// Multicore-workload parameters.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct MulticoreSpec {
+impl Default for SoundnessParams {
+    fn default() -> Self {
+        Self {
+            trials: 300,
+            trials_per_shard: 1,
+            simulate: true,
+            c_range: (50.0, 400.0),
+            segments: (2, 12),
+            max_value_range: (1.0, 8.0),
+            q_slack_range: (0.5, 10.0),
+        }
+    }
+}
+
+/// Multicore-workload parameters: the `[multicore]` table.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
+pub struct MulticoreParams {
     /// Random task sets per grid point (default 60).
-    pub sets_per_point: Option<usize>,
+    pub sets_per_point: usize,
     /// Resampling budget per set (default 50 attempts).
-    pub max_attempts_factor: Option<usize>,
+    pub max_attempts_factor: usize,
     /// Core-count axis (default `[2, 4]`).
-    pub cores: Option<Vec<usize>>,
+    pub cores: Vec<usize>,
     /// Tasks per core: `n = m × tasks_per_core` (default 3).
-    pub tasks_per_core: Option<usize>,
+    pub tasks_per_core: usize,
     /// Scheduling policies to sweep (default: fixed-priority and EDF).
-    pub policies: Option<Vec<Policy>>,
+    pub policies: Vec<Policy>,
     /// Allocation axis (default: all three heuristics plus global).
-    pub allocations: Option<Vec<Allocation>>,
+    pub allocations: Vec<Allocation>,
     /// *Per-core* utilization axis: each set targets `m·U` total
     /// (default 0.3..=0.7 step 0.1).
-    pub utilizations: Option<GridSpec>,
+    pub utilizations: GridSpec,
     /// WCET-inflation methods to compare (default: all four).
-    pub methods: Option<Vec<DelayMethod>>,
+    pub methods: Vec<DelayMethod>,
     /// `Qi` scale: fraction of the admissible bound (partitioned) or of
     /// the WCET (global); default 0.8.
-    pub q_scale: Option<f64>,
+    pub q_scale: f64,
     /// Delay-curve peak as a fraction of `Qi` (default 0.6).
-    pub delay_frac: Option<f64>,
+    pub delay_frac: f64,
     /// Run the m-core simulator against the Algorithm 1 per-job bound on
     /// sampled instances (default true).
-    pub simulate: Option<bool>,
+    pub simulate: bool,
     /// Instances per grid point fed to the simulator (default 2).
-    pub sim_per_point: Option<usize>,
+    pub sim_per_point: usize,
     /// Simulation horizon as a multiple of the largest period (default 3).
-    pub sim_horizon_factor: Option<f64>,
+    pub sim_horizon_factor: f64,
     /// Task-set generation template; `n` and `utilization` are replaced by
     /// the grid (default [`TaskSetParams::default`]).
-    pub taskset: Option<TaskSetParams>,
+    pub taskset: TaskSetParams,
 }
 
-/// CFG-workload parameters: generated structured programs through the full
-/// pipeline, swept over program-shape axes (depth × loop bound × data
-/// footprint), cache-geometry axes (sets × associativity × line size ×
-/// reload cost) and a `Qi` axis.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct CfgSpec {
+impl Default for MulticoreParams {
+    fn default() -> Self {
+        Self {
+            sets_per_point: 60,
+            max_attempts_factor: 50,
+            cores: vec![2, 4],
+            tasks_per_core: 3,
+            policies: POLICIES.to_vec(),
+            allocations: vec![
+                Allocation::FirstFit,
+                Allocation::WorstFit,
+                Allocation::BestFit,
+                Allocation::Global,
+            ],
+            utilizations: GridSpec::range(0.3, 0.7, 0.1),
+            methods: METHODS.to_vec(),
+            q_scale: 0.8,
+            delay_frac: 0.6,
+            simulate: true,
+            sim_per_point: 2,
+            sim_horizon_factor: 3.0,
+            taskset: TaskSetParams::default(),
+        }
+    }
+}
+
+/// CFG-workload parameters, the `[cfg]` table: generated structured
+/// programs through the full pipeline, swept over program-shape axes
+/// (depth × loop bound × data footprint), cache-geometry axes (sets ×
+/// associativity × line size × reload cost) and a `Qi` axis.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
+pub struct CfgParams {
     /// Generated programs per grid point (default 8).
-    pub programs_per_point: Option<usize>,
+    pub programs_per_point: usize,
     /// Free-form label prefixed to every row's shape tag (default none).
     /// Arbitrary text is fine — CSV output quotes it per RFC 4180.
-    pub tag: Option<String>,
+    pub tag: String,
     /// Program nesting-depth axis (default `[2, 3]`; 0 = single block).
-    pub depths: Option<Vec<usize>>,
+    pub depths: Vec<usize>,
     /// Maximum-loop-iteration axis (default `[4]`).
-    pub loop_iterations: Option<Vec<u64>>,
+    pub loop_iterations: Vec<u64>,
     /// Data-footprint axis: distinct data lines per program (default
     /// `[8]`; 0 = instruction fetches only).
-    pub footprints: Option<Vec<u64>>,
+    pub footprints: Vec<u64>,
     /// `Qi` axis as fractions of each program's WCET (default
     /// `[0.25, 0.5]`).
-    pub q_scales: Option<GridSpec>,
+    pub q_scales: GridSpec,
     /// Cache-set axis (default `[32]`).
-    pub sets: Option<Vec<usize>>,
+    pub sets: Vec<usize>,
     /// Associativity axis (default `[1]`).
-    pub associativity: Option<Vec<usize>>,
+    pub associativity: Vec<usize>,
     /// Line-size axis in bytes (default `[16]`; at most the generator's
-    /// data stride, [`fnpr_synth::DATA_STRIDE`], so footprint entries
-    /// cannot alias onto one line).
-    pub line_bytes: Option<Vec<u64>>,
-    /// Block-reload-time axis (default `[10.0]`).
-    pub reload_cost: Option<Vec<f64>>,
-    /// Program-generation template; `max_depth`, `max_loop_iterations` and
-    /// `footprint_lines` are replaced by the grid axes.
-    pub program: Option<ProgramSpec>,
+    /// data stride, [`DATA_STRIDE`], so footprint entries cannot alias
+    /// onto one line).
+    pub line_bytes: Vec<u64>,
+    /// Block-reload-time axis, written `reload_cost` (default `[10.0]`).
+    #[serde(rename = "reload_cost")]
+    pub reload_costs: Vec<f64>,
+    /// Program-generation template, the `[cfg.program]` table (default
+    /// [`ProgramGenParams::default`]); the grid sets its `max_depth`,
+    /// `max_loop_iterations` and `footprint_lines`.
+    pub program: ProgramGenParams,
 }
 
-/// Optional overrides for the non-axis program-generation parameters (see
-/// [`fnpr_synth::ProgramGenParams`] for the semantics and defaults).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct ProgramSpec {
-    /// Maximum children of a sequence region.
-    pub max_sequence: Option<usize>,
-    /// Per-block execution-time range.
-    pub cost_range: Option<(f64, f64)>,
-    /// Probability of a region being a branch.
-    pub branch_probability: Option<f64>,
-    /// Probability of a region being a loop.
-    pub loop_probability: Option<f64>,
-    /// Code bytes per basic block.
-    pub block_bytes: Option<u64>,
-    /// Inclusive range of data accesses per basic block.
-    pub accesses_per_block: Option<(usize, usize)>,
+impl Default for CfgParams {
+    fn default() -> Self {
+        Self {
+            programs_per_point: 8,
+            tag: String::new(),
+            depths: vec![2, 3],
+            loop_iterations: vec![4],
+            footprints: vec![8],
+            q_scales: GridSpec {
+                values: Some(vec![0.25, 0.5]),
+                ..GridSpec::default()
+            },
+            sets: vec![32],
+            associativity: vec![1],
+            line_bytes: vec![16],
+            reload_costs: vec![10.0],
+            program: ProgramGenParams::default(),
+        }
+    }
 }
 
 /// Where to write results. Relative paths resolve against the working
 /// directory of the `fnpr-campaign` process.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct OutputSpec {
     /// CSV aggregate path (`-` or absent: stdout).
     pub csv: Option<String>,
@@ -326,6 +418,7 @@ pub struct OutputSpec {
 /// (aggregates stay byte-identical either way). The CLI's `--store` flag
 /// overrides the path; restored/computed counts print on stderr.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct StoreSpec {
     /// Store directory path (relative paths resolve against the working
     /// directory). Required when the `[store]` table is present.
@@ -339,6 +432,7 @@ pub struct StoreSpec {
 /// [`Campaign::scenario_hash`] — observing a run cannot change what it
 /// computes.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct TelemetrySpec {
     /// Metrics-snapshot JSON path (absent: not emitted unless `--metrics`
     /// is given).
@@ -377,117 +471,17 @@ pub struct Campaign {
     pub telemetry: TelemetrySpec,
 }
 
-/// Validated workload parameters.
+/// Validated workload parameters: grid axes expanded, every value checked.
 #[derive(Debug, Clone)]
 pub enum Workload {
-    /// See [`AcceptanceSpec`].
+    /// The `[acceptance]` table.
     Acceptance(AcceptanceParams),
-    /// See [`SoundnessSpec`].
+    /// The `[soundness]` table.
     Soundness(SoundnessParams),
-    /// See [`MulticoreSpec`].
+    /// The `[multicore]` table.
     Multicore(MulticoreParams),
-    /// See [`CfgSpec`].
+    /// The `[cfg]` table.
     Cfg(CfgParams),
-}
-
-/// Validated acceptance parameters (no options left).
-#[derive(Debug, Clone)]
-pub struct AcceptanceParams {
-    /// Task sets per grid point.
-    pub sets_per_point: usize,
-    /// Attempt budget multiplier.
-    pub max_attempts_factor: usize,
-    /// Policies axis.
-    pub policies: Vec<Policy>,
-    /// Utilization axis.
-    pub utilizations: Vec<f64>,
-    /// Methods compared at every point.
-    pub methods: Vec<DelayMethod>,
-    /// `Qi` scale.
-    pub q_scale: f64,
-    /// Curve peak fraction of `Qi`.
-    pub delay_frac: f64,
-    /// Generation template (utilization replaced per point).
-    pub taskset: TaskSetParams,
-}
-
-/// Validated soundness parameters (no options left).
-#[derive(Debug, Clone)]
-pub struct SoundnessParams {
-    /// Trial count.
-    pub trials: usize,
-    /// Executor work unit.
-    pub trials_per_shard: usize,
-    /// Simulator validation on/off.
-    pub simulate: bool,
-    /// `C` range.
-    pub c_range: (f64, f64),
-    /// Segment count range (half-open).
-    pub segments: (u64, u64),
-    /// Curve max value range.
-    pub max_value_range: (f64, f64),
-    /// `Q` slack range.
-    pub q_slack_range: (f64, f64),
-}
-
-/// Validated multicore parameters (no options left).
-#[derive(Debug, Clone)]
-pub struct MulticoreParams {
-    /// Task sets per grid point.
-    pub sets_per_point: usize,
-    /// Attempt budget per set.
-    pub max_attempts_factor: usize,
-    /// Core-count axis.
-    pub cores: Vec<usize>,
-    /// Tasks per core.
-    pub tasks_per_core: usize,
-    /// Policies axis.
-    pub policies: Vec<Policy>,
-    /// Allocation axis.
-    pub allocations: Vec<Allocation>,
-    /// Per-core utilization axis.
-    pub utilizations: Vec<f64>,
-    /// Methods compared at every point.
-    pub methods: Vec<DelayMethod>,
-    /// `Qi` scale.
-    pub q_scale: f64,
-    /// Curve peak fraction of `Qi`.
-    pub delay_frac: f64,
-    /// Simulator validation on/off.
-    pub simulate: bool,
-    /// Simulated instances per point.
-    pub sim_per_point: usize,
-    /// Horizon multiple of the largest period.
-    pub sim_horizon_factor: f64,
-    /// Generation template (`n`/`utilization` replaced per point).
-    pub taskset: TaskSetParams,
-}
-
-/// Validated CFG-workload parameters (no options left).
-#[derive(Debug, Clone)]
-pub struct CfgParams {
-    /// Programs per grid point.
-    pub programs_per_point: usize,
-    /// User label prefixed to shape tags (may be empty).
-    pub tag: String,
-    /// Depth axis.
-    pub depths: Vec<usize>,
-    /// Loop-iteration axis.
-    pub loop_iterations: Vec<u64>,
-    /// Footprint axis.
-    pub footprints: Vec<u64>,
-    /// `Qi` axis (fractions of WCET).
-    pub q_scales: Vec<f64>,
-    /// Cache-set axis.
-    pub sets: Vec<usize>,
-    /// Associativity axis.
-    pub associativity: Vec<usize>,
-    /// Line-size axis.
-    pub line_bytes: Vec<u64>,
-    /// Reload-cost axis.
-    pub reload_costs: Vec<f64>,
-    /// Generation template (axis fields replaced per point).
-    pub program: ProgramGenParams,
 }
 
 impl CampaignSpec {
@@ -496,7 +490,8 @@ impl CampaignSpec {
     ///
     /// # Errors
     ///
-    /// Propagates parse errors from either format.
+    /// Propagates parse errors from either format, an unknown key among
+    /// them.
     pub fn parse(text: &str) -> Result<Self, CampaignError> {
         if text.trim_start().starts_with('{') {
             Ok(serde_json::from_str(text)?)
@@ -520,7 +515,8 @@ impl CampaignSpec {
     /// names back to where that key was written — looked up under the
     /// *active workload's* table first, so a stray `q_scale` in an unused
     /// table cannot steal the annotation. (Shape errors — wrong type,
-    /// unknown variant — are already line-annotated by the parser itself.)
+    /// unknown variant, unknown key — are already line-annotated by the
+    /// parser itself.)
     ///
     /// # Errors
     ///
@@ -534,11 +530,7 @@ impl CampaignSpec {
         let (value, index) = toml::parse_document_spanned(&text)?;
         let spec: CampaignSpec =
             serde::Deserialize::from_value(&value).map_err(|e| index.annotate(e))?;
-        let workload_table = spec
-            .workload
-            .or_else(|| spec.inferred_workload())
-            .unwrap_or(WorkloadKind::Acceptance)
-            .key();
+        let workload_table = spec.workload_kind().key();
         spec.validate().map_err(|e| match e {
             CampaignError::Spec(msg) => {
                 let annotated = backquoted_key(&msg)
@@ -556,440 +548,193 @@ impl CampaignSpec {
         })
     }
 
-    /// Applies defaults and checks invariants.
+    /// Expands the grid axes of the workload's table (its `Default` when
+    /// the table is absent) and checks every value.
     ///
     /// # Errors
     ///
     /// [`CampaignError::Spec`] describing the first problem found.
     pub fn validate(&self) -> Result<Campaign, CampaignError> {
-        let workload = match self.workload.or_else(|| self.inferred_workload()) {
-            Some(WorkloadKind::Acceptance) | None => {
-                Workload::Acceptance(self.validate_acceptance()?)
-            }
-            Some(WorkloadKind::Soundness) => Workload::Soundness(self.validate_soundness()?),
-            Some(WorkloadKind::Multicore) => Workload::Multicore(self.validate_multicore()?),
-            Some(WorkloadKind::Cfg) => Workload::Cfg(self.validate_cfg()?),
+        let workload = match self.workload_kind() {
+            WorkloadKind::Acceptance => Workload::Acceptance(table(&self.acceptance).validated()?),
+            WorkloadKind::Soundness => Workload::Soundness(table(&self.soundness).validated()?),
+            WorkloadKind::Multicore => Workload::Multicore(table(&self.multicore).validated()?),
+            WorkloadKind::Cfg => Workload::Cfg(table(&self.cfg).validated()?),
         };
-        if let Some(0) = self.threads {
-            return Err(CampaignError::Spec("`threads` must be >= 1".into()));
-        }
-        let store_path = match &self.store {
-            None => None,
-            Some(store) => match &store.path {
-                Some(path) if !path.trim().is_empty() => Some(path.clone()),
-                _ => {
-                    return Err(CampaignError::Spec(
-                        "`path` is required in the [store] table (a store with \
-                         nowhere to live cannot cache anything)"
-                            .into(),
-                    ))
-                }
-            },
-        };
+        at_least_one("`threads`", self.threads.unwrap_or(1))?;
+        // A `[store]` table without a usable path.
+        let store_path = self
+            .store
+            .as_ref()
+            .map(|s| s.path.clone().filter(|p| !p.trim().is_empty()));
+        let rule = "is required in the [store] table (a store with nowhere to live cannot \
+                    cache anything)";
+        require(store_path != Some(None), "`path`", rule)?;
         Ok(Campaign {
             name: self.name.clone().unwrap_or_else(|| "campaign".into()),
             seed: self.seed.unwrap_or(2012),
             threads: self.threads,
             workload,
             output: self.output.clone().unwrap_or_default(),
-            store_path,
+            store_path: store_path.flatten(),
             telemetry: self.telemetry.clone().unwrap_or_default(),
         })
     }
 
-    /// Infers the workload from which parameter table is present, when the
-    /// `workload` key is absent and exactly one table is given — writing
-    /// `[soundness]` alone should not silently run an acceptance campaign.
-    fn inferred_workload(&self) -> Option<WorkloadKind> {
-        let present = [
-            self.acceptance
-                .is_some()
-                .then_some(WorkloadKind::Acceptance),
-            self.soundness.is_some().then_some(WorkloadKind::Soundness),
-            self.multicore.is_some().then_some(WorkloadKind::Multicore),
-            self.cfg.is_some().then_some(WorkloadKind::Cfg),
-        ];
-        let mut it = present.into_iter().flatten();
-        match (it.next(), it.next()) {
-            (Some(kind), None) => Some(kind),
-            _ => None,
+    /// The `workload` key, else the one workload table present (so that
+    /// `[soundness]` alone runs soundness), else acceptance.
+    fn workload_kind(&self) -> WorkloadKind {
+        let mut present = [
+            (self.acceptance.is_some(), WorkloadKind::Acceptance),
+            (self.soundness.is_some(), WorkloadKind::Soundness),
+            (self.multicore.is_some(), WorkloadKind::Multicore),
+            (self.cfg.is_some(), WorkloadKind::Cfg),
+        ]
+        .into_iter()
+        .filter_map(|(present, kind)| present.then_some(kind));
+        match (self.workload, present.next(), present.next()) {
+            (Some(kind), ..) | (None, Some(kind), None) => kind,
+            _ => WorkloadKind::Acceptance,
         }
     }
+}
 
-    fn validate_acceptance(&self) -> Result<AcceptanceParams, CampaignError> {
-        let a = self.acceptance.clone().unwrap_or_default();
-        let params = AcceptanceParams {
-            sets_per_point: a.sets_per_point.unwrap_or(200),
-            max_attempts_factor: a.max_attempts_factor.unwrap_or(50),
-            policies: a
-                .policies
-                .unwrap_or_else(|| vec![Policy::FixedPriority, Policy::Edf]),
-            utilizations: expand_axis(
-                "utilizations",
-                &a.utilizations.unwrap_or(GridSpec {
-                    start: Some(0.3),
-                    stop: Some(0.9),
-                    step: Some(0.1),
-                    values: None,
-                }),
-            )?,
-            methods: a.methods.unwrap_or_else(|| {
-                vec![
-                    DelayMethod::None,
-                    DelayMethod::Eq4,
-                    DelayMethod::Algorithm1,
-                    DelayMethod::Algorithm1Capped,
-                ]
-            }),
-            q_scale: a.q_scale.unwrap_or(0.8),
-            delay_frac: a.delay_frac.unwrap_or(0.6),
-            taskset: a.taskset.unwrap_or_default(),
-        };
-        if params.sets_per_point == 0 {
-            return Err(CampaignError::Spec("`sets_per_point` must be >= 1".into()));
-        }
-        if params.policies.is_empty() {
-            return Err(CampaignError::Spec("`policies` must be non-empty".into()));
-        }
-        if params.methods.is_empty() {
-            return Err(CampaignError::Spec("`methods` must be non-empty".into()));
-        }
-        if !(params.q_scale > 0.0 && params.q_scale <= 1.0) {
-            return Err(CampaignError::Spec(format!(
-                "`q_scale` must be in (0, 1], got {}",
-                params.q_scale
-            )));
-        }
-        if !(params.delay_frac > 0.0 && params.delay_frac < 1.0) {
-            return Err(CampaignError::Spec(format!(
-                "`delay_frac` must be in (0, 1) to keep analyses convergent, got {}",
-                params.delay_frac
-            )));
-        }
-        for &u in &params.utilizations {
-            if !(u > 0.0 && u < 1.0) {
-                return Err(CampaignError::Spec(format!(
-                    "utilization grid value {u} outside (0, 1)"
-                )));
-            }
-        }
-        if params.taskset.n == 0 {
-            return Err(CampaignError::Spec("taskset `n` must be >= 1".into()));
-        }
-        validate_taskset(&params.taskset, params.max_attempts_factor)?;
-        Ok(params)
+/// Checks the task-set sweep fields [`AcceptanceParams`] and
+/// [`MulticoreParams`] share; `$axis` names the utilization axis. The
+/// generator samples `period_range` and `deadline_factor`.
+macro_rules! check_sweep {
+    ($p:expr, $axis:expr) => {
+        at_least_one("`sets_per_point`", $p.sets_per_point)?;
+        non_empty("`policies`", &$p.policies)?;
+        non_empty("`methods`", &$p.methods)?;
+        within("`q_scale`", $p.q_scale, HALF_OPEN_UNIT, "")?;
+        let convergent = " to keep analyses convergent";
+        within("`delay_frac`", $p.delay_frac, OPEN_UNIT, convergent)?;
+        axis_within($axis, &$p.utilizations, OPEN_UNIT)?;
+        at_least_one("`max_attempts_factor`", $p.max_attempts_factor)?;
+        let (ts, closed) = (&$p.taskset, "must be finite with 0 < lo <= hi");
+        finite_pair("`period_range`", ts.period_range, false, closed)?;
+        finite_pair("`deadline_factor`", ts.deadline_factor, false, closed)?;
+    };
+}
+
+impl AcceptanceParams {
+    /// Expands the utilization axis and checks every value.
+    fn validated(mut self) -> Result<Self, CampaignError> {
+        self.utilizations.expand("`utilizations`")?;
+        check_sweep!(self, "utilization grid");
+        let n = self.taskset.n;
+        at_least_one("taskset `n`", n)?;
+        allocatable::<Task>(Some(n), format_args!("taskset `n` = {n}"), "one task set")?;
+        Ok(self)
     }
+}
 
-    fn validate_multicore(&self) -> Result<MulticoreParams, CampaignError> {
-        let m = self.multicore.clone().unwrap_or_default();
-        let params = MulticoreParams {
-            sets_per_point: m.sets_per_point.unwrap_or(60),
-            max_attempts_factor: m.max_attempts_factor.unwrap_or(50),
-            cores: m.cores.unwrap_or_else(|| vec![2, 4]),
-            tasks_per_core: m.tasks_per_core.unwrap_or(3),
-            policies: m
-                .policies
-                .unwrap_or_else(|| vec![Policy::FixedPriority, Policy::Edf]),
-            allocations: m.allocations.unwrap_or_else(|| {
-                vec![
-                    Allocation::FirstFit,
-                    Allocation::WorstFit,
-                    Allocation::BestFit,
-                    Allocation::Global,
-                ]
-            }),
-            utilizations: expand_axis(
-                "utilizations",
-                &m.utilizations.unwrap_or(GridSpec {
-                    start: Some(0.3),
-                    stop: Some(0.7),
-                    step: Some(0.1),
-                    values: None,
-                }),
-            )?,
-            methods: m.methods.unwrap_or_else(|| {
-                vec![
-                    DelayMethod::None,
-                    DelayMethod::Eq4,
-                    DelayMethod::Algorithm1,
-                    DelayMethod::Algorithm1Capped,
-                ]
-            }),
-            q_scale: m.q_scale.unwrap_or(0.8),
-            delay_frac: m.delay_frac.unwrap_or(0.6),
-            simulate: m.simulate.unwrap_or(true),
-            sim_per_point: m.sim_per_point.unwrap_or(2),
-            sim_horizon_factor: m.sim_horizon_factor.unwrap_or(3.0),
-            taskset: m.taskset.unwrap_or_default(),
-        };
-        if params.sets_per_point == 0 {
-            return Err(CampaignError::Spec("`sets_per_point` must be >= 1".into()));
-        }
-        if params.cores.is_empty() || params.cores.contains(&0) {
-            return Err(CampaignError::Spec(
-                "`cores` must be a non-empty list of core counts >= 1".into(),
-            ));
-        }
-        if params.tasks_per_core == 0 {
-            return Err(CampaignError::Spec("`tasks_per_core` must be >= 1".into()));
-        }
-        if params.policies.is_empty() {
-            return Err(CampaignError::Spec("`policies` must be non-empty".into()));
-        }
-        if params.allocations.is_empty() {
-            return Err(CampaignError::Spec(
-                "`allocations` must be non-empty".into(),
-            ));
-        }
-        if params.methods.is_empty() {
-            return Err(CampaignError::Spec("`methods` must be non-empty".into()));
-        }
-        if !(params.q_scale > 0.0 && params.q_scale <= 1.0) {
-            return Err(CampaignError::Spec(format!(
-                "`q_scale` must be in (0, 1], got {}",
-                params.q_scale
-            )));
-        }
-        if !(params.delay_frac > 0.0 && params.delay_frac < 1.0) {
-            return Err(CampaignError::Spec(format!(
-                "`delay_frac` must be in (0, 1) to keep analyses convergent, got {}",
-                params.delay_frac
-            )));
-        }
-        for &u in &params.utilizations {
-            if !(u > 0.0 && u < 1.0) {
-                return Err(CampaignError::Spec(format!(
-                    "per-core utilization grid value {u} outside (0, 1)"
-                )));
-            }
-        }
-        if !(params.sim_horizon_factor.is_finite() && params.sim_horizon_factor > 0.0) {
-            return Err(CampaignError::Spec(format!(
-                "`sim_horizon_factor` must be positive, got {}",
-                params.sim_horizon_factor
-            )));
-        }
-        validate_taskset(&params.taskset, params.max_attempts_factor)?;
-        Ok(params)
+impl MulticoreParams {
+    /// Expands the utilization axis and checks every value.
+    fn validated(mut self) -> Result<Self, CampaignError> {
+        self.utilizations.expand("`utilizations`")?;
+        counts("`cores`", &self.cores, "core counts")?;
+        let per_core = self.tasks_per_core;
+        at_least_one("`tasks_per_core`", per_core)?;
+        // A set on the most cores holds `m × tasks_per_core` tasks.
+        let m = self.cores.iter().copied().max().unwrap_or_default();
+        let subject = format_args!("`tasks_per_core` = {per_core} on {m} cores");
+        allocatable::<Task>(m.checked_mul(per_core), subject, "one task set")?;
+        non_empty("`allocations`", &self.allocations)?;
+        let horizon = self.sim_horizon_factor;
+        let rule = format_args!("must be positive, got {horizon}");
+        let ok = horizon.is_finite() && horizon > 0.0;
+        require(ok, "`sim_horizon_factor`", rule)?;
+        check_sweep!(self, "per-core utilization grid");
+        Ok(self)
     }
+}
 
-    fn validate_cfg(&self) -> Result<CfgParams, CampaignError> {
-        let c = self.cfg.clone().unwrap_or_default();
-        let template = c.program.unwrap_or_default();
-        let defaults = ProgramGenParams::default();
-        let program = ProgramGenParams {
-            max_sequence: template.max_sequence.unwrap_or(defaults.max_sequence),
-            cost_range: template.cost_range.unwrap_or(defaults.cost_range),
-            branch_probability: template
-                .branch_probability
-                .unwrap_or(defaults.branch_probability),
-            loop_probability: template
-                .loop_probability
-                .unwrap_or(defaults.loop_probability),
-            block_bytes: template.block_bytes.unwrap_or(defaults.block_bytes),
-            accesses_per_block: template
-                .accesses_per_block
-                .unwrap_or(defaults.accesses_per_block),
-            // Axis fields; replaced per grid point.
-            ..defaults
-        };
-        let params = CfgParams {
-            programs_per_point: c.programs_per_point.unwrap_or(8),
-            tag: c.tag.unwrap_or_default(),
-            depths: c.depths.unwrap_or_else(|| vec![2, 3]),
-            loop_iterations: c.loop_iterations.unwrap_or_else(|| vec![4]),
-            footprints: c.footprints.unwrap_or_else(|| vec![8]),
-            q_scales: expand_axis(
-                "q_scales",
-                &c.q_scales.unwrap_or(GridSpec {
-                    start: None,
-                    stop: None,
-                    step: None,
-                    values: Some(vec![0.25, 0.5]),
-                }),
-            )?,
-            sets: c.sets.unwrap_or_else(|| vec![32]),
-            associativity: c.associativity.unwrap_or_else(|| vec![1]),
-            line_bytes: c.line_bytes.unwrap_or_else(|| vec![16]),
-            reload_costs: c.reload_cost.unwrap_or_else(|| vec![10.0]),
-            program,
-        };
-        if params.programs_per_point == 0 {
-            return Err(CampaignError::Spec(
-                "`programs_per_point` must be >= 1".into(),
-            ));
-        }
-        if params.depths.is_empty() {
-            return Err(CampaignError::Spec("`depths` must be non-empty".into()));
-        }
-        // Program size grows like fan^depth, where the per-level fan-out
-        // is max_sequence for sequences but always 2 for branches; reject
-        // grids whose estimated node count would hang or OOM the run
-        // instead of failing here with a named cause.
-        let fan = if params.program.branch_probability > 0.0 {
-            params.program.max_sequence.max(2)
-        } else {
-            params.program.max_sequence
-        };
-        for &d in &params.depths {
-            // Generation and compilation recurse once per nesting level, so
-            // depth is also bounded on its own — a fan-out-1 spec must not
-            // sneak past the node-count estimate into a stack overflow.
-            if d > 64 {
-                return Err(CampaignError::Spec(format!(
-                    "`depths` value {d} exceeds the maximum nesting depth 64"
-                )));
-            }
-            let nodes = (fan as f64).powi(d as i32);
-            if nodes > 1e6 {
-                return Err(CampaignError::Spec(format!(
-                    "`depths` value {d} with region fan-out {fan} (max_sequence {}, \
-                     branches 2-way) expands to ~{nodes:.0} statement nodes per \
-                     program; keep fan^depth <= 1e6",
-                    params.program.max_sequence
-                )));
-            }
-        }
-        if params.loop_iterations.is_empty() || params.loop_iterations.contains(&0) {
-            return Err(CampaignError::Spec(
-                "`loop_iterations` must be a non-empty list of bounds >= 1".into(),
-            ));
-        }
-        if params.footprints.is_empty() {
-            return Err(CampaignError::Spec("`footprints` must be non-empty".into()));
-        }
-        for &q in &params.q_scales {
-            if !(q > 0.0 && q <= 1.0) {
-                return Err(CampaignError::Spec(format!(
-                    "`q_scales` value {q} outside (0, 1]"
-                )));
-            }
-        }
-        if params.sets.is_empty() || params.sets.contains(&0) {
-            return Err(CampaignError::Spec(
-                "`sets` must be a non-empty list of set counts >= 1".into(),
-            ));
-        }
-        if params.associativity.is_empty() || params.associativity.contains(&0) {
-            return Err(CampaignError::Spec(
-                "`associativity` must be a non-empty list of way counts >= 1".into(),
-            ));
-        }
-        if params.line_bytes.is_empty() || params.line_bytes.contains(&0) {
-            return Err(CampaignError::Spec(
-                "`line_bytes` must be a non-empty list of line sizes >= 1".into(),
-            ));
-        }
-        // The generator spaces its data pool DATA_STRIDE bytes apart so
-        // each footprint entry occupies its own cache line; a larger line
-        // would silently alias pool entries and skew the footprint axis.
-        if let Some(&line) = params
-            .line_bytes
-            .iter()
-            .find(|&&l| l > fnpr_synth::DATA_STRIDE)
-        {
-            return Err(CampaignError::Spec(format!(
-                "`line_bytes` value {line} exceeds the generator's data stride \
-                 ({}); distinct footprint lines would alias onto one cache line",
-                fnpr_synth::DATA_STRIDE
-            )));
-        }
-        if params.reload_costs.is_empty()
-            || params
-                .reload_costs
-                .iter()
-                .any(|&b| !(b.is_finite() && b >= 0.0))
-        {
-            return Err(CampaignError::Spec(
-                "`reload_cost` must be a non-empty list of finite costs >= 0".into(),
-            ));
-        }
-        if params.program.max_sequence == 0 {
-            return Err(CampaignError::Spec("`max_sequence` must be >= 1".into()));
-        }
-        let (lo, hi) = params.program.cost_range;
-        if !(lo.is_finite() && hi.is_finite() && lo > 0.0 && hi > lo) {
-            return Err(CampaignError::Spec(format!(
-                "`cost_range` must satisfy 0 < lo < hi, got ({lo}, {hi})"
-            )));
-        }
-        let (bp, lp) = (
-            params.program.branch_probability,
-            params.program.loop_probability,
-        );
-        if !(bp.is_finite() && lp.is_finite() && bp >= 0.0 && lp >= 0.0 && bp + lp <= 1.0) {
-            return Err(CampaignError::Spec(format!(
-                "`branch_probability` + `loop_probability` must stay within [0, 1], got {bp} + {lp}"
-            )));
-        }
-        if params.program.block_bytes == 0 {
-            return Err(CampaignError::Spec("`block_bytes` must be >= 1".into()));
-        }
-        let (alo, ahi) = params.program.accesses_per_block;
-        if alo > ahi {
-            return Err(CampaignError::Spec(format!(
-                "`accesses_per_block` must satisfy lo <= hi, got ({alo}, {ahi})"
-            )));
-        }
-        Ok(params)
-    }
-
-    fn validate_soundness(&self) -> Result<SoundnessParams, CampaignError> {
-        let s = self.soundness.clone().unwrap_or_default();
-        let params = SoundnessParams {
-            trials: s.trials.unwrap_or(300),
-            trials_per_shard: s.trials_per_shard.unwrap_or(1),
-            simulate: s.simulate.unwrap_or(true),
-            c_range: s.c_range.unwrap_or((50.0, 400.0)),
-            segments: s.segments.unwrap_or((2, 12)),
-            max_value_range: s.max_value_range.unwrap_or((1.0, 8.0)),
-            q_slack_range: s.q_slack_range.unwrap_or((0.5, 10.0)),
-        };
-        if params.trials == 0 {
-            return Err(CampaignError::Spec("`trials` must be >= 1".into()));
-        }
-        if params.trials_per_shard == 0 {
-            return Err(CampaignError::Spec(
-                "`trials_per_shard` must be >= 1".into(),
-            ));
-        }
-        for (name, (lo, hi)) in [
-            ("c_range", params.c_range),
-            ("max_value_range", params.max_value_range),
-            ("q_slack_range", params.q_slack_range),
-        ] {
-            if !(lo > 0.0 && hi > lo && hi.is_finite()) {
-                return Err(CampaignError::Spec(format!(
-                    "`{name}` must satisfy 0 < lo < hi < inf, got ({lo}, {hi})"
-                )));
-            }
-        }
-        if params.segments.0 < 1 || params.segments.1 <= params.segments.0 {
-            return Err(CampaignError::Spec(format!(
-                "`segments` must satisfy 1 <= lo < hi, got {:?}",
-                params.segments
-            )));
-        }
+impl SoundnessParams {
+    /// Checks every value.
+    fn validated(self) -> Result<Self, CampaignError> {
+        at_least_one("`trials`", self.trials)?;
+        at_least_one("`trials_per_shard`", self.trials_per_shard)?;
+        let open = "must satisfy 0 < lo < hi < inf";
+        finite_pair("`c_range`", self.c_range, true, open)?;
+        finite_pair("`max_value_range`", self.max_value_range, true, open)?;
+        finite_pair("`q_slack_range`", self.q_slack_range, true, open)?;
+        let (lo, hi) = self.segments;
+        let rule = format_args!("must satisfy 1 <= lo < hi, got ({lo}, {hi})");
+        require(lo >= 1 && hi > lo, "`segments`", rule)?;
         // Every segment start past `Q` is a candidate of both oracles, so a
         // curve with more segments than their budget cannot be bounded.
-        let max_segments = fnpr_core::DEFAULT_MAX_CANDIDATES as u64;
-        if params.segments.1 - 1 > max_segments {
-            return Err(CampaignError::Spec(format!(
-                "`segments` draws at most hi - 1 segments, which must not exceed \
-                 the oracles' candidate budget {max_segments}, got {:?}",
-                params.segments
-            )));
+        let budget = fnpr_core::DEFAULT_MAX_CANDIDATES as u64;
+        let rule = format_args!(
+            "draws at most hi - 1 segments, which must not exceed the oracles' candidate \
+             budget {budget}, got ({lo}, {hi})"
+        );
+        require(hi - 1 <= budget, "`segments`", rule)?;
+        // The run holds one row per trial and at most one shard per trial.
+        let subject = format_args!("`trials` = {}", self.trials);
+        allocatable::<(usize, SoundnessRow)>(Some(self.trials), subject, "its shards and rows")?;
+        Ok(self)
+    }
+}
+
+impl CfgParams {
+    /// Expands the `Qi` axis and checks every value.
+    fn validated(mut self) -> Result<Self, CampaignError> {
+        self.q_scales.expand("`q_scales`")?;
+        let p = &self.program;
+        at_least_one("`programs_per_point`", self.programs_per_point)?;
+        non_empty("`depths`", &self.depths)?;
+        // Program size grows like fan^depth (fan-out max_sequence for
+        // sequences, 2 for branches): refuse sizes that hang or OOM a run.
+        let branches = if p.branch_probability > 0.0 { 2 } else { 0 };
+        let fan = p.max_sequence.max(branches);
+        for &d in &self.depths {
+            // Generation recurses once per level, so depth is bounded too.
+            let rule = format_args!("value {d} exceeds the maximum nesting depth 64");
+            require(d <= 64, "`depths`", rule)?;
+            let nodes = (fan as f64).powi(d as i32);
+            let rule = format_args!(
+                "value {d} with region fan-out {fan} (max_sequence {}, branches 2-way) expands \
+                 to ~{nodes:.0} statement nodes per program; keep fan^depth <= 1e6",
+                p.max_sequence
+            );
+            require(nodes <= 1e6, "`depths`", rule)?;
         }
-        // The run holds one shard index per shard and one row per trial.
-        let shards = params.trials.div_ceil(params.trials_per_shard);
-        if try_vec::<usize>(shards).is_none() || try_vec::<SoundnessRow>(params.trials).is_none() {
-            return Err(CampaignError::Spec(format!(
-                "`trials` = {} needs more memory for its shards and rows than this host \
-                 can allocate",
-                params.trials
-            )));
+        counts("`loop_iterations`", &self.loop_iterations, "bounds")?;
+        non_empty("`footprints`", &self.footprints)?;
+        axis_within("`q_scales`", &self.q_scales, HALF_OPEN_UNIT)?;
+        counts("`sets`", &self.sets, "set counts")?;
+        // The cache analysis of a point holds three words per cache set.
+        let sets = self.sets.iter().copied().max().unwrap_or_default();
+        let subject = format_args!("`sets` value {sets}");
+        allocatable::<[usize; 3]>(Some(sets), subject, "the cache analysis")?;
+        counts("`associativity`", &self.associativity, "way counts")?;
+        counts("`line_bytes`", &self.line_bytes, "line sizes")?;
+        // A line wider than the pool's stride aliases footprint entries.
+        if let Some(&line) = self.line_bytes.iter().find(|&&l| l > DATA_STRIDE) {
+            let rule = format_args!(
+                "value {line} exceeds the generator's data stride ({DATA_STRIDE}); distinct \
+                 footprint lines would alias onto one cache line"
+            );
+            return Err(invalid("`line_bytes`", rule));
         }
-        Ok(params)
+        let costs = &self.reload_costs;
+        let ok = !costs.is_empty() && costs.iter().all(|&b| b.is_finite() && b >= 0.0);
+        let rule = "must be a non-empty list of finite costs >= 0";
+        require(ok, "`reload_cost`", rule)?;
+        at_least_one("`max_sequence`", p.max_sequence)?;
+        let rule = "must satisfy 0 < lo < hi";
+        finite_pair("`cost_range`", p.cost_range, true, rule)?;
+        let (bp, lp) = (p.branch_probability, p.loop_probability);
+        let ok = bp >= 0.0 && lp >= 0.0 && bp + lp <= 1.0;
+        let rule = format_args!("must stay within [0, 1], got {bp} + {lp}");
+        require(ok, "`branch_probability` + `loop_probability`", rule)?;
+        at_least_one("`block_bytes`", p.block_bytes)?;
+        let (lo, hi) = p.accesses_per_block;
+        let rule = format_args!("must satisfy lo <= hi, got ({lo}, {hi})");
+        require(lo <= hi, "`accesses_per_block`", rule)?;
+        Ok(self)
     }
 }
 
@@ -1047,50 +792,91 @@ impl Campaign {
     }
 }
 
-/// Checks the task-set generation settings the acceptance and multicore
-/// workloads share: a nonzero resampling budget, and a template whose
-/// `period_range` and `deadline_factor` are finite with `0 < lo <= hi`
-/// (the generator samples both; an empty range or a zero period panics
-/// it). `n` and `utilization` are left to each workload, because the grid
-/// replaces `utilization` in both and `n` in multicore.
-fn validate_taskset(
-    template: &TaskSetParams,
-    max_attempts_factor: usize,
-) -> Result<(), CampaignError> {
-    if max_attempts_factor == 0 {
-        return Err(CampaignError::Spec(
-            "`max_attempts_factor` must be >= 1".into(),
-        ));
+/// The outcome of one validation check.
+type Check = Result<(), CampaignError>;
+
+/// An interval whose ends are open `(`/`)` or closed `[`/`]`, printed the
+/// way validation messages show it.
+#[derive(Clone, Copy)]
+struct Interval(char, f64, f64, char);
+
+const OPEN_UNIT: Interval = Interval('(', 0.0, 1.0, ')');
+const HALF_OPEN_UNIT: Interval = Interval('(', 0.0, 1.0, ']');
+
+impl Interval {
+    fn contains(self, x: f64) -> bool {
+        let Self(open, lo, hi, close) = self;
+        (x > lo || open == '[' && x == lo) && (x < hi || close == ']' && x == hi)
     }
-    for (name, (lo, hi)) in [
-        ("period_range", template.period_range),
-        ("deadline_factor", template.deadline_factor),
-    ] {
-        if !(lo.is_finite() && hi.is_finite() && lo > 0.0 && lo <= hi) {
-            return Err(CampaignError::Spec(format!(
-                "`{name}` must be finite with 0 < lo <= hi, got ({lo}, {hi})"
-            )));
-        }
-    }
-    Ok(())
 }
 
-/// Expands the axis `grid` of the spec key `key`, naming the key in any
-/// error.
-fn expand_axis(key: &str, grid: &GridSpec) -> Result<Vec<f64>, CampaignError> {
-    grid.expand().map_err(|e| match e {
-        CampaignError::Spec(msg) => CampaignError::Spec(format!("`{key}`: {msg}")),
-        other => other,
-    })
+impl fmt::Display for Interval {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}{}, {}{}", self.0, self.1, self.2, self.3)
+    }
 }
 
-/// An empty `Vec` with room for `n` values, or `None` when the allocator
-/// refuses. A failed allocation aborts the process instead of panicking,
-/// so validation reserves what a run must hold before any point computes.
-fn try_vec<T>(n: usize) -> Option<Vec<T>> {
-    let mut values = Vec::new();
-    values.try_reserve_exact(n).ok()?;
-    Some(values)
+/// Words every validation message: `subject`, mostly a backquoted key
+/// (mapped to its line by [`CampaignSpec::load_validated`]), then `rule`.
+fn invalid(subject: impl fmt::Display, rule: impl fmt::Display) -> CampaignError {
+    CampaignError::Spec(format!("{subject} {rule}"))
+}
+
+/// [`invalid`] unless `ok`.
+fn require(ok: bool, subject: impl fmt::Display, rule: impl fmt::Display) -> Check {
+    ok.then_some(()).ok_or_else(|| invalid(subject, rule))
+}
+
+/// A count `>= 1`.
+fn at_least_one<T: Default + PartialEq>(key: &str, n: T) -> Check {
+    require(n != T::default(), key, "must be >= 1")
+}
+
+/// A non-empty list.
+fn non_empty<T>(key: &str, list: &[T]) -> Check {
+    require(!list.is_empty(), key, "must be non-empty")
+}
+
+/// A non-empty list of counts `>= 1`, which `what` names.
+fn counts<T: Default + PartialEq>(key: &str, list: &[T], what: &str) -> Check {
+    let ok = !list.is_empty() && !list.contains(&T::default());
+    let rule = format_args!("must be a non-empty list of {what} >= 1");
+    require(ok, key, rule)
+}
+
+/// A value in `range`; `note` follows the interval in the message.
+fn within(key: &str, x: f64, range: Interval, note: &str) -> Check {
+    let rule = format_args!("must be in {range}{note}, got {x}");
+    require(range.contains(x), key, rule)
+}
+
+/// Every value of an axis in `range`.
+fn axis_within(subject: &str, values: &[f64], range: Interval) -> Check {
+    match values.iter().find(|&&x| !range.contains(x)) {
+        Some(x) => Err(invalid(format_args!("{subject} value {x} outside"), range)),
+        None => Ok(()),
+    }
+}
+
+/// A finite `(lo, hi)` pair with `0 < lo` and `lo < hi` (`lo <= hi` when
+/// not `strict`), which `rule` words.
+fn finite_pair(key: &str, (lo, hi): (f64, f64), strict: bool, rule: &str) -> Check {
+    let ordered = if strict { lo < hi } else { lo <= hi };
+    let ok = lo.is_finite() && hi.is_finite() && lo > 0.0 && ordered;
+    require(ok, key, format_args!("{rule}, got ({lo}, {hi})"))
+}
+
+/// Room for `n` values of `T` (`None`: a count that overflows), which a
+/// run would abort on failing to allocate: `subject` needs it for `what`.
+fn allocatable<T>(n: Option<usize>, subject: impl fmt::Display, what: &str) -> Check {
+    let fits = n.is_some_and(|n| Vec::<T>::new().try_reserve_exact(n).is_ok());
+    let rule = format_args!("needs more memory for {what} than this host can allocate");
+    require(fits, subject, rule)
+}
+
+/// A workload table as written, or its `Default` when absent.
+fn table<T: Clone + Default>(table: &Option<T>) -> T {
+    table.clone().unwrap_or_default()
 }
 
 /// The first `` `key` ``-quoted token of a validation message.
@@ -1172,13 +958,8 @@ mod tests {
 
     #[test]
     fn grid_range_expansion_is_inclusive() {
-        let grid = GridSpec {
-            start: Some(0.3),
-            stop: Some(0.9),
-            step: Some(0.1),
-            values: None,
-        };
-        let values = grid.expand().unwrap();
+        let mut values = GridSpec::range(0.3, 0.9, 0.1);
+        values.expand("`u`").unwrap();
         assert_eq!(values.len(), 7);
         assert!((values[0] - 0.3).abs() < 1e-12);
         assert!((values[6] - 0.9).abs() < 1e-9);
@@ -1194,14 +975,9 @@ mod tests {
             (0.3, 0.9, f64::INFINITY),
             (0.9, 0.3, 0.1),
         ] {
-            let grid = GridSpec {
-                start: Some(start),
-                stop: Some(stop),
-                step: Some(step),
-                values: None,
-            };
+            let mut grid = GridSpec::range(start, stop, step);
             assert!(
-                grid.expand().is_err(),
+                grid.expand("`u`").is_err(),
                 "accepted {start}..{stop} step {step}"
             );
         }
@@ -1209,13 +985,12 @@ mod tests {
 
     #[test]
     fn grid_explicit_values_win() {
-        let grid = GridSpec {
-            start: Some(0.0),
-            stop: Some(1.0),
-            step: Some(0.5),
+        let mut grid = GridSpec {
             values: Some(vec![0.42]),
+            ..GridSpec::range(0.0, 1.0, 0.5)
         };
-        assert_eq!(grid.expand().unwrap(), vec![0.42]);
+        grid.expand("`u`").unwrap();
+        assert_eq!(*grid, [0.42]);
     }
 
     #[test]
@@ -1251,7 +1026,7 @@ json = "out.json"
         assert_eq!(a.sets_per_point, 10);
         assert_eq!(a.policies, vec![Policy::FixedPriority, Policy::Edf]);
         assert_eq!(a.methods.len(), 3);
-        assert_eq!(a.utilizations, vec![0.5, 0.6]);
+        assert_eq!(*a.utilizations, [0.5, 0.6]);
         assert_eq!(a.taskset.n, 4);
         assert_eq!(campaign.output.csv.as_deref(), Some("out.csv"));
     }
@@ -1307,9 +1082,9 @@ json = "out.json"
     #[test]
     fn rejects_bad_specs() {
         let spec = CampaignSpec {
-            acceptance: Some(AcceptanceSpec {
-                delay_frac: Some(1.5),
-                ..AcceptanceSpec::default()
+            acceptance: Some(AcceptanceParams {
+                delay_frac: 1.5,
+                ..AcceptanceParams::default()
             }),
             ..CampaignSpec::default()
         };
@@ -1317,9 +1092,9 @@ json = "out.json"
 
         let spec = CampaignSpec {
             workload: Some(WorkloadKind::Soundness),
-            soundness: Some(SoundnessSpec {
-                trials: Some(0),
-                ..SoundnessSpec::default()
+            soundness: Some(SoundnessParams {
+                trials: 0,
+                ..SoundnessParams::default()
             }),
             ..CampaignSpec::default()
         };
@@ -1364,9 +1139,61 @@ json = "out.json"
                 "[acceptance]\nutilizations = { start = 0.1, stop = 0.9, step = 1e-15 }\n".into(),
                 "utilizations",
             ),
+            // A task count no allocator grants, or one that overflows.
+            (
+                "[acceptance.taskset]\nn = 100000000000\nutilization = 0.5\n\
+                 period_range = [10.0, 1000.0]\ndeadline_factor = [1.0, 1.0]\n"
+                    .into(),
+                "`n`",
+            ),
+            (
+                "[multicore]\ncores = [4]\ntasks_per_core = 4611686018427387904\n".into(),
+                "tasks_per_core",
+            ),
+            ("[cfg]\nsets = [1000000000000]\n".into(), "sets"),
         ] {
             let err = CampaignSpec::parse(&text).unwrap().validate().unwrap_err();
             assert!(err.to_string().contains(key), "{text:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn unknown_keys_are_refused_by_name() {
+        // Each of these once ran on defaults, its key dropped unread.
+        for (text, frame) in [
+            (
+                r#"{"workload": "soundness", "soundness": {"trails": 5}}"#,
+                "SoundnessParams.trails",
+            ),
+            (
+                "[acceptence]\nsets_per_point = 3\n",
+                "CampaignSpec.acceptence",
+            ),
+            (
+                "workload = \"cfg\"\n[cfg.program]\nmax_depth = 9\n",
+                "ProgramGenParams.max_depth",
+            ),
+            ("[cfg]\nreload_costs = [1.0]\n", "CfgParams.reload_costs"),
+            (
+                "[multicore]\nutilizations = { values = [0.5], stp = 0.1 }\n",
+                "GridSpec.stp",
+            ),
+            (
+                "[acceptance.taskset]\nn = 3\nutilization = 0.5\nperiod_range = [1.0, 2.0]\n\
+                 deadline_factor = [1.0, 1.0]\nperiods = [1.0]\n",
+                "TaskSetParams.periods",
+            ),
+            ("[output]\ncvs = \"x.csv\"\n", "OutputSpec.cvs"),
+            ("[store]\npth = \"s\"\n", "StoreSpec.pth"),
+            ("[telemetry]\nprogres = false\n", "TelemetrySpec.progres"),
+        ] {
+            let err = CampaignSpec::parse(text).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("{frame}: unknown key")),
+                "{text:?}: {err}"
+            );
+            // A TOML spec's error also names the line.
+            assert!(text.starts_with('{') || err.contains("line "), "{err}");
         }
     }
 
@@ -1397,7 +1224,7 @@ simulate = false
             m.allocations,
             vec![Allocation::FirstFit, Allocation::Global]
         );
-        assert_eq!(m.utilizations, vec![0.4, 0.6]);
+        assert_eq!(*m.utilizations, [0.4, 0.6]);
         assert_eq!(m.methods.len(), 2);
         assert!(!m.simulate);
         assert_eq!(campaign.workload_kind(), WorkloadKind::Multicore);
@@ -1507,7 +1334,7 @@ accesses_per_block = [0, 2]
         assert_eq!(c.depths, vec![1, 2]);
         assert_eq!(c.loop_iterations, vec![3, 6]);
         assert_eq!(c.footprints, vec![0, 8]);
-        assert_eq!(c.q_scales, vec![0.3, 0.6]);
+        assert_eq!(*c.q_scales, [0.3, 0.6]);
         assert_eq!(c.sets, vec![16, 64]);
         assert_eq!(c.associativity, vec![1, 2]);
         assert_eq!(c.line_bytes, vec![16]);
@@ -1530,7 +1357,7 @@ accesses_per_block = [0, 2]
         };
         assert_eq!(c.programs_per_point, 8);
         assert_eq!(c.depths, vec![2, 3]);
-        assert_eq!(c.q_scales, vec![0.25, 0.5]);
+        assert_eq!(*c.q_scales, [0.25, 0.5]);
         assert_eq!(c.sets, vec![32]);
         assert!(c.tag.is_empty());
     }

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use fnpr_campaign::store::ResultStore;
 use fnpr_campaign::{run_campaign, run_campaign_with_store, CampaignSpec, WorkloadKind};
 use proptest::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 mod common;
 
@@ -368,10 +368,11 @@ proptest! {
     }
 }
 
-/// Serde mirror of the `--metrics` snapshot document. `fnpr-obs` writes
-/// the file from its own `Value` tree; parsing it back into this separate
-/// mirror pins the format to plain standard JSON that any consumer can
-/// read.
+/// Serde mirror of the `--metrics` snapshot document's scalar fields.
+/// `fnpr-obs` writes the file from its own `Value` tree; parsing it back
+/// into this separate mirror pins the format to plain standard JSON that
+/// any consumer can read. Its three name-keyed maps are read from the
+/// parsed tree with [`entry`].
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
 struct MetricsDoc {
     schema_version: u64,
@@ -382,12 +383,20 @@ struct MetricsDoc {
     points_done: u64,
     elapsed_seconds: f64,
     span_count: u64,
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, HistogramDoc>,
 }
 
-/// Mirror of `fnpr_obs::HistogramSnapshot` for [`MetricsDoc`].
+/// The entry `name` of the snapshot's map `map` (`counters`, `gauges` or
+/// `histograms`).
+fn entry<'a>(tree: &'a Value, map: &str, name: &str) -> Option<&'a Value> {
+    tree.get(map)?.get(name)
+}
+
+/// An integer entry of the snapshot's map `map`.
+fn count(tree: &Value, map: &str, name: &str) -> Option<i64> {
+    entry(tree, map, name).and_then(Value::as_i64)
+}
+
+/// Mirror of `fnpr_obs::HistogramSnapshot`, one `histograms` entry.
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
 struct HistogramDoc {
     count: u64,
@@ -428,6 +437,7 @@ fn metrics_snapshot_round_trips_through_the_serde_shim() {
     };
     let json = report.to_json();
     let doc: MetricsDoc = serde_json::from_str(&json).expect("metrics JSON parses via serde");
+    let tree = serde_json::parse_value(&json).expect("metrics JSON parses");
     assert_eq!(doc.schema_version, fnpr_obs::METRICS_SCHEMA_VERSION);
     assert_eq!(doc.label, report.label);
     assert_eq!(doc.scenario, "59ef3a68c946026a");
@@ -435,9 +445,10 @@ fn metrics_snapshot_round_trips_through_the_serde_shim() {
     assert_eq!((doc.points_total, doc.points_done), (42, 40));
     assert_eq!(doc.elapsed_seconds, 1.25);
     assert_eq!(doc.span_count, 7);
-    assert_eq!(doc.counters.get("campaign.memo.hit"), Some(&31));
-    assert_eq!(doc.gauges.get("campaign.points.total"), Some(&42));
-    let hist = doc.histograms.get("campaign.shard.points").unwrap();
+    assert_eq!(count(&tree, "counters", "campaign.memo.hit"), Some(31));
+    assert_eq!(count(&tree, "gauges", "campaign.points.total"), Some(42));
+    let hist = entry(&tree, "histograms", "campaign.shard.points").unwrap();
+    let hist = HistogramDoc::from_value(hist).expect("histogram entry parses");
     assert_eq!((hist.count, hist.sum, hist.max), (5, 40, 15));
     // The percentiles survive the shim as plain numbers with the
     // histogram's ordering intact.
@@ -451,6 +462,8 @@ fn metrics_snapshot_round_trips_through_the_serde_shim() {
     // Fixpoint: a shim re-serialize / re-parse cycle loses nothing.
     let again: MetricsDoc = serde_json::from_str(&serde_json::to_string(&doc)).expect("re-parse");
     assert_eq!(again, doc);
+    let again = serde_json::parse_value(&serde_json::value_to_string(&tree)).expect("re-parse");
+    assert_eq!(again, tree);
 }
 
 /// A live-registry snapshot also parses: enable telemetry, run a real
@@ -479,7 +492,9 @@ trials_per_shard = 2
     )
     .with_scenario(&format!("{:016x}", campaign.scenario_hash()))
     .with_store_path(None);
-    let doc: MetricsDoc = serde_json::from_str(&report.to_json()).expect("gathered JSON parses");
+    let json = report.to_json();
+    let doc: MetricsDoc = serde_json::from_str(&json).expect("gathered JSON parses");
+    let tree = serde_json::parse_value(&json).expect("gathered JSON parses");
     assert_eq!(doc.label, "gather-test");
     assert_eq!(doc.scenario, format!("{:016x}", campaign.scenario_hash()));
     assert_eq!(doc.store_path, None, "absent store must read back as None");
@@ -489,15 +504,14 @@ trials_per_shard = 2
         "campaign.points.done",
     ] {
         assert!(
-            doc.counters.get(key).is_some_and(|&v| v > 0),
+            count(&tree, "counters", key).is_some_and(|v| v > 0),
             "expected live counter {key} in gathered snapshot"
         );
     }
     // The always-on shard roll-up carries live, ordered percentiles.
-    let shard = doc
-        .histograms
-        .get("campaign.shard.micros")
+    let shard = entry(&tree, "histograms", "campaign.shard.micros")
         .expect("shard timing histogram in gathered snapshot");
+    let shard = HistogramDoc::from_value(shard).expect("histogram entry parses");
     assert!(shard.count > 0);
     assert!(shard.p50 <= shard.p90 && shard.p90 <= shard.p99);
     assert!(shard.p99 <= shard.max as f64);

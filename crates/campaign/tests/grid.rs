@@ -140,3 +140,71 @@ fn deeply_nested_specs_are_spec_errors() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Runs the CLI on a spec written into `dir` and returns its exit code and
+/// stderr.
+fn cli_on_spec(dir: &Path, subcommand: &str, file: &str, text: &str) -> (Option<i32>, String) {
+    std::fs::write(dir.join(file), text).unwrap();
+    let output = Command::new(env!("CARGO_BIN_EXE_fnpr-campaign"))
+        .current_dir(dir)
+        .args([subcommand, file])
+        .output()
+        .expect("fnpr-campaign starts");
+    let stderr = String::from_utf8(output.stderr).expect("utf-8 stderr");
+    (output.status.code(), stderr)
+}
+
+#[test]
+fn spec_errors_are_one_line_naming_the_key() {
+    let dir = common::scratch_dir("grid_spec_errors");
+    let taskset = |n: &str, deadline_factor: &str| {
+        format!(
+            "workload = \"acceptance\"\n[acceptance.taskset]\nn = {n}\nutilization = 0.5\n\
+             period_range = [10.0, 1000.0]\ndeadline_factor = {deadline_factor}\n"
+        )
+    };
+    for (text, key) in [
+        // Misspelled keys, once dropped unread.
+        (
+            "[acceptence]\nsets_per_point = 3\n".to_string(),
+            "acceptence",
+        ),
+        (
+            "workload = \"cfg\"\n[cfg.program]\nmax_depth = 9\n".to_string(),
+            "max_depth",
+        ),
+        (
+            r#"{"workload": "soundness", "soundness": {"trails": 5}}"#.to_string(),
+            "trails",
+        ),
+        (taskset("3", "[1.0, 0.5]"), "deadline_factor"),
+        // Sizes that used to abort (exit 134) or panic a worker (exit 101).
+        (taskset("100000000000", "[1.0, 1.0]"), "`n`"),
+        (
+            "[multicore]\ncores = [4]\ntasks_per_core = 4611686018427387904\n".to_string(),
+            "tasks_per_core",
+        ),
+        ("[cfg]\nsets = [1000000000000]\n".to_string(), "sets"),
+    ] {
+        let file = if text.starts_with('{') {
+            "bad.json"
+        } else {
+            "bad.toml"
+        };
+        for subcommand in ["run", "grid"] {
+            let (code, stderr) = cli_on_spec(&dir, subcommand, file, &text);
+            assert_eq!(code, Some(1), "{subcommand} {text:?}: {stderr}");
+            assert_eq!(stderr.lines().count(), 1, "{subcommand}: {stderr}");
+            assert!(stderr.starts_with("fnpr-campaign: "), "{stderr}");
+            assert!(stderr.contains(key), "{subcommand} {text:?}: {stderr}");
+        }
+    }
+    // An argument error still prints the usage text.
+    let output = Command::new(env!("CARGO_BIN_EXE_fnpr-campaign"))
+        .args(["run", "spec.toml", "--threads", "0"])
+        .output()
+        .expect("fnpr-campaign starts");
+    assert_eq!(output.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&output.stderr).contains("usage:"));
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -19,6 +19,7 @@
 use fnpr_cfg::ast::{compile, CompiledProgram, Stmt};
 use fnpr_cfg::CfgError;
 use rand::Rng;
+use serde::{Deserialize, Serialize};
 
 /// Base byte address of the synthetic data region. Code layouts start at 0
 /// and span `blocks × block_bytes` bytes — far below this — so data and
@@ -30,10 +31,14 @@ pub const DATA_BASE: u64 = 1 << 20;
 /// every swept geometry.
 pub const DATA_STRIDE: u64 = 64;
 
-/// Parameters for [`random_program`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Parameters for [`random_program`]. A campaign spec's `[cfg.program]`
+/// table deserializes into it: an absent key keeps its default, and the
+/// three fields the campaign grid sets are not keys at all.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct ProgramGenParams {
     /// Maximum nesting depth of regions (0 = a single basic block).
+    #[serde(skip)]
     pub max_depth: usize,
     /// Maximum children of a sequence region (>= 1).
     pub max_sequence: usize,
@@ -42,6 +47,7 @@ pub struct ProgramGenParams {
     pub cost_range: (f64, f64),
     /// Maximum loop iteration bound to draw (>= 1). Minimum bounds are
     /// drawn in `0..=max`, so skippable loops (min 0) occur naturally.
+    #[serde(skip)]
     pub max_loop_iterations: u64,
     /// Probability of a region being a branch (vs. loop vs. sequence).
     pub branch_probability: f64,
@@ -50,6 +56,7 @@ pub struct ProgramGenParams {
     /// Code bytes per basic block (for the layout).
     pub block_bytes: u64,
     /// Distinct data lines in the access pool (0 = no data accesses).
+    #[serde(skip)]
     pub footprint_lines: u64,
     /// Inclusive range of data accesses drawn per basic block.
     pub accesses_per_block: (usize, usize),

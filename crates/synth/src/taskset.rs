@@ -63,8 +63,10 @@ pub fn uunifast_discard<R: Rng>(
     None
 }
 
-/// Parameters for [`random_taskset`].
+/// Parameters for [`random_taskset`]. A campaign spec's `taskset` table
+/// deserializes into it; the table needs every field, and no other key.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct TaskSetParams {
     /// Number of tasks.
     pub n: usize,
