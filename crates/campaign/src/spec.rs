@@ -1195,6 +1195,13 @@ json = "out.json"
             // A TOML spec's error also names the line.
             assert!(text.starts_with('{') || err.contains("line "), "{err}");
         }
+        // A key spelled with a dash or a capital is placed on its own line.
+        for key in ["sets-per-point", "Sets_per_point"] {
+            let text = format!("[acceptance]\nq_scale = 0.5\n{key} = 3\n");
+            let err = CampaignSpec::parse(&text).unwrap_err().to_string();
+            let at = format!("line 3 (key `acceptance.{key}`)");
+            assert!(err.contains(&at), "{err}");
+        }
     }
 
     #[test]
