@@ -1,7 +1,7 @@
 //! # fnpr-bench — figure regeneration and performance benchmarks
 //!
-//! One binary per figure of the paper (plus the extension experiments), and
-//! Criterion benchmarks for the cost of the analyses themselves. Binaries
+//! One binary per figure of the paper (plus two extensions), and Criterion
+//! benchmarks for the cost of the analyses themselves. Binaries
 //! print CSV to stdout (pipe into a plotting tool of choice) with a human
 //! summary on stderr, and exit non-zero if a shape claim of the paper fails
 //! to reproduce.
@@ -13,8 +13,12 @@
 //! | `fig3_iteration` | Figure 3 — one Algorithm 1 window |
 //! | `fig4_functions` | Figure 4 — the synthetic benchmark functions |
 //! | `fig5_results` | Figure 5 — cumulative delay vs. Q (the headline) |
-//! | `acceptance_ratio` | extension — schedulability acceptance ratios |
-//! | `soundness_sweep` | extension — Theorem 1 / Figure 2 at scale |
+//! | `capped_ablation` | extension C — the arrival-capped Algorithm 1 |
+//! | `pessimism_ablation` | extension E — Algorithm 1 against the exact adversary |
+//!
+//! Extensions A (acceptance ratios) and B (Theorem 1 / Figure 2 at scale)
+//! are `fnpr-campaign run` workloads: the `fnpr-campaign example-spec`
+//! template, and a spec holding `workload = "soundness"`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -96,32 +96,6 @@ impl AccessMap {
         map
     }
 
-    /// Appends a strided array walk to a block: `count` element accesses of
-    /// `elem_bytes` each, starting at `base`, `stride` elements apart — the
-    /// standard data-cache workload (sequential scan with `stride = 1`,
-    /// column walks with larger strides).
-    ///
-    /// ```
-    /// use fnpr_cache::AccessMap;
-    /// use fnpr_cfg::BlockId;
-    /// let mut map = AccessMap::new();
-    /// map.push_array_walk(BlockId(0), 0x1000, 4, 8, 2);
-    /// assert_eq!(map.of(BlockId(0)), &[0x1000, 0x1010, 0x1020, 0x1030]);
-    /// ```
-    pub fn push_array_walk(
-        &mut self,
-        block: BlockId,
-        base: u64,
-        count: u64,
-        elem_bytes: u64,
-        stride: u64,
-    ) -> &mut Self {
-        for k in 0..count {
-            self.push(block, base + k * stride * elem_bytes);
-        }
-        self
-    }
-
     /// All distinct memory blocks (line-granule) touched by the whole task.
     #[must_use]
     pub fn touched_blocks(&self, config: &CacheConfig) -> Vec<u64> {
@@ -190,17 +164,14 @@ mod tests {
 
     #[test]
     fn array_walks_generate_strided_accesses() {
+        // Column walk: 3 x 8-byte elements, 16 elements apart (e.g. a
+        // row-major matrix column).
         let mut map = AccessMap::new();
-        // Sequential scan: 4 x 4-byte elements from 0x100.
-        map.push_array_walk(BlockId(0), 0x100, 4, 4, 1);
-        assert_eq!(map.of(BlockId(0)), &[0x100, 0x104, 0x108, 0x10c]);
-        // Column walk with stride 16 (e.g. row-major matrix column).
-        let mut map2 = AccessMap::new();
-        map2.push_array_walk(BlockId(0), 0, 3, 8, 16);
-        assert_eq!(map2.of(BlockId(0)), &[0, 128, 256]);
+        map.set(BlockId(0), (0..3).map(|k| k * 16 * 8).collect());
+        assert_eq!(map.of(BlockId(0)), &[0, 128, 256]);
         // A stride-16 walk with 16-byte lines touches a new line each time.
         let config = CacheConfig::new(8, 1, 16, 10.0).unwrap();
-        assert_eq!(map2.touched_blocks(&config).len(), 3);
+        assert_eq!(map.touched_blocks(&config).len(), 3);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! trajectory: keep this near the core count as workloads grow).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use fnpr_campaign::{run_campaign, CampaignSpec};
+use fnpr_campaign::{run_campaign_with_store, CampaignSpec};
 
 /// `FNPR_OBS=1 cargo bench -p fnpr-campaign` runs the same grid with the
 /// full counter/span stack live — diff the medians against a default run
@@ -47,7 +47,7 @@ utilizations = { values = [0.4, 0.6, 0.8] }
             BenchmarkId::new("threads", threads),
             &threads,
             |b, &threads| {
-                b.iter(|| run_campaign(&campaign, Some(threads)).unwrap());
+                b.iter(|| run_campaign_with_store(&campaign, Some(threads), None).unwrap());
             },
         );
     }
@@ -74,7 +74,7 @@ trials_per_shard = 4
             BenchmarkId::new("threads", threads),
             &threads,
             |b, &threads| {
-                b.iter(|| run_campaign(&campaign, Some(threads)).unwrap());
+                b.iter(|| run_campaign_with_store(&campaign, Some(threads), None).unwrap());
             },
         );
     }
@@ -106,7 +106,7 @@ sim_per_point = 1
             BenchmarkId::new("threads", threads),
             &threads,
             |b, &threads| {
-                b.iter(|| run_campaign(&campaign, Some(threads)).unwrap());
+                b.iter(|| run_campaign_with_store(&campaign, Some(threads), None).unwrap());
             },
         );
     }
@@ -145,7 +145,7 @@ reload_cost = [10.0]
             BenchmarkId::new("threads", threads),
             &threads,
             |b, &threads| {
-                b.iter(|| run_campaign(&campaign, Some(threads)).unwrap());
+                b.iter(|| run_campaign_with_store(&campaign, Some(threads), None).unwrap());
             },
         );
     }

@@ -2,8 +2,8 @@
 //! floating-NPR schedulability test under each WCET-inflation method,
 //! swept over a (policy × utilization) grid.
 //!
-//! This is the engine-backed generalization of the one-off
-//! `acceptance_ratio` binary. Every task set's RNG stream is derived from
+//! `fnpr-campaign example-spec` prints a template of it (the study the
+//! paper motivates). Every task set's RNG stream is derived from
 //! `(campaign seed, utilization, instance, attempt)` — deliberately *not*
 //! from the policy — so the fixed-priority and EDF rows of the grid analyse
 //! the *same* base task sets, and the [`Memo`] layer computes each base set

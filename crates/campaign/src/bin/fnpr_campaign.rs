@@ -2,7 +2,8 @@
 //!
 //! ```text
 //! fnpr-campaign run <spec.toml|spec.json> [--threads N] [--csv PATH] [--json PATH]
-//!                   [--resume] [--store PATH] [--ledger PATH] [--quiet]
+//!                   [--store PATH] [--metrics PATH] [--trace-out PATH]
+//!                   [--ledger PATH] [--quiet]
 //! fnpr-campaign grid <spec>          # show the expanded scenario grid
 //! fnpr-campaign history <LEDGER>     # trend tables over the run ledger
 //! fnpr-campaign store stats <PATH>   # inspect a result store
@@ -27,7 +28,6 @@ use fnpr_campaign::{
 struct RunArgs {
     spec: PathBuf,
     threads: Option<usize>,
-    resume: bool,
     csv: Option<String>,
     json: Option<String>,
     store: Option<String>,
@@ -82,7 +82,6 @@ fn main() -> ExitCode {
 fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
     let mut spec = None;
     let mut threads = None;
-    let mut resume = false;
     let mut csv = None;
     let mut json = None;
     let mut store = None;
@@ -103,7 +102,6 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
                 }
                 threads = Some(n);
             }
-            "--resume" => resume = true,
             "--csv" => csv = Some(it.next().ok_or("--csv needs a path")?.clone()),
             "--json" => json = Some(it.next().ok_or("--json needs a path")?.clone()),
             "--store" => store = Some(it.next().ok_or("--store needs a path")?.clone()),
@@ -120,7 +118,6 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
     Ok(RunArgs {
         spec: spec.ok_or("`run` needs a spec path")?,
         threads,
-        resume,
         csv,
         json,
         store,
@@ -134,7 +131,7 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
 fn parse_history_args(args: &[String]) -> Result<HistoryArgs, String> {
     let mut ledger = None;
     let mut check = false;
-    let mut max_regression_pct = history::HistoryOptions::default().max_regression * 100.0;
+    let mut max_regression_pct = 20.0;
     let mut html = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -170,57 +167,32 @@ fn cmd_run(args: &RunArgs) -> ExitCode {
         Ok(campaign) => campaign,
         Err(e) => return spec_error(&e),
     };
-    // Telemetry: CLI flags win over the spec's [telemetry] table. The
-    // whole subsystem is a write-only side channel — aggregates are
-    // byte-identical with telemetry on or off (property-tested in
-    // tests/determinism.rs) — so enabling it by default costs nothing but
-    // relaxed atomic increments.
-    let metrics_target = args
-        .metrics
-        .clone()
-        .or_else(|| campaign.telemetry.metrics.clone());
-    let trace_target = args
-        .trace
-        .clone()
-        .or_else(|| campaign.telemetry.trace.clone());
-    let ledger_target = args
-        .ledger
-        .clone()
-        .or_else(|| campaign.telemetry.ledger.clone());
-    let progress_on = !args.quiet && campaign.telemetry.progress.unwrap_or(true);
+    // Telemetry is a write-only side channel — aggregates are
+    // byte-identical with it on or off (property-tested in
+    // tests/determinism.rs) — so enabling it costs nothing but relaxed
+    // atomic increments.
     fnpr_obs::set_enabled(
-        metrics_target.is_some()
-            || trace_target.is_some()
-            || ledger_target.is_some()
-            || progress_on,
+        args.metrics.is_some() || args.trace.is_some() || args.ledger.is_some() || !args.quiet,
     );
-    fnpr_obs::set_trace_collection(trace_target.is_some());
-    fnpr_obs::set_progress(progress_on);
-    // Fail fast on unwritable telemetry targets: a multi-hour campaign must
-    // not discover a bad --metrics path only when it tries to write the
-    // snapshot at the end.
+    fnpr_obs::set_trace_collection(args.trace.is_some());
+    fnpr_obs::set_progress(!args.quiet);
+    // Fail fast on unwritable targets: a multi-hour campaign must not
+    // discover a bad path only when it writes its results at the end.
     for (flag, target) in [
-        ("--metrics", &metrics_target),
-        ("--trace-out", &trace_target),
-        ("--ledger", &ledger_target),
+        ("--csv", &args.csv),
+        ("--json", &args.json),
+        ("--metrics", &args.metrics),
+        ("--trace-out", &args.trace),
+        ("--ledger", &args.ledger),
     ] {
-        if let Some(path) = target {
+        if let Some(path) = target.as_deref().filter(|&path| path != "-") {
             if let Err(e) = probe_writable(Path::new(path)) {
                 eprintln!("fnpr-campaign: {flag} target {path} is not writable: {e}");
                 return ExitCode::FAILURE;
             }
         }
     }
-    // CLI --store wins over the spec's [store] table.
-    let store_target = args.store.clone().or_else(|| campaign.store_path.clone());
-    if args.resume && store_target.is_none() {
-        eprintln!(
-            "fnpr-campaign: --resume needs a result store \
-             (--store PATH or the spec's [store] table)"
-        );
-        return ExitCode::FAILURE;
-    }
-    let store = match &store_target {
+    let store = match &args.store {
         Some(path) => match ResultStore::open(Path::new(path)) {
             Ok(store) => Some(store),
             Err(e) => {
@@ -232,12 +204,8 @@ fn cmd_run(args: &RunArgs) -> ExitCode {
     };
     // Crash-safe resume: the writable open above collected a dead run's
     // in-progress marker; surface it.
-    if let Some(store) = &store {
-        if let Some(marker) = store.interrupted_run() {
-            eprintln!("resume: previous run was interrupted ({marker}); continuing from the store");
-        } else if args.resume && !args.quiet {
-            eprintln!("resume: no interrupted run found; warm-starting from the store");
-        }
+    if let Some(marker) = store.as_ref().and_then(ResultStore::interrupted_run) {
+        eprintln!("resume: previous run was interrupted ({marker}); continuing from the store");
     }
     let started = std::time::Instant::now();
     let outcome = match run_campaign_with_store(&campaign, args.threads, store.as_ref()) {
@@ -249,14 +217,14 @@ fn cmd_run(args: &RunArgs) -> ExitCode {
     };
     let report = &outcome.report;
 
-    // CLI flags win over the spec's [output] table; `-` means stdout.
-    let csv_target = args.csv.clone().or_else(|| campaign.output.csv.clone());
-    let json_target = args.json.clone().or_else(|| campaign.output.json.clone());
-    if let Err(e) = emit(csv_target.as_deref(), &report.to_csv(), true) {
+    // The CSV goes to stdout unless `--csv` names a file; the JSON only
+    // where `--json` says. `-` means stdout.
+    if let Err(e) = emit(args.csv.as_deref().unwrap_or("-"), &report.to_csv()) {
         eprintln!("fnpr-campaign: writing CSV: {e}");
         return ExitCode::FAILURE;
     }
-    if let Err(e) = emit(json_target.as_deref(), &report.to_json(), false) {
+    let json = args.json.as_deref();
+    if let Err(e) = json.map_or(Ok(()), |path| emit(path, &report.to_json())) {
         eprintln!("fnpr-campaign: writing JSON: {e}");
         return ExitCode::FAILURE;
     }
@@ -264,7 +232,7 @@ fn cmd_run(args: &RunArgs) -> ExitCode {
     // Telemetry artifacts (side channels; never part of the aggregates).
     // The metrics snapshot carries the scenario hash and store path so a
     // snapshot joins against its run-ledger row without guessing.
-    if let Some(path) = &metrics_target {
+    if let Some(path) = &args.metrics {
         let snapshot = fnpr_obs::MetricsReport::gather(
             &campaign.name,
             fnpr_obs::gauge("campaign.points.total").value(),
@@ -272,19 +240,19 @@ fn cmd_run(args: &RunArgs) -> ExitCode {
             started.elapsed().as_secs_f64(),
         )
         .with_scenario(&report.scenario)
-        .with_store_path(store_target.as_deref());
+        .with_store_path(args.store.as_deref());
         if let Err(e) = std::fs::write(path, snapshot.to_json()) {
             eprintln!("fnpr-campaign: writing metrics: {e}");
             return ExitCode::FAILURE;
         }
     }
-    if let Some(path) = &trace_target {
+    if let Some(path) = &args.trace {
         if let Err(e) = fnpr_obs::write_chrome_trace(Path::new(path)) {
             eprintln!("fnpr-campaign: writing trace: {e}");
             return ExitCode::FAILURE;
         }
     }
-    if let Some(path) = &ledger_target {
+    if let Some(path) = &args.ledger {
         let record = ledger::ledger_record(&campaign, &outcome, started.elapsed().as_secs_f64());
         if let Err(e) = ledger::append_record(Path::new(path), &record) {
             eprintln!("fnpr-campaign: appending run record to {path}: {e}");
@@ -315,22 +283,22 @@ fn cmd_run(args: &RunArgs) -> ExitCode {
             s.pessimism_max,
             s.naive_unsound,
         );
-        if let (Some(stats), Some(path)) = (&outcome.store, &store_target) {
+        if let (Some(stats), Some(path)) = (&outcome.store, &args.store) {
             eprintln!("store {path}: {stats}");
         }
-        if let Some(csv) = &csv_target {
+        if let Some(csv) = &args.csv {
             eprintln!("wrote CSV aggregate to {csv}");
         }
-        if let Some(json) = &json_target {
+        if let Some(json) = &args.json {
             eprintln!("wrote JSON aggregate to {json}");
         }
-        if let Some(metrics) = &metrics_target {
+        if let Some(metrics) = &args.metrics {
             eprintln!("wrote metrics snapshot to {metrics}");
         }
-        if let Some(trace) = &trace_target {
+        if let Some(trace) = &args.trace {
             eprintln!("wrote Chrome trace to {trace} (open in Perfetto / chrome://tracing)");
         }
-        if let Some(ledger) = &ledger_target {
+        if let Some(ledger) = &args.ledger {
             eprintln!("appended run record to {ledger} (trend with `fnpr-campaign history`)");
         }
     }
@@ -344,10 +312,10 @@ fn cmd_run(args: &RunArgs) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Verifies a telemetry target path is writable before the campaign runs,
-/// by opening it in non-destructive append mode (creating parent
-/// directories and the file if absent — exactly what the real write will
-/// do later, minus the bytes).
+/// Verifies an output path is writable before the campaign runs, by
+/// opening it in non-destructive append mode (creating parent directories
+/// and the file if absent — what the real write does later, minus the
+/// bytes).
 fn probe_writable(path: &Path) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
@@ -361,20 +329,13 @@ fn probe_writable(path: &Path) -> std::io::Result<()> {
         .map(drop)
 }
 
-/// Writes `content` to a file, or to stdout when the target is `-`/absent
-/// (CSV defaults to stdout; JSON is only emitted when requested).
-fn emit(target: Option<&str>, content: &str, stdout_default: bool) -> std::io::Result<()> {
-    match target {
-        Some("-") => {
-            print!("{content}");
-            Ok(())
-        }
-        Some(path) => std::fs::write(path, content),
-        None if stdout_default => {
-            print!("{content}");
-            Ok(())
-        }
-        None => Ok(()),
+/// Writes `content` to the file at `target`, or to stdout for `-`.
+fn emit(target: &str, content: &str) -> std::io::Result<()> {
+    if target == "-" {
+        print!("{content}");
+        Ok(())
+    } else {
+        std::fs::write(target, content)
     }
 }
 
@@ -473,12 +434,9 @@ fn cmd_history(args: &HistoryArgs) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let options = history::HistoryOptions {
-        max_regression: args.max_regression_pct / 100.0,
-        ..history::HistoryOptions::default()
-    };
-    let trends = history::analyze(&view, &options);
-    print!("{}", history::render_table(&trends, &options));
+    let max_regression = args.max_regression_pct / 100.0;
+    let trends = history::analyze(&view, max_regression);
+    print!("{}", history::render_table(&trends, max_regression));
     if view.invalid > 0 || view.stale > 0 {
         eprintln!(
             "ledger {}: skipped {} invalid and {} stale line(s)",
@@ -488,7 +446,7 @@ fn cmd_history(args: &HistoryArgs) -> ExitCode {
         );
     }
     if let Some(path) = &args.html {
-        if let Err(e) = std::fs::write(path, history::render_html(&trends, &options)) {
+        if let Err(e) = std::fs::write(path, history::render_html(&trends, max_regression)) {
             eprintln!("fnpr-campaign: writing history dashboard: {e}");
             return ExitCode::FAILURE;
         }
@@ -511,8 +469,7 @@ fn cmd_history(args: &HistoryArgs) -> ExitCode {
 fn require_existing_store(path: &Path) -> Result<(), ExitCode> {
     if !path.exists() {
         eprintln!(
-            "fnpr-campaign: result store {} does not exist \
-             (runs create it via --store or the spec's [store] table)",
+            "fnpr-campaign: result store {} does not exist (`run --store` creates it)",
             path.display()
         );
         return Err(ExitCode::FAILURE);
@@ -617,23 +574,9 @@ fn cmd_store_gc(path: &Path, policy: &GcPolicy) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let stats = store.stats();
     match store.gc_with(*policy) {
         Ok(report) => {
-            println!(
-                "gc {}: kept {} entries, dropped {} invalid + {} stale lines, \
-                 {} -> {} bytes",
-                path.display(),
-                report.kept,
-                stats.invalid_entries,
-                stats.stale_entries,
-                report.bytes_before,
-                report.bytes_after,
-            );
-            if policy.max_age_days.is_some() || policy.max_bytes.is_some() {
-                println!("evicted {} live entries (retention policy)", report.evicted);
-            }
-            eprintln!("gc summary: {}", report.summary());
+            println!("gc {}: {}", path.display(), report.summary());
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -659,7 +602,7 @@ fn usage_error(msg: &str) -> ExitCode {
 const USAGE: &str = "\
 usage:
   fnpr-campaign run <spec.toml|spec.json> [--threads N] [--csv PATH] [--json PATH]
-                    [--resume] [--store PATH] [--metrics PATH] [--trace-out PATH]
+                    [--store PATH] [--metrics PATH] [--trace-out PATH]
                     [--ledger PATH] [--quiet]
   fnpr-campaign grid <spec>
   fnpr-campaign history <LEDGER> [--check] [--max-regression PCT] [--html PATH]
@@ -668,14 +611,13 @@ usage:
   fnpr-campaign example-spec
 
 execution (aggregates are byte-identical at any thread count):
-  --threads N        worker threads (default: the spec's `threads`, else
-                     all cores)
-  --store PATH       persist finished points in a result store (overrides
-                     the spec's [store] table)
-  --resume           resume an interrupted campaign from its store:
-                     persisted points restore instead of recomputing
-                     (requires a store; FNPR_FAULT=kill_after=N aborts a
-                     run after N shards, for crash-resume drills)
+  --threads N        worker threads (default: all cores)
+  --csv PATH         write the CSV aggregate there (default and `-`: stdout)
+  --json PATH        write the JSON report there (`-`: stdout)
+  --store PATH       persist finished points in a result store; a run over
+                     the store of a killed run restores what it persisted
+                     (FNPR_FAULT=kill_after=N aborts a run after N shards,
+                     for crash-resume drills)
 
 store gc retention (on top of the always-on structural compaction):
   --max-age-days F   evict live entries older than F days
@@ -719,25 +661,11 @@ utilization = 0.0              # replaced by each grid point's value
 period_range = [10.0, 1000.0]
 deadline_factor = [1.0, 1.0]
 
-[output]
-csv = "campaign.csv"           # "-" or omit for stdout
-json = "campaign.json"         # omit to skip JSON
-
-# Optional: persist finished points content-addressed on disk, so re-runs
-# and grid extensions only compute new points (aggregates stay
-# byte-identical). CLI `--store PATH` overrides; inspect with
-# `fnpr-campaign store stats|gc <PATH>`. A killed run resumes from the
-# store with `fnpr-campaign run <spec> --resume`.
-# [store]
-# path = "campaign.fnprstore"
-
-# Optional: observability (write-only side channel; never changes results).
-# CLI `--metrics` / `--trace-out` / `--ledger` override the paths; `--quiet`
-# suppresses the live progress line. The ledger accumulates one record per
-# run — trend and gate it with `fnpr-campaign history`.
-# [telemetry]
-# metrics = "campaign_metrics.json"
-# trace = "campaign_trace.json"
-# ledger = "LEDGER.jsonl"
-# progress = true
+# Run settings are `fnpr-campaign run` flags, never spec keys, because
+# none of them changes a result:
+#   --threads N        worker threads (default: all cores)
+#   --csv / --json     aggregate paths (CSV defaults to stdout)
+#   --store PATH       persist finished points; re-runs, grid extensions
+#                      and a run after a killed one restore them
+#   --metrics / --trace-out / --ledger / --quiet   telemetry
 "#;

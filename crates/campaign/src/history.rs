@@ -17,25 +17,9 @@
 
 use crate::ledger::{LedgerView, RunRecord};
 
-/// Tuning for [`analyze`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HistoryOptions {
-    /// Allowed fractional change before a run counts as regressed
-    /// (0.2 = 20% slower throughput or 20% higher p99).
-    pub max_regression: f64,
-    /// How many runs preceding the latest feed the trailing median
-    /// (fewer are used when the ledger is shorter).
-    pub window: usize,
-}
-
-impl Default for HistoryOptions {
-    fn default() -> Self {
-        Self {
-            max_regression: 0.20,
-            window: 8,
-        }
-    }
-}
+/// How many runs preceding the latest feed the trailing median (fewer
+/// when the ledger is shorter).
+const WINDOW: usize = 8;
 
 /// Why a scenario's latest run counts as regressed.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,10 +54,11 @@ pub struct ScenarioTrend {
 }
 
 /// Groups ledger records by scenario hash (first-seen order) and compares
-/// each scenario's latest run against the trailing median of up to
-/// [`HistoryOptions::window`] runs before it.
+/// each scenario's latest run against the trailing median of up to 8 runs
+/// before it. `max_regression` is the allowed fractional change before a
+/// run counts as regressed (0.2 = 20% slower throughput or 20% higher p99).
 #[must_use]
-pub fn analyze(view: &LedgerView, options: &HistoryOptions) -> Vec<ScenarioTrend> {
+pub fn analyze(view: &LedgerView, max_regression: f64) -> Vec<ScenarioTrend> {
     let mut order: Vec<&str> = Vec::new();
     for record in &view.records {
         if !order.contains(&record.scenario.as_str()) {
@@ -89,15 +74,15 @@ pub fn analyze(view: &LedgerView, options: &HistoryOptions) -> Vec<ScenarioTrend
                 .filter(|r| r.scenario == scenario)
                 .cloned()
                 .collect();
-            trend_for(scenario, runs, options)
+            trend_for(scenario, runs, max_regression)
         })
         .collect()
 }
 
-fn trend_for(scenario: &str, runs: Vec<RunRecord>, options: &HistoryOptions) -> ScenarioTrend {
+fn trend_for(scenario: &str, runs: Vec<RunRecord>, max_regression: f64) -> ScenarioTrend {
     let latest = runs.last().expect("a trend group is never empty");
     let prior = &runs[..runs.len() - 1];
-    let window = &prior[prior.len().saturating_sub(options.window.max(1))..];
+    let window = &prior[prior.len().saturating_sub(WINDOW)..];
     let baseline_pps = median(window.iter().map(|r| r.points_per_sec));
     let baseline_p99 = median(window.iter().map(|r| r.p99_us));
     let mut regression = Regression {
@@ -105,12 +90,12 @@ fn trend_for(scenario: &str, runs: Vec<RunRecord>, options: &HistoryOptions) -> 
         p99_rise_pct: None,
     };
     if let Some(base) = baseline_pps {
-        if base > 0.0 && latest.points_per_sec < base * (1.0 - options.max_regression) {
+        if base > 0.0 && latest.points_per_sec < base * (1.0 - max_regression) {
             regression.throughput_drop_pct = Some((1.0 - latest.points_per_sec / base) * 100.0);
         }
     }
     if let Some(base) = baseline_p99 {
-        if base > 0.0 && latest.p99_us > base * (1.0 + options.max_regression) {
+        if base > 0.0 && latest.p99_us > base * (1.0 + max_regression) {
             regression.p99_rise_pct = Some((latest.p99_us / base - 1.0) * 100.0);
         }
     }
@@ -162,9 +147,10 @@ fn restore_rate(run: &RunRecord) -> f64 {
 }
 
 /// Renders the terminal trend tables: one block per scenario, one row per
-/// run, and a latest-vs-baseline verdict line.
+/// run, and a latest-vs-baseline verdict line against the `max_regression`
+/// allowance.
 #[must_use]
-pub fn render_table(trends: &[ScenarioTrend], options: &HistoryOptions) -> String {
+pub fn render_table(trends: &[ScenarioTrend], max_regression: f64) -> String {
     let mut out = String::new();
     for trend in trends {
         out.push_str(&format!(
@@ -207,7 +193,7 @@ pub fn render_table(trends: &[ScenarioTrend], options: &HistoryOptions) -> Strin
                 out.push_str(&format!(
                     "  latest vs trailing median: points/s {pps_delta:+.1}%, p99 {p99_delta:+.1}% \
                      (allowed \u{b1}{:.1}%)",
-                    options.max_regression * 100.0,
+                    max_regression * 100.0,
                 ));
                 match &trend.regression {
                     Some(r) => {
@@ -237,7 +223,7 @@ pub fn render_table(trends: &[ScenarioTrend], options: &HistoryOptions) -> Strin
 /// inline SVG sparklines for throughput and p99 (no external assets, no
 /// scripts — the file works from `file://` and CI artifact viewers).
 #[must_use]
-pub fn render_html(trends: &[ScenarioTrend], options: &HistoryOptions) -> String {
+pub fn render_html(trends: &[ScenarioTrend], max_regression: f64) -> String {
     let mut out = String::new();
     out.push_str(
         "<!DOCTYPE html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">\n\
@@ -255,7 +241,7 @@ pub fn render_html(trends: &[ScenarioTrend], options: &HistoryOptions) -> String
         "<p>{} scenario{}, regression allowance \u{b1}{:.1}%.</p>\n",
         trends.len(),
         if trends.len() == 1 { "" } else { "s" },
-        options.max_regression * 100.0,
+        max_regression * 100.0,
     ));
     for trend in trends {
         out.push_str(&format!(
@@ -415,7 +401,7 @@ mod tests {
             run("aaaa", 98.0, 910.0),
             run("aaaa", 101.0, 905.0),
         ]);
-        let trends = analyze(&v, &HistoryOptions::default());
+        let trends = analyze(&v, 0.20);
         assert_eq!(trends.len(), 1);
         assert!(trends[0].regression.is_none());
         assert!(!any_regression(&trends));
@@ -431,7 +417,7 @@ mod tests {
             run("aaaa", 99.0, 905.0),
             run("aaaa", 50.0, 902.0),
         ]);
-        let trends = analyze(&v, &HistoryOptions::default());
+        let trends = analyze(&v, 0.20);
         let regression = trends[0].regression.expect("must detect the collapse");
         let drop = regression.throughput_drop_pct.expect("throughput side");
         assert!((drop - 50.0).abs() < 1.0, "drop = {drop}");
@@ -446,7 +432,7 @@ mod tests {
             run("aaaa", 101.0, 910.0),
             run("aaaa", 100.5, 2000.0),
         ]);
-        let trends = analyze(&v, &HistoryOptions::default());
+        let trends = analyze(&v, 0.20);
         let regression = trends[0].regression.expect("must detect the tail");
         assert!(regression.p99_rise_pct.is_some());
         assert!(regression.throughput_drop_pct.is_none());
@@ -456,22 +442,8 @@ mod tests {
     fn allowance_is_respected() {
         // 15% drop passes a 20% gate and fails a 10% one.
         let v = view(vec![run("aaaa", 100.0, 900.0), run("aaaa", 85.0, 900.0)]);
-        let lenient = analyze(
-            &v,
-            &HistoryOptions {
-                max_regression: 0.20,
-                ..HistoryOptions::default()
-            },
-        );
-        assert!(lenient[0].regression.is_none());
-        let strict = analyze(
-            &v,
-            &HistoryOptions {
-                max_regression: 0.10,
-                ..HistoryOptions::default()
-            },
-        );
-        assert!(strict[0].regression.is_some());
+        assert!(analyze(&v, 0.20)[0].regression.is_none());
+        assert!(analyze(&v, 0.10)[0].regression.is_some());
     }
 
     #[test]
@@ -482,7 +454,7 @@ mod tests {
             run("bbbb", 11.0, 890.0),
             run("aaaa", 20.0, 900.0), // aaaa collapses, bbbb is fine
         ]);
-        let trends = analyze(&v, &HistoryOptions::default());
+        let trends = analyze(&v, 0.20);
         assert_eq!(trends.len(), 2);
         assert_eq!(trends[0].scenario, "bbbb");
         assert!(trends[0].regression.is_none());
@@ -492,35 +464,25 @@ mod tests {
 
     #[test]
     fn single_run_has_no_baseline_and_never_regresses() {
-        let trends = analyze(
-            &view(vec![run("aaaa", 1.0, 1.0)]),
-            &HistoryOptions::default(),
-        );
+        let trends = analyze(&view(vec![run("aaaa", 1.0, 1.0)]), 0.20);
         assert_eq!(trends[0].baseline_points_per_sec, None);
         assert!(trends[0].regression.is_none());
-        assert!(render_table(&trends, &HistoryOptions::default()).contains("no baseline"));
+        assert!(render_table(&trends, 0.20).contains("no baseline"));
     }
 
     #[test]
     fn window_bounds_the_baseline() {
-        // Ancient fast runs age out of a window of 2: the baseline is the
-        // median of the two slow predecessors, so the latest passes.
-        let v = view(vec![
-            run("aaaa", 1000.0, 900.0),
-            run("aaaa", 1000.0, 900.0),
-            run("aaaa", 50.0, 900.0),
-            run("aaaa", 52.0, 900.0),
-            run("aaaa", 51.0, 900.0),
-        ]);
-        let options = HistoryOptions {
-            window: 2,
-            ..HistoryOptions::default()
+        // Ancient fast runs age out of the trailing window: behind
+        // `WINDOW` slow predecessors the baseline is slow, so the latest
+        // passes.
+        let history = |slow: usize| {
+            let fast = (0..5).map(|_| run("aaaa", 1000.0, 900.0));
+            let slow = (0..slow).map(|i| run("aaaa", 50.0 + i as f64, 900.0));
+            view(fast.chain(slow).chain([run("aaaa", 51.0, 900.0)]).collect())
         };
-        assert!(analyze(&v, &options)[0].regression.is_none());
-        // The full window still sees the fast era and flags it.
-        assert!(analyze(&v, &HistoryOptions::default())[0]
-            .regression
-            .is_some());
+        assert!(analyze(&history(WINDOW), 0.20)[0].regression.is_none());
+        // A window that still reaches the fast era flags it.
+        assert!(analyze(&history(3), 0.20)[0].regression.is_some());
     }
 
     #[test]
@@ -539,8 +501,8 @@ mod tests {
             run("aaaa", 100.0, 900.0),
             run("aaaa", 10.0, 900.0),
         ]);
-        let trends = analyze(&v, &HistoryOptions::default());
-        let table = render_table(&trends, &HistoryOptions::default());
+        let trends = analyze(&v, 0.20);
+        let table = render_table(&trends, 0.20);
         assert!(table.contains("scenario aaaa"), "{table}");
         assert!(table.contains("REGRESSION"), "{table}");
         assert!(table.contains("3 runs"), "{table}");
@@ -550,10 +512,10 @@ mod tests {
 
     #[test]
     fn empty_ledger_renders_gracefully() {
-        let trends = analyze(&view(Vec::new()), &HistoryOptions::default());
+        let trends = analyze(&view(Vec::new()), 0.20);
         assert!(trends.is_empty());
-        assert!(render_table(&trends, &HistoryOptions::default()).contains("no valid run"));
-        assert!(render_html(&trends, &HistoryOptions::default()).contains("no valid run"));
+        assert!(render_table(&trends, 0.20).contains("no valid run"));
+        assert!(render_html(&trends, 0.20).contains("no valid run"));
     }
 
     #[test]
@@ -563,8 +525,8 @@ mod tests {
             run("aaaa", 90.0, 950.0),
             run("aaaa", 95.0, 940.0),
         ]);
-        let trends = analyze(&v, &HistoryOptions::default());
-        let html = render_html(&trends, &HistoryOptions::default());
+        let trends = analyze(&v, 0.20);
+        let html = render_html(&trends, 0.20);
         assert!(html.starts_with("<!DOCTYPE html>"));
         assert!(html.contains("<svg"), "no sparkline");
         assert!(html.contains("<polyline"), "no polyline");
@@ -578,8 +540,8 @@ mod tests {
     fn html_escapes_ledger_sourced_strings() {
         let mut r = run("aaaa", 100.0, 900.0);
         r.name = "<img src=x onerror=alert(1)>".to_string();
-        let trends = analyze(&view(vec![r]), &HistoryOptions::default());
-        let html = render_html(&trends, &HistoryOptions::default());
+        let trends = analyze(&view(vec![r]), 0.20);
+        let html = render_html(&trends, 0.20);
         assert!(!html.contains("<img"), "unescaped name:\n{html}");
         assert!(html.contains("&lt;img"));
     }

@@ -8,8 +8,7 @@
 //!
 //! * **Scenario specs** ([`spec`]) — a serde-backed TOML/JSON description
 //!   of the workload (acceptance, soundness, multicore, or the
-//!   CFG-pipeline workload of [`cfg_workload`]), its parameter grid, and
-//!   the outputs;
+//!   CFG-pipeline workload of [`cfg_workload`]) and its parameter grid;
 //! * **Workloads** ([`GridWorkload`]) — each workload's validated
 //!   parameters define its grid and how one point is keyed, computed and
 //!   folded into the summary; one runner gives all four the memo tables,
@@ -30,7 +29,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use fnpr_campaign::{run_campaign, CampaignSpec};
+//! use fnpr_campaign::{run_campaign_with_store, CampaignSpec};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let spec = CampaignSpec::parse(r#"
@@ -42,14 +41,15 @@
 //!     trials = 4
 //!     simulate = false
 //! "#)?;
-//! let outcome = run_campaign(&spec.validate()?, Some(2))?;
+//! let outcome = run_campaign_with_store(&spec.validate()?, Some(2), None)?;
 //! assert_eq!(outcome.report.summary.dominance_violations, 0);
 //! println!("{}", outcome.report.to_csv());
 //! # Ok(())
 //! # }
 //! ```
 //!
-//! The `fnpr-campaign` binary wraps this: `fnpr-campaign run <spec.toml>`.
+//! The `fnpr-campaign` binary wraps this: `fnpr-campaign run <spec.toml>`,
+//! whose flags choose the threads, the outputs, the store and telemetry.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -73,7 +73,7 @@ use std::num::NonZeroUsize;
 use serde::{Deserialize, Serialize};
 
 pub use error::CampaignError;
-pub use history::{HistoryOptions, ScenarioTrend};
+pub use history::ScenarioTrend;
 pub use memo::MemoStats;
 pub use report::{CampaignReport, StoreStats, Summary};
 pub use spec::{Campaign, CampaignSpec, Workload, WorkloadKind};
@@ -182,47 +182,24 @@ pub struct CampaignOutcome {
     pub threads: usize,
 }
 
-/// Runs a validated campaign. `threads_override` (e.g. from the CLI) wins
-/// over the spec's `threads`; both absent means all cores.
-///
-/// When the spec carries a `[store]` section, the persistent result store
-/// at that path is opened (created if absent) and consulted before any
-/// point computes — see [`store::ResultStore`]. Use
-/// [`run_campaign_with_store`] to supply a store (or an explicit `None`)
-/// directly, e.g. for a CLI `--store` override.
-///
-/// # Errors
-///
-/// Propagates the first shard failure, and I/O errors opening the spec's
-/// store.
-pub fn run_campaign(
-    campaign: &Campaign,
-    threads_override: Option<usize>,
-) -> Result<CampaignOutcome, CampaignError> {
-    let store = match &campaign.store_path {
-        Some(path) => Some(ResultStore::open(std::path::Path::new(path))?),
-        None => None,
-    };
-    run_campaign_with_store(campaign, threads_override, store.as_ref())
-}
-
-/// [`run_campaign`] against an explicitly provided result store (`None`
-/// disables persistence regardless of the spec).
+/// Runs a validated campaign on `threads` worker threads (`None`: all
+/// cores), restoring and persisting finished points through `store` when
+/// one is given.
 ///
 /// Shards run on a scoped thread pool (see [`exec`]); when
 /// `FNPR_FAULT=kill_after=N` is set ([`exec::FAULT_ENV`]), the process
 /// aborts after `N` retired shards, leaving the store's in-progress
-/// marker behind for a `--resume` drill.
+/// marker behind for the next store-backed run to report.
 ///
 /// # Errors
 ///
 /// Propagates the first shard failure, and a malformed `FNPR_FAULT`.
 pub fn run_campaign_with_store(
     campaign: &Campaign,
-    threads_override: Option<usize>,
+    threads: Option<usize>,
     store: Option<&ResultStore>,
 ) -> Result<CampaignOutcome, CampaignError> {
-    let threads = exec::resolve_threads(threads_override.or(campaign.threads));
+    let threads = exec::resolve_threads(threads);
     let kill_after = exec::kill_after_from_env()?;
     let scenario = format!("{:016x}", campaign.scenario_hash());
     let _run_span = fnpr_obs::span("campaign.run", "campaign");

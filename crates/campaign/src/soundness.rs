@@ -1,7 +1,7 @@
 //! The soundness-sweep workload: Theorem 1 and the Figure 2 phenomenon at
 //! scale, over random step curves, with optional discrete-event simulator
-//! validation — the engine-backed generalization of the one-off
-//! `soundness_sweep` binary.
+//! validation. A spec holding only `workload = "soundness"` runs the
+//! default 300-trial sweep.
 //!
 //! Violations are *recorded* (and surfaced in the campaign summary) rather
 //! than panicking mid-sweep, so a single bad trial cannot hide how many

@@ -1,11 +1,11 @@
 //! Scenario specs: the serde-backed description of a campaign.
 //!
-//! A spec file (TOML or JSON) names a workload, its parameter grid, and
-//! where to put the results. [`CampaignSpec`] is the file as written: each
-//! workload table deserializes straight into its `*Params` type, whose
-//! `Default` fills absent keys, and an unknown key is a parse error.
-//! [`CampaignSpec::validate`] expands the grid axes and checks every value
-//! into the [`Campaign`] the executor runs.
+//! A spec file (TOML or JSON) names a workload and its parameter grid; the
+//! `fnpr-campaign run` flags hold every run setting. [`CampaignSpec`] is
+//! the file as written: each workload table deserializes straight into its
+//! `*Params` type, whose `Default` fills absent keys, and an unknown key is
+//! a parse error. [`CampaignSpec::validate`] expands the grid axes and
+//! checks every value into the [`Campaign`] the executor runs.
 
 use std::fmt;
 use std::ops::Deref;
@@ -24,7 +24,7 @@ use crate::GridWorkload;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum WorkloadKind {
     /// Schedulability acceptance ratios over a (policy × utilization) grid
-    /// (the experiment `acceptance_ratio` motivates; paper Section V).
+    /// (the Section V-style sweep the paper motivates).
     Acceptance,
     /// Theorem 1 / Figure 2 soundness sweep over random step curves, with
     /// optional simulator validation.
@@ -86,13 +86,12 @@ impl Allocation {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct CampaignSpec {
-    /// Campaign name, used in report headers and default output paths.
+    /// Campaign name, used in report headers and the run ledger (default
+    /// `campaign`).
     pub name: Option<String>,
     /// Master seed. Every scenario's RNG stream is a pure function of this
     /// seed and the scenario's grid coordinates — never of thread count.
     pub seed: Option<u64>,
-    /// Worker threads (CLI `--threads` overrides; default: all cores).
-    pub threads: Option<usize>,
     /// Which workload to run. When absent and exactly one workload table
     /// (`[acceptance]` / `[soundness]` / `[multicore]` / `[cfg]`) is
     /// present, that workload is inferred; otherwise the default is
@@ -106,12 +105,6 @@ pub struct CampaignSpec {
     pub multicore: Option<MulticoreParams>,
     /// The `[cfg]` table.
     pub cfg: Option<CfgParams>,
-    /// Output locations.
-    pub output: Option<OutputSpec>,
-    /// Persistent result store ([`crate::store`]).
-    pub store: Option<StoreSpec>,
-    /// Observability settings ([`TelemetrySpec`]).
-    pub telemetry: Option<TelemetrySpec>,
 }
 
 /// A sweep axis: an explicit `values` list or an inclusive `start`/`stop`
@@ -400,75 +393,16 @@ impl Default for CfgParams {
     }
 }
 
-/// Where to write results. Relative paths resolve against the working
-/// directory of the `fnpr-campaign` process.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct OutputSpec {
-    /// CSV aggregate path (`-` or absent: stdout).
-    pub csv: Option<String>,
-    /// JSON aggregate path (absent: not emitted unless `--json` is given).
-    pub json: Option<String>,
-}
-
-/// The persistent, content-addressed result store ([`crate::store`]):
-/// finished grid points, and nothing else, are appended here keyed by
-/// structural scenario hashes, so warm re-runs and grid *extensions*
-/// restore previously measured points instead of recomputing them
-/// (aggregates stay byte-identical either way). The CLI's `--store` flag
-/// overrides the path; restored/computed counts print on stderr.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct StoreSpec {
-    /// Store directory path (relative paths resolve against the working
-    /// directory). Required when the `[store]` table is present.
-    pub path: Option<String>,
-}
-
-/// Optional observability settings (the `fnpr-obs` side channel): where to
-/// write the metrics snapshot and Chrome trace, and whether to paint the
-/// live progress line. The CLI's `--metrics`/`--trace-out` flags override
-/// the paths. Like `[output]` and `[store]`, telemetry is **not** part of
-/// [`Campaign::scenario_hash`] — observing a run cannot change what it
-/// computes.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct TelemetrySpec {
-    /// Metrics-snapshot JSON path (absent: not emitted unless `--metrics`
-    /// is given).
-    pub metrics: Option<String>,
-    /// Chrome trace-event JSON path (absent: spans are counted but not
-    /// buffered unless `--trace-out` is given).
-    pub trace: Option<String>,
-    /// Run-ledger path (`LEDGER.jsonl`; absent: no run record is appended
-    /// unless `--ledger` is given). See [`crate::ledger`] and the
-    /// `fnpr-campaign history` subcommand.
-    pub ledger: Option<String>,
-    /// Live stderr progress line (default true; `--quiet` suppresses).
-    pub progress: Option<bool>,
-}
-
 /// A validated campaign: defaults applied, grids expanded, invariants
-/// checked. This is what [`crate::run_campaign`] executes.
+/// checked. This is what [`crate::run_campaign_with_store`] executes.
 #[derive(Debug, Clone)]
 pub struct Campaign {
     /// Campaign name.
     pub name: String,
     /// Master seed.
     pub seed: u64,
-    /// Spec-requested worker threads, if any.
-    pub threads: Option<usize>,
     /// The workload with concrete parameters.
     pub workload: Workload,
-    /// Output locations (raw; the CLI applies them).
-    pub output: OutputSpec,
-    /// Result-store path, when the spec enables persistence. Like the
-    /// outputs, this is **not** part of [`Campaign::scenario_hash`] — where
-    /// results are cached cannot change what they are.
-    pub store_path: Option<String>,
-    /// Observability settings (raw; the CLI applies them). Excluded from
-    /// [`Campaign::scenario_hash`] like the outputs and the store path.
-    pub telemetry: TelemetrySpec,
 }
 
 /// Validated workload parameters: grid axes expanded, every value checked.
@@ -561,23 +495,10 @@ impl CampaignSpec {
             WorkloadKind::Multicore => Workload::Multicore(table(&self.multicore).validated()?),
             WorkloadKind::Cfg => Workload::Cfg(table(&self.cfg).validated()?),
         };
-        at_least_one("`threads`", self.threads.unwrap_or(1))?;
-        // A `[store]` table without a usable path.
-        let store_path = self
-            .store
-            .as_ref()
-            .map(|s| s.path.clone().filter(|p| !p.trim().is_empty()));
-        let rule = "is required in the [store] table (a store with nowhere to live cannot \
-                    cache anything)";
-        require(store_path != Some(None), "`path`", rule)?;
         Ok(Campaign {
             name: self.name.clone().unwrap_or_else(|| "campaign".into()),
             seed: self.seed.unwrap_or(2012),
-            threads: self.threads,
             workload,
-            output: self.output.clone().unwrap_or_default(),
-            store_path: store_path.flatten(),
-            telemetry: self.telemetry.clone().unwrap_or_default(),
         })
     }
 
@@ -750,8 +671,8 @@ impl Campaign {
         }
     }
 
-    /// A stable structural hash of everything that determines results
-    /// (not outputs or thread counts): the campaign id in reports. Each
+    /// A stable structural hash of everything that determines results:
+    /// the campaign id in reports. Each
     /// workload hashes its kind, its [`GridWorkload::template`] and its
     /// axis lists.
     #[must_use]
@@ -931,8 +852,8 @@ pub fn method_tag(m: DelayMethod) -> u64 {
     }
 }
 
-/// Human-readable CSV labels for methods, matching the original
-/// `acceptance_ratio` binary's column names.
+/// Human-readable CSV labels for methods (the acceptance and multicore
+/// CSV column names).
 #[must_use]
 pub fn method_label(m: DelayMethod) -> &'static str {
     match m {
@@ -1011,10 +932,6 @@ n = 4
 utilization = 0.5
 period_range = [10.0, 100.0]
 deadline_factor = [1.0, 1.0]
-
-[output]
-csv = "out.csv"
-json = "out.json"
 "#;
         let spec = CampaignSpec::parse(text).unwrap();
         let campaign = spec.validate().unwrap();
@@ -1028,7 +945,6 @@ json = "out.json"
         assert_eq!(a.methods.len(), 3);
         assert_eq!(*a.utilizations, [0.5, 0.6]);
         assert_eq!(a.taskset.n, 4);
-        assert_eq!(campaign.output.csv.as_deref(), Some("out.csv"));
     }
 
     #[test]
@@ -1183,9 +1099,11 @@ json = "out.json"
                  deadline_factor = [1.0, 1.0]\nperiods = [1.0]\n",
                 "TaskSetParams.periods",
             ),
-            ("[output]\ncvs = \"x.csv\"\n", "OutputSpec.cvs"),
-            ("[store]\npth = \"s\"\n", "StoreSpec.pth"),
-            ("[telemetry]\nprogres = false\n", "TelemetrySpec.progres"),
+            // Run settings are `fnpr-campaign run` flags, not spec keys.
+            ("threads = 2\n", "CampaignSpec.threads"),
+            ("[output]\ncsv = \"x.csv\"\n", "CampaignSpec.output"),
+            ("[store]\npath = \"s\"\n", "CampaignSpec.store"),
+            ("[telemetry]\nprogress = false\n", "CampaignSpec.telemetry"),
         ] {
             let err = CampaignSpec::parse(text).unwrap_err().to_string();
             assert!(
@@ -1420,7 +1338,6 @@ accesses_per_block = [0, 2]
         ] {
             assert_ne!(reference, hash(body), "axis change not hashed: {body}");
         }
-        // Outputs stay out of the hash.
         assert_eq!(reference, hash("")); // stable
     }
 
@@ -1490,91 +1407,6 @@ accesses_per_block = [0, 2]
     }
 
     #[test]
-    fn store_spec_round_trips_and_validates() {
-        let spec = CampaignSpec::parse(
-            "workload = \"soundness\"\n[soundness]\ntrials = 3\n[store]\npath = \"results.log\"\n",
-        )
-        .unwrap();
-        let campaign = spec.validate().unwrap();
-        assert_eq!(campaign.store_path.as_deref(), Some("results.log"));
-        // Absent [store] table: no persistence.
-        let spec =
-            CampaignSpec::parse("workload = \"soundness\"\n[soundness]\ntrials = 3\n").unwrap();
-        assert_eq!(spec.validate().unwrap().store_path, None);
-        // A [store] table without a usable path is a spec error, not a
-        // silently disabled cache.
-        for text in [
-            "workload = \"soundness\"\n[soundness]\ntrials = 3\n[store]\n",
-            "workload = \"soundness\"\n[soundness]\ntrials = 3\n[store]\npath = \"  \"\n",
-        ] {
-            let err = CampaignSpec::parse(text).unwrap().validate().unwrap_err();
-            assert!(err.to_string().contains("path"), "bad message: {err}");
-        }
-    }
-
-    #[test]
-    fn telemetry_spec_round_trips_with_defaults() {
-        let spec = CampaignSpec::parse(
-            "workload = \"soundness\"\n[soundness]\ntrials = 3\n\
-             [telemetry]\nmetrics = \"m.json\"\ntrace = \"t.json\"\n\
-             ledger = \"LEDGER.jsonl\"\nprogress = false\n",
-        )
-        .unwrap();
-        let campaign = spec.validate().unwrap();
-        assert_eq!(campaign.telemetry.metrics.as_deref(), Some("m.json"));
-        assert_eq!(campaign.telemetry.trace.as_deref(), Some("t.json"));
-        assert_eq!(campaign.telemetry.ledger.as_deref(), Some("LEDGER.jsonl"));
-        assert_eq!(campaign.telemetry.progress, Some(false));
-        // Absent table: everything off/default.
-        let spec =
-            CampaignSpec::parse("workload = \"soundness\"\n[soundness]\ntrials = 3\n").unwrap();
-        let campaign = spec.validate().unwrap();
-        assert_eq!(campaign.telemetry.metrics, None);
-        assert_eq!(campaign.telemetry.trace, None);
-        assert_eq!(campaign.telemetry.ledger, None);
-        assert_eq!(campaign.telemetry.progress, None);
-    }
-
-    #[test]
-    fn telemetry_stays_out_of_the_scenario_hash() {
-        // Observing a run cannot change what it computes: warm/cold,
-        // traced/untraced runs must report the same scenario id.
-        let base = CampaignSpec {
-            seed: Some(5),
-            ..CampaignSpec::default()
-        };
-        let mut with_telemetry = base.clone();
-        with_telemetry.telemetry = Some(TelemetrySpec {
-            metrics: Some("m.json".into()),
-            trace: Some("t.json".into()),
-            ledger: Some("LEDGER.jsonl".into()),
-            progress: Some(false),
-        });
-        assert_eq!(
-            base.validate().unwrap().scenario_hash(),
-            with_telemetry.validate().unwrap().scenario_hash()
-        );
-    }
-
-    #[test]
-    fn store_path_stays_out_of_the_scenario_hash() {
-        // Like the outputs: where results are cached cannot change what
-        // they are — warm and cold runs must report the same scenario id.
-        let base = CampaignSpec {
-            seed: Some(5),
-            ..CampaignSpec::default()
-        };
-        let mut with_store = base.clone();
-        with_store.store = Some(StoreSpec {
-            path: Some("x.log".into()),
-        });
-        assert_eq!(
-            base.validate().unwrap().scenario_hash(),
-            with_store.validate().unwrap().scenario_hash()
-        );
-    }
-
-    #[test]
     fn spec_json_round_trip_preserves_the_scenario() {
         // A spec serialized to JSON (the other accepted spec syntax) must
         // validate to the same scenario: serialize → parse → validate.
@@ -1599,12 +1431,7 @@ accesses_per_block = [0, 2]
             ..CampaignSpec::default()
         };
         let a = base.validate().unwrap().scenario_hash();
-        let mut with_output = base.clone();
-        with_output.output = Some(OutputSpec {
-            csv: Some("x.csv".into()),
-            json: None,
-        });
-        assert_eq!(a, with_output.validate().unwrap().scenario_hash());
+        assert_eq!(a, base.validate().unwrap().scenario_hash());
         let mut other_seed = base;
         other_seed.seed = Some(2);
         assert_ne!(a, other_seed.validate().unwrap().scenario_hash());

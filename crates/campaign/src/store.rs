@@ -282,15 +282,7 @@ impl ResultStore {
     /// Real I/O failures reading existing files, and a `path` that exists
     /// but is not a directory.
     pub fn open_read_only(path: &Path) -> std::io::Result<Self> {
-        Self::open_read_only_with_fingerprint(path, analysis_fingerprint())
-    }
-
-    /// [`Self::open_read_only`] with an explicit fingerprint.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::open_read_only`].
-    pub fn open_read_only_with_fingerprint(path: &Path, fingerprint: u64) -> std::io::Result<Self> {
+        let fingerprint = analysis_fingerprint();
         require_store_dir(path)?;
         let mut entries: Vec<IndexShard> = (0..INDEX_SHARDS).map(|_| HashMap::new()).collect();
         let mut counts = LoadCounts::default();
@@ -770,7 +762,7 @@ impl GcReport {
         self.bytes_before.saturating_sub(self.bytes_after)
     }
 
-    /// The one-line human summary the CLI prints on stderr.
+    /// The one-line summary `fnpr-campaign store gc` prints.
     #[must_use]
     pub fn summary(&self) -> String {
         format!(

@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 
 use fnpr_campaign::store::ResultStore;
-use fnpr_campaign::{run_campaign, run_campaign_with_store, CampaignSpec, WorkloadKind};
+use fnpr_campaign::{run_campaign_with_store, CampaignSpec, WorkloadKind};
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize, Value};
 
@@ -16,7 +16,7 @@ mod common;
 
 fn render(spec: &CampaignSpec, threads: usize) -> (String, String) {
     let campaign = spec.validate().expect("generated specs are valid");
-    let outcome = run_campaign(&campaign, Some(threads)).expect("campaign runs");
+    let outcome = run_campaign_with_store(&campaign, Some(threads), None).expect("campaign runs");
     (outcome.report.to_csv(), outcome.report.to_json())
 }
 
@@ -192,7 +192,7 @@ fn render_with_telemetry(
     fnpr_obs::set_enabled(true);
     fnpr_obs::set_trace_collection(true);
     let campaign = spec.validate().expect("generated specs are valid");
-    let outcome = run_campaign(&campaign, Some(threads)).expect("campaign runs");
+    let outcome = run_campaign_with_store(&campaign, Some(threads), None).expect("campaign runs");
     let record = fnpr_campaign::ledger::ledger_record(&campaign, &outcome, 0.5);
     fnpr_campaign::ledger::append_record(ledger, &record).expect("ledger appends");
     let out = (outcome.report.to_csv(), outcome.report.to_json());
@@ -483,7 +483,7 @@ trials_per_shard = 2
     )
     .unwrap();
     let campaign = spec.validate().unwrap();
-    run_campaign(&campaign, Some(2)).unwrap();
+    run_campaign_with_store(&campaign, Some(2), None).unwrap();
     let report = fnpr_obs::MetricsReport::gather(
         "gather-test",
         fnpr_obs::gauge("campaign.points.total").value(),

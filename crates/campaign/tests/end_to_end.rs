@@ -2,7 +2,7 @@
 //! coherent CSV and JSON aggregates — the same path `fnpr-campaign run
 //! examples/campaign_smoke.toml` exercises.
 
-use fnpr_campaign::{run_campaign, CampaignReport, CampaignSpec, WorkloadKind};
+use fnpr_campaign::{run_campaign_with_store, CampaignReport, CampaignSpec, WorkloadKind};
 use std::path::Path;
 
 fn smoke_spec_path() -> std::path::PathBuf {
@@ -12,20 +12,9 @@ fn smoke_spec_path() -> std::path::PathBuf {
 #[test]
 fn smoke_spec_runs_and_exports() {
     let spec = CampaignSpec::load(&smoke_spec_path()).expect("smoke spec loads");
-    // The checked-in spec names both output files; the binary honours them,
-    // the test only renders in memory.
-    assert_eq!(
-        spec.output.as_ref().unwrap().csv.as_deref(),
-        Some("campaign_smoke.csv")
-    );
-    assert_eq!(
-        spec.output.as_ref().unwrap().json.as_deref(),
-        Some("campaign_smoke.json")
-    );
-
     let campaign = spec.validate().expect("smoke spec validates");
     assert_eq!(campaign.workload_kind(), WorkloadKind::Acceptance);
-    let outcome = run_campaign(&campaign, Some(4)).expect("smoke campaign runs");
+    let outcome = run_campaign_with_store(&campaign, Some(4), None).expect("smoke campaign runs");
     let report = &outcome.report;
 
     // 2 policies x 4 utilizations.
@@ -71,7 +60,8 @@ fn multicore_smoke_spec_runs_and_exports() {
     let spec = CampaignSpec::load(&path).expect("multicore smoke spec loads");
     let campaign = spec.validate().expect("multicore smoke spec validates");
     assert_eq!(campaign.workload_kind(), WorkloadKind::Multicore);
-    let outcome = run_campaign(&campaign, Some(4)).expect("multicore smoke campaign runs");
+    let outcome =
+        run_campaign_with_store(&campaign, Some(4), None).expect("multicore smoke campaign runs");
     let report = &outcome.report;
 
     // 2 core counts x 2 policies x 4 allocations x 3 utilizations.
@@ -114,7 +104,8 @@ fn cfg_smoke_spec_runs_the_real_pipeline_end_to_end() {
     let spec = CampaignSpec::load(&path).expect("cfg smoke spec loads");
     let campaign = spec.validate().expect("cfg smoke spec validates");
     assert_eq!(campaign.workload_kind(), WorkloadKind::Cfg);
-    let outcome = run_campaign(&campaign, Some(4)).expect("cfg smoke campaign runs");
+    let outcome =
+        run_campaign_with_store(&campaign, Some(4), None).expect("cfg smoke campaign runs");
     let report = &outcome.report;
 
     // 2 depths x 1 loop bound x 2 footprints x (2 set counts x 1 x 1 x 2
@@ -214,7 +205,7 @@ fn memoization_pays_on_the_smoke_grid() {
         .unwrap()
         .validate()
         .unwrap();
-    let outcome = run_campaign(&campaign, Some(2)).unwrap();
+    let outcome = run_campaign_with_store(&campaign, Some(2), None).unwrap();
     // Both policies analyse the same base task sets; the second policy's
     // grid half must be answered from the memo.
     assert!(

@@ -12,8 +12,8 @@ fn spec(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../examples/{name}"))
 }
 
-/// Runs the CLI in `dir` (the spec's own output paths land there) and
-/// returns its stdout, failing the test on a non-zero exit.
+/// Runs the CLI in `dir` and returns its stdout, failing the test on a
+/// non-zero exit.
 fn cli(dir: &Path, args: &[&str]) -> String {
     let output = Command::new(env!("CARGO_BIN_EXE_fnpr-campaign"))
         .current_dir(dir)
@@ -185,6 +185,23 @@ fn spec_errors_are_one_line_naming_the_key() {
             "tasks_per_core",
         ),
         ("[cfg]\nsets = [1000000000000]\n".to_string(), "sets"),
+        // Run settings are `run` flags, refused like any unknown key.
+        (
+            "name = \"x\"\nthreads = 2\n".to_string(),
+            "line 2 (key `threads`)",
+        ),
+        (
+            "seed = 3\n[output]\ncsv = \"x.csv\"\n".to_string(),
+            "line 2 (key `output`)",
+        ),
+        (
+            "[store]\npath = \"s\"\n".to_string(),
+            "line 1 (key `store`)",
+        ),
+        (
+            "seed = 3\n[telemetry]\nprogress = false\n".to_string(),
+            "line 2 (key `telemetry`)",
+        ),
     ] {
         let file = if text.starts_with('{') {
             "bad.json"
@@ -206,5 +223,26 @@ fn spec_errors_are_one_line_naming_the_key() {
         .expect("fnpr-campaign starts");
     assert_eq!(output.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&output.stderr).contains("usage:"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_unwritable_csv_path_fails_before_the_run() {
+    // The CSV is written after the whole campaign; a path under a regular
+    // file must fail up front, before the store is even created.
+    let dir = common::scratch_dir("grid_csv_path");
+    std::fs::write(dir.join("file"), "not a directory").unwrap();
+    let spec = spec("campaign_smoke.toml");
+    let output = Command::new(env!("CARGO_BIN_EXE_fnpr-campaign"))
+        .current_dir(&dir)
+        .arg("run")
+        .arg(&spec)
+        .args(["--quiet", "--store", "S", "--csv", "file/x.csv"])
+        .output()
+        .expect("fnpr-campaign starts");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("--csv"), "{stderr}");
+    assert!(!dir.join("S").exists(), "the store was created: {stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -4,9 +4,9 @@
 //! `fnpr-campaign history --check` loop the CI gate relies on, minus the
 //! process boundary.
 
-use fnpr_campaign::history::{analyze, any_regression, render_html, render_table, HistoryOptions};
+use fnpr_campaign::history::{analyze, any_regression, render_html, render_table};
 use fnpr_campaign::ledger::{append_record, ledger_record, read_ledger, LEDGER_SCHEMA_VERSION};
-use fnpr_campaign::{run_campaign, CampaignSpec};
+use fnpr_campaign::{run_campaign_with_store, CampaignSpec};
 
 mod common;
 
@@ -29,7 +29,7 @@ trials_per_shard = 2
 fn append_run_raw(ledger: &std::path::Path, wall_seconds: f64) {
     fnpr_obs::set_enabled(true);
     let campaign = smoke_spec().validate().expect("spec validates");
-    let outcome = run_campaign(&campaign, Some(2)).expect("campaign runs");
+    let outcome = run_campaign_with_store(&campaign, Some(2), None).expect("campaign runs");
     let record = ledger_record(&campaign, &outcome, wall_seconds);
     append_record(ledger, &record).expect("ledger appends");
 }
@@ -43,7 +43,7 @@ fn append_run_raw(ledger: &std::path::Path, wall_seconds: f64) {
 fn append_run(ledger: &std::path::Path, wall_seconds: f64) {
     fnpr_obs::set_enabled(true);
     let campaign = smoke_spec().validate().expect("spec validates");
-    let outcome = run_campaign(&campaign, Some(2)).expect("campaign runs");
+    let outcome = run_campaign_with_store(&campaign, Some(2), None).expect("campaign runs");
     let mut record = ledger_record(&campaign, &outcome, wall_seconds);
     record.p50_us = 100.0;
     record.p90_us = 200.0;
@@ -62,7 +62,7 @@ fn healthy_ledger_passes_the_check() {
     let view = read_ledger(&ledger).expect("ledger reads");
     assert_eq!(view.records.len(), 4);
     assert_eq!((view.invalid, view.stale), (0, 0));
-    let trends = analyze(&view, &HistoryOptions::default());
+    let trends = analyze(&view, 0.20);
     assert_eq!(trends.len(), 1, "one scenario");
     assert!(!any_regression(&trends));
     std::fs::remove_dir_all(&dir).ok();
@@ -78,22 +78,17 @@ fn degraded_final_run_fails_the_check_and_is_flagged_everywhere() {
         append_run(&ledger, wall);
     }
     let view = read_ledger(&ledger).expect("ledger reads");
-    let options = HistoryOptions::default();
-    let trends = analyze(&view, &options);
+    let trends = analyze(&view, 0.20);
     assert!(any_regression(&trends), "must flag the degraded final row");
     let regression = trends[0].regression.expect("regression verdict");
     let drop = regression.throughput_drop_pct.expect("throughput side");
     assert!((drop - 66.6).abs() < 2.0, "expected ~67% drop, got {drop}");
     // Both renderings surface it.
-    assert!(render_table(&trends, &options).contains("REGRESSION"));
-    assert!(render_html(&trends, &options).contains("REGRESSION"));
+    assert!(render_table(&trends, 0.20).contains("REGRESSION"));
+    assert!(render_html(&trends, 0.20).contains("REGRESSION"));
     // A generous allowance lets the same ledger pass — the --max-regression
     // escape hatch.
-    let lenient = HistoryOptions {
-        max_regression: 0.80,
-        ..options
-    };
-    assert!(!any_regression(&analyze(&view, &lenient)));
+    assert!(!any_regression(&analyze(&view, 0.80)));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -117,7 +112,7 @@ fn records_survive_a_torn_tail_between_runs() {
     let view = read_ledger(&ledger).expect("ledger reads");
     assert_eq!(view.records.len(), 2);
     assert_eq!(view.invalid, 1, "torn line counted, not fatal");
-    assert!(!any_regression(&analyze(&view, &HistoryOptions::default())));
+    assert!(!any_regression(&analyze(&view, 0.20)));
     std::fs::remove_dir_all(&dir).ok();
 }
 

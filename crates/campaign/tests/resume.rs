@@ -1,6 +1,6 @@
 //! The crash-resume drill through the real CLI: the kill switch
 //! (`FNPR_FAULT=kill_after=N`) aborts a store-backed run mid-campaign,
-//! and a `--resume` run over the same store reports the interruption,
+//! and the next run over the same store reports the interruption,
 //! restores the points the dead run persisted and lands on the clean
 //! run's bytes.
 
@@ -16,9 +16,9 @@ fn smoke_spec() -> PathBuf {
 }
 
 /// `fnpr-campaign run <smoke spec> --threads 2 --csv <dir>/<name>.csv`
-/// plus `extra`, with `dir` as the working directory (the spec's own
-/// output paths land there too). `fault` is the child's `FNPR_FAULT`; the
-/// variable is removed otherwise, so the test process never arms it.
+/// plus `extra`, with `dir` as the working directory. `fault` is the
+/// child's `FNPR_FAULT`; the variable is removed otherwise, so the test
+/// process never arms it.
 fn run(dir: &Path, name: &str, extra: &[&str], fault: Option<&str>) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_fnpr-campaign"));
     cmd.current_dir(dir)
@@ -71,7 +71,7 @@ fn killed_run_resumes_to_the_clean_bytes() {
         stderr(&killed)
     );
 
-    let resumed = run(&dir, "resumed", &["--store", store, "--resume"], None);
+    let resumed = run(&dir, "resumed", &["--store", store], None);
     let log = stderr(&resumed);
     assert!(resumed.status.success(), "resume run failed: {log}");
     assert!(

@@ -237,21 +237,3 @@ fn wrong_analysis_fingerprint_recomputes_never_serves() {
     assert_eq!(warm.store.unwrap().points_computed, 0);
     assert_eq!(renderings(&warm), reference);
 }
-
-#[test]
-fn spec_store_path_is_honoured_by_run_campaign() {
-    // The [store] table alone (no explicit ResultStore) persists results.
-    let path = temp_store_path("spec.log");
-    let spec = format!(
-        "seed = 9\nworkload = \"soundness\"\n[soundness]\ntrials = 3\nsimulate = false\n\
-         [store]\npath = {path:?}\n",
-        path = path.display().to_string(),
-    );
-    let campaign = CampaignSpec::parse(&spec).unwrap().validate().unwrap();
-    let cold = fnpr_campaign::run_campaign(&campaign, Some(2)).unwrap();
-    assert_eq!(cold.store.unwrap().points_computed, 3);
-    let warm = fnpr_campaign::run_campaign(&campaign, Some(2)).unwrap();
-    assert_eq!(warm.store.unwrap().points_computed, 0);
-    assert_eq!(warm.report.to_csv(), cold.report.to_csv());
-    assert_eq!(warm.report.to_json(), cold.report.to_json());
-}

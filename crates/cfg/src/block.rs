@@ -128,13 +128,6 @@ impl BasicBlock {
             label: None,
         }
     }
-
-    /// Attaches a label, builder-style.
-    #[must_use]
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
-        self.label = Some(label.into());
-        self
-    }
 }
 
 #[cfg(test)]
@@ -181,8 +174,10 @@ mod tests {
 
     #[test]
     fn block_display_and_label() {
-        let block = BasicBlock::new(BlockId(3), ExecInterval::exact(7.0).unwrap())
-            .with_label("loop_header");
+        let block = BasicBlock {
+            label: Some("loop_header".into()),
+            ..BasicBlock::new(BlockId(3), ExecInterval::exact(7.0).unwrap())
+        };
         assert_eq!(block.id.to_string(), "b3");
         assert_eq!(block.label.as_deref(), Some("loop_header"));
         assert_eq!(block.id.index(), 3);

@@ -98,19 +98,8 @@ impl Default for TaskSetParams {
 /// deadline below the WCET after applying the factor — rare with sensible
 /// parameters; callers typically resample).
 pub fn random_taskset<R: Rng>(rng: &mut R, params: &TaskSetParams) -> Result<TaskSet, SchedError> {
-    fnpr_obs::counter!("synth.tasksets.generated").incr();
     let utilizations = uunifast(rng, params.n, params.utilization);
-    let (lo, hi) = params.period_range;
-    let mut tasks = Vec::with_capacity(params.n);
-    for &u in &utilizations {
-        let period = lo * (hi / lo).powf(rng.gen::<f64>());
-        let wcet = (u * period).max(1e-6).min(period);
-        let factor = rng.gen_range(params.deadline_factor.0..=params.deadline_factor.1);
-        let deadline = (period * factor).clamp(wcet, period);
-        tasks.push(Task::new(wcet, period)?.with_deadline(deadline)?);
-    }
-    tasks.sort_by(|a, b| a.period().total_cmp(&b.period()));
-    TaskSet::new(tasks)
+    build_taskset(rng, params, &utilizations)
 }
 
 /// Generates a random *multiprocessor* task set: like [`random_taskset`]
@@ -130,9 +119,20 @@ pub fn random_taskset_multicore<R: Rng>(
     let Some(utilizations) = uunifast_discard(rng, params.n, params.utilization, 1.0, 100) else {
         return Ok(None);
     };
+    build_taskset(rng, params, &utilizations).map(Some)
+}
+
+/// The task set with the given utilisations: per task a log-uniform
+/// period, then a deadline factor, sorted by period.
+fn build_taskset<R: Rng>(
+    rng: &mut R,
+    params: &TaskSetParams,
+    utilizations: &[f64],
+) -> Result<TaskSet, SchedError> {
+    fnpr_obs::counter!("synth.tasksets.generated").incr();
     let (lo, hi) = params.period_range;
-    let mut tasks = Vec::with_capacity(params.n);
-    for &u in &utilizations {
+    let mut tasks = Vec::with_capacity(utilizations.len());
+    for &u in utilizations {
         let period = lo * (hi / lo).powf(rng.gen::<f64>());
         let wcet = (u * period).max(1e-6).min(period);
         let factor = rng.gen_range(params.deadline_factor.0..=params.deadline_factor.1);
@@ -140,7 +140,7 @@ pub fn random_taskset_multicore<R: Rng>(
         tasks.push(Task::new(wcet, period)?.with_deadline(deadline)?);
     }
     tasks.sort_by(|a, b| a.period().total_cmp(&b.period()));
-    TaskSet::new(tasks).map(Some)
+    TaskSet::new(tasks)
 }
 
 /// Scheduling policy used when deriving maximum region lengths.

@@ -17,7 +17,7 @@ use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(2012);
-    let sets_per_point = 80; // the fnpr-bench `acceptance_ratio` binary runs the full study
+    let sets_per_point = 80; // the `fnpr-campaign example-spec` campaign runs the full study
     println!(
         "{:>6} {:>10} {:>10} {:>10}   ({} sets per utilisation)",
         "U", "no-delay", "Eq.4", "Alg.1", sets_per_point
