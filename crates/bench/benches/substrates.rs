@@ -10,6 +10,7 @@ use fnpr_cache::{AccessMap, CacheConfig, CrpdAnalysis};
 use fnpr_campaign::report::{CfgPoint, SoundnessRow, SoundnessShard};
 use fnpr_campaign::store::StoreTable;
 use fnpr_campaign::ResultStore;
+use fnpr_cfg::ast::CompiledProgram;
 use fnpr_cfg::{reduce_loops, Occupancy, StartOffsets};
 use fnpr_pipeline::program_access_map;
 use fnpr_sched::{
@@ -17,20 +18,22 @@ use fnpr_sched::{
     DelayMethod,
 };
 use fnpr_synth::{
-    random_cfg, random_program, random_taskset, with_npr_and_curves, CfgGenParams, GeneratedCfg,
-    Policy, ProgramGenParams, TaskSetParams,
+    random_program, random_taskset, with_npr_and_curves, Policy, ProgramGenParams, TaskSetParams,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
-fn generated(depth: usize, seed: u64) -> GeneratedCfg {
-    let params = CfgGenParams {
+/// A `[cfg]`-shaped program of nesting depth `depth`, drawn from `seed`.
+fn generated(depth: usize, seed: u64) -> CompiledProgram {
+    let params = ProgramGenParams {
         max_depth: depth,
-        ..CfgGenParams::default()
+        ..ProgramGenParams::default()
     };
     let mut rng = StdRng::seed_from_u64(seed);
-    random_cfg(&mut rng, &params).expect("generation succeeds")
+    random_program(&mut rng, &params)
+        .expect("generation succeeds")
+        .compiled
 }
 
 fn bench_offsets(c: &mut Criterion) {

@@ -92,7 +92,8 @@ impl ObsSession {
             }
         }
         if let Some(path) = &self.trace {
-            match fnpr_obs::write_chrome_trace(path) {
+            let trace = fnpr_obs::chrome_trace_json(&fnpr_obs::take_trace_events());
+            match std::fs::write(path, trace) {
                 Ok(()) => eprintln!(
                     "wrote Chrome trace to {} (open in Perfetto / chrome://tracing)",
                     path.display()

@@ -20,7 +20,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use fnpr_campaign::spec::{allocation_label, policy_label};
-use fnpr_campaign::store::{GcPolicy, ResultStore};
+use fnpr_campaign::store::ResultStore;
 use fnpr_campaign::{
     history, ledger, run_campaign_with_store, CampaignError, CampaignSpec, GridWorkload, Workload,
 };
@@ -61,9 +61,9 @@ fn main() -> ExitCode {
         },
         Some("store") => match (args.get(1).map(String::as_str), args.get(2)) {
             (Some("stats"), Some(path)) => cmd_store_stats(Path::new(path)),
-            (Some("gc"), Some(path)) => match parse_gc_policy(&args[3..]) {
-                Ok(policy) => cmd_store_gc(Path::new(path), &policy),
-                Err(msg) => usage_error(&msg),
+            (Some("gc"), Some(path)) => match args.get(3) {
+                None => cmd_store_gc(Path::new(path)),
+                Some(other) => usage_error(&format!("unexpected argument {other:?}")),
             },
             _ => usage_error("`store` needs `stats <PATH>` or `gc <PATH>`"),
         },
@@ -178,6 +178,8 @@ fn cmd_run(args: &RunArgs) -> ExitCode {
     fnpr_obs::set_progress(!args.quiet);
     // Fail fast on unwritable targets: a multi-hour campaign must not
     // discover a bad path only when it writes its results at the end.
+    // `-` is stdout for every output but the ledger, a file that later
+    // runs append to and `history` reads.
     for (flag, target) in [
         ("--csv", &args.csv),
         ("--json", &args.json),
@@ -185,11 +187,18 @@ fn cmd_run(args: &RunArgs) -> ExitCode {
         ("--trace-out", &args.trace),
         ("--ledger", &args.ledger),
     ] {
-        if let Some(path) = target.as_deref().filter(|&path| path != "-") {
-            if let Err(e) = probe_writable(Path::new(path)) {
-                eprintln!("fnpr-campaign: {flag} target {path} is not writable: {e}");
+        match target.as_deref() {
+            Some("-") if flag == "--ledger" => {
+                eprintln!("fnpr-campaign: --ledger needs a file, not `-` (runs append to it)");
                 return ExitCode::FAILURE;
             }
+            Some(path) if path != "-" => {
+                if let Err(e) = probe_writable(Path::new(path)) {
+                    eprintln!("fnpr-campaign: {flag} target {path} is not writable: {e}");
+                    return ExitCode::FAILURE;
+                }
+            }
+            _ => {}
         }
     }
     let store = match &args.store {
@@ -217,8 +226,9 @@ fn cmd_run(args: &RunArgs) -> ExitCode {
     };
     let report = &outcome.report;
 
-    // The CSV goes to stdout unless `--csv` names a file; the JSON only
-    // where `--json` says. `-` means stdout.
+    // The CSV goes to stdout unless `--csv` names a file; the JSON, the
+    // metrics snapshot and the trace only where their flags say. `-`
+    // means stdout.
     if let Err(e) = emit(args.csv.as_deref().unwrap_or("-"), &report.to_csv()) {
         eprintln!("fnpr-campaign: writing CSV: {e}");
         return ExitCode::FAILURE;
@@ -241,13 +251,14 @@ fn cmd_run(args: &RunArgs) -> ExitCode {
         )
         .with_scenario(&report.scenario)
         .with_store_path(args.store.as_deref());
-        if let Err(e) = std::fs::write(path, snapshot.to_json()) {
+        if let Err(e) = emit(path, &snapshot.to_json()) {
             eprintln!("fnpr-campaign: writing metrics: {e}");
             return ExitCode::FAILURE;
         }
     }
     if let Some(path) = &args.trace {
-        if let Err(e) = fnpr_obs::write_chrome_trace(Path::new(path)) {
+        let trace = fnpr_obs::chrome_trace_json(&fnpr_obs::take_trace_events());
+        if let Err(e) = emit(path, &trace) {
             eprintln!("fnpr-campaign: writing trace: {e}");
             return ExitCode::FAILURE;
         }
@@ -477,33 +488,6 @@ fn require_existing_store(path: &Path) -> Result<(), ExitCode> {
     Ok(())
 }
 
-/// `store gc` retention flags: `--max-age-days F` and `--max-bytes N` on
-/// top of the always-on structural compaction.
-fn parse_gc_policy(args: &[String]) -> Result<GcPolicy, String> {
-    let mut policy = GcPolicy::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--max-age-days" => {
-                let v = it.next().ok_or("--max-age-days needs a value")?;
-                let days = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("bad age {v:?} (days)"))?;
-                if !days.is_finite() || days < 0.0 {
-                    return Err("--max-age-days must be a non-negative number".into());
-                }
-                policy.max_age_days = Some(days);
-            }
-            "--max-bytes" => {
-                let v = it.next().ok_or("--max-bytes needs a value")?;
-                policy.max_bytes = Some(v.parse::<u64>().map_err(|_| format!("bad size {v:?}"))?);
-            }
-            other => return Err(format!("unexpected argument {other:?}")),
-        }
-    }
-    Ok(policy)
-}
-
 /// `store stats`: open the store **read-only** (validating every line)
 /// and report per-shard file sizes and record counts plus live entry
 /// totals.
@@ -540,11 +524,7 @@ fn cmd_store_stats(path: &Path) -> ExitCode {
             f.records
         );
     }
-    let mut total = 0usize;
-    for (table, count) in store.table_counts() {
-        println!("  {:<26} {count}", table.label());
-        total += count;
-    }
+    let total: usize = files.iter().map(|f| f.records).sum();
     let stats = store.stats();
     println!("live entries: {total}");
     println!(
@@ -554,10 +534,10 @@ fn cmd_store_stats(path: &Path) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `store gc`: rewrite each shard log with only live (valid,
-/// current-fingerprint, newest-per-key) entries, then apply the optional
-/// age/size retention policy (oldest entries evicted first).
-fn cmd_store_gc(path: &Path, policy: &GcPolicy) -> ExitCode {
+/// `store gc`: structural compaction. Rewrites each shard log with only
+/// its live (valid, current-fingerprint, newest-per-key) entries, each
+/// written back as read.
+fn cmd_store_gc(path: &Path) -> ExitCode {
     // Counters on: the gc pass reports scanned/dropped/bytes-reclaimed
     // through the obs registry as well as the printed summary.
     fnpr_obs::set_enabled(true);
@@ -574,7 +554,7 @@ fn cmd_store_gc(path: &Path, policy: &GcPolicy) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match store.gc_with(*policy) {
+    match store.gc() {
         Ok(report) => {
             println!("gc {}: {}", path.display(), report.summary());
             ExitCode::SUCCESS
@@ -607,7 +587,7 @@ usage:
   fnpr-campaign grid <spec>
   fnpr-campaign history <LEDGER> [--check] [--max-regression PCT] [--html PATH]
   fnpr-campaign store stats <PATH>
-  fnpr-campaign store gc <PATH> [--max-age-days F] [--max-bytes N]
+  fnpr-campaign store gc <PATH>
   fnpr-campaign example-spec
 
 execution (aggregates are byte-identical at any thread count):
@@ -619,17 +599,13 @@ execution (aggregates are byte-identical at any thread count):
                      (FNPR_FAULT=kill_after=N aborts a run after N shards,
                      for crash-resume drills)
 
-store gc retention (on top of the always-on structural compaction):
-  --max-age-days F   evict live entries older than F days
-  --max-bytes N      evict oldest live entries until the store fits N bytes
-
 telemetry (write-only; aggregates are byte-identical with it on or off):
   --metrics PATH     write a versioned JSON snapshot of all counters/spans,
-                     including p50/p90/p99 latency percentiles
+                     including p50/p90/p99 latency percentiles (`-`: stdout)
   --trace-out PATH   write a Chrome trace-event JSON of per-shard spans
-                     (open in Perfetto or chrome://tracing)
+                     (open in Perfetto or chrome://tracing; `-`: stdout)
   --ledger PATH      append one run record (throughput, percentiles, hit
-                     rates) to a checksummed run ledger
+                     rates) to a checksummed run ledger (a file, never `-`)
   --quiet            also suppresses the live progress line
 
 history (regression watch over a run ledger):

@@ -77,7 +77,7 @@ pub use history::ScenarioTrend;
 pub use memo::MemoStats;
 pub use report::{CampaignReport, StoreStats, Summary};
 pub use spec::{Campaign, CampaignSpec, Workload, WorkloadKind};
-pub use store::{GcPolicy, GcReport, ResultStore};
+pub use store::{GcReport, ResultStore};
 
 use memo::ScenarioHasher;
 use store::StoreTable;

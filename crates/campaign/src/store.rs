@@ -31,8 +31,8 @@
 //! * `key` — the 128-bit content address (structural scenario hash);
 //! * `fingerprint` — the [`analysis_fingerprint`] of the writer; entries
 //!   from a different analysis version are treated as stale and recomputed;
-//! * `stamp` — unix seconds at write time, driving the `store gc` age/size
-//!   retention policies (never read into results);
+//! * `stamp` — unix seconds at write time, kept for provenance (never
+//!   read into results; `store gc` writes it back as read);
 //! * `len`/`sum` — payload byte length and checksum, so truncated tails and
 //!   corrupted bytes are detected line-locally;
 //! * `payload` — the result as compact JSON (single line by construction).
@@ -126,17 +126,6 @@ impl StoreTable {
             StoreTable::SoundnessShards => 0x534e_4453,  // "SNDS"
             StoreTable::MulticorePoints => 0x4d43_4f52,  // "MCOR"
             StoreTable::CfgPoints => 0x4347_5054,        // "CGPT"
-        }
-    }
-
-    /// Human-readable label for `store stats`.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            StoreTable::AcceptancePoints => "acceptance points",
-            StoreTable::SoundnessShards => "soundness shards",
-            StoreTable::MulticorePoints => "multicore points",
-            StoreTable::CfgPoints => "cfg points",
         }
     }
 
@@ -505,28 +494,19 @@ impl ResultStore {
             .collect()
     }
 
-    /// [`Self::gc_with`] under the default (structural-only) policy.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::gc_with`].
-    pub fn gc(&self) -> std::io::Result<GcReport> {
-        self.gc_with(GcPolicy::default())
-    }
-
     /// Rewrites every table file keeping exactly the live entries:
     /// duplicates (superseded appends), invalid, stale and unknown-version
-    /// lines are dropped, then the retention `policy` evicts live entries
-    /// **oldest-first** (by write stamp). Each rewrite goes through a
-    /// sibling temp file + rename, so a crash mid-gc leaves either the old
-    /// or the new file, never a torn one. Returns what was scanned, kept, dropped, evicted
-    /// and reclaimed.
+    /// lines are dropped, and each kept line is written back as read,
+    /// write stamp included, in `(tag, key)` order. Each rewrite goes
+    /// through a sibling temp file + rename, so a crash mid-gc leaves
+    /// either the old or the new file, never a torn one. Returns what was
+    /// scanned, kept, dropped and reclaimed.
     ///
     /// # Errors
     ///
     /// I/O failures writing or renaming the new files; also if this handle
     /// is read-only.
-    pub fn gc_with(&self, policy: GcPolicy) -> std::io::Result<GcReport> {
+    pub fn gc(&self) -> std::io::Result<GcReport> {
         let Some(files) = &self.files else {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::PermissionDenied,
@@ -567,43 +547,11 @@ impl ResultStore {
                 }
             }
         }
-        let structurally_live = live.len();
-
-        // Retention: age cutoff first, then oldest-first size eviction.
-        let mut evicted = 0usize;
-        if let Some(days) = policy.max_age_days {
-            let cutoff = fnpr_obs::unix_now().saturating_sub((days * 86_400.0).max(0.0) as u64);
-            let before = live.len();
-            live.retain(|_, (stamp, _)| *stamp >= cutoff);
-            evicted += before - live.len();
-        }
-        let mut records: Vec<_> = live.into_iter().collect();
-        // Eviction and output order: oldest first, then (tag, key).
-        records.sort_by_key(|a| (a.1 .0, a.0));
-        if let Some(max_bytes) = policy.max_bytes {
-            let sizes: Vec<u64> = records
-                .iter()
-                .map(|((tag, key), (stamp, payload))| {
-                    format_record(*tag, *key, self.fingerprint, *stamp, payload).len() as u64
-                })
-                .collect();
-            // The shortest oldest-first prefix whose eviction fits the rest.
-            let mut total: u64 = sizes.iter().sum();
-            let mut cut = 0;
-            while total > max_bytes && cut < sizes.len() {
-                total -= sizes[cut];
-                cut += 1;
-            }
-            records.drain(..cut);
-            evicted += cut;
-        }
-
-        // Rewrite each table file (sorted by (tag, key) for deterministic
-        // output), then swap in the index matching the survivors.
-        records.sort_by_key(|&((tag, key), _)| (tag, key));
-        let kept = records.len();
+        // Rewrite each table file in the map's (tag, key) order, so the
+        // output is deterministic, then swap in the index matching it.
+        let kept = live.len();
         let mut per_table: Vec<String> = vec![String::new(); StoreTable::ALL.len()];
-        for ((tag, key), (stamp, payload)) in &records {
+        for ((tag, key), (stamp, payload)) in &live {
             let idx = StoreTable::from_tag(*tag).map_or(0, StoreTable::index);
             per_table[idx].push_str(&format_record(
                 *tag,
@@ -629,7 +577,7 @@ impl ResultStore {
         for shard in &self.entries {
             shard.lock().expect("store index poisoned").clear();
         }
-        for ((tag, key), (_, payload)) in records {
+        for ((tag, key), (_, payload)) in live {
             self.entries[index_shard(key)]
                 .lock()
                 .expect("store index poisoned")
@@ -638,14 +586,12 @@ impl ResultStore {
         let report = GcReport {
             scanned,
             kept,
-            dropped: scanned.saturating_sub(structurally_live),
-            evicted,
+            dropped: scanned.saturating_sub(kept),
             bytes_before,
             bytes_after,
         };
         fnpr_obs::counter!("campaign.store.gc.scanned").add(report.scanned as u64);
         fnpr_obs::counter!("campaign.store.gc.dropped").add(report.dropped as u64);
-        fnpr_obs::counter!("campaign.store.gc.evicted").add(report.evicted as u64);
         fnpr_obs::counter!("campaign.store.gc.bytes_reclaimed").add(report.bytes_reclaimed());
         Ok(report)
     }
@@ -670,17 +616,6 @@ pub struct ShardFileInfo {
     /// Live (valid, current-fingerprint) records indexed from this file's
     /// table.
     pub records: usize,
-}
-
-/// Retention policy for [`ResultStore::gc_with`]: both knobs optional,
-/// both evicting *live* entries oldest-first on top of the structural
-/// cleanup (superseded/invalid/stale lines always drop).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct GcPolicy {
-    /// Evict entries older than this many days (by write stamp).
-    pub max_age_days: Option<f64>,
-    /// Evict oldest entries until the store fits in this many bytes.
-    pub max_bytes: Option<u64>,
 }
 
 /// Refuses a `path` that exists but is not a directory — notably a
@@ -737,7 +672,7 @@ fn pid_is_live(pid: u32) -> bool {
     proc_root.join(pid.to_string()).exists()
 }
 
-/// What one [`ResultStore::gc_with`] pass scanned, kept and reclaimed.
+/// What one [`ResultStore::gc`] pass scanned, kept and reclaimed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GcReport {
     /// Non-empty lines across all table files before the rewrite.
@@ -747,8 +682,6 @@ pub struct GcReport {
     /// Lines dropped structurally (superseded duplicates, invalid, stale,
     /// unknown versions and torn-tail terminators).
     pub dropped: usize,
-    /// Live entries evicted by the retention policy (oldest-first).
-    pub evicted: usize,
     /// Total table-file bytes before the rewrite.
     pub bytes_before: u64,
     /// Total table-file bytes after the rewrite.
@@ -766,11 +699,10 @@ impl GcReport {
     #[must_use]
     pub fn summary(&self) -> String {
         format!(
-            "scanned {} lines, kept {} entries, dropped {}, evicted {}; {} -> {} bytes ({} reclaimed)",
+            "scanned {} lines, kept {} entries, dropped {}; {} -> {} bytes ({} reclaimed)",
             self.scanned,
             self.kept,
             self.dropped,
-            self.evicted,
             self.bytes_before,
             self.bytes_after,
             self.bytes_reclaimed()
@@ -1266,15 +1198,17 @@ mod tests {
         }
         assert_eq!(store.get::<f64>(StoreTable::CfgPoints, 9), Some(4.0));
         let tbl = cfg_file(&path);
-        let lines_before = std::fs::read_to_string(&tbl).unwrap().lines().count();
-        assert_eq!(lines_before, 5);
+        let text_before = std::fs::read_to_string(&tbl).unwrap();
+        assert_eq!(text_before.lines().count(), 5);
+        let last_line = text_before.lines().last().unwrap();
         let bytes_before = std::fs::metadata(&tbl).unwrap().len();
         let report = store.gc().unwrap();
-        let lines_after = std::fs::read_to_string(&tbl).unwrap().lines().count();
-        assert_eq!(lines_after, 1);
+        // The kept line is the last one appended, byte for byte, stamp
+        // included.
+        let text_after = std::fs::read_to_string(&tbl).unwrap();
+        assert_eq!(text_after, format!("{last_line}\n"));
         // The report reflects exactly what the rewrite did.
         assert_eq!((report.scanned, report.kept, report.dropped), (5, 1, 4));
-        assert_eq!(report.evicted, 0);
         assert_eq!(report.bytes_before, bytes_before);
         assert_eq!(report.bytes_after, std::fs::metadata(&tbl).unwrap().len());
         assert_eq!(
@@ -1294,19 +1228,6 @@ mod tests {
         assert_eq!(again.get::<f64>(StoreTable::CfgPoints, 10), Some(7.0));
     }
 
-    /// Appends a record with an explicit stamp (the normal `put` path
-    /// always stamps "now", which age/size-policy tests cannot wait out).
-    fn append_stamped(store_dir: &Path, table: StoreTable, key: u128, stamp: u64, payload: &str) {
-        let line = format_record(table.tag(), key, analysis_fingerprint(), stamp, payload);
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(store_dir.join(table.file_name()))
-            .unwrap()
-            .write_all(line.as_bytes())
-            .unwrap();
-    }
-
     #[test]
     fn deeply_nested_payloads_are_invalid_and_recompute() {
         // A checksum-valid record whose payload nests far past the JSON
@@ -1315,7 +1236,14 @@ mod tests {
         let path = temp_store_path("nested.log");
         drop(ResultStore::open(&path).unwrap());
         let deep = "[".repeat(100_000) + &"]".repeat(100_000);
-        append_stamped(&path, StoreTable::CfgPoints, 5, 1, &deep);
+        let line = format_record(
+            StoreTable::CfgPoints.tag(),
+            5,
+            analysis_fingerprint(),
+            1,
+            &deep,
+        );
+        std::fs::write(cfg_file(&path), line).unwrap();
         let store = ResultStore::open(&path).unwrap();
         let v: Result<f64, ()> = store.get_or_compute(StoreTable::CfgPoints, 5, || Ok(6.5));
         assert_eq!(v, Ok(6.5));
@@ -1341,91 +1269,6 @@ mod tests {
         );
         let report = store.gc().unwrap();
         assert_eq!((report.scanned, report.kept, report.dropped), (1, 0, 1));
-    }
-
-    #[test]
-    fn gc_age_policy_evicts_old_entries_oldest_first() {
-        let path = temp_store_path("gc_age.log");
-        drop(ResultStore::open(&path).unwrap());
-        let now = fnpr_obs::unix_now();
-        append_stamped(
-            &path,
-            StoreTable::SoundnessShards,
-            1,
-            now.saturating_sub(40 * 86_400),
-            "1.0",
-        );
-        append_stamped(
-            &path,
-            StoreTable::SoundnessShards,
-            2,
-            now.saturating_sub(3 * 86_400),
-            "2.0",
-        );
-        append_stamped(&path, StoreTable::CfgPoints, 3, 0, "3.0"); // Stamp 0: oldest.
-        let store = ResultStore::open(&path).unwrap();
-        let report = store
-            .gc_with(GcPolicy {
-                max_age_days: Some(7.0),
-                max_bytes: None,
-            })
-            .unwrap();
-        assert_eq!((report.kept, report.evicted, report.dropped), (1, 2, 0));
-        // Evicted entries leave the index immediately, not just the files.
-        assert_eq!(store.get::<f64>(StoreTable::SoundnessShards, 1), None);
-        assert_eq!(store.get::<f64>(StoreTable::SoundnessShards, 2), Some(2.0));
-        assert_eq!(store.get::<f64>(StoreTable::CfgPoints, 3), None);
-        let again = ResultStore::open(&path).unwrap();
-        assert_eq!(again.get::<f64>(StoreTable::SoundnessShards, 2), Some(2.0));
-        assert!(
-            report.summary().contains("evicted 2"),
-            "{}",
-            report.summary()
-        );
-    }
-
-    #[test]
-    fn gc_size_policy_evicts_oldest_until_it_fits() {
-        let path = temp_store_path("gc_size.log");
-        drop(ResultStore::open(&path).unwrap());
-        // Three same-size records, stamps 10 < 20 < 30.
-        for (key, stamp) in [(1u128, 10u64), (2, 20), (3, 30)] {
-            append_stamped(&path, StoreTable::CfgPoints, key, stamp, "5.5");
-        }
-        let store = ResultStore::open(&path).unwrap();
-        let one_line = format_record(
-            StoreTable::CfgPoints.tag(),
-            1,
-            analysis_fingerprint(),
-            10,
-            "5.5",
-        )
-        .len() as u64;
-        // Budget for exactly two records: the oldest (stamp 10) must go.
-        let report = store
-            .gc_with(GcPolicy {
-                max_age_days: None,
-                max_bytes: Some(2 * one_line),
-            })
-            .unwrap();
-        assert_eq!((report.kept, report.evicted), (2, 1));
-        assert!(report.bytes_after <= 2 * one_line);
-        assert_eq!(
-            store.get::<f64>(StoreTable::CfgPoints, 1),
-            None,
-            "oldest evicted"
-        );
-        assert_eq!(store.get::<f64>(StoreTable::CfgPoints, 2), Some(5.5));
-        assert_eq!(store.get::<f64>(StoreTable::CfgPoints, 3), Some(5.5));
-        // A zero budget empties the store without erroring.
-        let report = store
-            .gc_with(GcPolicy {
-                max_age_days: None,
-                max_bytes: Some(0),
-            })
-            .unwrap();
-        assert_eq!((report.kept, report.evicted), (0, 2));
-        assert_eq!(store.get::<f64>(StoreTable::CfgPoints, 3), None);
     }
 
     #[test]

@@ -246,3 +246,43 @@ fn an_unwritable_csv_path_fails_before_the_run() {
     assert!(!dir.join("S").exists(), "the store was created: {stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_dash_is_stdout_for_metrics_but_refused_for_the_ledger() {
+    // `-` is stdout for the snapshot, as for the CSV and JSON: no file
+    // named `-` appears.
+    let dir = common::scratch_dir("grid_dash");
+    let spec = spec("campaign_smoke.toml");
+    let spec = spec.to_str().expect("utf-8 spec path");
+    let stdout = cli(
+        &dir,
+        &["run", spec, "--csv", "out.csv", "--metrics", "-", "--quiet"],
+    );
+    let snapshot = serde_json::parse_value(&stdout).expect("stdout is the metrics snapshot");
+    let serde::Value::Map(fields) = snapshot else {
+        panic!("the snapshot is a JSON object: {stdout}");
+    };
+    let points_done = fields.iter().find(|(k, _)| k == "points_done");
+    assert!(
+        matches!(points_done, Some((_, serde::Value::Int(8)))),
+        "{points_done:?}"
+    );
+    assert!(dir.join("out.csv").is_file());
+    assert!(!dir.join("-").exists(), "a file named `-` was written");
+
+    // The ledger is a file later runs append to: `-` is refused before
+    // the store is created.
+    let output = Command::new(env!("CARGO_BIN_EXE_fnpr-campaign"))
+        .current_dir(&dir)
+        .args(["run", spec, "--quiet", "--store", "S", "--ledger", "-"])
+        .output()
+        .expect("fnpr-campaign starts");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("--ledger"), "{stderr}");
+    assert!(output.stdout.is_empty(), "the run went ahead");
+    assert!(!dir.join("S").exists(), "the store was created: {stderr}");
+    assert!(!dir.join("-").exists(), "a file named `-` was written");
+    std::fs::remove_dir_all(&dir).ok();
+}

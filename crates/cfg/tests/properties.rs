@@ -286,7 +286,9 @@ proptest! {
     /// With every block bounded, loop reduction succeeds exactly on the
     /// graphs the T1/T2 test calls reducible and reports every other graph
     /// as irreducible, whether or not the irreducible region sits inside a
-    /// natural loop.
+    /// natural loop. Every reduced graph then passes the start-offset,
+    /// occupancy and timing analyses that `PreparedProgram::new` runs on
+    /// it (the last two build on the first).
     #[test]
     fn reduce_loops_accepts_exactly_the_reducible_graphs(cfg in arb_cyclic_cfg()) {
         let bound = LoopBound::new(1, 3).unwrap();
@@ -296,6 +298,12 @@ proptest! {
             Ok(reduced) => {
                 prop_assert!(t1_t2_reducible(&cfg), "reduced an irreducible graph: {:?}", cfg);
                 prop_assert!(reduced.cfg.is_acyclic());
+                let offsets = StartOffsets::analyze(&reduced.cfg);
+                prop_assert!(offsets.is_ok(), "{:?} for {:?}", offsets.err(), cfg);
+                let occupancy = Occupancy::analyze(&reduced.cfg);
+                prop_assert!(occupancy.is_ok(), "{:?} for {:?}", occupancy.err(), cfg);
+                let timing = GraphTiming::analyze(&reduced.cfg);
+                prop_assert!(timing.is_ok(), "{:?} for {:?}", timing.err(), cfg);
             }
             Err(CfgError::Irreducible { .. }) => {
                 prop_assert!(!t1_t2_reducible(&cfg), "refused a reducible graph: {:?}", cfg);

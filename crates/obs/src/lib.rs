@@ -19,8 +19,9 @@
 //!   [`Histogram`]s — cache the handle at the call site with the
 //!   [`counter!`] / [`gauge!`] / [`histogram!`] macros;
 //! * scoped [`span`](span())s with thread- and shard-id attribution that
-//!   export to Chrome trace-event JSON ([`write_chrome_trace`], loadable
-//!   in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev));
+//!   [`take_trace_events`] drains and [`chrome_trace_json`] renders as
+//!   Chrome trace-event JSON (the CLI's `--trace-out PATH`, loadable in
+//!   `chrome://tracing` or [Perfetto](https://ui.perfetto.dev));
 //! * a [`MetricsReport`] snapshot serialized to versioned JSON
 //!   (the CLI's `--metrics PATH`), histograms carrying
 //!   bucket-interpolated p50/p90/p99;
@@ -47,7 +48,7 @@ pub use progress::{progress_enabled, set_progress, ProgressMeter};
 pub use report::{percent, HistogramSnapshot, MetricsReport, METRICS_SCHEMA_VERSION};
 pub use span::{
     chrome_trace_json, set_trace_collection, span, span_count, span_shard, take_trace_events,
-    trace_collection, write_chrome_trace, Span, TraceEvent,
+    trace_collection, Span, TraceEvent,
 };
 
 use std::collections::BTreeMap;

@@ -8,7 +8,7 @@
 //! telemetry switch, so library users and tests never see it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::Counter;
 
@@ -82,7 +82,8 @@ impl ProgressMeter {
         if !crate::enabled() || !progress_enabled() {
             return;
         }
-        let elapsed_ms = self.started.elapsed().as_millis() as u64;
+        let elapsed = self.started.elapsed();
+        let elapsed_ms = elapsed.as_millis() as u64;
         // `fetch_add` hands out each value exactly once, so exactly one
         // tick observes `done == total` — the one that must paint the
         // newline-terminated 100% line.
@@ -90,7 +91,7 @@ impl ProgressMeter {
         if !self.should_paint(finished, elapsed_ms) {
             return;
         }
-        let line = self.render(done, elapsed_ms);
+        let line = self.render(done, elapsed);
         if finished {
             eprintln!("\r{line}");
         } else {
@@ -119,11 +120,13 @@ impl ProgressMeter {
             .is_ok()
     }
 
-    /// Renders the progress line for `done` items after `elapsed_ms`
+    /// Renders the progress line for `done` items after `elapsed`
     /// (separated from [`Self::tick`] so the format is unit-testable).
+    /// Rate and ETA use the full resolution of `elapsed`: a warm run can
+    /// finish in under a millisecond.
     #[must_use]
-    pub fn render(&self, done: u64, elapsed_ms: u64) -> String {
-        let secs = elapsed_ms as f64 / 1000.0;
+    pub fn render(&self, done: u64, elapsed: Duration) -> String {
+        let secs = elapsed.as_secs_f64();
         let rate = if secs > 0.0 { done as f64 / secs } else { 0.0 };
         let eta = if rate > 0.0 && self.total > done {
             (self.total - done) as f64 / rate
@@ -162,7 +165,7 @@ mod tests {
         hit.add(3);
         miss.add(1);
         let meter = ProgressMeter::new("smoke", 8).with_ratio("memo", hit, miss);
-        let line = meter.render(2, 1000);
+        let line = meter.render(2, Duration::from_millis(1000));
         assert!(line.starts_with("smoke: 2/8 points (25.0%)"), "{line}");
         assert!(line.contains("2.0 points/s"), "{line}");
         assert!(line.contains("ETA 3.0s"), "{line}");
@@ -172,9 +175,22 @@ mod tests {
     #[test]
     fn render_survives_zero_elapsed_and_zero_total() {
         let meter = ProgressMeter::new("empty", 0);
-        let line = meter.render(0, 0);
+        let line = meter.render(0, Duration::ZERO);
         assert!(line.contains("0/0 points (0.0%)"), "{line}");
         assert!(line.contains("ETA 0.0s"), "{line}");
+    }
+
+    #[test]
+    fn render_rates_sub_millisecond_runs() {
+        // Whole milliseconds would read 0.0 points/s for a warm run
+        // restoring 32 points in 400 µs, and 100000.0 (300 / 3 ms) for
+        // 300 points in 4,070 µs.
+        let meter = ProgressMeter::new("warm", 32);
+        let line = meter.render(32, Duration::from_micros(400));
+        assert!(line.contains("80000.0 points/s"), "{line}");
+        let meter = ProgressMeter::new("soundness", 300);
+        let line = meter.render(300, Duration::from_micros(4_070));
+        assert!(line.contains("73710.1 points/s"), "{line}");
     }
 
     #[test]

@@ -213,16 +213,6 @@ impl Serialize for TraceEvent {
     }
 }
 
-/// Drains the buffer and writes it to `path` as Chrome trace JSON.
-///
-/// # Errors
-///
-/// Propagates the filesystem write error.
-pub fn write_chrome_trace(path: &std::path::Path) -> std::io::Result<()> {
-    let events = take_trace_events();
-    std::fs::write(path, chrome_trace_json(&events))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,12 +9,10 @@
 //!   for the worst-case-shape ablation;
 //! * [`uunifast`] / [`random_taskset`] / [`with_npr_and_curves`] — the
 //!   standard random task-set machinery of the schedulability literature;
-//! * [`random_cfg`] — random reducible control-flow graphs with loop bounds
-//!   and code layouts for the cache substrate;
 //! * [`random_program`] — random *structured programs* (`fnpr_cfg::ast`
-//!   statement trees with per-block costs and data accesses), compiled and
-//!   ready for the Section IV pipeline — the `[cfg]` campaign workload's
-//!   generator.
+//!   statement trees with per-block costs and data accesses), compiled to
+//!   a reducible CFG with loop bounds and a code layout, ready for the
+//!   Section IV pipeline — the workspace's one random control-flow source.
 //!
 //! All generators take a caller-provided [`rand::Rng`], so experiments are
 //! reproducible by seed.
@@ -32,12 +30,10 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod cfggen;
 pub mod curves;
 pub mod progen;
 pub mod taskset;
 
-pub use cfggen::{random_cfg, CfgGenParams, GeneratedCfg};
 pub use curves::{
     figure4_all, figure4_gaussian1, figure4_gaussian2, figure4_two_local_maxima, flat_adversarial,
     gaussian_curve, random_step_curve, random_unimodal_curve, FIGURE4_MAX, FIGURE4_STEP,

@@ -1,13 +1,12 @@
-//! Random *structured program* generation — the AST-level sibling of
-//! [`crate::cfggen`].
+//! Random *structured program* generation.
 //!
-//! Where [`crate::random_cfg`] emits raw graphs, [`random_program`] emits a
-//! [`Stmt`] tree — nested sequences, if/else branches and bounded loops with
-//! per-block execution intervals *and per-block data accesses* — and
-//! compiles it through `fnpr_cfg::ast::compile`, so the generated artefact
-//! carries everything the Section IV pipeline needs: a reducible CFG, loop
-//! bounds, a linear code layout, and the data-access annotations that drive
-//! the useful-cache-block analysis.
+//! [`random_program`] emits a [`Stmt`] tree — nested sequences, if/else
+//! branches and bounded loops with per-block execution intervals *and
+//! per-block data accesses* — and compiles it through
+//! `fnpr_cfg::ast::compile`, so the generated artefact carries everything
+//! the Section IV pipeline needs: a reducible CFG, loop bounds, a linear
+//! code layout, and the data-access annotations that drive the
+//! useful-cache-block analysis.
 //!
 //! Data accesses are drawn from a pool of `footprint_lines` distinct
 //! addresses spaced [`DATA_STRIDE`] bytes apart starting at [`DATA_BASE`]
@@ -89,12 +88,11 @@ pub struct GeneratedProgram {
 
 /// Generates a random structured program and compiles it.
 ///
-/// The tree shape mirrors [`crate::random_cfg`]: at each level a region is
-/// a branch with probability `branch_probability`, a loop with
-/// `loop_probability`, and otherwise a sequence of up to `max_sequence`
-/// sub-regions; depth 0 regions are single basic blocks. Every basic block
-/// draws its execution interval from `cost_range` and its data accesses
-/// from the footprint pool.
+/// At each level a region is a branch with probability
+/// `branch_probability`, a loop with `loop_probability`, and otherwise a
+/// sequence of up to `max_sequence` sub-regions; depth 0 regions are
+/// single basic blocks. Every basic block draws its execution interval
+/// from `cost_range` and its data accesses from the footprint pool.
 ///
 /// # Errors
 ///

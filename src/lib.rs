@@ -16,7 +16,7 @@
 //! | [`cache`] | `fnpr-cache` | cache geometry, UCB/ECB analyses, per-block CRPD |
 //! | [`sched`] | `fnpr-sched` | task model, fixed-priority RTA, EDF demand tests, `Qi` determination, Eq. 5 inflation |
 //! | [`sim`] | `fnpr-sim` | floating-NPR scheduler simulator with delay injection (unicore + m-core) |
-//! | [`synth`] | `fnpr-synth` | Figure-4 curves, UUniFast task sets, random CFGs |
+//! | [`synth`] | `fnpr-synth` | Figure-4 curves, UUniFast task sets, random structured programs |
 //! | [`multicore`] | `fnpr-multicore` | global & partitioned multiprocessor tests with NPR blocking |
 //! | [`campaign`] | `fnpr-campaign` | sharded, deterministic experiment-campaign engine |
 //! | [`pipeline`] | `fnpr-pipeline` | the Section IV end-to-end wiring (one-shot + prepared batch APIs) |
