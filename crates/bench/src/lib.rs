@@ -24,14 +24,16 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-use std::path::PathBuf;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Telemetry wiring for the figure/sweep binaries.
 ///
 /// [`ObsSession::from_env`] arms `fnpr-obs` when the environment asks for
 /// artifacts — `FNPR_METRICS=PATH` for a [`fnpr_obs::MetricsReport`] JSON
-/// snapshot, `FNPR_TRACE_OUT=PATH` for a Chrome trace — and
+/// snapshot, `FNPR_TRACE_OUT=PATH` for a Chrome trace, where a `PATH` of
+/// `-` means stdout, after the binary's CSV — and
 /// [`ObsSession::flush`] writes them. Call `flush` at every exit of
 /// `main` (including the `process::exit(1)` shape-check failure paths,
 /// which skip destructors). With neither variable set, both calls are
@@ -83,24 +85,48 @@ impl ObsSession {
                 fnpr_obs::counter("campaign.points.done").value(),
                 self.started.elapsed().as_secs_f64(),
             );
-            match std::fs::write(path, report.to_json()) {
-                Ok(()) => eprintln!("wrote metrics snapshot to {}", path.display()),
+            match write_artifact(path, &report.to_json()) {
+                Ok(()) => eprintln!("wrote metrics snapshot to {}", target_name(path)),
                 Err(e) => eprintln!(
                     "warning: could not write metrics to {}: {e}",
-                    path.display()
+                    target_name(path)
                 ),
             }
         }
         if let Some(path) = &self.trace {
             let trace = fnpr_obs::chrome_trace_json(&fnpr_obs::take_trace_events());
-            match std::fs::write(path, trace) {
+            match write_artifact(path, &trace) {
                 Ok(()) => eprintln!(
                     "wrote Chrome trace to {} (open in Perfetto / chrome://tracing)",
-                    path.display()
+                    target_name(path)
                 ),
-                Err(e) => eprintln!("warning: could not write trace to {}: {e}", path.display()),
+                Err(e) => eprintln!(
+                    "warning: could not write trace to {}: {e}",
+                    target_name(path)
+                ),
             }
         }
+    }
+}
+
+/// Writes `content` to the file at `path`, or to stdout for `-` (as
+/// `fnpr-campaign run --metrics -` does).
+fn write_artifact(path: &Path, content: &str) -> std::io::Result<()> {
+    if path == Path::new("-") {
+        let mut out = std::io::stdout().lock();
+        out.write_all(content.as_bytes())?;
+        out.flush()
+    } else {
+        std::fs::write(path, content)
+    }
+}
+
+/// How the stderr notes name an artifact's target.
+fn target_name(path: &Path) -> String {
+    if path == Path::new("-") {
+        "stdout".to_owned()
+    } else {
+        path.display().to_string()
     }
 }
 

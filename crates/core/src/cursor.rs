@@ -22,6 +22,8 @@
 //! sliding-window maximum) over the segments between them. Every segment
 //! enters and leaves each structure at most once: a full Algorithm 1 run
 //! costs **O(segments + windows)** and performs no per-window allocation.
+//! The deque itself is borrowed from a per-thread slot and handed back,
+//! cleared, when the cursor drops, so a warm thread's runs allocate nothing.
 //!
 //! The cursor reads segment values as the curve stores them. A scaled
 //! curve (sensitivity bisection) is materialized with
@@ -31,9 +33,16 @@
 //! reference in `tests/support/algorithm1_reference.rs`) is
 //! property-tested in `tests/properties.rs`.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 use crate::curve::DelayCurve;
+
+thread_local! {
+    /// The window deque of the last cursor dropped on this thread, kept
+    /// empty with its capacity so the next Algorithm 1 run reuses it.
+    static SPARE_DEQUE: Cell<VecDeque<(usize, f64)>> = const { Cell::new(VecDeque::new()) };
+}
 
 /// The answers Algorithm 1 needs about one window `[progress, progress+q]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,14 +83,15 @@ pub(crate) struct CurveCursor<'c> {
 }
 
 impl<'c> CurveCursor<'c> {
-    /// A cursor at the start of `curve`.
+    /// A cursor at the start of `curve`, on this thread's spare deque (a
+    /// fresh one while another cursor holds it, or during thread teardown).
     pub fn new(curve: &'c DelayCurve) -> Self {
         Self {
             curve,
             lo: 0,
             cross: 0,
             pushed: None,
-            deque: VecDeque::new(),
+            deque: SPARE_DEQUE.try_with(Cell::take).unwrap_or_default(),
             advances: 0,
         }
     }
@@ -208,6 +218,10 @@ impl Drop for CurveCursor<'_> {
         // One telemetry flush per cursor lifetime (one Algorithm 1 run),
         // self-gated: free when telemetry is off.
         fnpr_obs::counter!("core.cursor.segment_advances").add(self.advances);
+        let mut deque = std::mem::take(&mut self.deque);
+        deque.clear();
+        // During thread teardown the slot may be gone: drop the deque then.
+        let _ = SPARE_DEQUE.try_with(|slot| slot.set(deque));
     }
 }
 
@@ -219,23 +233,27 @@ mod tests {
         DelayCurve::from_breakpoints(points.iter().copied(), end).expect("valid curve")
     }
 
+    /// Checks one cursor window against the three per-call queries.
+    fn assert_matches_queries(f: &DelayCurve, q: f64, progress: f64, scan: WindowScan) {
+        assert!(progress < f.domain_end());
+        let p_cross = f
+            .first_crossing(progress, q)
+            .unwrap()
+            .unwrap_or(f.domain_end())
+            .min(f.domain_end());
+        let delay = f.max_on(progress, p_cross).unwrap();
+        let p_max = f.argmax_on(progress, p_cross).unwrap();
+        assert_eq!(scan.p_cross.to_bits(), p_cross.to_bits(), "p_cross");
+        assert_eq!(scan.delay.to_bits(), delay.to_bits(), "delay");
+        assert_eq!(scan.p_max.to_bits(), p_max.to_bits(), "p_max");
+    }
+
     /// Runs the cursor and the three per-call queries side by side over a
     /// synthetic strictly-increasing progress schedule.
     fn check_against_reference(f: &DelayCurve, q: f64, progresses: &[f64]) {
         let mut cursor = CurveCursor::new(f);
         for &progress in progresses {
-            assert!(progress < f.domain_end());
-            let scan = cursor.window(progress, q);
-            let p_cross = f
-                .first_crossing(progress, q)
-                .unwrap()
-                .unwrap_or(f.domain_end())
-                .min(f.domain_end());
-            let delay = f.max_on(progress, p_cross).unwrap();
-            let p_max = f.argmax_on(progress, p_cross).unwrap();
-            assert_eq!(scan.p_cross.to_bits(), p_cross.to_bits(), "p_cross");
-            assert_eq!(scan.delay.to_bits(), delay.to_bits(), "delay");
-            assert_eq!(scan.p_max.to_bits(), p_max.to_bits(), "p_max");
+            assert_matches_queries(f, q, progress, cursor.window(progress, q));
         }
     }
 
@@ -254,5 +272,27 @@ mod tests {
         // window extends to wcet.
         let f = curve(&[(0.0, 0.1), (90.0, 5.0), (95.0, 0.1)], 100.0);
         check_against_reference(&f, 30.0, &[30.0, 59.0, 80.0, 99.0]);
+    }
+
+    #[test]
+    fn interleaved_cursors_on_one_thread_keep_their_own_windows() {
+        // One run first, so the thread's spare deque holds capacity. Then
+        // `a` takes the spare while `b` starts on a fresh deque, and `c`
+        // takes the deque `a` handed back while `b` is still mid-run.
+        let f = curve(&[(0.0, 1.0), (25.0, 6.0), (35.0, 2.0), (70.0, 0.5)], 120.0);
+        let g = curve(&[(0.0, 4.0), (10.0, 0.5), (50.0, 3.0), (90.0, 1.0)], 100.0);
+        check_against_reference(&f, 11.0, &[11.0, 16.0, 21.0, 40.0, 77.0, 119.0]);
+        let mut a = CurveCursor::new(&f);
+        let mut b = CurveCursor::new(&g);
+        for (pa, pb) in [(0.5, 0.0), (24.9, 5.0), (25.0, 12.0), (69.0, 48.0)] {
+            assert_matches_queries(&f, 7.0, pa, a.window(pa, 7.0));
+            assert_matches_queries(&g, 9.0, pb, b.window(pb, 9.0));
+        }
+        drop(a);
+        let mut c = CurveCursor::new(&f);
+        for (pc, pb) in [(3.0, 55.0), (30.0, 91.0), (110.0, 99.5)] {
+            assert_matches_queries(&f, 11.0, pc, c.window(pc, 11.0));
+            assert_matches_queries(&g, 9.0, pb, b.window(pb, 9.0));
+        }
     }
 }

@@ -12,6 +12,8 @@
 //! functions via [`DelayCurve::from_fn_upper`].
 
 use std::collections::{BinaryHeap, HashMap};
+use std::fmt;
+use std::sync::OnceLock;
 
 use crate::error::CurveError;
 use crate::hash::StructuralHasher;
@@ -80,7 +82,7 @@ impl Segment {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct DelayCurve {
     /// Segment start offsets; `starts[0] == 0.0`, strictly increasing.
     starts: Vec<f64>,
@@ -88,22 +90,29 @@ pub struct DelayCurve {
     values: Vec<f64>,
     /// Domain end (the task WCET `C`); the last segment is `[starts[n-1], end)`.
     end: f64,
-    /// 128-bit structural hash over (segments, domain end), computed once
-    /// at construction; see [`DelayCurve::structural_hash128`]. The low
-    /// word is the historical 64-bit hash ([`DelayCurve::structural_hash`]).
-    hash: u128,
+    /// 128-bit structural hash over (segments, domain end) as `[low, high]`
+    /// words, computed on the first [`DelayCurve::structural_hash128`] (or
+    /// 64-bit) call and cached. Most curves are never hashed. Two words
+    /// rather than a `u128`, whose 16-byte alignment would grow the curve
+    /// (and every `Task` holding one) by 16 bytes.
+    hash: OnceLock<[u64; 2]>,
 }
 
-/// Structural hash over validated `(starts, values, end)` data: every
-/// segment's `(start, end, value)` triple followed by the domain end,
-/// mixed with the workspace's one [`StructuralHasher`].
-fn structural_hash_of(starts: &[f64], values: &[f64], end: f64) -> u128 {
-    let mut h = StructuralHasher::new(0x43_55_52_56); // "CURV"
-    for k in 0..starts.len() {
-        let seg_end = starts.get(k + 1).copied().unwrap_or(end);
-        h = h.f64(starts[k]).f64(seg_end).f64(values[k]);
+/// Equality is structural: the cached hash is derived data, read or not.
+impl PartialEq for DelayCurve {
+    fn eq(&self, other: &Self) -> bool {
+        self.starts == other.starts && self.values == other.values && self.end == other.end
     }
-    h.f64(end).finish128()
+}
+
+impl fmt::Debug for DelayCurve {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DelayCurve")
+            .field("starts", &self.starts)
+            .field("values", &self.values)
+            .field("end", &self.end)
+            .finish_non_exhaustive()
+    }
 }
 
 impl DelayCurve {
@@ -198,12 +207,11 @@ impl DelayCurve {
         if starts.is_empty() {
             return Err(CurveError::Empty);
         }
-        let hash = structural_hash_of(&starts, &values, end);
         Ok(Self {
             starts,
             values,
             end,
-            hash,
+            hash: OnceLock::new(),
         })
     }
 
@@ -415,10 +423,11 @@ impl DelayCurve {
     /// triple plus the domain end, canonicalized (`-0.0` → `0.0`) and
     /// stable across platforms and runs.
     ///
-    /// Computed **once** at construction and cached, so memo layers keying
-    /// on curve identity (e.g. campaign `(curve, Q)` bound caches) pay O(1)
-    /// per lookup instead of re-hashing every segment. Every constructor
-    /// computes it from the segments it builds, so it can never go stale.
+    /// Computed **once**, on the first call, and cached, so memo layers
+    /// keying on curve identity (e.g. campaign `(curve, Q)` bound caches)
+    /// pay O(1) per later lookup instead of re-hashing every segment, and
+    /// curves nobody keys on never pay for it. A curve is immutable once
+    /// built, so the cached value can never go stale.
     ///
     /// ```
     /// use fnpr_core::DelayCurve;
@@ -431,19 +440,27 @@ impl DelayCurve {
     /// ```
     #[must_use]
     pub fn structural_hash(&self) -> u64 {
-        self.hash as u64
+        self.structural_hash128() as u64
     }
 
     /// 128-bit structural hash of the curve: the low word is exactly
     /// [`Self::structural_hash`] (value-compatible for in-process sharding
     /// and legacy keys), the high word comes from the hasher's independent
-    /// second lane ([`StructuralHasher::finish128`]). Cached at
-    /// construction like the 64-bit value. Memo tables and the on-disk
+    /// second lane ([`StructuralHasher::finish128`]). Computed on first
+    /// use and cached like the 64-bit value. Memo tables and the on-disk
     /// result store key curves by this, so a 64-bit collision between two
     /// distinct curves can no longer alias their cached results.
     #[must_use]
     pub fn structural_hash128(&self) -> u128 {
-        self.hash
+        let [low, high] = *self.hash.get_or_init(|| {
+            let mut h = StructuralHasher::new(0x43_55_52_56); // "CURV"
+            for segment in self.segments() {
+                h = h.f64(segment.start).f64(segment.end).f64(segment.value);
+            }
+            let hash = h.f64(self.end).finish128();
+            [hash as u64, (hash >> 64) as u64]
+        });
+        (u128::from(high) << 64) | u128::from(low)
     }
 
     /// Raw `(starts, values)` storage for the in-crate scan kernels

@@ -3,7 +3,7 @@
 //! A streaming FNV-1a-style mixer with a murmur-style final avalanche:
 //! stable across platforms and runs — reproducible campaign/scenario ids
 //! need that — and not DoS-resistant (irrelevant here). [`DelayCurve`]
-//! caches a hash of its segments at construction
+//! hashes its segments on first use and caches the result
 //! ([`DelayCurve::structural_hash`]), and `fnpr-campaign` re-exports this
 //! type as its `ScenarioHasher` for every other memo key, so there is a
 //! single definition of the mixing scheme: a change here shows up in both

@@ -535,8 +535,8 @@ mod tests {
                 analyze_task(&compiled.cfg, &compiled.loop_bounds, &accesses, &cache).unwrap();
             assert_eq!(fast, slow, "geometry ({sets},{assoc},{line},{brt})");
             // The per-geometry curves also agree on the structural hash the
-            // campaign memo layers key on — cached at construction, so both
-            // derivation paths expose identical O(1) identities.
+            // campaign memo layers key on — computed from the segments on
+            // first use, so both derivation paths expose identical identities.
             assert_eq!(
                 fast.curve.structural_hash(),
                 slow.curve.structural_hash(),

@@ -7,9 +7,17 @@
 //! `t − dbf(t)` is the quantity Bertogna & Baruah's non-preemptive-region
 //! bound ([`crate::max_npr_lengths_edf`]) minimises over.
 
+use std::cell::Cell;
+
 use crate::error::SchedError;
 use crate::task::TaskSet;
 use crate::util::floor_div;
+
+thread_local! {
+    /// The testing-point buffer of this thread's EDF tests, kept between
+    /// calls so each test refills it instead of growing a fresh vector.
+    static POINTS: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+}
 
 /// Cap on the number of testing points (guards degenerate period ratios).
 pub const MAX_TESTING_POINTS: usize = 5_000_000;
@@ -71,6 +79,18 @@ pub fn demand_horizon(tasks: &TaskSet) -> Result<f64, SchedError> {
 /// [`MAX_TESTING_POINTS`].
 pub fn testing_points(tasks: &TaskSet, horizon: f64) -> Result<Vec<f64>, SchedError> {
     let mut points = Vec::new();
+    fill_testing_points(tasks, horizon, &mut points)?;
+    Ok(points)
+}
+
+/// Replaces the contents of `points` with [`testing_points`]`(tasks,
+/// horizon)`.
+fn fill_testing_points(
+    tasks: &TaskSet,
+    horizon: f64,
+    points: &mut Vec<f64>,
+) -> Result<(), SchedError> {
+    points.clear();
     for task in tasks.iter() {
         let mut d = task.deadline();
         while d <= horizon {
@@ -83,9 +103,26 @@ pub fn testing_points(tasks: &TaskSet, horizon: f64) -> Result<Vec<f64>, SchedEr
             d += task.period();
         }
     }
-    points.sort_by(f64::total_cmp);
+    // Every point is a positive deadline sum, whose bit patterns order as
+    // the values do; equal values have equal bits, so the unstable sort
+    // and `dedup` leave exactly what a stable `total_cmp` sort would.
+    points.sort_unstable_by_key(|p| p.to_bits());
     points.dedup();
-    Ok(points)
+    Ok(())
+}
+
+/// Runs `f` on [`testing_points`]`(tasks, horizon)`, held in this thread's
+/// reused buffer.
+pub(crate) fn with_testing_points<R>(
+    tasks: &TaskSet,
+    horizon: f64,
+    f: impl FnOnce(&[f64]) -> R,
+) -> Result<R, SchedError> {
+    let mut points = POINTS.try_with(Cell::take).unwrap_or_default();
+    let result = fill_testing_points(tasks, horizon, &mut points).map(|()| f(&points));
+    // During thread teardown the slot may be gone: drop the buffer then.
+    let _ = POINTS.try_with(|slot| slot.set(points));
+    result
 }
 
 /// The processor demand criterion: EDF schedulability of the task set
@@ -115,12 +152,9 @@ pub fn edf_schedulable(tasks: &TaskSet) -> Result<bool, SchedError> {
         Err(SchedError::Overutilized { .. }) => return Ok(false),
         Err(other) => return Err(other),
     };
-    for t in testing_points(tasks, horizon)? {
-        if dbf(tasks, t) > t + 1e-9 {
-            return Ok(false);
-        }
-    }
-    Ok(true)
+    with_testing_points(tasks, horizon, |points| {
+        !points.iter().any(|&t| dbf(tasks, t) > t + 1e-9)
+    })
 }
 
 /// EDF schedulability under floating non-preemptive regions: at every
@@ -138,17 +172,16 @@ pub fn edf_schedulable_with_npr(tasks: &TaskSet) -> Result<bool, SchedError> {
         Err(SchedError::Overutilized { .. }) => return Ok(false),
         Err(other) => return Err(other),
     };
-    for t in testing_points(tasks, horizon)? {
-        let blocking = tasks
-            .iter()
-            .filter(|task| task.deadline() > t)
-            .filter_map(|task| task.q())
-            .fold(0.0f64, f64::max);
-        if dbf(tasks, t) + blocking > t + 1e-9 {
-            return Ok(false);
-        }
-    }
-    Ok(true)
+    with_testing_points(tasks, horizon, |points| {
+        !points.iter().any(|&t| {
+            let blocking = tasks
+                .iter()
+                .filter(|task| task.deadline() > t)
+                .filter_map(|task| task.q())
+                .fold(0.0f64, f64::max);
+            dbf(tasks, t) + blocking > t + 1e-9
+        })
+    })
 }
 
 #[cfg(test)]

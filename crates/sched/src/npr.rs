@@ -15,7 +15,7 @@
 //! Unconstrained tasks (shortest deadline / highest priority) get
 //! `f64::INFINITY`; callers typically cap at the task's own WCET.
 
-use crate::edf::{demand_horizon, slack, testing_points};
+use crate::edf::{demand_horizon, slack, with_testing_points};
 use crate::error::SchedError;
 use crate::task::TaskSet;
 use crate::util::ceil_div;
@@ -76,22 +76,24 @@ impl NprBounds {
 /// ```
 pub fn max_npr_lengths_edf(tasks: &TaskSet) -> Result<NprBounds, SchedError> {
     let horizon = demand_horizon(tasks)?;
-    let points = testing_points(tasks, horizon)?;
-    // Slack does not depend on the task: one sweep over the points below
-    // the largest deadline gives every prefix minimum, and a task's bound
-    // is the minimum over the points below its own deadline.
-    let d_max = tasks.iter().map(|t| t.deadline()).fold(0.0f64, f64::max);
-    let mut prefix_min = vec![f64::INFINITY];
-    let mut running = f64::INFINITY;
-    for &t in points.iter().take_while(|&&t| t < d_max) {
-        running = running.min(slack(tasks, t));
-        prefix_min.push(running);
-    }
-    let q_max = tasks
-        .iter()
-        .map(|task| prefix_min[points.partition_point(|&t| t < task.deadline())])
-        .collect();
-    Ok(NprBounds { q_max })
+    with_testing_points(tasks, horizon, |points| {
+        // Slack does not depend on the task: one sweep over the points
+        // below the largest deadline gives every prefix minimum, and a
+        // task's bound is the minimum over the points below its own
+        // deadline.
+        let d_max = tasks.iter().map(|t| t.deadline()).fold(0.0f64, f64::max);
+        let mut prefix_min = vec![f64::INFINITY];
+        let mut running = f64::INFINITY;
+        for &t in points.iter().take_while(|&&t| t < d_max) {
+            running = running.min(slack(tasks, t));
+            prefix_min.push(running);
+        }
+        let q_max = tasks
+            .iter()
+            .map(|task| prefix_min[points.partition_point(|&t| t < task.deadline())])
+            .collect();
+        NprBounds { q_max }
+    })
 }
 
 /// Blocking tolerance `βi` of every task under fixed-priority scheduling

@@ -279,6 +279,30 @@ mod tests {
     use super::*;
 
     #[test]
+    fn curves_and_tasks_stay_small_and_hash_on_first_use() {
+        // A curve caches its hash as two `u64` words: a `u128` cell's
+        // 16-byte alignment would grow it to 96 bytes and a task to 144.
+        if cfg!(target_pointer_width = "64") {
+            assert!(std::mem::size_of::<DelayCurve>() <= 80);
+            assert_eq!(std::mem::align_of::<DelayCurve>(), 8);
+            assert!(std::mem::size_of::<Task>() <= 128);
+        }
+        let build = || DelayCurve::from_breakpoints([(0.0, 8.0), (40.0, 1.0)], 100.0).unwrap();
+        let (a, b) = (build(), build());
+        let unread_clone = a.clone();
+        assert_eq!(a, b, "neither hash read");
+        let hash = a.structural_hash128();
+        assert_eq!(a, b, "one hash read");
+        assert_eq!(b, a, "one hash read");
+        assert_eq!(b.structural_hash128(), hash);
+        assert_eq!(a, b, "both hashes read");
+        assert_eq!(unread_clone.structural_hash128(), hash);
+        assert_eq!(unread_clone.structural_hash(), hash as u64);
+        let other = DelayCurve::from_breakpoints([(0.0, 8.0), (40.0, 2.0)], 100.0).unwrap();
+        assert_ne!(a, other);
+    }
+
+    #[test]
     fn task_validation() {
         assert!(Task::new(1.0, 10.0).is_ok());
         assert!(Task::new(0.0, 10.0).is_err());
