@@ -18,7 +18,8 @@ use fnpr_sched::{
     DelayMethod,
 };
 use fnpr_synth::{
-    random_program, random_taskset, with_npr_and_curves, Policy, ProgramGenParams, TaskSetParams,
+    random_program, random_taskset, random_unimodal_curve, with_npr_and_curves, Policy,
+    ProgramGenParams, TaskSetParams,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -130,8 +131,9 @@ fn bench_occupancy_windows(c: &mut Criterion) {
 
 /// One acceptance instance, shaped like the benchmark sweep's (n = 5,
 /// U = 0.6, periods 10–1000, implicit deadlines, `q_scale` 0.8,
-/// `delay_frac` 0.6): curve equipment under each policy, the `Qi` bounds,
-/// and the Algorithm 1 inflated tests on the equipped sets.
+/// `delay_frac` 0.6): curve equipment under each policy, one of its 64-cell
+/// sampled curves, the `Qi` bounds, and the Algorithm 1 inflated tests on
+/// the equipped sets.
 fn bench_acceptance_equipment(c: &mut Criterion) {
     let mut group = c.benchmark_group("acceptance_equipment");
     let params = TaskSetParams {
@@ -155,6 +157,15 @@ fn bench_acceptance_equipment(c: &mut Criterion) {
             });
         });
     }
+    // The first task's curve as the fixed-priority equipment draws it.
+    let first = fp_set.task(0);
+    let (wcet, peak) = (first.wcet(), first.q().expect("equipped") * 0.6);
+    group.bench_function("random_unimodal_curve", |b| {
+        b.iter(|| {
+            let mut rng = StdRng::seed_from_u64(18);
+            random_unimodal_curve(&mut rng, black_box(wcet), peak, wcet / 64.0).unwrap()
+        });
+    });
     group.bench_function("max_npr_lengths_fp", |b| {
         b.iter(|| max_npr_lengths_fp(black_box(&base)));
     });

@@ -11,7 +11,7 @@
 //! generates each exactly once per process.
 
 use fnpr_multicore::{
-    global_schedulable_with_delay, partition_taskset, partitioned_schedulable_with_delay,
+    cores_schedulable_with_delay, global_schedulable_with_delay, partition_taskset,
 };
 use fnpr_sched::{Task, TaskSet};
 use fnpr_sim::{
@@ -295,33 +295,12 @@ fn evaluate_instance(
                     equipped: Vec::new(),
                 });
             }
-            // Reassemble the full equipped set in original index order so
-            // the partition's index mapping stays valid.
-            let mut slots: Vec<Option<Task>> = vec![None; base.len()];
-            let mut core_sets = per_core.iter();
-            for core in 0..partition.cores {
-                let members = partition.tasks_on(core);
-                if members.is_empty() {
-                    continue;
-                }
-                let equipped = core_sets.next().expect("one set per non-empty core");
-                for (slot, task) in members.iter().zip(equipped.iter()) {
-                    slots[*slot] = Some(task.clone());
-                }
-            }
-            let full = TaskSet::new(
-                slots
-                    .into_iter()
-                    .map(|t| t.expect("all slots filled"))
-                    .collect(),
-            )
-            .map_err(|e| CampaignError::Analysis(format!("reassembly: {e}")))?;
+            // Each core's equipped set is the sub-task-set the partitioned
+            // test would cut from the whole equipped set: test them as is.
             let accepted = params
                 .methods
                 .iter()
-                .map(|&method| {
-                    partitioned_schedulable_with_delay(&full, &partition, policy, method)
-                })
+                .map(|&method| cores_schedulable_with_delay(&per_core, policy, method))
                 .collect::<Result<Vec<_>, _>>()
                 .map_err(|e| CampaignError::Analysis(format!("partitioned test: {e}")))?;
             Ok(Evaluation {

@@ -6,6 +6,8 @@
 //! of [`CampaignReport`]. All floating-point aggregates are folded in shard
 //! order, keeping output byte-identical across thread counts.
 
+use std::fmt::Write as _;
+
 use fnpr_sched::DelayMethod;
 use serde::{Deserialize, Serialize};
 
@@ -257,32 +259,52 @@ pub struct CampaignReport {
     pub summary: Summary,
 }
 
-/// Quotes one CSV field per RFC 4180: fields containing a comma, double
-/// quote, CR or LF are wrapped in double quotes with embedded quotes
-/// doubled; everything else passes through unchanged. String fields in
-/// reports (policy/allocation labels, user-chosen shape tags) must go
-/// through this — an unquoted comma in a tag would shift every later
-/// column of its row.
-#[must_use]
-pub fn csv_field(s: &str) -> String {
-    if s.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
+/// One cell of a CSV row, written by [`push_row`].
+enum Cell<'a> {
+    /// A string field, quoted per RFC 4180 when it contains a comma,
+    /// double quote, CR or LF (embedded quotes doubled). String fields in
+    /// reports (policy/allocation labels, user-chosen shape tags) must go
+    /// through this — an unquoted comma in a tag would shift every later
+    /// column of its row.
+    Text(&'a str),
+    /// A count.
+    Count(u64),
+    /// A float aggregate at the given precision. A non-finite value is the
+    /// *empty field* — the CSV twin of the JSON export's `null` (the shim
+    /// serializes NaN/Inf as `null`), so the two renderings of one report
+    /// can never disagree about which aggregates were undefined.
+    Float(f64, usize),
 }
 
-/// Formats a float aggregate for CSV at the given precision. Non-finite
-/// values render as the *empty field* — the CSV twin of the JSON export's
-/// `null` (the shim serializes NaN/Inf as `null`), so the two renderings of
-/// one report can never disagree about which aggregates were undefined.
-#[must_use]
-pub fn csv_f64(x: f64, precision: usize) -> String {
-    if x.is_finite() {
-        format!("{x:.precision$}")
-    } else {
-        String::new()
+/// Appends one CSV row, cells separated by commas and ended by a newline,
+/// writing every cell straight into `out`.
+fn push_row<'a>(out: &mut String, cells: impl IntoIterator<Item = Cell<'a>>) {
+    for (k, cell) in cells.into_iter().enumerate() {
+        if k > 0 {
+            out.push(',');
+        }
+        match cell {
+            Cell::Text(s) if s.contains([',', '"', '\n', '\r']) => {
+                out.push('"');
+                for (k, part) in s.split('"').enumerate() {
+                    if k > 0 {
+                        out.push_str("\"\"");
+                    }
+                    out.push_str(part);
+                }
+                out.push('"');
+            }
+            Cell::Text(s) => out.push_str(s),
+            Cell::Count(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Cell::Float(x, precision) if x.is_finite() => {
+                let _ = write!(out, "{x:.precision$}");
+            }
+            Cell::Float(..) => {}
+        }
     }
+    out.push('\n');
 }
 
 impl CampaignReport {
@@ -291,78 +313,72 @@ impl CampaignReport {
     /// aggregates render as empty fields (JSON renders them as `null`).
     #[must_use]
     pub fn to_csv(&self) -> String {
+        use Cell::{Count, Float, Text};
+        let count = |n: usize| Count(n as u64);
+        let methods = self.methods.iter().map(String::as_str);
         let mut out = String::new();
         match self.workload {
             WorkloadKind::Acceptance => {
-                out.push_str("policy,utilization,generated,attempts");
-                for m in &self.methods {
-                    out.push(',');
-                    out.push_str(&csv_field(m));
-                }
-                out.push_str(",pessimism_gap_mean,pessimism_gap_max\n");
+                let columns = ["policy", "utilization", "generated", "attempts"]
+                    .into_iter()
+                    .chain(methods)
+                    .chain(["pessimism_gap_mean", "pessimism_gap_max"]);
+                push_row(&mut out, columns.map(Text));
                 for p in &self.acceptance {
-                    out.push_str(&format!(
-                        "{},{},{},{}",
-                        csv_field(&p.policy),
-                        csv_f64(p.utilization, 4),
-                        p.generated,
-                        p.attempts
-                    ));
-                    for &r in &p.ratios {
-                        out.push(',');
-                        out.push_str(&csv_f64(r, 4));
-                    }
-                    out.push_str(&format!(
-                        ",{},{}\n",
-                        csv_f64(p.pessimism_gap_mean, 4),
-                        csv_f64(p.pessimism_gap_max, 4)
-                    ));
+                    let ratios = p.ratios.iter().map(|&r| Float(r, 4));
+                    let row = [
+                        Text(&p.policy),
+                        Float(p.utilization, 4),
+                        count(p.generated),
+                        count(p.attempts),
+                    ];
+                    let gap = [
+                        Float(p.pessimism_gap_mean, 4),
+                        Float(p.pessimism_gap_max, 4),
+                    ];
+                    push_row(&mut out, row.into_iter().chain(ratios).chain(gap));
                 }
             }
             WorkloadKind::Soundness => {
                 out.push_str("trial,q,naive,exact,algorithm1,eq4,sim_max\n");
-                for shard in &self.soundness {
-                    for row in &shard.rows {
-                        let sim = row.sim_max.map_or(String::new(), |s| csv_f64(s, 3));
-                        out.push_str(&format!(
-                            "{},{},{},{},{},{},{sim}\n",
-                            row.trial,
-                            csv_f64(row.q, 3),
-                            csv_f64(row.naive, 3),
-                            csv_f64(row.exact, 3),
-                            csv_f64(row.algorithm1, 3),
-                            csv_f64(row.eq4, 3)
-                        ));
-                    }
+                for row in self.soundness.iter().flat_map(|shard| &shard.rows) {
+                    push_row(
+                        &mut out,
+                        [
+                            count(row.trial),
+                            Float(row.q, 3),
+                            Float(row.naive, 3),
+                            Float(row.exact, 3),
+                            Float(row.algorithm1, 3),
+                            Float(row.eq4, 3),
+                            Float(row.sim_max.unwrap_or(f64::NAN), 3),
+                        ],
+                    );
                 }
             }
             WorkloadKind::Multicore => {
-                out.push_str("m,policy,allocation,utilization,generated,attempts");
-                for m in &self.methods {
-                    out.push(',');
-                    out.push_str(&csv_field(m));
-                }
-                out.push_str(",sim_checks,sim_violations,migrations_mean\n");
+                let columns = ["m", "policy", "allocation", "utilization"]
+                    .into_iter()
+                    .chain(["generated", "attempts"])
+                    .chain(methods)
+                    .chain(["sim_checks", "sim_violations", "migrations_mean"]);
+                push_row(&mut out, columns.map(Text));
                 for p in &self.multicore {
-                    out.push_str(&format!(
-                        "{},{},{},{},{},{}",
-                        p.m,
-                        csv_field(&p.policy),
-                        csv_field(&p.allocation),
-                        csv_f64(p.utilization, 4),
-                        p.generated,
-                        p.attempts
-                    ));
-                    for &r in &p.ratios {
-                        out.push(',');
-                        out.push_str(&csv_f64(r, 4));
-                    }
-                    out.push_str(&format!(
-                        ",{},{},{}\n",
-                        p.sim_checks,
-                        p.sim_violations,
-                        csv_f64(p.migrations_mean, 4)
-                    ));
+                    let ratios = p.ratios.iter().map(|&r| Float(r, 4));
+                    let row = [
+                        count(p.m),
+                        Text(&p.policy),
+                        Text(&p.allocation),
+                        Float(p.utilization, 4),
+                        count(p.generated),
+                        count(p.attempts),
+                    ];
+                    let sim = [
+                        count(p.sim_checks),
+                        count(p.sim_violations),
+                        Float(p.migrations_mean, 4),
+                    ];
+                    push_row(&mut out, row.into_iter().chain(ratios).chain(sim));
                 }
             }
             WorkloadKind::Cfg => {
@@ -373,28 +389,30 @@ impl CampaignReport {
                      dominance_violations\n",
                 );
                 for p in &self.cfg {
-                    out.push_str(&format!(
-                        "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-                        csv_field(&p.shape),
-                        p.depth,
-                        p.loop_iterations,
-                        p.footprint,
-                        p.sets,
-                        p.associativity,
-                        p.line_bytes,
-                        csv_f64(p.reload_cost, 2),
-                        csv_f64(p.q_scale, 4),
-                        p.programs,
-                        csv_f64(p.blocks_mean, 2),
-                        csv_f64(p.wcet_mean, 2),
-                        csv_f64(p.curve_max_mean, 2),
-                        p.alg1_converged,
-                        p.eq4_converged,
-                        csv_f64(p.delay_mean, 3),
-                        csv_f64(p.pessimism_mean, 4),
-                        csv_f64(p.pessimism_max, 4),
-                        p.dominance_violations
-                    ));
+                    push_row(
+                        &mut out,
+                        [
+                            Text(&p.shape),
+                            count(p.depth),
+                            Count(p.loop_iterations),
+                            Count(p.footprint),
+                            count(p.sets),
+                            count(p.associativity),
+                            Count(p.line_bytes),
+                            Float(p.reload_cost, 2),
+                            Float(p.q_scale, 4),
+                            count(p.programs),
+                            Float(p.blocks_mean, 2),
+                            Float(p.wcet_mean, 2),
+                            Float(p.curve_max_mean, 2),
+                            count(p.alg1_converged),
+                            count(p.eq4_converged),
+                            Float(p.delay_mean, 3),
+                            Float(p.pessimism_mean, 4),
+                            Float(p.pessimism_max, 4),
+                            count(p.dominance_violations),
+                        ],
+                    );
                 }
             }
         }
@@ -687,10 +705,16 @@ mod tests {
         assert_eq!(rest.trim_end().split(',').count(), header_cols - 1);
 
         // Plain fields stay unquoted.
-        assert_eq!(csv_field("first_fit"), "first_fit");
-        assert_eq!(csv_field("a,b"), "\"a,b\"");
-        assert_eq!(csv_field("say \"hi\""), "\"say \"\"hi\"\"\"");
-        assert_eq!(csv_field("line\nbreak"), "\"line\nbreak\"");
+        let field = |s: &str| {
+            let mut out = String::new();
+            push_row(&mut out, [Cell::Text(s)]);
+            out.pop();
+            out
+        };
+        assert_eq!(field("first_fit"), "first_fit");
+        assert_eq!(field("a,b"), "\"a,b\"");
+        assert_eq!(field("say \"hi\""), "\"say \"\"hi\"\"\"");
+        assert_eq!(field("line\nbreak"), "\"line\nbreak\"");
 
         // The multicore arm quotes its labels through the same helper.
         let mc = MulticorePoint {

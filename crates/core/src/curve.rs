@@ -150,69 +150,73 @@ impl DelayCurve {
     where
         I: IntoIterator<Item = (f64, f64)>,
     {
-        Self::from_breakpoints_reserved(points, end, 0)
-    }
-
-    /// [`Self::from_breakpoints`] with room for `capacity` segments
-    /// reserved up front. Only the sampler reserves: its cells rarely
-    /// merge, so the reservation replaces every regrowth of both vectors.
-    /// Curves whose breakpoints mostly merge (such as those composed by
-    /// [`Self::from_windows`]) grow as they need and keep no unused room.
-    fn from_breakpoints_reserved<I>(
-        points: I,
-        end: f64,
-        capacity: usize,
-    ) -> Result<Self, CurveError>
-    where
-        I: IntoIterator<Item = (f64, f64)>,
-    {
         if !(end.is_finite() && end > 0.0) {
             return Err(CurveError::BadDomain { end });
         }
-        let mut starts = Vec::with_capacity(capacity);
-        let mut values = Vec::with_capacity(capacity);
+        let mut curve = Self::empty(end, 0);
         for (index, (start, value)) in points.into_iter().enumerate() {
-            if !start.is_finite() {
+            curve.push_breakpoint(index, start, value)?;
+        }
+        if curve.starts.is_empty() {
+            return Err(CurveError::Empty);
+        }
+        Ok(curve)
+    }
+
+    /// A curve with no segments yet over `[0, end)`, with room for
+    /// `capacity` of them. Only the sampler reserves: its cells rarely
+    /// merge, so the reservation replaces every regrowth of both vectors.
+    /// Curves whose breakpoints mostly merge (such as those composed by
+    /// [`Self::from_windows`]) grow as they need and keep no unused room.
+    fn empty(end: f64, capacity: usize) -> Self {
+        Self {
+            starts: Vec::with_capacity(capacity),
+            values: Vec::with_capacity(capacity),
+            end,
+            hash: OnceLock::new(),
+        }
+    }
+
+    /// Appends breakpoint number `index` after checking it against the
+    /// invariants; a value equal to the last segment's extends that segment.
+    /// Inlinable into the samplers' cell loops, which other crates
+    /// instantiate.
+    #[inline]
+    fn push_breakpoint(&mut self, index: usize, start: f64, value: f64) -> Result<(), CurveError> {
+        if !start.is_finite() {
+            return Err(CurveError::NonMonotonic {
+                index,
+                previous: self.starts.last().copied().unwrap_or(f64::NAN),
+                current: start,
+            });
+        }
+        if index == 0 && start != 0.0 {
+            return Err(CurveError::MissingOrigin { first: start });
+        }
+        if let Some(&previous) = self.starts.last() {
+            if start <= previous {
                 return Err(CurveError::NonMonotonic {
                     index,
-                    previous: starts.last().copied().unwrap_or(f64::NAN),
+                    previous,
                     current: start,
                 });
             }
-            if index == 0 && start != 0.0 {
-                return Err(CurveError::MissingOrigin { first: start });
-            }
-            if let Some(&previous) = starts.last() {
-                if start <= previous {
-                    return Err(CurveError::NonMonotonic {
-                        index,
-                        previous,
-                        current: start,
-                    });
-                }
-            }
-            if start >= end {
-                return Err(CurveError::BreakpointBeyondEnd { index, start, end });
-            }
-            if !(value.is_finite() && value >= 0.0) {
-                return Err(CurveError::BadValue { index, value });
-            }
-            // Merge runs of equal values as we go.
-            if values.last() == Some(&value) {
-                continue;
-            }
-            starts.push(start);
-            values.push(value);
         }
-        if starts.is_empty() {
-            return Err(CurveError::Empty);
+        if start >= self.end {
+            return Err(CurveError::BreakpointBeyondEnd {
+                index,
+                start,
+                end: self.end,
+            });
         }
-        Ok(Self {
-            starts,
-            values,
-            end,
-            hash: OnceLock::new(),
-        })
+        if !(value.is_finite() && value >= 0.0) {
+            return Err(CurveError::BadValue { index, value });
+        }
+        if self.values.last() != Some(&value) {
+            self.starts.push(start);
+            self.values.push(value);
+        }
+        Ok(())
     }
 
     /// Builds a conservative step-function upper bound of a continuous
@@ -231,6 +235,11 @@ impl DelayCurve {
     /// `f` 129 times, not 192. A sample is shared only when the two points
     /// are the same float (the clamp to `end` can make them differ), so `f`
     /// must return the same value whenever it is called at the same point.
+    ///
+    /// A Gaussian bell need not be evaluated even that often: where the
+    /// largest of a cell's three exponents is known, `exp` at the other two
+    /// cannot win the `max`, so [`Self::from_gaussian_upper`] builds the
+    /// same curve, bit for bit, with about one `exp` per cell.
     ///
     /// # Errors
     ///
@@ -251,20 +260,9 @@ impl DelayCurve {
     where
         F: Fn(f64) -> f64,
     {
-        if !(end.is_finite() && end > 0.0) {
-            return Err(CurveError::BadDomain { end });
-        }
-        if !(step.is_finite() && step > 0.0) {
-            return Err(CurveError::BadStep { step });
-        }
-        let cells = ((end / step).ceil() as usize).max(1);
-        let mut points = Vec::with_capacity(cells);
         // The previous cell's `hi` (as bits) and `f(hi)`.
         let mut boundary: Option<(u64, f64)> = None;
-        for k in 0..cells {
-            let lo = (k as f64) * step;
-            let hi = ((k + 1) as f64 * step).min(end);
-            let mid = 0.5 * (lo + hi);
+        Self::sample_cells(end, step, |lo, mid, hi| {
             let at_lo = match boundary {
                 Some((bits, sample)) if bits == lo.to_bits() => sample,
                 _ => f(lo),
@@ -272,16 +270,141 @@ impl DelayCurve {
             let at_mid = f(mid);
             let at_hi = f(hi);
             boundary = Some((hi.to_bits(), at_hi));
-            let sample = at_lo.max(at_mid).max(at_hi);
+            at_lo.max(at_mid).max(at_hi)
+        })
+    }
+
+    /// [`Self::from_fn_upper`] of the Gaussian bell
+    /// `amplitude · exp(−(t − mu)² / (2·sigma_sq)) + offset`, bit for bit
+    /// (the same curve, or the same error), with about one `exp` per cell
+    /// instead of two.
+    ///
+    /// Each cell compares the exponents `−(t − mu)·(t − mu) / (2·sigma_sq)`
+    /// of its three samples and calls `exp` only on those within `1e-12` of
+    /// the largest. The others cannot win the cell's `max`: their true
+    /// `exp` lies more than a factor `e^(1e-12)` below the largest one's,
+    /// and `exp` is accurate to about one ulp, a relative `2.2e-16`, so the
+    /// computed values keep that order; `amplitude · x + offset` with
+    /// `amplitude ≥ 0` keeps it too, and equal results have equal bits.
+    /// Where that argument does not hold, every sample is evaluated, as
+    /// `from_fn_upper` does: a non-finite parameter, `sigma_sq ≤ 0`,
+    /// `amplitude < 0`, a NaN exponent, or a largest exponent below `−708`,
+    /// where `exp` turns subnormal and its error is no longer relative.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::from_fn_upper`].
+    ///
+    /// ```
+    /// use fnpr_core::DelayCurve;
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let bell = |t: f64| 10.0 * (-(t - 50.0) * (t - 50.0) / (2.0 * 100.0)).exp() + 0.0;
+    /// let fast = DelayCurve::from_gaussian_upper(50.0, 100.0, 10.0, 0.0, 100.0, 1.0)?;
+    /// assert_eq!(fast, DelayCurve::from_fn_upper(bell, 100.0, 1.0)?);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn from_gaussian_upper(
+        mu: f64,
+        sigma_sq: f64,
+        amplitude: f64,
+        offset: f64,
+        end: f64,
+        step: f64,
+    ) -> Result<Self, CurveError> {
+        /// How close to a cell's largest exponent another must be for its
+        /// `exp` to be taken; far above the ~4.4e-16 that separates two
+        /// values of a one-ulp `exp`.
+        const TOLERANCE: f64 = 1e-12;
+        /// Below this exponent `exp` is near or in the subnormal range.
+        const FLOOR: f64 = -708.0;
+        let exponent = move |t: f64| -(t - mu) * (t - mu) / (2.0 * sigma_sq);
+        let ordered = [mu, sigma_sq, amplitude, offset]
+            .iter()
+            .all(|p| p.is_finite())
+            && sigma_sq > 0.0
+            && amplitude >= 0.0;
+        if !ordered {
+            return Self::from_fn_upper(move |t| amplitude * exponent(t).exp() + offset, end, step);
+        }
+        let bell = move |e: f64| amplitude * e.exp() + offset;
+        // The previous cell's `hi` (as bits, NaN's before the first cell),
+        // its exponent, and the bell there (NaN when it was not taken).
+        let (mut shared_bits, mut shared_e, mut shared_at) = (f64::NAN.to_bits(), 0.0, f64::NAN);
+        Self::sample_cells(end, step, |lo, mid, hi| {
+            let shared = shared_bits == lo.to_bits();
+            let e_lo = if shared { shared_e } else { exponent(lo) };
+            let (e_mid, e_hi) = (exponent(mid), exponent(hi));
+            // The largest exponent; a NaN among them makes `every` true.
+            let top = if e_lo > e_mid { e_lo } else { e_mid };
+            let top = if top > e_hi { top } else { e_hi };
+            let every = e_lo.is_nan() || e_mid.is_nan() || e_hi.is_nan() || top < FLOOR;
+            let near = top - TOLERANCE;
+            let [lo_taken, mid_taken, hi_taken] = [e_lo, e_mid, e_hi].map(|e| every || e >= near);
+            let at_lo = || {
+                if shared && !shared_at.is_nan() {
+                    shared_at
+                } else {
+                    bell(e_lo)
+                }
+            };
+            let at_hi = if hi_taken { bell(e_hi) } else { f64::NAN };
+            let sample = match (lo_taken, mid_taken, hi_taken) {
+                // Nearly every cell takes one sample: its largest exponent's.
+                (true, false, false) => at_lo(),
+                (false, true, false) => bell(e_mid),
+                (false, false, true) => at_hi,
+                _ => {
+                    // A sample not taken stays at −∞ and loses every `max`.
+                    let skip = f64::NEG_INFINITY;
+                    let at_lo = if lo_taken { at_lo() } else { skip };
+                    let at_mid = if mid_taken { bell(e_mid) } else { skip };
+                    at_lo.max(at_mid).max(if hi_taken { at_hi } else { skip })
+                }
+            };
+            (shared_bits, shared_e, shared_at) = (hi.to_bits(), e_hi, at_hi);
+            sample
+        })
+    }
+
+    /// The cell loop of both samplers: checks `end` and `step`, takes
+    /// `cell(lo, mid, hi)` as each cell's sample, fails on the first
+    /// non-finite one, clamps negatives to zero and writes the breakpoints
+    /// straight into the curve. A breakpoint error (a last cell starting at
+    /// `end`, when `end / step` rounds up past a whole number) is reported
+    /// only after every cell has been sampled, so a later non-finite sample
+    /// takes precedence over it.
+    fn sample_cells<C>(end: f64, step: f64, mut cell: C) -> Result<Self, CurveError>
+    where
+        C: FnMut(f64, f64, f64) -> f64,
+    {
+        if !(end.is_finite() && end > 0.0) {
+            return Err(CurveError::BadDomain { end });
+        }
+        if !(step.is_finite() && step > 0.0) {
+            return Err(CurveError::BadStep { step });
+        }
+        let cells = ((end / step).ceil() as usize).max(1);
+        let mut curve = Self::empty(end, cells);
+        let mut misplaced = Ok(());
+        let mut lo = 0.0;
+        for k in 0..cells {
+            // `next` is `(k + 1)·step`, the next cell's `lo`.
+            let next = (k + 1) as f64 * step;
+            let hi = if next < end { next } else { end };
+            let sample = cell(lo, 0.5 * (lo + hi), hi);
             if !sample.is_finite() {
                 return Err(CurveError::BadValue {
                     index: k,
                     value: sample,
                 });
             }
-            points.push((lo, sample.max(0.0)));
+            if misplaced.is_ok() {
+                misplaced = curve.push_breakpoint(k, lo, sample.max(0.0));
+            }
+            lo = next;
         }
-        Self::from_breakpoints_reserved(points, end, cells)
+        misplaced.map(|()| curve)
     }
 
     /// Builds the pointwise maximum over a set of constant *windows*.

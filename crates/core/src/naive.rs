@@ -15,12 +15,11 @@
 //! their value within a segment and only relaxes successor constraints) so
 //! that every point is either a segment start, the earliest legal point `Qi`,
 //! or exactly `Qi` after its predecessor. So every candidate lies on the
-//! `+Qi` chain of one anchor (`Qi`, or a segment start past it). The chains
-//! are increasing, and the run-adaptive stable sort of their concatenation
-//! merges them; a point where two chains meet becomes one candidate. A
-//! dynamic program then walks the sorted candidates with one forward pointer
-//! for the spacing constraint and one segment index, so `fi` is read
-//! without a search.
+//! `+Qi` chain of one anchor (`Qi`, or a segment start past it). One sort
+//! of their concatenation merges the chains; a point where two chains meet
+//! becomes one candidate. A dynamic program then walks the sorted
+//! candidates with one forward pointer for the spacing constraint and one
+//! segment index, so `fi` is read without a search.
 //!
 //! The candidate budget ([`DEFAULT_MAX_CANDIDATES`], or the `limit` of
 //! [`naive_bound_with_limit`]) counts chain steps before the chains merge: a
@@ -99,7 +98,7 @@ pub fn naive_bound_with_limit(
             q,
         });
     }
-    // The `+q` chains, concatenated; the stable sort adapts to their runs.
+    // The `+q` chains, concatenated, then sorted.
     let mut candidates: Vec<f64> = Vec::new();
     for (anchor, _) in chains::anchors(curve, q) {
         let mut p = anchor;
@@ -111,7 +110,11 @@ pub fn naive_bound_with_limit(
             p += q;
         }
     }
-    candidates.sort_by(f64::total_cmp);
+    // Every candidate is a positive finite sum, whose bit patterns order as
+    // the values do; equal values have equal bits, so the unstable sort and
+    // `dedup` leave exactly what a stable `total_cmp` sort would, without
+    // the stable sort's scratch buffer.
+    candidates.sort_unstable_by_key(|p| p.to_bits());
     candidates.dedup();
 
     // DP over candidates: best[i] = value(c_i) + max over best[j], c_j <= c_i - q.

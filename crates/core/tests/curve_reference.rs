@@ -11,6 +11,10 @@
 //! not divide `end`, steps larger than `end`, and steps one rounding away
 //! from a divisor, where the last cell's `hi` is clamped to `end` and can
 //! differ from where the next cell would start.
+//!
+//! [`DelayCurve::from_gaussian_upper`] skips `exp` at the samples that
+//! cannot win a cell's maximum; it must build what `from_fn_upper` builds
+//! from the same bell closure, or fail with the same error.
 
 use fnpr_core::{CurveError, DelayCurve};
 use proptest::prelude::*;
@@ -195,5 +199,111 @@ fn malformed_inputs_fail_alike() {
         (10.0, f64::INFINITY),
     ] {
         assert!(assert_same(&f, end, step).is_err());
+    }
+}
+
+/// The bell closure [`DelayCurve::from_gaussian_upper`] stands for.
+fn gaussian(mu: f64, sigma_sq: f64, amplitude: f64, offset: f64) -> impl Fn(f64) -> f64 {
+    move |t: f64| amplitude * (-(t - mu) * (t - mu) / (2.0 * sigma_sq)).exp() + offset
+}
+
+/// Asserts that the Gaussian path gives what `from_fn_upper` gives on the
+/// bell closure: the same curve bit for bit, or the same error.
+fn assert_gaussian_same(params: [f64; 4], end: f64, step: f64) {
+    let [mu, sigma_sq, amplitude, offset] = params;
+    let fast = DelayCurve::from_gaussian_upper(mu, sigma_sq, amplitude, offset, end, step);
+    let slow = DelayCurve::from_fn_upper(gaussian(mu, sigma_sq, amplitude, offset), end, step);
+    match (&fast, &slow) {
+        (Ok(a), Ok(b)) => {
+            assert_eq!(
+                fingerprint(a),
+                fingerprint(b),
+                "{params:?} end {end} step {step}"
+            );
+        }
+        (Err(a), Err(b)) => assert_eq!(
+            format!("{a:?}"),
+            format!("{b:?}"),
+            "{params:?} end {end} step {step}"
+        ),
+        _ => panic!("{params:?} end {end} step {step}: {fast:?} against {slow:?}"),
+    }
+}
+
+/// A non-finite value for one parameter.
+fn arb_poison() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(f64::NAN), Just(f64::INFINITY), Just(f64::NEG_INFINITY)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    /// Bells of every width, peaks inside and outside the domain, on a cell
+    /// boundary or halfway to a midpoint (two equal exponents), flat and
+    /// negative amplitudes, `sigma_sq ≤ 0`, and one parameter at a time
+    /// made NaN or infinite.
+    #[test]
+    fn gaussian_path_matches_the_sampled_closure(
+        (end, step) in arb_end_and_step(),
+        peak in 0u8..4,
+        x in -0.5f64..1.5,
+        pick in 0.0f64..1.0,
+        log_sigma in -6.0f64..3.0,
+        spread in 0u8..6,
+        amplitude in prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            0.0f64..20.0,
+            -5.0f64..0.0,
+            Just(1e308),
+        ],
+        offset in prop_oneof![Just(0.0), Just(-0.0), -5.0f64..5.0, Just(1e308)],
+        poisoned in 0usize..8,
+        poison in arb_poison(),
+    ) {
+        let cells = ((end / step).ceil() as usize).max(1);
+        let cell = ((pick * cells as f64) as usize).min(cells - 1);
+        let lo = cell as f64 * step;
+        let mid = 0.5 * (lo + ((cell + 1) as f64 * step).min(end));
+        let mu = match peak {
+            0 => x * end,
+            1 => lo,
+            2 => 0.5 * (lo + mid),
+            _ => x * 1e3 * end,
+        };
+        let sigma = end * 10f64.powf(log_sigma);
+        let sigma_sq = match spread {
+            0 => 0.0,
+            1 => -sigma * sigma,
+            2 => sigma,
+            _ => sigma * sigma,
+        };
+        let mut params = [mu, sigma_sq, amplitude, offset];
+        if let Some(slot) = params.get_mut(poisoned) {
+            *slot = poison;
+        }
+        assert_gaussian_same(params, end, step);
+    }
+}
+
+/// The Figure 4 shapes and some extremes: exponents that overflow to NaN,
+/// a `2·sigma_sq` that overflows (every exponent `−0`), a bell far below
+/// the subnormal range, one so wide that neighbouring exponents differ by
+/// less than the tolerance, and samples that overflow to infinity.
+#[test]
+fn gaussian_extremes_match_the_sampled_closure() {
+    let cases: [([f64; 4], f64, f64); 9] = [
+        ([2000.0, 9.0e4, 10.0, 0.0], 4000.0, 4.0),
+        ([2000.0, 9.0e5, 10.0, 0.0], 4000.0, 4.0),
+        ([1200.0, 6.25e4, 10.0, 0.0], 4000.0, 4.0),
+        ([-1.5e308, 1e308, 3.0, 0.0], 100.0, 1.5),
+        ([50.0, 1e308, 3.0, 0.0], 100.0, 1.5),
+        ([50.0, 1e-300, 3.0, 0.0], 100.0, 1.0),
+        ([50.0, 1e30, 3.0, 0.5], 100.0, 100.0 / 64.0),
+        ([1e5, 1.0, 3.0, 0.0], 100.0, 1.0),
+        ([37.5, 4.0, 1e308, 1e308], 100.0, 0.5),
+    ];
+    for (params, end, step) in cases {
+        assert_gaussian_same(params, end, step);
     }
 }

@@ -7,10 +7,12 @@
 //! multiprocessor schedulability tests, which is what this crate does:
 //!
 //! * **Partitioned scheduling** ([`partition_taskset`],
-//!   [`partitioned_schedulable_with_delay`]) — first-fit / worst-fit /
-//!   best-fit decreasing bin-packing onto `m` cores, with the existing
-//!   uniprocessor floating-NPR tests (fixed-priority RTA with blocking,
-//!   NPR-aware EDF demand) run per core on Eq. 5-inflated WCETs;
+//!   [`partitioned_schedulable_with_delay`], or
+//!   [`cores_schedulable_with_delay`] on sets already split per core) —
+//!   first-fit / worst-fit / best-fit decreasing bin-packing onto `m`
+//!   cores, with the existing uniprocessor floating-NPR tests
+//!   (fixed-priority RTA with blocking, NPR-aware EDF demand) run per core
+//!   on Eq. 5-inflated WCETs;
 //! * **Global scheduling** ([`global_schedulable_with_delay`]) — the
 //!   density bound and BCL-style workload tests (the families surveyed in
 //!   Singh, arXiv:1101.1718), extended with a lower-priority NPR blocking
@@ -60,5 +62,6 @@ pub use global::{
     global_edf_bcl, global_edf_density, global_fp_bcl, global_schedulable_with_delay,
 };
 pub use partition::{
-    partition_taskset, partition_with, partitioned_schedulable_with_delay, Heuristic, Partition,
+    cores_schedulable_with_delay, partition_taskset, partition_with,
+    partitioned_schedulable_with_delay, Heuristic, Partition,
 };

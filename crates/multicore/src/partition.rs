@@ -97,20 +97,31 @@ where
 
     let mut per_core: Vec<Vec<usize>> = vec![Vec::new(); m];
     let mut core_util = vec![0.0f64; m];
+    // One candidate buffer, refilled for every (task, core) attempt with
+    // the core's members and the task in index order, and one list of the
+    // cores that admitted the current task.
+    let mut candidate: Vec<Task> = Vec::with_capacity(tasks.len());
+    let mut admitted: Vec<usize> = Vec::with_capacity(m);
     for &task in &order {
-        let mut admitted: Vec<usize> = Vec::new();
+        admitted.clear();
         for (core, members) in per_core.iter().enumerate() {
-            let mut candidate = members.clone();
-            candidate.push(task);
-            candidate.sort_unstable();
-            let subset: Vec<Task> = candidate.iter().map(|&i| tasks.task(i).clone()).collect();
-            let candidate_set = TaskSet::new(subset)?;
-            if admit(core, &candidate_set)? {
+            let (before, after) = members.split_at(members.partition_point(|&i| i < task));
+            candidate.clear();
+            candidate.extend(
+                before
+                    .iter()
+                    .chain([&task])
+                    .chain(after)
+                    .map(|&i| tasks.task(i).clone()),
+            );
+            let candidate_set = TaskSet::new(candidate)?;
+            let admits = admit(core, &candidate_set);
+            candidate = candidate_set.into_tasks();
+            if admits? {
+                admitted.push(core);
                 if heuristic == Heuristic::FirstFit {
-                    admitted.push(core);
                     break;
                 }
-                admitted.push(core);
             }
         }
         let chosen = match heuristic {
@@ -141,8 +152,8 @@ where
         let Some(core) = chosen else {
             return Ok(None);
         };
-        per_core[core].push(task);
-        per_core[core].sort_unstable();
+        let at = per_core[core].partition_point(|&i| i < task);
+        per_core[core].insert(at, task);
         core_util[core] += tasks.task(task).utilization();
     }
 
@@ -180,7 +191,8 @@ pub fn partition_taskset(
 
 /// Partitioned floating-NPR schedulability with Eq. 5 WCET inflation
 /// applied per core: every core's sub-task-set (tasks equipped with `Qi`
-/// and delay curves) must pass the uniprocessor delay-aware test.
+/// and delay curves) must pass the uniprocessor delay-aware test. Cores
+/// are tested in order, and the first that fails ends the test.
 ///
 /// # Errors
 ///
@@ -196,15 +208,45 @@ pub fn partitioned_schedulable_with_delay(
         let Some(subset) = partition.core_taskset(tasks, core) else {
             continue; // empty core
         };
-        let ok = match policy {
-            Policy::FixedPriority => fp_schedulable_with_delay(&subset, method)?,
-            Policy::Edf => edf_schedulable_with_delay(&subset, method)?,
-        };
-        if !ok {
+        if !core_schedulable_with_delay(&subset, policy, method)? {
             return Ok(false);
         }
     }
     Ok(true)
+}
+
+/// [`partitioned_schedulable_with_delay`] on sets already split per core:
+/// `cores` holds each non-empty core's sub-task-set in core order (tasks in
+/// original relative order, equipped with `Qi` and delay curves), as
+/// [`Partition::core_taskset`] would cut it from the whole set. Cores are
+/// tested in order, and the first that fails ends the test.
+///
+/// # Errors
+///
+/// As [`partitioned_schedulable_with_delay`].
+pub fn cores_schedulable_with_delay(
+    cores: &[TaskSet],
+    policy: Policy,
+    method: DelayMethod,
+) -> Result<bool, SchedError> {
+    for subset in cores {
+        if !core_schedulable_with_delay(subset, policy, method)? {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
+/// The uniprocessor delay-aware test of one core under `policy`.
+fn core_schedulable_with_delay(
+    subset: &TaskSet,
+    policy: Policy,
+    method: DelayMethod,
+) -> Result<bool, SchedError> {
+    match policy {
+        Policy::FixedPriority => fp_schedulable_with_delay(subset, method),
+        Policy::Edf => edf_schedulable_with_delay(subset, method),
+    }
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use crate::edf::edf_schedulable_with_npr;
 use crate::error::SchedError;
 use crate::rta::rta_floating_npr;
-use crate::task::TaskSet;
+use crate::task::{Task, TaskSet};
 use crate::util::floor_div;
 
 /// Per-task preemption caps under fixed priority: a job of task `i` can
@@ -84,12 +84,6 @@ pub struct Inflation {
 }
 
 impl Inflation {
-    /// The finite WCET vector, if every task converged.
-    #[must_use]
-    pub fn finite_wcets(&self) -> Option<Vec<f64>> {
-        self.wcets.iter().copied().collect()
-    }
-
     /// Total inflation added across the task set (`Σ (C′ − C)`); `None` when
     /// any task diverged.
     #[must_use]
@@ -133,18 +127,23 @@ impl Inflation {
 /// # }
 /// ```
 pub fn inflate_wcets(tasks: &TaskSet, method: DelayMethod) -> Result<Inflation, SchedError> {
-    inflate(tasks, method, preemption_caps)
+    let mut wcets = Vec::with_capacity(tasks.len());
+    inflate(tasks, method, preemption_caps, |_, wcet| wcets.push(wcet))?;
+    Ok(Inflation { wcets, method })
 }
 
 /// The single inflation path: each task's bound is one fnpr-core call on
 /// its own curve and `Qi` ([`eq4_bound_for_curve`], [`algorithm1`] or
-/// [`algorithm1_capped`]). The cap rule `caps` is evaluated only for
-/// [`DelayMethod::Algorithm1Capped`].
+/// [`algorithm1_capped`]), handed to `each` with its task in task order
+/// (`None` = divergent). The cap rule `caps` is evaluated only for
+/// [`DelayMethod::Algorithm1Capped`]. Every task's bound is computed, even
+/// after one diverges, so a later task's error still surfaces.
 fn inflate(
     tasks: &TaskSet,
     method: DelayMethod,
     caps: fn(&TaskSet) -> Vec<usize>,
-) -> Result<Inflation, SchedError> {
+    mut each: impl FnMut(&Task, Option<f64>),
+) -> Result<(), SchedError> {
     let caps = match method {
         DelayMethod::Algorithm1Capped => caps(tasks),
         _ => Vec::new(),
@@ -155,10 +154,9 @@ fn inflate(
             value: caps.len() as f64,
         });
     }
-    let mut wcets = Vec::with_capacity(tasks.len());
     for (index, task) in tasks.iter().enumerate() {
         if matches!(method, DelayMethod::None) {
-            wcets.push(Some(task.wcet()));
+            each(task, Some(task.wcet()));
             continue;
         }
         let q = task.q().ok_or(SchedError::MissingQ { index })?;
@@ -173,9 +171,9 @@ fn inflate(
                 algorithm1_capped(curve, q, caps[index])?.map(|b| b.total_delay)
             }
         };
-        wcets.push(total.map(|delay| task.wcet() + delay));
+        each(task, total.map(|delay| task.wcet() + delay));
     }
-    Ok(Inflation { wcets, method })
+    Ok(())
 }
 
 /// The Eq. 5-inflated copy of the task set: `C′i = Ci + delay bound`, or
@@ -207,10 +205,27 @@ pub fn inflated_taskset(
     method: DelayMethod,
     caps: fn(&TaskSet) -> Vec<usize>,
 ) -> Result<Option<TaskSet>, SchedError> {
-    match inflate(tasks, method, caps)?.finite_wcets() {
-        Some(wcets) => tasks.with_wcets(&wcets).map(Some),
-        None => Ok(None),
+    // The copies are built as the bounds arrive. A divergent task ends the
+    // copying but not the bounds: an analysis error in a later task still
+    // wins, and a divergence wins over an invalid inflated WCET.
+    let mut copies = Vec::with_capacity(tasks.len());
+    let mut diverged = false;
+    let mut invalid = None;
+    inflate(tasks, method, caps, |task, wcet| match wcet {
+        None => diverged = true,
+        Some(_) if diverged || invalid.is_some() => {}
+        Some(wcet) => match task.with_wcet(wcet) {
+            Ok(copy) => copies.push(copy),
+            Err(e) => invalid = Some(e),
+        },
+    })?;
+    if diverged {
+        return Ok(None);
     }
+    if let Some(e) = invalid {
+        return Err(e);
+    }
+    TaskSet::new(copies).map(Some)
 }
 
 /// Fixed-priority floating-NPR schedulability with delay-inflated WCETs
@@ -327,6 +342,70 @@ mod tests {
             let none = inflated_taskset(&inflated, DelayMethod::None, caps).unwrap();
             assert_eq!(none, Some(inflated));
         }
+    }
+
+    /// The copy as two passes built it: every bound into an [`Inflation`]
+    /// vector, then [`TaskSet::with_wcets`] over the finite WCETs.
+    fn two_pass(
+        tasks: &TaskSet,
+        method: DelayMethod,
+        caps: fn(&TaskSet) -> Vec<usize>,
+    ) -> Result<Option<TaskSet>, SchedError> {
+        let mut wcets = Vec::new();
+        inflate(tasks, method, caps, |_, wcet| wcets.push(wcet))?;
+        match wcets.into_iter().collect::<Option<Vec<f64>>>() {
+            Some(wcets) => tasks.with_wcets(&wcets).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    #[test]
+    fn one_pass_copy_matches_two_passes() {
+        // Every sequence of up to three tasks drawn from: convergent, a
+        // delay that diverges (5 ≥ Q = 4), no `Qi`, no curve. An error in a
+        // task after a divergent one must still surface.
+        let kinds = |kind: usize, k: usize| -> Task {
+            let wcet = 4.0 + k as f64;
+            match kind {
+                0 => curved_task(wcet, 60.0, 4.0, 1.0 + 0.5 * k as f64),
+                1 => curved_task(wcet, 60.0, 4.0, 5.0),
+                2 => Task::new(wcet, 60.0)
+                    .unwrap()
+                    .with_delay_curve(DelayCurve::constant(1.0, wcet).unwrap()),
+                _ => Task::new(wcet, 60.0).unwrap().with_q(4.0).unwrap(),
+            }
+        };
+        let mut sets: Vec<TaskSet> = vec![std::iter::empty().collect()];
+        for len in 1..=3u32 {
+            for code in 0..4usize.pow(len) {
+                let tasks = (0..len as usize).map(|k| kinds(code / 4usize.pow(k as u32) % 4, k));
+                sets.push(tasks.collect());
+            }
+        }
+        let rules: [fn(&TaskSet) -> Vec<usize>; 3] =
+            [preemption_caps, preemption_caps_edf, |_| vec![1]];
+        let methods = [
+            DelayMethod::None,
+            DelayMethod::Eq4,
+            DelayMethod::Algorithm1,
+            DelayMethod::Algorithm1Capped,
+        ];
+        let (mut copies, mut divergent, mut errors) = (0, 0, 0);
+        for tasks in &sets {
+            for method in methods {
+                for caps in rules {
+                    let one = inflated_taskset(tasks, method, caps);
+                    let two = two_pass(tasks, method, caps);
+                    assert_eq!(one, two, "{method:?} on {tasks:?}");
+                    match one {
+                        Ok(Some(_)) => copies += 1,
+                        Ok(None) => divergent += 1,
+                        Err(_) => errors += 1,
+                    }
+                }
+            }
+        }
+        assert!(copies > 50 && divergent > 50 && errors > 50);
     }
 
     #[test]

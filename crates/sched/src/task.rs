@@ -233,6 +233,13 @@ impl TaskSet {
         self.tasks.iter()
     }
 
+    /// The tasks in index order, the inverse of [`TaskSet::new`]: a caller
+    /// that builds many short-lived sets can refill one vector.
+    #[must_use]
+    pub fn into_tasks(self) -> Vec<Task> {
+        self.tasks
+    }
+
     /// Total utilisation `Σ Ci/Ti`.
     #[must_use]
     pub fn utilization(&self) -> f64 {

@@ -31,7 +31,14 @@ pub const FIGURE4_MAX: f64 = 10.0;
 pub const FIGURE4_STEP: f64 = 4.0;
 
 /// A Gaussian bell `amplitude · exp(−(t − mu)² / (2·sigma²)) + offset`,
-/// sampled into a conservative step curve over `[0, c)`.
+/// sampled into a conservative step curve over `[0, c)` by
+/// [`DelayCurve::from_gaussian_upper`].
+///
+/// The curve is the one [`DelayCurve::from_fn_upper`] samples from the
+/// bell, bit for bit, but a cell takes `exp` only at the samples whose
+/// exponent is within `1e-12` of the cell's largest: the others cannot win
+/// the cell's maximum, because `exp` is accurate to about one ulp. A
+/// 64-cell curve takes about 64 `exp` calls instead of 129.
 ///
 /// # Errors
 ///
@@ -45,11 +52,7 @@ pub fn gaussian_curve(
     c: f64,
     step: f64,
 ) -> Result<DelayCurve, CurveError> {
-    DelayCurve::from_fn_upper(
-        move |t| amplitude * (-(t - mu) * (t - mu) / (2.0 * sigma_sq)).exp() + offset,
-        c,
-        step,
-    )
+    DelayCurve::from_gaussian_upper(mu, sigma_sq, amplitude, offset, c, step)
 }
 
 /// "Gaussian 1" of Figure 4: the narrower bell (σ₁² = 9·10⁴, µ = 2000,

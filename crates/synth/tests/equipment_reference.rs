@@ -6,18 +6,41 @@
 //! to. From the same random stream both must equip the same tasks bit for
 //! bit, leave the stream in the same state, and fail alike. A tiny `q_scale`
 //! puts the cap below the `1e-9` amplitude floor, so the clamp really bites.
+//!
+//! The reference draws its curves the way `random_unimodal_curve` does,
+//! but samples the bell closure with [`DelayCurve::from_fn_upper`], so it
+//! does not share the Gaussian sampler it checks.
 
 use fnpr_core::DelayCurve;
 use fnpr_sched::{max_npr_lengths_edf, max_npr_lengths_fp, SchedError, Task, TaskSet};
 use fnpr_synth::{
-    random_taskset, random_taskset_multicore, random_unimodal_curve, with_npr_and_curves,
-    with_npr_and_curves_global, Policy, TaskSetParams,
+    random_taskset, random_taskset_multicore, with_npr_and_curves, with_npr_and_curves_global,
+    Policy, TaskSetParams,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 mod reference {
     use super::*;
+    use fnpr_core::CurveError;
+
+    /// `random_unimodal_curve`'s draws, sampled through the bell closure.
+    fn unimodal_curve<R: Rng>(
+        rng: &mut R,
+        c: f64,
+        max_value: f64,
+        step: f64,
+    ) -> Result<DelayCurve, CurveError> {
+        let mu = rng.gen_range(0.2 * c..0.8 * c);
+        let sigma = rng.gen_range(0.05 * c..0.3 * c);
+        let amplitude = rng.gen_range(0.3 * max_value..max_value);
+        let sigma_sq = sigma * sigma;
+        DelayCurve::from_fn_upper(
+            move |t| amplitude * (-(t - mu) * (t - mu) / (2.0 * sigma_sq)).exp() + 0.0,
+            c,
+            step,
+        )
+    }
 
     fn equip<R: Rng>(
         rng: &mut R,
@@ -26,10 +49,12 @@ mod reference {
         delay_frac: f64,
     ) -> Result<Task, SchedError> {
         let peak = q * delay_frac;
-        let curve = random_unimodal_curve(rng, task.wcet(), peak.max(1e-9), task.wcet() / 64.0)
-            .map_err(|_| SchedError::InvalidTask {
-                what: "curve",
-                value: task.wcet(),
+        let curve =
+            unimodal_curve(rng, task.wcet(), peak.max(1e-9), task.wcet() / 64.0).map_err(|_| {
+                SchedError::InvalidTask {
+                    what: "curve",
+                    value: task.wcet(),
+                }
             })?;
         let clamped = curve
             .clamped(peak.max(0.0))
